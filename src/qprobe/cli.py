@@ -4,8 +4,7 @@ Subcommands: measures, sweep, evolve, probe, qnd, plot.  Flags can also
 be supplied as a JSON document via --config (keys are the flag names
 with underscores); explicit flags win on conflict.  Outputs are byte
 deterministic for identical configuration: floats are serialized with
-12 significant digits and sweep rows are assembled in grid order even
-when computed concurrently.
+12 significant digits and sweep rows are assembled in grid order.
 
 Exit codes: 0 success, 2 argument validation, 3 I/O, 4 data shape.
 """
@@ -13,9 +12,8 @@ Exit codes: 0 success, 2 argument validation, 3 I/O, 4 data shape.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -31,6 +29,7 @@ from .dynamics import (
     sigma_z_expectation,
 )
 from .measures import (
+    CorrelationReport,
     concurrence,
     correlation_report,
     infer_from_sigmaz,
@@ -63,6 +62,9 @@ SWEEP_COLUMNS = (
     "classical_eq20",
     "sigma_z",
 )
+
+#: largest sweep grid accepted; the grid is built in memory
+MAX_SWEEP_POINTS = 100_001
 
 
 class DataShapeError(Exception):
@@ -178,9 +180,9 @@ def _model_config(opts: dict) -> ModelConfig:
     variant = MODEL_CHOICES[opts["model"]]
     return ModelConfig(
         variant=variant,
-        g=float(opts.get("g") or 1.0),
+        g=float(opts["g"]) if opts.get("g") is not None else 1.0,
         delta=float(opts["delta"]) if opts.get("delta") is not None else None,
-        n_max=int(opts.get("nmax") or 2),
+        n_max=int(opts["nmax"]) if opts.get("nmax") is not None else 2,
     )
 
 
@@ -216,43 +218,29 @@ def cmd_measures(args: argparse.Namespace) -> int:
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError("step must be positive and finite")
     if not (0.5 <= start <= stop <= 1.0):
         raise ValueError("x grid must lie inside [0.5, 1]")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    if n > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
+    return [start + i * step for i in range(int(n))]
 
 
-def _sweep_row(x: float, gamma: float, g: float, dt: float, cfg: ModelConfig) -> list[float]:
-    rho = one_param_density(x)
-    rep = correlation_report(rho)
-    row = [
-        x,
-        rep.concurrence,
-        rep.mutual_info,
-        rep.classical,
-        rep.discord,
-        rep.classical_closed_form,
-        3.0 - 4.0 * x,
-    ]
-    if gamma > 0.0:
-        t_read = np.pi / (2.0 * g)
-        joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
-        res = integrate_master(joint0, cfg, NoiseConfig(gamma=gamma * g), t_read, dt=dt)
-        reduced = res.reduced_ab[-1]
-        if cfg.variant is ModelVariant.RESONANT_BOSON:
-            reduced = boson_pair_to_qubits(reduced)
-        nrep = correlation_report(reduced)
-        row += [
-            nrep.concurrence,
-            nrep.mutual_info,
-            nrep.classical,
-            nrep.discord,
-            nrep.classical_closed_form,
-            sigma_z_expectation(res.probe[-1]),
-        ]
-    return row
+def _report_values(rep: CorrelationReport) -> list[float]:
+    return [rep.concurrence, rep.mutual_info, rep.classical, rep.discord,
+            rep.classical_closed_form]
+
+
+def _sweep_row(x: float, cfg: ModelConfig, noise: NoiseConfig, dt: float) -> list[float]:
+    """Noiseless measures and sigma_z; with noise, also one noisy probe cycle."""
+    if noise.gamma == 0.0:
+        rep = correlation_report(one_param_density(x))
+        return [x, *_report_values(rep), 3.0 - 4.0 * x]
+    cycle = run_probe_cycle(x, cfg, 1, noise, dt=dt)
+    return [x, *_report_values(cycle.measures_before), 3.0 - 4.0 * x,
+            *_report_values(cycle.measures_after), cycle.mean_sigma_z]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -262,27 +250,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "model": "secii-qubit", "nmax": 2, "out": "sweep.csv",
         "emit_svg": False,
     })
-    gamma = float(opts["gamma"])
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     cfg = _model_config({**opts, "delta": None})
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("sweep runs on the resonant models")
+    noise = NoiseConfig(gamma=float(opts["gamma"]) * cfg.g)
     grid = _sweep_grid(float(opts["x_start"]), float(opts["x_stop"]),
                        float(opts["x_step"]))
 
     header = ["x", *SWEEP_COLUMNS]
-    if gamma > 0:
+    if noise.gamma > 0:
         header += [f"{c}_noisy" for c in SWEEP_COLUMNS]
-
-    workers = _thread_count()
-    g = float(opts["g"])
     dt = float(opts["dt"])
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda x: _sweep_row(x, gamma, g, dt, cfg), grid))
-    else:
-        rows = [_sweep_row(x, gamma, g, dt, cfg) for x in grid]
+    rows = [_sweep_row(x, cfg, noise, dt) for x in grid]
 
     text = ",".join(header) + "\n"
     for row in rows:
@@ -292,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if opts["emit_svg"]:
         columns = ["discord", "classical"]
-        if gamma > 0:
+        if noise.gamma > 0:
             columns += ["discord_noisy", "classical_noisy"]
         series = [
             (c, [row[header.index(c)] for row in rows]) for c in columns
@@ -303,17 +282,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    env = os.environ.get("QPROBE_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError("QPROBE_THREADS must be an integer") from exc
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
         "x": None, "model": "secii-qubit", "gamma": 0.0, "g": 1.0,
@@ -322,9 +290,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     })
     x = _require_x(opts)
     cfg = _model_config(opts)
-    gamma = float(opts["gamma"])
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    noise = NoiseConfig(gamma=float(opts["gamma"]) * cfg.g)
     t_end = float(opts["t_end"])
     if t_end <= 0:
         raise ValueError("t-end must be positive")
@@ -334,8 +300,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
     times = np.linspace(0.0, t_end, n_samples)
-    res = integrate_master(joint0, cfg, NoiseConfig(gamma=gamma * cfg.g),
-                           t_end, dt=float(opts["dt"]), sample_times=times)
+    res = integrate_master(joint0, cfg, noise, t_end, dt=float(opts["dt"]),
+                           sample_times=times)
     rho0 = one_param_density(x)
     lines = ["t,concurrence,mutual_info,sigma_z,p_excited,dist_to_initial"]
     for t, ab, pc in zip(res.times, res.reduced_ab, res.probe):

@@ -26,6 +26,7 @@ number basis.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -77,8 +78,10 @@ class ModelConfig:
     stark_compensation: bool = True
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
+        if not math.isfinite(self.g) or self.g <= 0:
+            raise ValueError("coupling g must be positive and finite")
+        if self.delta is not None and not math.isfinite(self.delta):
+            raise ValueError("detuning must be finite")
         if self.variant in _DISPERSIVE:
             if self.delta is None or self.delta <= 0:
                 raise ValueError("dispersive variants need a positive detuning")
@@ -170,6 +173,15 @@ def probe_lowering(cfg: ModelConfig) -> Array:
     return _embed({2: ATOM_LOWER}, cfg.space.dims)
 
 
+def two_level_index(nb: int) -> list[int]:
+    """Indices of |00>, |01>, |10>, |11> in the space of two nb-level modes.
+
+    Used through ``np.ix_`` to embed a two-qubit matrix into a pair of
+    bosonic modes and to project it back.
+    """
+    return [0, 1, nb, nb + 1]
+
+
 def initial_joint(x: float, cfg: ModelConfig, prep: ProbePrep) -> DensityMatrix:
     """Family state on (A, B), freshly prepared probe, cavities in vacuum."""
     rho_ab = one_param_density(x).mat
@@ -177,12 +189,9 @@ def initial_joint(x: float, cfg: ModelConfig, prep: ProbePrep) -> DensityMatrix:
 
     if cfg.variant is ModelVariant.RESONANT_BOSON:
         nb = dims[0]
+        idx = two_level_index(nb)
         big = np.zeros((nb * nb, nb * nb), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        big[i * nb + j, k * nb + l] = rho_ab[i * 2 + j, k * 2 + l]
+        big[np.ix_(idx, idx)] = rho_ab
         rho_ab = big
 
     parts = [rho_ab, prep.matrix]
@@ -236,11 +245,11 @@ class NoiseConfig:
     collapse_ops: Optional[tuple[tuple[float, Array], ...]] = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("rates must be nonnegative")
+        rates = [self.gamma]
         if self.collapse_ops is not None:
-            if any(rate < 0 for rate, _ in self.collapse_ops):
-                raise ValueError("rates must be nonnegative")
+            rates += [rate for rate, _ in self.collapse_ops]
+        if any(not math.isfinite(rate) or rate < 0 for rate in rates):
+            raise ValueError("rates must be nonnegative and finite")
 
     def resolved_ops(self, cfg: ModelConfig) -> list[tuple[float, Array]]:
         if self.collapse_ops is not None:

@@ -37,6 +37,7 @@ from .states import (
     two_qubit_space,
 )
 from .dynamics import (
+    DEFAULT_DT,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
@@ -44,6 +45,7 @@ from .dynamics import (
     initial_joint,
     integrate_master,
     sigma_z_expectation,
+    two_level_index,
 )
 
 RESTORED_TOL = 1e-8
@@ -219,13 +221,15 @@ def run_probe_cycle(
     cfg: ModelConfig,
     n_half_periods: int = 1,
     noise: Optional[NoiseConfig] = None,
+    dt: float = DEFAULT_DT,
 ) -> ProbeCycleReport:
     """Attach a ground probe, evolve to t = n pi/(2 g), read sigma_z.
 
     n must be odd: at even multiples the probe returns to its ground
     state and carries no information.  Without noise the pair state
     lands exactly on the corner swap of the family state while every
-    correlation measure is preserved.
+    correlation measure is preserved.  With noise the master equation
+    is integrated with step ``dt``.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -243,7 +247,7 @@ def run_probe_cycle(
         reduced = partial_trace(joint, {0, 1})
         probe = partial_trace(joint, {2})
     else:
-        result = integrate_master(joint0, cfg, noise, t_read)
+        result = integrate_master(joint0, cfg, noise, t_read, dt=dt)
         reduced = result.reduced_ab[-1]
         probe = result.probe[-1]
 
@@ -270,13 +274,8 @@ def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
     and the block renormalized, so the measures see the state actually
     comparable with the two-level family.
     """
-    nb = reduced.space.dims[0]
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[i * 2 + j, k * 2 + l] = reduced.mat[i * nb + j, k * nb + l]
+    idx = two_level_index(reduced.space.dims[0])
+    out = reduced.mat[np.ix_(idx, idx)]
     out /= np.trace(out).real
     return DensityMatrix(two_qubit_space(), out)
 
@@ -285,7 +284,6 @@ def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
 # transfer timing for the exchange model
 
 _FIDELITY_X_GRID = (0.6, 0.75, 0.9)
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _exchange_propagator(j: float) -> SpectralPropagator:
@@ -305,32 +303,17 @@ def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
 
 
 def find_transfer_time(j: float) -> float:
-    """Smallest time achieving a complete corner-swap transfer.
+    """Time of the first complete corner-swap transfer, pi / (2 sqrt(2) J).
 
-    Golden-section search for the fidelity peak, bracketed around the
-    collective-coupling candidate pi / (2 sqrt(2) J) inside (0, 4 pi/J].
-    The returned time must reach fidelity 1 - 1e-9.
+    The probe exchanges its excitation with the symmetric mode of the
+    pair, whose collective coupling is sqrt(2) J, so the swap completes
+    in closed form when sqrt(2) J t = pi / 2.  The time is checked
+    against the swap fidelity, which must reach 1 - 1e-9.
     """
     if j <= 0:
         raise ValueError("exchange strength must be positive")
-    prop = _exchange_propagator(j)
-    seed = np.pi / (2.0 * np.sqrt(2.0) * j)
-    a, b = 0.5 * seed, min(1.5 * seed, 4.0 * np.pi / j)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _swap_fidelity(prop, c)
-    fd = _swap_fidelity(prop, d)
-    while b - a > 1e-9 * seed:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _swap_fidelity(prop, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _swap_fidelity(prop, d)
-    t_star = 0.5 * (a + b)
-    if _swap_fidelity(prop, t_star) < 1.0 - 1e-6:
+    t_star = np.pi / (2.0 * np.sqrt(2.0) * j)
+    if _swap_fidelity(_exchange_propagator(j), t_star) < 1.0 - 1e-9:
         raise ValueError("no clean transfer")
     return float(t_star)
 

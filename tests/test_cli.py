@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from qprobe.cli import main
+from qprobe.cli import MAX_SWEEP_POINTS, _sweep_grid, fmt, main
+from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig
+from qprobe.protocols import run_probe_cycle
 
 
 def run(args):
@@ -213,3 +215,50 @@ class TestExitCodes:
 
     def test_bad_flag_value(self, capsys):
         assert run(["measures", "--x", "abc"]) == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("args", [
+        ["probe", "--x", "0.75", "--g", "inf"],
+        ["probe", "--x", "0.75", "--g", "nan"],
+        ["probe", "--x", "0.75", "--g", "0"],
+        ["probe", "--x", "0.75", "--model", "secii-boson", "--nmax", "0"],
+        ["qnd", "--x", "0.75", "--delta", "inf"],
+        ["sweep", "--x-step", "0.25", "--gamma", "nan"],
+        ["evolve", "--x", "0.75", "--gamma", "nan"],
+    ])
+    def test_non_finite_physics_inputs(self, args, tmp_path, capsys):
+        assert run([*args, "--out", tmp_path / "out"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_grid_size_bounded(self, capsys):
+        assert run(["sweep", "--x-step", "1e-12"]) == 2
+        assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
+
+    def test_sweep_grid_bound_is_inclusive(self):
+        grid = _sweep_grid(0.5, 1.0, 0.5 / (MAX_SWEEP_POINTS - 1))
+        assert len(grid) == MAX_SWEEP_POINTS
+
+
+class TestNoisySweepRow:
+    def test_dt_reaches_integrator(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--x-start", "0.75", "--x-stop", "0.75",
+                    "--gamma", "0.1", "--dt", "0.5", "--out", out]) == 2
+        assert "half-step" in capsys.readouterr().err
+
+    def test_row_is_one_probe_cycle(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--x-start", "0.75", "--x-stop", "0.75",
+                    "--gamma", "0.1", "--out", out]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        cycle = run_probe_cycle(0.75, ModelConfig(ModelVariant.RESONANT_QUBIT), 1,
+                                NoiseConfig(gamma=0.1))
+        names = ("concurrence", "mutual_info", "classical", "discord",
+                 "classical_closed_form")
+        expected = [
+            0.75, *(getattr(cycle.measures_before, n) for n in names), 0.0,
+            *(getattr(cycle.measures_after, n) for n in names), cycle.mean_sigma_z,
+        ]
+        assert row == [fmt(v) for v in expected]

@@ -15,6 +15,7 @@ from qprobe.dynamics import (
     sigma_z_expectation,
 )
 from qprobe.measures import concurrence, concurrence_time_formula, discord
+from qprobe.protocols import boson_pair_to_qubits
 from qprobe.qcore import SpectralPropagator, partial_trace
 from qprobe.states import ProbePrep, corner_swap, one_param_density
 
@@ -40,6 +41,16 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(ModelVariant.RESONANT_BOSON, n_max=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(variant=ModelVariant.RESONANT_QUBIT, g=float("inf")),
+        dict(variant=ModelVariant.RESONANT_QUBIT, g=float("nan")),
+        dict(variant=ModelVariant.DISPERSIVE_EFFECTIVE, delta=float("inf")),
+        dict(variant=ModelVariant.DISPERSIVE_EFFECTIVE, delta=float("nan")),
+    ])
+    def test_non_finite_parameters(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ModelConfig(**kwargs)
+
     def test_exchange_strength(self):
         cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
         assert cfg.j_exchange == pytest.approx(0.05)
@@ -51,6 +62,16 @@ class TestModelConfig:
             ModelVariant.DISPERSIVE_FULL, delta=20.0, n_max=2
         ).space.dim == 8 * 9
         assert ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0).space.dim == 8
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("rate", [-0.1, float("inf"), float("nan")])
+    def test_bad_rates(self, rate):
+        op = probe_lowering(QUBIT)
+        with pytest.raises(ValueError, match="rates"):
+            NoiseConfig(gamma=rate)
+        with pytest.raises(ValueError, match="rates"):
+            NoiseConfig(collapse_ops=((rate, op),))
 
 
 class TestBuildHamiltonian:
@@ -224,6 +245,13 @@ class TestIntegrateMaster:
 
 
 class TestBosonModel:
+    def test_two_level_embedding_round_trip(self):
+        cfg = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=3)
+        for x in (0.5, 0.75, 1.0):
+            ab = partial_trace(initial_joint(x, cfg, ProbePrep.GROUND), {0, 1})
+            assert np.allclose(boson_pair_to_qubits(ab).mat,
+                               one_param_density(x).mat, rtol=0.0, atol=1e-15)
+
     def test_excitation_conserved(self):
         cfg = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))

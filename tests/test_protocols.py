@@ -158,6 +158,13 @@ class TestTransferTime:
         with pytest.raises(ValueError):
             find_transfer_time(0.0)
 
+    @pytest.mark.parametrize("j", [0.01, 0.05, 0.1, 1.0])
+    def test_closed_form(self, j):
+        assert find_transfer_time(j) == pytest.approx(
+            np.pi / (2 * np.sqrt(2) * j), rel=1e-12
+        )
+        assert transfer_time_report(j).best_fidelity >= 1.0 - 1e-12
+
 
 class TestQndSequence:
     def test_stage_maps_and_statistics(self):
