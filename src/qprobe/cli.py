@@ -65,6 +65,8 @@ SWEEP_COLUMNS = (
 
 #: largest sweep grid accepted; the grid is built in memory
 MAX_SWEEP_POINTS = 100_001
+#: most evolve sample times accepted; every sample keeps its joint state
+MAX_EVOLVE_SAMPLES = 10_001
 
 
 class DataShapeError(Exception):
@@ -297,6 +299,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     n_samples = int(opts["samples"])
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if n_samples > MAX_EVOLVE_SAMPLES:
+        raise ValueError(f"samples exceed {MAX_EVOLVE_SAMPLES}")
 
     joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
     times = np.linspace(0.0, t_end, n_samples)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .qcore import (
     Array,
@@ -253,7 +254,15 @@ class NoiseConfig:
 
     def resolved_ops(self, cfg: ModelConfig) -> list[tuple[float, Array]]:
         if self.collapse_ops is not None:
-            return [(float(r), np.asarray(op, dtype=complex)) for r, op in self.collapse_ops]
+            dim = cfg.space.dim
+            ops = [(float(r), np.asarray(op, dtype=complex)) for r, op in self.collapse_ops]
+            for k, (_, op) in enumerate(ops):
+                if op.shape != (dim, dim):
+                    raise ValueError(
+                        f"collapse operator {k} has shape {op.shape}; the "
+                        f"{cfg.variant.value} model needs ({dim}, {dim})"
+                    )
+            return ops
         if self.gamma == 0.0:
             return []
         return [(self.gamma, probe_lowering(cfg))]
@@ -290,6 +299,10 @@ def integrate_master(
 
     d rho/dt = -i [H, rho] + sum_k gamma_k (2 L rho L+ - L+L rho - rho L+L)
 
+    The right-hand side is built once per call as a sparse Liouvillian
+    acting on the row-major vectorised state, and each RK4 step applies
+    it four times (the Horner form of the RK4 polynomial, identical to
+    the classic k1..k4 step for this linear, time-independent generator).
     The state is re-Hermitized after every step.  One Richardson
     half-step comparison runs on the first step and rejects the run if
     the discrepancy exceeds 1e-7 (the step size is then too large), and
@@ -306,52 +319,55 @@ def integrate_master(
         raise ValueError("sample times must lie in [0, t_end]")
 
     h = build_hamiltonian(cfg)
-    ops = noise.resolved_ops(cfg)
-    pairs = [(r, op, op.conj().T, op.conj().T @ op) for r, op in ops]
+    d = h.shape[0]
+    eye = sp.eye_array(d, dtype=complex, format="csr")
+    hs = sp.csr_array(h)
+    # row-major vec(m): vec(A m B) = (A kron B^T) vec(m)
+    gen = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
+    for rate, op in noise.resolved_ops(cfg):
+        ls = sp.csr_array(op)
+        lds = ls.conj().T @ ls
+        gen = gen + rate * (2.0 * sp.kron(ls, ls.conj()) - sp.kron(lds, eye)
+                            - sp.kron(eye, lds.T))
+    adj = np.arange(d * d).reshape(d, d).T.ravel()
+    diag = np.arange(d) * (d + 1)
 
-    def rhs(m: Array) -> Array:
-        out = -1j * (h @ m - m @ h)
-        for rate, op, opd, opdop in pairs:
-            out += rate * (2.0 * (op @ m @ opd) - opdop @ m - m @ opdop)
-        return out
+    def rk4_step(v: Array, step: float) -> Array:
+        w = v + (step / 4.0) * (gen @ v)
+        w = v + (step / 3.0) * (gen @ w)
+        w = v + (step / 2.0) * (gen @ w)
+        v = v + step * (gen @ w)
+        return 0.5 * (v + v[adj].conj())
 
-    def rk4_step(m: Array, step: float) -> Array:
-        k1 = rhs(m)
-        k2 = rhs(m + 0.5 * step * k1)
-        k3 = rhs(m + 0.5 * step * k2)
-        k4 = rhs(m + step * k3)
-        m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return 0.5 * (m + m.conj().T)
-
-    mat = np.array(rho0.mat, dtype=complex)
+    vec = np.array(rho0.mat, dtype=complex).ravel()
     t = 0.0
     checked = False
     samples: list[tuple[float, Array]] = []
 
     for target in sorted(sample_times):
         if target <= t + 1e-15:
-            samples.append((target, mat.copy()))
+            samples.append((target, vec.copy()))
             continue
         while t < target - 1e-12:
             step = min(dt, target - t)
             if not checked and step == dt:
-                coarse = rk4_step(mat, dt)
-                fine = rk4_step(rk4_step(mat, dt / 2.0), dt / 2.0)
+                coarse = rk4_step(vec, dt)
+                fine = rk4_step(rk4_step(vec, dt / 2.0), dt / 2.0)
                 if np.max(np.abs(coarse - fine)) > HALF_STEP_LIMIT:
                     raise ValueError("time step too large: half-step check failed")
                 checked = True
-                mat = coarse
+                vec = coarse
             else:
-                mat = rk4_step(mat, step)
+                vec = rk4_step(vec, step)
             t += step
-            if abs(np.trace(mat).real - 1.0) > TRACE_DRIFT_LIMIT:
+            if abs(vec[diag].sum().real - 1.0) > TRACE_DRIFT_LIMIT:
                 raise ValueError("trace drift exceeded tolerance: reduce dt")
         t = target
-        samples.append((target, mat.copy()))
+        samples.append((target, vec.copy()))
 
     samples.sort(key=lambda s: s[0])
     times = tuple(s[0] for s in samples)
-    joint = tuple(DensityMatrix(cfg.space, s[1]) for s in samples)
+    joint = tuple(DensityMatrix(cfg.space, s[1].reshape(d, d)) for s in samples)
     reduced = tuple(partial_trace(j, {0, 1}) for j in joint)
     probe = tuple(partial_trace(j, {2}) for j in joint)
     return EvolutionResult(times, joint, reduced, probe)

@@ -56,6 +56,8 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # deterministic counter-based sampling
 
 _MASK64 = (1 << 64) - 1
+#: counters drawn per block; keeps sampling memory bounded for any shot count
+SHOT_BLOCK = 2 ** 16
 
 
 def _splitmix64(z: int) -> int:
@@ -95,22 +97,23 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     """Deterministic binomial draw: shot i is excited iff u_i < p.
 
     u_i comes from SplitMix64 of (seed-derived base + i), so the record
-    depends only on (p, shots, seed).
+    depends only on (p, shots, seed).  Counters are drawn in blocks of
+    SHOT_BLOCK, so memory does not grow with the shot count.
     """
     if not 0.0 <= p_excited <= 1.0:
         raise ValueError("probability out of range")
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    if shots == 0:
-        return ShotRecord(0, 0, seed)
     base = np.uint64(_splitmix64(seed & _MASK64))
-    z = base + np.arange(shots, dtype=np.uint64)
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    u = z.astype(np.float64) / float(2 ** 64)
-    count = int(np.count_nonzero(u < p_excited))
+    count = 0
+    for start in range(0, shots, SHOT_BLOCK):
+        z = base + np.arange(start, min(start + SHOT_BLOCK, shots), dtype=np.uint64)
+        z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        u = z.astype(np.float64) / float(2 ** 64)
+        count += int(np.count_nonzero(u < p_excited))
     return ShotRecord(shots, count, seed)
 
 

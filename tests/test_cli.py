@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qprobe.cli import MAX_SWEEP_POINTS, _sweep_grid, fmt, main
+from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
 from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig
 from qprobe.protocols import run_probe_cycle
 
@@ -55,8 +55,7 @@ class TestSweepCommand:
         assert float(row["concurrence"]) == pytest.approx(0.25, abs=1e-9)
         assert float(row["sigma_z"]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_noisy_schema(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QPROBE_THREADS", "2")
+    def test_noisy_schema(self, tmp_path, capsys):
         out = tmp_path / "sn.csv"
         assert run(["sweep", "--x-step", "0.25", "--gamma", "0.1", "--out", out]) == 0
         lines = out.read_text().strip().splitlines()
@@ -71,12 +70,10 @@ class TestSweepCommand:
             row = dict(zip(header, (float(v) for v in line.split(","))))
             assert row["concurrence_noisy"] <= row["concurrence"] + 1e-12
 
-    def test_byte_determinism(self, tmp_path, capsys, monkeypatch):
+    def test_byte_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        monkeypatch.setenv("QPROBE_THREADS", "3")
         assert run(["sweep", "--x-step", "0.1", "--gamma", "0.1", "--out", a]) == 0
-        monkeypatch.setenv("QPROBE_THREADS", "1")
         assert run(["sweep", "--x-step", "0.1", "--gamma", "0.1", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -235,6 +232,13 @@ class TestInputValidation:
     def test_sweep_grid_size_bounded(self, capsys):
         assert run(["sweep", "--x-step", "1e-12"]) == 2
         assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
+
+    def test_evolve_samples_bounded(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--x", "0.75", "--samples", "1000000000000",
+                    "--out", out]) == 2
+        assert str(MAX_EVOLVE_SAMPLES) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_grid_bound_is_inclusive(self):
         grid = _sweep_grid(0.5, 1.0, 0.5 / (MAX_SWEEP_POINTS - 1))

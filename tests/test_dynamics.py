@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qprobe.dynamics import (
+    DEFAULT_DT,
+    PROBE_SIGMA_Z,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
@@ -20,6 +24,9 @@ from qprobe.qcore import SpectralPropagator, partial_trace
 from qprobe.states import ProbePrep, corner_swap, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
+BOSON = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
+FULL = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)
+EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
 
 
 def evolved_reductions(x, cfg, gt, prep=ProbePrep.GROUND):
@@ -72,6 +79,12 @@ class TestNoiseConfig:
             NoiseConfig(gamma=rate)
         with pytest.raises(ValueError, match="rates"):
             NoiseConfig(collapse_ops=((rate, op),))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (8,)])
+    def test_collapse_operator_shape_checked(self, shape):
+        noise = NoiseConfig(collapse_ops=((0.1, np.zeros(shape)),))
+        with pytest.raises(ValueError, match=r"collapse operator 0 has shape .*\(8, 8\)"):
+            noise.resolved_ops(QUBIT)
 
 
 class TestBuildHamiltonian:
@@ -242,6 +255,93 @@ class TestIntegrateMaster:
             1.0,
         )
         assert np.max(np.abs(res_a.joint_states[-1].mat - res_b.joint_states[-1].mat)) < 1e-12
+
+
+def dense_rk4_reference(rho0, cfg, noise, t_end, dt=DEFAULT_DT, sample_times=None):
+    """Dense-matrix RK4 on the same step schedule as integrate_master.
+
+    This is the integrator the sparse Liouvillian replaced, without its
+    checks: seven d x d matrix products per right-hand side.
+    """
+    h = build_hamiltonian(cfg)
+    pairs = [(r, op, op.conj().T, op.conj().T @ op) for r, op in noise.resolved_ops(cfg)]
+
+    def rhs(m):
+        out = -1j * (h @ m - m @ h)
+        for rate, op, opd, opdop in pairs:
+            out += rate * (2.0 * (op @ m @ opd) - opdop @ m - m @ opdop)
+        return out
+
+    def rk4_step(m, step):
+        k1 = rhs(m)
+        k2 = rhs(m + 0.5 * step * k1)
+        k3 = rhs(m + 0.5 * step * k2)
+        k4 = rhs(m + step * k3)
+        m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return 0.5 * (m + m.conj().T)
+
+    mat = np.array(rho0.mat, dtype=complex)
+    t = 0.0
+    samples = []
+    for target in sorted(sample_times if sample_times is not None else (t_end,)):
+        if target <= t + 1e-15:
+            samples.append(mat)
+            continue
+        while t < target - 1e-12:
+            step = min(dt, target - t)
+            mat = rk4_step(mat, step)
+            t += step
+        t = target
+        samples.append(mat)
+    return samples
+
+
+def largest_deviation(res, mats):
+    assert len(res.joint_states) == len(mats)
+    return max(np.max(np.abs(j.mat - m)) for j, m in zip(res.joint_states, mats))
+
+
+class TestIntegratorOracle:
+    @pytest.mark.parametrize("cfg, noise, t_end, sample_times", [
+        (QUBIT, NoiseConfig(gamma=0.1), np.pi / 2, None),
+        (BOSON, NoiseConfig(gamma=0.1), 2.0, np.linspace(0.0, 2.0, 21)),
+        (FULL, NoiseConfig(gamma=0.1), 0.5, None),
+        (QUBIT, NoiseConfig(collapse_ops=(
+            (0.05, probe_lowering(QUBIT)),
+            (0.02, np.kron(np.eye(4), PROBE_SIGMA_Z)),
+        )), 1.0, None),
+        (QUBIT, NoiseConfig(collapse_ops=(
+            # complex L with complex L+L: tells L from conj(L) and L+L from its transpose
+            (0.03, np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]]))),
+        )), 1.0, None),
+    ], ids=["secii-qubit", "secii-boson", "seciii-full", "two-collapse-ops",
+            "complex-collapse-op"])
+    def test_matches_dense_rk4(self, cfg, noise, t_end, sample_times):
+        rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
+        res = integrate_master(rho0, cfg, noise, t_end, sample_times=sample_times)
+        ref = dense_rk4_reference(rho0, cfg, noise, t_end, sample_times=sample_times)
+        assert largest_deviation(res, ref) < 1e-13
+
+    @pytest.mark.parametrize("cfg, t_end", [(QUBIT, np.pi / 2), (BOSON, 2.0), (EXCHANGE, 5.0)],
+                             ids=["secii-qubit", "secii-boson", "seciii-eff"])
+    def test_noiseless_matches_spectral(self, cfg, t_end):
+        rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
+        times = np.linspace(0.0, t_end, 5)
+        res = integrate_master(rho0, cfg, NoiseConfig(), t_end, sample_times=times)
+        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
+        assert largest_deviation(res, [prop.apply_mat(rho0.mat, t) for t in times]) < 1e-10
+
+    def test_no_dense_liouvillian(self):
+        # a dense d^2 x d^2 generator at d = 72 would take 430 MB
+        d = FULL.space.dim
+        rho0 = initial_joint(0.75, FULL, ProbePrep.GROUND)
+        tracemalloc.start()
+        try:
+            integrate_master(rho0, FULL, NoiseConfig(gamma=0.1), 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d ** 4 / 10
 
 
 class TestBosonModel:

@@ -6,6 +6,7 @@ from qprobe.protocols import (
     EXCHANGE_E_READOUT,
     EXCHANGE_G_READOUT,
     RESONANT_READOUT,
+    SHOT_BLOCK,
     ShotRecord,
     derive_seed,
     estimate_exact,
@@ -23,7 +24,30 @@ QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
 EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
 
 
+def one_shot_count(p_excited, shots, seed):
+    """Excited count from all counters drawn at once, as before streaming."""
+    mask = (1 << 64) - 1
+    z0 = ((seed & mask) + 0x9E3779B97F4A7C15) & mask
+    z0 = ((z0 ^ (z0 >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z0 = ((z0 ^ (z0 >> 27)) * 0x94D049BB133111EB) & mask
+    base = np.uint64((z0 ^ (z0 >> 31)) & mask)
+    z = base + np.arange(shots, dtype=np.uint64)
+    z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(mask)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    u = z.astype(np.float64) / float(2 ** 64)
+    return int(np.count_nonzero(u < p_excited))
+
+
 class TestSampleShots:
+    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 10 ** 6])
+    @pytest.mark.parametrize("p", [0.0, 1e-7, 0.3, 1.0])
+    def test_blocks_match_one_shot_draw(self, shots, p):
+        for seed in (0, derive_seed(11, 2)):
+            rec = sample_shots(p, shots, seed)
+            assert rec == ShotRecord(shots, one_shot_count(p, shots, seed), seed)
+
     def test_degenerate_probabilities(self):
         assert sample_shots(0.0, 1000, 3).count_excited == 0
         assert sample_shots(1.0, 1000, 3).count_excited == 1000
