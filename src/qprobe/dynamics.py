@@ -67,6 +67,9 @@ class ModelVariant(enum.Enum):
 _DISPERSIVE = (ModelVariant.DISPERSIVE_FULL, ModelVariant.DISPERSIVE_EFFECTIVE)
 _BOSONIC = (ModelVariant.RESONANT_BOSON, ModelVariant.DISPERSIVE_FULL)
 
+#: largest boson truncation accepted; DISPERSIVE_FULL has dim 968 there
+MAX_NMAX = 10
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -86,8 +89,8 @@ class ModelConfig:
         if self.variant in _DISPERSIVE:
             if self.delta is None or self.delta <= 0:
                 raise ValueError("dispersive variants need a positive detuning")
-        if self.variant in _BOSONIC and self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
+        if self.variant in _BOSONIC and not 2 <= self.n_max <= MAX_NMAX:
+            raise ValueError(f"n_max must lie in [2, {MAX_NMAX}]")
 
     @property
     def j_exchange(self) -> float:

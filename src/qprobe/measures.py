@@ -4,7 +4,19 @@ Implements Wootters concurrence, quantum mutual information, the
 conditional entropy under a projective measurement of the second qubit,
 the classical correlation (as a definitional optimization over
 measurement bases), quantum discord, the closed-form classical
-correlation for symmetric X-states, and the sigma_z readout inversion.
+correlation for symmetric X-states, the affine probe readout laws and
+the sigma_z readout inversion.
+
+The optimizer takes one of two paths, chosen from the state itself.  A
+state whose entries between different excitation numbers (|00>, the
+|01>/|10> block, |11>) are all exactly zero commutes with
+Z (x) I + I (x) Z; its measured conditional entropy then does not depend
+on the azimuth phi and is symmetric under theta -> pi - theta, so the
+minimum is a bounded 1-D search over theta in [0, pi/2] at phi = 0.
+Every state the models produce has this form.  Any other state (one
+non-zero entry between sectors suffices) goes through the 2-D search
+over (theta, phi), which is also the reference the 1-D path is tested
+against.
 
 The definitional optimizer is the authority for discord; the closed
 form is exposed separately because its first branch disagrees with the
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .qcore import (
     DensityMatrix,
@@ -31,15 +43,23 @@ from .qcore import (
 )
 from .states import SIGMA_Y, XState, extract_xstate, one_param_density
 
-# Optimizer schedule: coarse grid scan over the measurement 2-torus,
-# then simplex refinement from the best cells.  The objective has at
-# most a few extrema, so a handful of starts guards against local
-# minima.
+# Optimizer schedule for general states: coarse grid scan over the
+# measurement 2-torus, then simplex refinement from the best cells.  The
+# objective has at most a few extrema, so a handful of starts guards
+# against local minima.
 GRID_THETA = 32
 GRID_PHI = 64
 REFINE_STARTS = 4
 REFINE_MAXITER = 200
 REFINE_TOL = 1e-10
+
+#: polar grid on [0, pi/2] (both ends included) for excitation-conserving states
+GRID_THETA_POLAR = 65
+
+#: excitation number of the two-qubit basis states |00>, |01>, |10>, |11>
+_EXCITATIONS = np.array([0, 1, 1, 2])
+#: entries of a two-qubit matrix that join different excitation numbers
+_OFF_SECTOR = _EXCITATIONS[:, None] != _EXCITATIONS[None, :]
 
 #: outcome probabilities at or below this contribute zero conditional entropy
 OUTCOME_CLIP = 1e-12
@@ -149,20 +169,17 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
     return _conditional_entropy_angles(rho.mat, basis.theta, basis.phi)
 
 
-def _conditional_entropy_grid(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized conditional entropy on the (theta, phi) scan grid."""
-    thetas = np.linspace(0.0, np.pi, GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.ravel()
-    pp = pp.ravel()
-    v = np.stack([np.cos(tt / 2.0), np.exp(1j * pp) * np.sin(tt / 2.0)], axis=1)
+def _conditional_entropy_batch(
+    mat: np.ndarray, thetas: np.ndarray, phis: np.ndarray
+) -> np.ndarray:
+    """Conditional entropy at every angle pair (thetas[k], phis[k]) at once."""
+    v = np.stack([np.cos(thetas / 2.0), np.exp(1j * phis) * np.sin(thetas / 2.0)], axis=1)
     b0 = v[:, :, None] * v.conj()[:, None, :]
     b1 = np.eye(2, dtype=complex)[None] - b0
-    values = np.zeros(tt.size)
+    values = np.zeros(thetas.size)
     for b in (b0, b1):
         # I (x) B is block diagonal with B repeated on both qubit-A blocks
-        proj = np.zeros((tt.size, 4, 4), dtype=complex)
+        proj = np.zeros((thetas.size, 4, 4), dtype=complex)
         proj[:, :2, :2] = b
         proj[:, 2:, 2:] = b
         sub = proj @ mat[None] @ proj
@@ -172,24 +189,50 @@ def _conditional_entropy_grid(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
             w = vals / p[:, None]
             term = np.where(w > OUTCOME_CLIP, -w * np.log2(np.where(w > 0, w, 1.0)), 0.0)
         values += np.where(p > OUTCOME_CLIP, p * term.sum(axis=1), 0.0)
-    return values, tt, pp
+    return values
 
 
-def classical_correlation_optimized(
-    rho: DensityMatrix,
-) -> tuple[float, MeasurementBasis]:
-    """Classical correlation S(A) - min_B S(A|{B}) and the minimizing basis.
+def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
+    """Minimum over theta in [0, pi/2] at phi = 0, and its theta.
+
+    Valid for states that conserve excitation number (see the module
+    docstring).  A grid that holds both ends exactly is followed by a
+    bounded scalar refinement on the two cells around the best point.
+    The grid point itself stays a candidate: the refinement never
+    evaluates the ends of its bracket, so the result is never worse
+    than the grid.  Ties break toward smaller theta.
+    """
+    thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+    values = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
+    best = int(np.argmin(values))
+    lo = thetas[max(best - 1, 0)]
+    hi = thetas[min(best + 1, thetas.size - 1)]
+    res = minimize_scalar(
+        lambda th: _conditional_entropy_angles(mat, th, 0.0),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": REFINE_TOL},
+    )
+    candidates = [
+        (_conditional_entropy_angles(mat, thetas[best], 0.0), float(thetas[best])),
+        (float(res.fun), float(res.x)),
+    ]
+    return min(candidates)
+
+
+def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, float]:
+    """Minimum over all measurement directions (theta, phi), and its angles.
 
     Grid scan (64 phi x 32 theta) followed by Nelder-Mead refinement
     from the best cells; ties break toward smaller theta then smaller
-    phi so concurrent evaluation cannot change the result.
+    phi.
     """
-    if rho.dim != 4:
-        raise ValueError("two-qubit state required")
-    mat = rho.mat
-    s_a = entropy_bits(partial_trace(rho, {0}).mat)
-
-    values, tt, pp = _conditional_entropy_grid(mat)
+    thetas = np.linspace(0.0, np.pi, GRID_THETA)
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    tt = tt.ravel()
+    pp = pp.ravel()
+    values = _conditional_entropy_batch(mat, tt, pp)
     order = np.lexsort((pp, tt, values))
     candidates: list[tuple[float, float, float]] = []
     best = order[0]
@@ -208,7 +251,30 @@ def classical_correlation_optimized(
         th, ph = _normalized_angles(res.x[0], res.x[1])
         candidates.append((float(res.fun), th, ph))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    ce_min, theta, phi = candidates[0]
+    return candidates[0]
+
+
+def classical_correlation_optimized(
+    rho: DensityMatrix,
+) -> tuple[float, MeasurementBasis]:
+    """Classical correlation S(A) - min_B S(A|{B}) and the minimizing basis.
+
+    A state whose entries between different excitation numbers are all
+    exactly zero (every state the models produce) is minimized by a
+    1-D search over theta in [0, pi/2] at phi = 0: its conditional
+    entropy does not depend on phi and is symmetric about theta = pi/2.
+    Any other state takes the 2-D search over (theta, phi).  Both paths
+    are deterministic.
+    """
+    if rho.dim != 4:
+        raise ValueError("two-qubit state required")
+    mat = rho.mat
+    s_a = entropy_bits(partial_trace(rho, {0}).mat)
+    if np.any(mat[_OFF_SECTOR]):
+        ce_min, theta, phi = _min_conditional_entropy_sphere(mat)
+    else:
+        ce_min, theta = _min_conditional_entropy_polar(mat)
+        phi = 0.0
     return s_a - ce_min, MeasurementBasis(theta, phi)
 
 
@@ -298,6 +364,28 @@ def correlation_report(rho: DensityMatrix) -> CorrelationReport:
     )
 
 
+@dataclass(frozen=True)
+class ReadoutModel:
+    """Affine readout map P(excited) = offset + slope * x."""
+
+    offset: float
+    slope: float
+
+    def probability(self, x: float) -> float:
+        return self.offset + self.slope * x
+
+    def invert(self, p: float) -> float:
+        return (p - self.offset) / self.slope
+
+
+#: ground-probe resonant readout at odd half-periods: P(e) = 2 (1 - x)
+RESONANT_READOUT = ReadoutModel(2.0, -2.0)
+#: exchange-model stage with an excited probe: P(e) = 2 x - 1
+EXCHANGE_E_READOUT = ReadoutModel(-1.0, 2.0)
+#: exchange-model stage with a ground probe: P(e) = 2 (1 - x)
+EXCHANGE_G_READOUT = ReadoutModel(2.0, -2.0)
+
+
 class SigmaZInference(NamedTuple):
     x_hat: float
     concurrence: float
@@ -308,14 +396,15 @@ class SigmaZInference(NamedTuple):
 def infer_from_sigmaz(mean_sigma_z: float) -> SigmaZInference:
     """Invert a probe <sigma_z> readout into x and the derived measures.
 
-    x = (3 - <sigma_z>)/4 (clamped to the family domain); the
-    concurrence follows as |3 <sigma_z> - 1| / 4 and the remaining
-    measures are evaluated on the reconstructed family state.
+    The excited population (1 + <sigma_z>)/2 is inverted through
+    RESONANT_READOUT, x = (3 - <sigma_z>)/4 (clamped to the family
+    domain); the concurrence follows as |3 <sigma_z> - 1| / 4 and the
+    remaining measures are evaluated on the reconstructed family state.
     """
     z = float(mean_sigma_z)
     if abs(z) > 1.0:
         raise ValueError("mean sigma_z must lie in [-1, 1]")
-    x_hat = min(1.0, max(0.5, (3.0 - z) / 4.0))
+    x_hat = min(1.0, max(0.5, RESONANT_READOUT.invert(0.5 * (1.0 + z))))
     conc = abs(3.0 * z - 1.0) / 4.0
     rho = one_param_density(x_hat)
     classical, _ = classical_correlation_optimized(rho)

@@ -20,7 +20,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import CorrelationReport, correlation_report
+# the readout laws live in measures; they are re-exported from here
+from .measures import (
+    EXCHANGE_E_READOUT,
+    EXCHANGE_G_READOUT,
+    RESONANT_READOUT,
+    CorrelationReport,
+    ReadoutModel,
+    correlation_report,
+)
 from .qcore import (
     DensityMatrix,
     SpectralPropagator,
@@ -119,28 +127,6 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
 
 # ---------------------------------------------------------------------------
 # estimation
-
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Affine readout map P(excited) = offset + slope * x."""
-
-    offset: float
-    slope: float
-
-    def probability(self, x: float) -> float:
-        return self.offset + self.slope * x
-
-    def invert(self, p: float) -> float:
-        return (p - self.offset) / self.slope
-
-
-#: ground-probe resonant readout at odd half-periods: P(e) = 2 (1 - x)
-RESONANT_READOUT = ReadoutModel(2.0, -2.0)
-#: exchange-model stage with an excited probe: P(e) = 2 x - 1
-EXCHANGE_E_READOUT = ReadoutModel(-1.0, 2.0)
-#: exchange-model stage with a ground probe: P(e) = 2 (1 - x)
-EXCHANGE_G_READOUT = ReadoutModel(2.0, -2.0)
-
 
 @dataclass(frozen=True)
 class XEstimate:

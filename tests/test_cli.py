@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
-from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig
+from qprobe.dynamics import MAX_NMAX, ModelConfig, ModelVariant, NoiseConfig
 from qprobe.protocols import run_probe_cycle
 
 
@@ -238,6 +238,13 @@ class TestInputValidation:
         assert run(["evolve", "--x", "0.75", "--samples", "1000000000000",
                     "--out", out]) == 2
         assert str(MAX_EVOLVE_SAMPLES) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boson_truncation_bounded(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--x", "0.7", "--model", "secii-boson", "--nmax", "1000",
+                    "--out", out]) == 2
+        assert str(MAX_NMAX) in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_grid_bound_is_inclusive(self):

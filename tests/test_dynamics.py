@@ -5,6 +5,7 @@ import pytest
 
 from qprobe.dynamics import (
     DEFAULT_DT,
+    MAX_NMAX,
     PROBE_SIGMA_Z,
     ModelConfig,
     ModelVariant,
@@ -47,6 +48,12 @@ class TestModelConfig:
     def test_boson_truncation_floor(self):
         with pytest.raises(ValueError):
             ModelConfig(ModelVariant.RESONANT_BOSON, n_max=1)
+
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_BOSON, ModelVariant.DISPERSIVE_FULL])
+    def test_boson_truncation_cap(self, variant):
+        assert ModelConfig(variant, delta=10.0, n_max=MAX_NMAX).n_max == MAX_NMAX
+        with pytest.raises(ValueError, match=str(MAX_NMAX)):
+            ModelConfig(variant, delta=10.0, n_max=MAX_NMAX + 1)
 
     @pytest.mark.parametrize("kwargs", [
         dict(variant=ModelVariant.RESONANT_QUBIT, g=float("inf")),

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from qprobe import protocols
 from qprobe.measures import (
+    RESONANT_READOUT,
     CorrelationReport,
     MeasurementBasis,
+    ReadoutModel,
+    _min_conditional_entropy_sphere,
     classical_correlation_closed_form,
     classical_correlation_optimized,
     concurrence,
@@ -15,7 +21,7 @@ from qprobe.measures import (
     mutual_information,
     xstate_spectrum,
 )
-from qprobe.qcore import DensityMatrix, HilbertSpace, kron, entropy_bits
+from qprobe.qcore import DensityMatrix, HilbertSpace, kron, entropy_bits, partial_trace
 from qprobe.states import (
     XState,
     corner_swap,
@@ -377,3 +383,116 @@ class TestInferFromSigmaZ:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             infer_from_sigmaz(1.2)
+
+    def test_one_readout_law(self):
+        # the protocols module re-exports the laws defined here, and the
+        # sigma_z inversion runs through the resonant one
+        assert protocols.RESONANT_READOUT is RESONANT_READOUT
+        assert protocols.ReadoutModel is ReadoutModel
+        for x in (0.5, 0.6, 0.75, 0.9, 1.0):
+            z = 2.0 * RESONANT_READOUT.probability(x) - 1.0
+            assert infer_from_sigmaz(z).x_hat == pytest.approx(x, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# excitation-conserving states: the 1-D polar search against the 2-D search
+
+PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def excitation_block_states(draw):
+    """States with exact zeros between |00>, the |01>/|10> block and |11>.
+
+    The middle block mixes two random pure states of the |01>, |10>
+    plane, so its populations differ and its coherence is complex; a
+    mixing weight or sector weights at 0 or 1 give rank-deficient and
+    rank-1 states.
+    """
+    unit = st.floats(0.0, 1.0)
+    amp = st.floats(-1.0, 1.0)
+    weights = np.array([draw(unit) for _ in range(3)])
+    assume(weights.sum() > 1e-3)
+    weights /= weights.sum()
+    block = np.zeros((2, 2), dtype=complex)
+    mix = draw(unit)
+    for share in (mix, 1.0 - mix):
+        v = np.array([complex(draw(amp), draw(amp)) for _ in range(2)])
+        assume(np.linalg.norm(v) > 1e-3)
+        v /= np.linalg.norm(v)
+        block += share * np.outer(v, v.conj())
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = weights[0]
+    mat[1:3, 1:3] = weights[1] * block
+    mat[3, 3] = weights[2]
+    return DensityMatrix(SPACE, mat)
+
+
+def _pure_middle_state():
+    v = np.array([0.0, np.sqrt(0.3), 1j * np.sqrt(0.7), 0.0])
+    return DensityMatrix(SPACE, np.outer(v, v.conj()))
+
+
+def _z_rotation(angle):
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+
+class TestPolarSearchProperties:
+    @PROPERTIES
+    @given(rho=excitation_block_states())
+    @example(rho=one_param_density(0.5))
+    @example(rho=one_param_density(2.0 / 3.0))
+    @example(rho=one_param_density(1.0))
+    @example(rho=_pure_middle_state())
+    # optima strictly inside (0, pi/2), below and above the nearest grid point
+    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.1012).to_density())
+    @example(rho=XState(0.0034, 0.0128, 0.9578, 0.0260, 0.0882).to_density())
+    def test_matches_sphere_search(self, rho):
+        value, basis = classical_correlation_optimized(rho)
+        s_a = entropy_bits(partial_trace(rho, {0}).mat)
+        ce_sphere, _, _ = _min_conditional_entropy_sphere(rho.mat)
+        assert value == pytest.approx(s_a - ce_sphere, abs=1e-12)
+        assert basis.phi == 0.0 and basis.theta <= np.pi / 2
+        assert conditional_entropy(rho, basis) == pytest.approx(s_a - value, abs=1e-12)
+
+    @PROPERTIES
+    @given(rho=excitation_block_states())
+    def test_discord_between_zero_and_mutual_information(self, rho):
+        # the objective drops outcome eigenvalues below OUTCOME_CLIP * p,
+        # each worth up to -w log2 w ~ 4e-11 bits, so a search can dip
+        # that far below the true minimum on classical-classical states
+        rep = correlation_report(rho)
+        assert -1e-10 <= rep.discord <= rep.mutual_info + 1e-12
+
+    @PROPERTIES
+    @given(
+        rho=excitation_block_states(),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        on_second=st.booleans(),
+    )
+    def test_local_z_rotation_invariance(self, rho, angle, on_second):
+        rot = _z_rotation(angle)
+        u = kron(np.eye(2), rot) if on_second else kron(rot, np.eye(2))
+        rotated = DensityMatrix(SPACE, u @ rho.mat @ u.conj().T)
+        rep_a = correlation_report(rho)
+        rep_b = correlation_report(rotated)
+        assert rep_b.classical == pytest.approx(rep_a.classical, abs=1e-12)
+        assert rep_b.discord == pytest.approx(rep_a.discord, abs=1e-12)
+
+    def test_corner_coherence_takes_sphere_search(self):
+        # a 1e-6 |00><11| coherence makes the conditional entropy depend
+        # on phi; with this sign the minimum sits at phi = pi/2, which a
+        # search restricted to phi = 0 cannot reach
+        mat = XState(0.2, 0.3, 0.3, 0.2, 0.25).to_density().mat.copy()
+        mat[0, 3] = mat[3, 0] = -1e-6
+        rho = DensityMatrix(SPACE, mat)
+        thetas = np.linspace(0.0, np.pi, 47)
+        phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+        brute = min(
+            conditional_entropy(rho, MeasurementBasis(t, p)) for t in thetas for p in phis
+        )
+        phi_zero = min(conditional_entropy(rho, MeasurementBasis(t, 0.0)) for t in thetas)
+        assert phi_zero > brute + 1e-8
+        s_a = entropy_bits(partial_trace(rho, {0}).mat)
+        value, _ = classical_correlation_optimized(rho)
+        assert s_a - value <= brute + 1e-12
