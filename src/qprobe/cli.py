@@ -294,8 +294,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _model_config(opts)
     noise = NoiseConfig(gamma=float(opts["gamma"]) * cfg.g)
     t_end = float(opts["t_end"])
-    if t_end <= 0:
-        raise ValueError("t-end must be positive")
+    if not math.isfinite(t_end) or t_end <= 0:
+        raise ValueError("t-end must be positive and finite")
     n_samples = int(opts["samples"])
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -330,6 +330,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
         "shots": 0, "seed": 0, "n": 1, "out": None,
     })
     x = _require_x(opts)
+    shots = int(opts["shots"])
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
     cfg = _model_config({**opts, "delta": None})
     gamma = float(opts["gamma"])
     report = run_probe_cycle(x, cfg, int(opts["n"]),
@@ -350,7 +353,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
         out[f"{name}_before"] = getattr(report.measures_before, name)
         out[f"{name}_after"] = getattr(report.measures_after, name)
 
-    shots = int(opts["shots"])
     if shots > 0:
         p_e = 0.5 * (1.0 + report.mean_sigma_z)
         rec = sample_shots(min(1.0, max(0.0, p_e)), shots, int(opts["seed"]))

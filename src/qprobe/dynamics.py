@@ -79,7 +79,6 @@ class ModelConfig:
     g: float = 1.0
     delta: Optional[float] = None
     n_max: int = 2
-    stark_compensation: bool = True
 
     def __post_init__(self):
         if not math.isfinite(self.g) or self.g <= 0:
@@ -142,7 +141,7 @@ def build_hamiltonian(cfg: ModelConfig) -> Array:
     j = cfg.j_exchange
     a = boson_lower(dims[3])
     det_c = -cfg.delta
-    det_ab = -cfg.delta - (j if cfg.stark_compensation else 0.0)
+    det_ab = -cfg.delta - j
     h = det_c * _embed({2: ATOM_NUMBER}, dims)
     h += det_ab * (_embed({0: ATOM_NUMBER}, dims) + _embed({1: ATOM_NUMBER}, dims))
     for cav in (3, 4):
@@ -288,6 +287,8 @@ class EvolutionResult:
 DEFAULT_DT = 1e-3
 TRACE_DRIFT_LIMIT = 1e-6
 HALF_STEP_LIMIT = 1e-7
+#: most RK4 steps one integration may take (t_end / dt)
+MAX_RK4_STEPS = 10 ** 7
 
 
 def integrate_master(
@@ -307,19 +308,28 @@ def integrate_master(
     it four times (the Horner form of the RK4 polynomial, identical to
     the classic k1..k4 step for this linear, time-independent generator).
     The state is re-Hermitized after every step.  One Richardson
-    half-step comparison runs on the first step and rejects the run if
-    the discrepancy exceeds 1e-7 (the step size is then too large), and
-    trace drift beyond 1e-6 aborts as well.
+    half-step comparison runs on the first step of the longest length
+    the schedule takes, min(dt, largest gap between sample times), and
+    rejects the run if the discrepancy exceeds 1e-7 (the step size is
+    then too large); trace drift beyond 1e-6 aborts as well.  A
+    non-finite t_end, a non-finite or non-positive dt and more than
+    MAX_RK4_STEPS steps are rejected before any work.
     """
     if rho0.space.dims != cfg.space.dims:
         raise ValueError("initial state does not live on the model space")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
+    if not math.isfinite(dt) or dt <= 0:
+        raise ValueError("dt must be positive and finite")
+    if t_end / dt > MAX_RK4_STEPS:
+        raise ValueError(f"t_end / dt exceeds {MAX_RK4_STEPS} steps")
     if sample_times is None:
         sample_times = (float(t_end),)
-    sample_times = [float(t) for t in sample_times]
+    sample_times = sorted(float(t) for t in sample_times)
     if any(t < 0 or t > t_end + 1e-12 for t in sample_times):
         raise ValueError("sample times must lie in [0, t_end]")
+    gaps = (b - a for a, b in zip([0.0, *sample_times], sample_times))
+    check_step = min(dt, max(gaps, default=dt))
 
     h = build_hamiltonian(cfg)
     d = h.shape[0]
@@ -347,15 +357,15 @@ def integrate_master(
     checked = False
     samples: list[tuple[float, Array]] = []
 
-    for target in sorted(sample_times):
+    for target in sample_times:
         if target <= t + 1e-15:
             samples.append((target, vec.copy()))
             continue
         while t < target - 1e-12:
             step = min(dt, target - t)
-            if not checked and step == dt:
-                coarse = rk4_step(vec, dt)
-                fine = rk4_step(rk4_step(vec, dt / 2.0), dt / 2.0)
+            if not checked and step >= check_step:
+                coarse = rk4_step(vec, step)
+                fine = rk4_step(rk4_step(vec, step / 2.0), step / 2.0)
                 if np.max(np.abs(coarse - fine)) > HALF_STEP_LIMIT:
                     raise ValueError("time step too large: half-step check failed")
                 checked = True
@@ -368,7 +378,6 @@ def integrate_master(
         t = target
         samples.append((target, vec.copy()))
 
-    samples.sort(key=lambda s: s[0])
     times = tuple(s[0] for s in samples)
     joint = tuple(DensityMatrix(cfg.space, s[1].reshape(d, d)) for s in samples)
     reduced = tuple(partial_trace(j, {0, 1}) for j in joint)
@@ -408,7 +417,7 @@ def dispersive_deviation(
     """Worst-case twirled trace distance between the full and effective models.
 
     Evolves the family state with an excited probe and vacuum cavities
-    under the full model (Stark compensation on), reduces to the three
+    under the full (Stark-compensated) model, reduces to the three
     atoms and compares against the exchange model over [0, t_end]
     (default: one transfer period).  Runs at truncation n_max = 2 and 3
     and raises when the two disagree by more than 10%, which signals a

@@ -16,7 +16,10 @@ minimum is a bounded 1-D search over theta in [0, pi/2] at phi = 0.
 Every state the models produce has this form.  Any other state (one
 non-zero entry between sectors suffices) goes through the 2-D search
 over (theta, phi), which is also the reference the 1-D path is tested
-against.
+against.  Both searches evaluate one batched kernel: measuring the
+second qubit along |v> leaves the first in the unnormalised 2x2 state
+(I (x) <v|) rho (I (x) |v>), whose trace and eigenvalues are closed
+form, so no eigensolver runs and no small outcome is clipped.
 
 The definitional optimizer is the authority for discord; the closed
 form is exposed separately because its first branch disagrees with the
@@ -61,9 +64,6 @@ _EXCITATIONS = np.array([0, 1, 1, 2])
 #: entries of a two-qubit matrix that join different excitation numbers
 _OFF_SECTOR = _EXCITATIONS[:, None] != _EXCITATIONS[None, :]
 
-#: outcome probabilities at or below this contribute zero conditional entropy
-OUTCOME_CLIP = 1e-12
-
 #: closed-form branch threshold on the |11> population, used verbatim
 CLOSED_FORM_BRANCH_R44 = 0.4716
 
@@ -84,13 +84,6 @@ class MeasurementBasis:
             raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise ValueError("phi must lie in [0,  2 pi)")
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        v = np.array(
-            [np.cos(self.theta / 2.0), np.exp(1j * self.phi) * np.sin(self.theta / 2.0)]
-        )
-        b0 = np.outer(v, v.conj())
-        return b0, np.eye(2, dtype=complex) - b0
 
 
 def _normalized_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -140,26 +133,39 @@ def mutual_information(rho: DensityMatrix) -> float:
     return sa + sb - entropy_bits(rho.mat)
 
 
-_EYE2 = np.eye(2, dtype=complex)
+def _xlog2(w) -> np.ndarray:
+    """w log2 w elementwise, with w log2 w := 0 wherever w <= 0."""
+    pos = w > 0.0
+    return np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0)
+
+
+def _conditional_entropy_batch(
+    mat: np.ndarray, thetas: np.ndarray, phis: np.ndarray
+) -> np.ndarray:
+    """Conditional entropy at every angle pair (thetas[k], phis[k]) at once.
+
+    Outcome |v> on B leaves A in the unnormalised 2x2 state
+    (I (x) <v|) rho (I (x) |v>), whose trace p and eigenvalues l+, l-
+    are closed form; the outcome contributes
+    p S(state / p) = eta(p) - eta(l+) - eta(l-) with eta = _xlog2.
+    """
+    half = thetas / 2.0
+    cos = np.cos(half)
+    sin = np.exp(1j * phis) * np.sin(half)
+    # outcome vector (cos, e^{i phi} sin) and the one orthogonal to it
+    vecs = np.array([[cos, sin], [-sin.conj(), cos]])
+    # rho[2a + b, 2a' + b'] read as rho[a, b, a', b']
+    cond = np.einsum("kbn,abcd,kdn->knac", vecs.conj(), mat.reshape(2, 2, 2, 2), vecs)
+    top, bottom = cond[..., 0, 0].real, cond[..., 1, 1].real
+    p = top + bottom
+    gap = np.hypot(top - bottom, 2.0 * np.abs(cond[..., 0, 1]))
+    eta = _xlog2(np.array([p, 0.5 * (p + gap), 0.5 * (p - gap)]))
+    return (eta[0] - eta[1] - eta[2]).sum(axis=0)
 
 
 def _conditional_entropy_angles(mat: np.ndarray, theta: float, phi: float) -> float:
-    """Conditional entropy for arbitrary (unnormalized) Bloch angles."""
-    v = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-    b0 = np.outer(v, v.conj())
-    total = 0.0
-    proj = np.zeros((4, 4), dtype=complex)
-    for b in (b0, _EYE2 - b0):
-        # I (x) B is block diagonal with B on both qubit-A blocks
-        proj[:2, :2] = b
-        proj[2:, 2:] = b
-        sub = proj @ mat @ proj
-        p = float(sub[0, 0].real + sub[1, 1].real + sub[2, 2].real + sub[3, 3].real)
-        if p > OUTCOME_CLIP:
-            w = np.linalg.eigvalsh(sub)
-            w = w[w > OUTCOME_CLIP * p]
-            total += p * float(-np.sum(w / p * np.log2(w / p)))
-    return total
+    """Conditional entropy for one pair of (unnormalized) Bloch angles."""
+    return float(_conditional_entropy_batch(mat, np.array([theta]), np.array([phi]))[0])
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
@@ -167,29 +173,6 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
     if rho.dim != 4:
         raise ValueError("two-qubit state required")
     return _conditional_entropy_angles(rho.mat, basis.theta, basis.phi)
-
-
-def _conditional_entropy_batch(
-    mat: np.ndarray, thetas: np.ndarray, phis: np.ndarray
-) -> np.ndarray:
-    """Conditional entropy at every angle pair (thetas[k], phis[k]) at once."""
-    v = np.stack([np.cos(thetas / 2.0), np.exp(1j * phis) * np.sin(thetas / 2.0)], axis=1)
-    b0 = v[:, :, None] * v.conj()[:, None, :]
-    b1 = np.eye(2, dtype=complex)[None] - b0
-    values = np.zeros(thetas.size)
-    for b in (b0, b1):
-        # I (x) B is block diagonal with B repeated on both qubit-A blocks
-        proj = np.zeros((thetas.size, 4, 4), dtype=complex)
-        proj[:, :2, :2] = b
-        proj[:, 2:, 2:] = b
-        sub = proj @ mat[None] @ proj
-        p = np.einsum("nii->n", sub).real
-        vals = np.linalg.eigvalsh(sub)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = vals / p[:, None]
-            term = np.where(w > OUTCOME_CLIP, -w * np.log2(np.where(w > 0, w, 1.0)), 0.0)
-        values += np.where(p > OUTCOME_CLIP, p * term.sum(axis=1), 0.0)
-    return values
 
 
 def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
@@ -299,20 +282,11 @@ def classical_correlation_closed_form(xs: XState) -> float:
     s_a = entropy_of_spectrum([xs.r11 + xs.r22, xs.r33 + xs.r44])
     if xs.r44 <= CLOSED_FORM_BRANCH_R44:
         mid = xs.r22 + xs.r33
-        ce_min = (
-            _xlog2(mid) - _xlog2(xs.r22) - _xlog2(xs.r33)
-        )
+        ce_min = _xlog2(mid) - _xlog2(xs.r22) - _xlog2(xs.r33)
     else:
         theta = np.sqrt((xs.r11 - xs.r44) ** 2 + 4.0 * xs.r23 ** 2)
         ce_min = 1.0 - 0.5 * (_xlog2(1.0 - theta) + _xlog2(1.0 + theta))
     return float(s_a - ce_min)
-
-
-def _xlog2(v: float) -> float:
-    """v * log2(v) with the 0 log 0 := 0 convention."""
-    if v <= 0.0:
-        return 0.0
-    return float(v * np.log2(v))
 
 
 def discord(rho: DensityMatrix) -> float:

@@ -247,6 +247,33 @@ class TestInputValidation:
         assert str(MAX_NMAX) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--t-end", "nan"],
+        ["--t-end", "inf"],
+        ["--dt", "inf"],
+        ["--dt", "nan"],
+        ["--dt", "0"],
+        ["--dt", "1e-300"],
+    ], ids=" ".join)
+    def test_evolve_times_validated(self, args, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--x", "0.75", *args, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_evolve_dt_above_every_sample_gap_checked(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--x", "0.75", "--gamma", "0.1", "--t-end", "1",
+                    "--samples", "3", "--dt", "0.6", "--out", out]) == 2
+        assert "half-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_negative_shots(self, capsys):
+        assert run(["probe", "--x", "0.75", "--shots", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "shots" in captured.err and captured.out == ""
+
     def test_sweep_grid_bound_is_inclusive(self):
         grid = _sweep_grid(0.5, 1.0, 0.5 / (MAX_SWEEP_POINTS - 1))
         assert len(grid) == MAX_SWEEP_POINTS

@@ -6,6 +6,7 @@ import pytest
 from qprobe.dynamics import (
     DEFAULT_DT,
     MAX_NMAX,
+    MAX_RK4_STEPS,
     PROBE_SIGMA_Z,
     ModelConfig,
     ModelVariant,
@@ -222,6 +223,48 @@ class TestIntegrateMaster:
                 NoiseConfig(gamma=0.1),
                 2.0,
                 dt=0.5,
+            )
+
+    def test_richardson_checks_when_dt_exceeds_every_gap(self):
+        # the schedule never takes a step of length dt = 0.6, so the
+        # check must run on the longest step it does take (0.5)
+        with pytest.raises(ValueError, match="half-step"):
+            integrate_master(
+                initial_joint(0.75, QUBIT, ProbePrep.GROUND),
+                QUBIT,
+                NoiseConfig(gamma=0.1),
+                1.0,
+                dt=0.6,
+                sample_times=[0.0, 0.5, 1.0],
+            )
+
+    @pytest.mark.parametrize("t_end, dt", [
+        (float("nan"), DEFAULT_DT),
+        (float("inf"), DEFAULT_DT),
+        (1.0, float("inf")),
+        (1.0, float("nan")),
+        (1.0, 0.0),
+        (1.0, -1e-3),
+    ])
+    def test_non_finite_or_non_positive_times_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_master(
+                initial_joint(0.75, QUBIT, ProbePrep.GROUND),
+                QUBIT,
+                NoiseConfig(),
+                t_end,
+                dt=dt,
+                sample_times=[0.0],
+            )
+
+    def test_step_count_bounded(self):
+        with pytest.raises(ValueError, match=str(MAX_RK4_STEPS)):
+            integrate_master(
+                initial_joint(0.75, QUBIT, ProbePrep.GROUND),
+                QUBIT,
+                NoiseConfig(),
+                1.0,
+                dt=1.0 / (2 * MAX_RK4_STEPS),
             )
 
     def test_space_mismatch_rejected(self):
