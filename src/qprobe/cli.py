@@ -256,13 +256,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("sweep runs on the resonant models")
     noise = NoiseConfig(gamma=float(opts["gamma"]) * cfg.g)
+    dt = float(opts["dt"])
+    if not math.isfinite(dt) or dt <= 0:
+        raise ValueError("dt must be positive and finite")
     grid = _sweep_grid(float(opts["x_start"]), float(opts["x_stop"]),
                        float(opts["x_step"]))
 
     header = ["x", *SWEEP_COLUMNS]
     if noise.gamma > 0:
         header += [f"{c}_noisy" for c in SWEEP_COLUMNS]
-    dt = float(opts["dt"])
     rows = [_sweep_row(x, cfg, noise, dt) for x in grid]
 
     text = ",".join(header) + "\n"

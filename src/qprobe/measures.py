@@ -12,11 +12,13 @@ state whose entries between different excitation numbers (|00>, the
 |01>/|10> block, |11>) are all exactly zero commutes with
 Z (x) I + I (x) Z; its measured conditional entropy then does not depend
 on the azimuth phi and is symmetric under theta -> pi - theta, so the
-minimum is a bounded 1-D search over theta in [0, pi/2] at phi = 0.
-Every state the models produce has this form.  Any other state (one
-non-zero entry between sectors suffices) goes through the 2-D search
-over (theta, phi), which is also the reference the 1-D path is tested
-against.  Both searches evaluate one batched kernel: measuring the
+minimum is found by a grid over theta in [0, pi/2] at phi = 0, zoomed
+onto its best point until the spacing is below REFINE_TOL.  Every state
+the models produce has this form.  Any other state (one non-zero entry
+between sectors suffices) goes through the 2-D search over
+(theta, phi), which is also the reference the 1-D path is tested
+against; it alone uses scipy.optimize, imported on first use.  Both
+searches evaluate one batched kernel: measuring the
 second qubit along |v> leaves the first in the unnormalised 2x2 state
 (I (x) <v|) rho (I (x) |v>), whose trace and eigenvalues are closed
 form, so no eigensolver runs and no small outcome is clipped.
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .qcore import (
     DensityMatrix,
@@ -179,28 +180,23 @@ def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
     """Minimum over theta in [0, pi/2] at phi = 0, and its theta.
 
     Valid for states that conserve excitation number (see the module
-    docstring).  A grid that holds both ends exactly is followed by a
-    bounded scalar refinement on the two cells around the best point.
-    The grid point itself stays a candidate: the refinement never
-    evaluates the ends of its bracket, so the result is never worse
-    than the grid.  Ties break toward smaller theta.
+    docstring).  A grid that holds both ends exactly is re-gridded on
+    the two cells around its best point until the spacing falls below
+    REFINE_TOL.  The best point of every grid stays a candidate, so the
+    result is never worse than the first grid.  Ties break toward
+    smaller theta.
     """
-    thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
-    values = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
-    best = int(np.argmin(values))
-    lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, thetas.size - 1)]
-    res = minimize_scalar(
-        lambda th: _conditional_entropy_angles(mat, th, 0.0),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": REFINE_TOL},
-    )
-    candidates = [
-        (_conditional_entropy_angles(mat, thetas[best], 0.0), float(thetas[best])),
-        (float(res.fun), float(res.x)),
-    ]
-    return min(candidates)
+    lo, hi = 0.0, np.pi / 2.0
+    phis = np.zeros(GRID_THETA_POLAR)
+    best = (np.inf, 0.0)
+    while True:
+        thetas = np.linspace(lo, hi, GRID_THETA_POLAR)
+        values = _conditional_entropy_batch(mat, thetas, phis)
+        k = int(np.argmin(values))
+        best = min(best, (float(values[k]), float(thetas[k])))
+        if thetas[1] - thetas[0] < REFINE_TOL:
+            return best
+        lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, thetas.size - 1)]
 
 
 def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, float]:
@@ -210,6 +206,8 @@ def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, floa
     from the best cells; ties break toward smaller theta then smaller
     phi.
     """
+    from scipy.optimize import minimize
+
     thetas = np.linspace(0.0, np.pi, GRID_THETA)
     phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")

@@ -66,6 +66,9 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _MASK64 = (1 << 64) - 1
 #: counters drawn per block; keeps sampling memory bounded for any shot count
 SHOT_BLOCK = 2 ** 16
+#: most shots drawn per call (all stages together in a non-demolition
+#: sequence); sampling time grows linearly with the shot count
+MAX_SHOTS = 10 ** 9
 
 
 def _splitmix64(z: int) -> int:
@@ -112,6 +115,8 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
         raise ValueError("probability out of range")
     if shots < 0:
         raise ValueError("shots must be nonnegative")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots exceed {MAX_SHOTS}")
     base = np.uint64(_splitmix64(seed & _MASK64))
     count = 0
     for start in range(0, shots, SHOT_BLOCK):
@@ -339,6 +344,10 @@ def transfer_time_report(j: float) -> TransferTimeReport:
 # ---------------------------------------------------------------------------
 # non-demolition sequence
 
+#: most cycles in one sequence; every stage is kept in the result
+MAX_QND_CYCLES = 10_000
+
+
 @dataclass(frozen=True)
 class QndStage:
     """One stage of the sequence: preparation, duration, exact outcome law."""
@@ -388,6 +397,10 @@ def run_qnd_sequence(
         raise ValueError("non-demolition sequence runs on the exchange model")
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
+    if n_cycles > MAX_QND_CYCLES:
+        raise ValueError(f"cycles exceed {MAX_QND_CYCLES}")
+    if 2 * n_cycles * shots_per_stage > MAX_SHOTS:
+        raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg.j_exchange)
     prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
 

@@ -3,7 +3,8 @@
 Everything is ordinary dense numpy on complex128; matrices stay small
 (dimension <= 72 for the largest model) so spectral decompositions are
 used freely.  All containers are frozen dataclasses holding read-only
-arrays, so values are safe to share between threads.
+arrays, so a state checked once at construction cannot be changed
+afterwards through an alias of its matrix.
 
 Conventions:
     hbar = 1; the coupling g = 1 is the default energy unit and times

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qprobe
 from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
 from qprobe.dynamics import MAX_NMAX, ModelConfig, ModelVariant, NoiseConfig
-from qprobe.protocols import run_probe_cycle
+from qprobe.protocols import MAX_QND_CYCLES, MAX_SHOTS, run_probe_cycle
 
 
 def run(args):
@@ -274,6 +278,29 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert "shots" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("dt", ["-1", "nan", "0"])
+    def test_noiseless_sweep_dt_validated(self, dt, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--x-step", "0.25", "--dt", dt, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "dt" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_probe_shots_bounded(self, capsys):
+        assert run(["probe", "--x", "0.75", "--shots", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert str(MAX_SHOTS) in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("args, cap", [
+        (["--cycles", "100000000"], MAX_QND_CYCLES),
+        # the default three cycles are six stages: 3.6e9 shots in all
+        (["--shots", "600000000"], MAX_SHOTS),
+    ])
+    def test_qnd_work_bounded(self, args, cap, capsys):
+        assert run(["qnd", "--x", "0.75", *args]) == 2
+        captured = capsys.readouterr()
+        assert str(cap) in captured.err and captured.out == ""
+
     def test_sweep_grid_bound_is_inclusive(self):
         grid = _sweep_grid(0.5, 1.0, 0.5 / (MAX_SWEEP_POINTS - 1))
         assert len(grid) == MAX_SWEEP_POINTS
@@ -300,3 +327,13 @@ class TestNoisySweepRow:
             *(getattr(cycle.measures_after, n) for n in names), cycle.mean_sigma_z,
         ]
         assert row == [fmt(v) for v in expected]
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the optimizer fallback imports scipy.optimize on first use only
+    src = os.path.dirname(os.path.dirname(qprobe.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, qprobe.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

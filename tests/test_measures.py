@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from qprobe import protocols
 from qprobe.measures import (
+    GRID_THETA_POLAR,
     RESONANT_READOUT,
     CorrelationReport,
     MeasurementBasis,
     ReadoutModel,
+    _conditional_entropy_batch,
+    _min_conditional_entropy_polar,
     _min_conditional_entropy_sphere,
     classical_correlation_closed_form,
     classical_correlation_optimized,
@@ -495,3 +498,17 @@ class TestPolarSearchProperties:
         s_a = entropy_bits(partial_trace(rho, {0}).mat)
         value, _ = classical_correlation_optimized(rho)
         assert s_a - value <= brute + 1e-12
+
+
+class TestPolarZoom:
+    @PROPERTIES
+    @given(rho=excitation_block_states())
+    @example(rho=one_param_density(0.5))
+    @example(rho=one_param_density(1.0))
+    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.1012).to_density())
+    def test_never_worse_than_first_grid(self, rho):
+        thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+        grid = _conditional_entropy_batch(rho.mat, thetas, np.zeros(thetas.size))
+        value, theta = _min_conditional_entropy_polar(rho.mat)
+        assert value <= grid.min()
+        assert 0.0 <= theta <= np.pi / 2.0

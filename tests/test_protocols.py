@@ -5,6 +5,8 @@ from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig, build_hamilt
 from qprobe.protocols import (
     EXCHANGE_E_READOUT,
     EXCHANGE_G_READOUT,
+    MAX_QND_CYCLES,
+    MAX_SHOTS,
     RESONANT_READOUT,
     SHOT_BLOCK,
     ShotRecord,
@@ -72,6 +74,10 @@ class TestSampleShots:
             sample_shots(0.5, -1, 0)
         with pytest.raises(ValueError):
             ShotRecord(10, 11, 0)
+
+    def test_shot_count_bounded(self):
+        with pytest.raises(ValueError, match=str(MAX_SHOTS)):
+            sample_shots(0.5, MAX_SHOTS + 1, 0)
 
     def test_derive_seed_streams_differ(self):
         seeds = {derive_seed(42, k) for k in range(16)}
@@ -247,6 +253,15 @@ class TestQndSequence:
     def test_wrong_model_rejected(self):
         with pytest.raises(ValueError):
             run_qnd_sequence(0.75, QUBIT)
+
+    def test_cycles_bounded(self):
+        with pytest.raises(ValueError, match=str(MAX_QND_CYCLES)):
+            run_qnd_sequence(0.75, EXCHANGE, MAX_QND_CYCLES + 1)
+
+    def test_total_shots_bounded(self):
+        # each stage alone is under the cap; the two stages together are not
+        with pytest.raises(ValueError, match=str(MAX_SHOTS)):
+            run_qnd_sequence(0.75, EXCHANGE, 1, shots_per_stage=MAX_SHOTS // 2 + 1)
 
 
 class TestCoverage:
