@@ -21,6 +21,13 @@ Four model variants share one builder interface:
 Tensor factor order is always (A, B, probe C[, cavity 1, cavity 2]).
 Atom factors use basis order (|e>, |g>); cavity factors use the photon
 number basis.
+
+Open-system evolution (``integrate_master``) is fixed-step RK4 on the
+density-matrix entries the dynamics can reach from the initial state.
+Every Hamiltonian here conserves excitation number and the probe's
+sigma^- lowers ket and bra together, so that set is small (at most 170
+entries under probe decay) and does not grow with n_max; the RK4 step
+is precomputed as one matrix on it.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qcore import (
     Array,
@@ -289,6 +295,93 @@ TRACE_DRIFT_LIMIT = 1e-6
 HALF_STEP_LIMIT = 1e-7
 #: most RK4 steps one integration may take (t_end / dt)
 MAX_RK4_STEPS = 10 ** 7
+#: most density-matrix entries one integration may evolve (the reachable set)
+MAX_REACHABLE = 1024
+#: shortest positive gap between consecutive sample times (and from 0)
+MIN_SAMPLE_GAP = 1e-12
+
+
+def reachable_entries(
+    rho0: Array, h: Array, ops: Sequence[tuple[float, Array]]
+) -> Array:
+    """Flat indices i*d + j of the density-matrix entries the dynamics can reach.
+
+    The set starts from the nonzero entries of ``rho0`` (and their
+    adjoint positions) and is closed under the nonzero patterns of
+    ``h``, of each collapse operator L (the jump L rho L+ sends (k, l)
+    to (i, j) when L_ik and L_jl are nonzero) and of each L+L (nonzero
+    at (i, k) when some row of L is nonzero in columns i and k).  The
+    entries outside it stay exactly zero.  The closure works from index
+    lists and raises once the set exceeds MAX_REACHABLE entries, before
+    any generator is built.
+    """
+    d = h.shape[0]
+    drift: dict[int, list[int]] = {}
+    jumps: dict[int, list[list[int]]] = {}
+
+    def drift_of(k: int) -> list[int]:
+        # i with H_ik, H_ki or (L+L)_ik nonzero
+        if k not in drift:
+            found = set(np.flatnonzero((h[:, k] != 0) | (h[k] != 0)).tolist())
+            for _, op in ops:
+                for r in np.flatnonzero(op[:, k]):
+                    found.update(np.flatnonzero(op[r]).tolist())
+            drift[k] = sorted(found)
+        return drift[k]
+
+    def jumps_of(k: int) -> list[list[int]]:
+        # per collapse operator, i with L_ik nonzero
+        if k not in jumps:
+            jumps[k] = [np.flatnonzero(op[:, k]).tolist() for _, op in ops]
+        return jumps[k]
+
+    seen = set(np.flatnonzero((rho0 != 0) | (rho0.T != 0)).tolist())
+    todo = list(seen)
+    while todo:
+        k, l = divmod(todo.pop(), d)
+        found = [i * d + l for i in drift_of(k)] + [k * d + j for j in drift_of(l)]
+        for rows, cols in zip(jumps_of(k), jumps_of(l)):
+            found += [i * d + j for i in rows for j in cols]
+        for code in found:
+            if code not in seen:
+                seen.add(code)
+                todo.append(code)
+        if len(seen) > MAX_REACHABLE:
+            raise ValueError(
+                f"more than {MAX_REACHABLE} density-matrix entries are reachable"
+            )
+    return np.array(sorted(seen), dtype=np.int64)
+
+
+def _restricted_generator(
+    h: Array, ops: Sequence[tuple[float, Array]], codes: Array
+) -> Array:
+    """The master equation's generator on the entries ``codes`` only.
+
+    Entry (p, q) is the rate at which rho[q] feeds rho[p], for p = (i, j)
+    and q = (k, l):  (-i H - D)_ik when l = j, (i H - D)_lj when k = i,
+    plus 2 gamma L_ik conj(L_jl) per collapse operator, where
+    D = sum gamma L+L.  Only the rows and columns of H and L+L that the
+    set touches are read.
+    """
+    d = h.shape[0]
+    rows, cols = np.divmod(codes, d)
+    touched = np.unique(rows)  # equals np.unique(cols): the set is adjoint-closed
+    damp = np.zeros((touched.size,) * 2, dtype=complex)
+    for rate, op in ops:
+        sub = op[:, touched]
+        sub = sub[np.any(sub != 0, axis=1)]
+        damp += rate * (sub.conj().T @ sub)
+    h_sub = h[np.ix_(touched, touched)]
+    left = -1j * h_sub - damp
+    right = (1j * h_sub - damp).T
+    ri = np.searchsorted(touched, rows)
+    ci = np.searchsorted(touched, cols)
+    gen = np.where(cols[:, None] == cols[None, :], left[np.ix_(ri, ri)], 0.0)
+    gen += np.where(rows[:, None] == rows[None, :], right[np.ix_(ci, ci)], 0.0)
+    for rate, op in ops:
+        gen += 2.0 * rate * op[np.ix_(rows, rows)] * op[np.ix_(cols, cols)].conj()
+    return gen
 
 
 def integrate_master(
@@ -303,17 +396,25 @@ def integrate_master(
 
     d rho/dt = -i [H, rho] + sum_k gamma_k (2 L rho L+ - L+L rho - rho L+L)
 
-    The right-hand side is built once per call as a sparse Liouvillian
-    acting on the row-major vectorised state, and each RK4 step applies
-    it four times (the Horner form of the RK4 polynomial, identical to
-    the classic k1..k4 step for this linear, time-independent generator).
-    The state is re-Hermitized after every step.  One Richardson
-    half-step comparison runs on the first step of the longest length
-    the schedule takes, min(dt, largest gap between sample times), and
-    rejects the run if the discrepancy exceeds 1e-7 (the step size is
-    then too large); trace drift beyond 1e-6 aborts as well.  A
-    non-finite t_end, a non-finite or non-positive dt and more than
-    MAX_RK4_STEPS steps are rejected before any work.
+    The state is evolved on the entries it can reach from rho0 (see
+    ``reachable_entries``; under probe decay 19 of 64 for the resonant
+    qubit model with a ground probe and at most 170 for the full
+    dispersive model, whatever n_max).  The generator G restricted to
+    them is built once per call, and the RK4 polynomial of a step of
+    length dt, M = I + dt G (I + dt G/2 (I + dt G/3 (I + dt G/4))) (the
+    classic k1..k4 step for this linear, time-independent generator), is
+    formed once, so each full step is one mat-vec; shorter steps apply
+    the same polynomial to the vector.  The state is re-Hermitized
+    after every step and expanded to a d x d matrix only at the sample
+    times.  One Richardson half-step comparison runs on the first step
+    of the longest length the schedule takes, min(dt, largest gap
+    between sample times), and rejects the run if the discrepancy
+    exceeds 1e-7 or is not finite (the step size is then too large);
+    trace drift beyond 1e-6, or a non-finite trace, aborts as well.  A
+    non-finite t_end, a non-finite or non-positive dt, more than
+    MAX_RK4_STEPS steps, a positive gap below MIN_SAMPLE_GAP between
+    sample times (counted from 0) and more than MAX_REACHABLE reachable
+    entries are rejected before any step.
     """
     if rho0.space.dims != cfg.space.dims:
         raise ValueError("initial state does not live on the model space")
@@ -328,58 +429,71 @@ def integrate_master(
     sample_times = sorted(float(t) for t in sample_times)
     if any(t < 0 or t > t_end + 1e-12 for t in sample_times):
         raise ValueError("sample times must lie in [0, t_end]")
-    gaps = (b - a for a, b in zip([0.0, *sample_times], sample_times))
+    gaps = [b - a for a, b in zip([0.0, *sample_times], sample_times)]
+    if any(0.0 < gap < MIN_SAMPLE_GAP for gap in gaps):
+        raise ValueError(
+            f"sample times must lie {MIN_SAMPLE_GAP} or more apart and from 0"
+        )
     check_step = min(dt, max(gaps, default=dt))
 
     h = build_hamiltonian(cfg)
     d = h.shape[0]
-    eye = sp.eye_array(d, dtype=complex, format="csr")
-    hs = sp.csr_array(h)
-    # row-major vec(m): vec(A m B) = (A kron B^T) vec(m)
-    gen = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
-    for rate, op in noise.resolved_ops(cfg):
-        ls = sp.csr_array(op)
-        lds = ls.conj().T @ ls
-        gen = gen + rate * (2.0 * sp.kron(ls, ls.conj()) - sp.kron(lds, eye)
-                            - sp.kron(eye, lds.T))
-    adj = np.arange(d * d).reshape(d, d).T.ravel()
-    diag = np.arange(d) * (d + 1)
+    ops = noise.resolved_ops(cfg)
+    codes = reachable_entries(rho0.mat, h, ops)
+    rows, cols = np.divmod(codes, d)
+    adj = np.searchsorted(codes, cols * d + rows)
+    diag = np.flatnonzero(rows == cols)
 
     def rk4_step(v: Array, step: float) -> Array:
-        w = v + (step / 4.0) * (gen @ v)
-        w = v + (step / 3.0) * (gen @ w)
-        w = v + (step / 2.0) * (gen @ w)
-        v = v + step * (gen @ w)
+        if step == dt:
+            v = step_map @ v
+        else:
+            w = v + (step / 4.0) * (gen @ v)
+            w = v + (step / 3.0) * (gen @ w)
+            w = v + (step / 2.0) * (gen @ w)
+            v = v + step * (gen @ w)
         return 0.5 * (v + v[adj].conj())
 
-    vec = np.array(rho0.mat, dtype=complex).ravel()
+    vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
     t = 0.0
     checked = False
     samples: list[tuple[float, Array]] = []
 
-    for target in sample_times:
-        if target <= t + 1e-15:
+    # a huge rate overflows to a non-finite state, which both checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = _restricted_generator(h, ops, codes)
+        eye = np.eye(codes.size)
+        step_map = eye + (dt / 4.0) * gen
+        for c in (3.0, 2.0, 1.0):
+            step_map = eye + (dt / c) * (gen @ step_map)
+        for target in sample_times:
+            if target <= t + 1e-15:
+                samples.append((target, vec.copy()))
+                continue
+            while t < target - 1e-12:
+                step = min(dt, target - t)
+                if not checked and step >= check_step:
+                    coarse = rk4_step(vec, step)
+                    fine = rk4_step(rk4_step(vec, step / 2.0), step / 2.0)
+                    if not np.max(np.abs(coarse - fine)) <= HALF_STEP_LIMIT:
+                        raise ValueError("time step too large: half-step check failed")
+                    checked = True
+                    vec = coarse
+                else:
+                    vec = rk4_step(vec, step)
+                t += step
+                if not abs(vec[diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
+                    raise ValueError("trace drift exceeded tolerance: reduce dt")
+            t = target
             samples.append((target, vec.copy()))
-            continue
-        while t < target - 1e-12:
-            step = min(dt, target - t)
-            if not checked and step >= check_step:
-                coarse = rk4_step(vec, step)
-                fine = rk4_step(rk4_step(vec, step / 2.0), step / 2.0)
-                if np.max(np.abs(coarse - fine)) > HALF_STEP_LIMIT:
-                    raise ValueError("time step too large: half-step check failed")
-                checked = True
-                vec = coarse
-            else:
-                vec = rk4_step(vec, step)
-            t += step
-            if abs(vec[diag].sum().real - 1.0) > TRACE_DRIFT_LIMIT:
-                raise ValueError("trace drift exceeded tolerance: reduce dt")
-        t = target
-        samples.append((target, vec.copy()))
+
+    def expand(v: Array) -> Array:
+        full = np.zeros(d * d, dtype=complex)
+        full[codes] = v
+        return full.reshape(d, d)
 
     times = tuple(s[0] for s in samples)
-    joint = tuple(DensityMatrix(cfg.space, s[1].reshape(d, d)) for s in samples)
+    joint = tuple(DensityMatrix(cfg.space, expand(s[1])) for s in samples)
     reduced = tuple(partial_trace(j, {0, 1}) for j in joint)
     probe = tuple(partial_trace(j, {2}) for j in joint)
     return EvolutionResult(times, joint, reduced, probe)

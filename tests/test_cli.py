@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import qprobe
 from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
-from qprobe.dynamics import MAX_NMAX, ModelConfig, ModelVariant, NoiseConfig
+from qprobe.dynamics import MAX_NMAX, MIN_SAMPLE_GAP, ModelConfig, ModelVariant, NoiseConfig
 from qprobe.protocols import MAX_QND_CYCLES, MAX_SHOTS, run_probe_cycle
 
 
@@ -286,6 +287,21 @@ class TestInputValidation:
         assert "dt" in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_probe_sample_gap_below_floor_rejected(self, capsys):
+        # the readout time pi / (2 g) is 1.6e-13 here: no RK4 step would run
+        assert run(["probe", "--x", "0.75", "--gamma", "0.1", "--g", "1e13"]) == 2
+        captured = capsys.readouterr()
+        assert str(MIN_SAMPLE_GAP) in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("gamma", ["1e200", "1.7e308"])
+    def test_probe_overflowing_rate_fails_half_step_check(self, gamma, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["probe", "--x", "0.75", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert "half-step" in captured.err and "Warning" not in captured.err
+        assert captured.out == ""
+
     def test_probe_shots_bounded(self, capsys):
         assert run(["probe", "--x", "0.75", "--shots", "1000000000000"]) == 2
         captured = capsys.readouterr()
@@ -329,11 +345,12 @@ class TestNoisySweepRow:
         assert row == [fmt(v) for v in expected]
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def test_cli_import_leaves_out_scipy():
     # the optimizer fallback imports scipy.optimize on first use only
     src = os.path.dirname(os.path.dirname(qprobe.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, qprobe.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, qprobe.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

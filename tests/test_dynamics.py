@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from qprobe.dynamics import (
     DEFAULT_DT,
     MAX_NMAX,
+    MAX_REACHABLE,
     MAX_RK4_STEPS,
+    MIN_SAMPLE_GAP,
     PROBE_SIGMA_Z,
     ModelConfig,
     ModelVariant,
@@ -17,6 +20,7 @@ from qprobe.dynamics import (
     initial_joint,
     integrate_master,
     probe_lowering,
+    reachable_entries,
     resonant_closed_form,
     sigma_z_expectation,
 )
@@ -267,6 +271,40 @@ class TestIntegrateMaster:
                 dt=1.0 / (2 * MAX_RK4_STEPS),
             )
 
+    @pytest.mark.parametrize("t_end, sample_times", [
+        (1e-13, None),
+        (1.0, [0.5, 0.5 + 5e-13, 1.0]),
+    ], ids=["first-gap", "later-gap"])
+    def test_sample_gap_below_floor_rejected(self, t_end, sample_times):
+        # the loop takes no step across such a gap, so the run would
+        # silently return its input state
+        with pytest.raises(ValueError, match=str(MIN_SAMPLE_GAP)):
+            integrate_master(
+                initial_joint(0.75, QUBIT, ProbePrep.GROUND),
+                QUBIT,
+                NoiseConfig(gamma=0.1),
+                t_end,
+                sample_times=sample_times,
+            )
+
+    @pytest.mark.parametrize("gamma, sample_times, message", [
+        (1e200, None, "half-step"),
+        (1.7e308, None, "half-step"),
+        # the first step (1e-4) is shorter than the checked one (dt)
+        (1e200, [1e-4, 1.0], "trace drift"),
+    ], ids=["1e200", "1.7e308", "before-checked-step"])
+    def test_overflowing_rate_rejected_without_warning(self, gamma, sample_times, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                integrate_master(
+                    initial_joint(0.75, QUBIT, ProbePrep.GROUND),
+                    QUBIT,
+                    NoiseConfig(gamma=gamma),
+                    1.0,
+                    sample_times=sample_times,
+                )
+
     def test_space_mismatch_rejected(self):
         cfg_b = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
         with pytest.raises(ValueError):
@@ -392,6 +430,57 @@ class TestIntegratorOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * d ** 4 / 10
+
+
+def reachable_count(cfg, noise, prep=ProbePrep.GROUND):
+    rho0 = initial_joint(0.75, cfg, prep)
+    return reachable_entries(rho0.mat, build_hamiltonian(cfg), noise.resolved_ops(cfg)).size
+
+
+class TestReachableEntries:
+    @pytest.mark.parametrize("cfg, prep, size", [
+        (QUBIT, ProbePrep.GROUND, 19),
+        (BOSON, ProbePrep.GROUND, 35),
+        (FULL, ProbePrep.GROUND, 26),
+        (FULL, ProbePrep.EXCITED, 170),
+    ], ids=["secii-qubit", "secii-boson", "seciii-full-ground", "seciii-full-excited"])
+    def test_probe_decay_sizes(self, cfg, prep, size):
+        assert reachable_count(cfg, NoiseConfig(gamma=0.1), prep) == size
+
+    def test_size_does_not_grow_with_truncation(self):
+        # the step cost stays that of 35 entries, whatever n_max
+        sizes = [reachable_count(ModelConfig(ModelVariant.RESONANT_BOSON, n_max=n),
+                                 NoiseConfig(gamma=0.1)) for n in (2, MAX_NMAX)]
+        assert sizes == [35, 35]
+
+    def test_sector_breaking_operator_enlarges_the_set(self):
+        op = np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]]))
+        size = reachable_count(QUBIT, NoiseConfig(collapse_ops=((0.03, op),)))
+        assert 19 < size <= 64
+
+    def test_largest_set_matches_dense_rk4(self):
+        # the excited probe reaches the most entries (170): none may be missed
+        rho0 = initial_joint(0.75, FULL, ProbePrep.EXCITED)
+        noise = NoiseConfig(gamma=0.1)
+        times = [0.01, 0.05]
+        res = integrate_master(rho0, FULL, noise, 0.05, sample_times=times)
+        ref = dense_rk4_reference(rho0, FULL, noise, 0.05, sample_times=times)
+        assert largest_deviation(res, ref) < 1e-13
+
+    def test_dense_collapse_operator_rejected_before_any_generator(self):
+        # evolving all 5184 entries at d = 72 would need a 430 MB generator
+        op = np.full((FULL.space.dim,) * 2, 0.1 + 0.05j)
+        noise = NoiseConfig(collapse_ops=((0.1, op),))
+        rho0 = initial_joint(0.75, FULL, ProbePrep.GROUND)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(MAX_REACHABLE)):
+                integrate_master(rho0, FULL, noise, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below a quarter of one generator at the cap
+        assert peak < 16 * MAX_REACHABLE ** 2 / 4
 
 
 class TestBosonModel:
