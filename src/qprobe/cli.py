@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: measures, sweep, evolve, probe, qnd, plot.  Flags can also
-be supplied as a JSON document via --config (keys are the flag names
-with underscores); explicit flags win on conflict.  Outputs are byte
-deterministic for identical configuration: floats are serialized with
-12 significant digits and sweep rows are assembled in grid order.
+be supplied as a JSON document via --config (keys: the flag names with
+underscores, no others); explicit flags win on conflict.  Outputs are
+byte deterministic for identical configuration: floats are serialized
+with 12 significant digits and sweep rows are assembled in grid order.
 
 Exit codes: 0 success, 2 argument validation, 3 I/O, 4 data shape.
 """
@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 argument validation, 3 I/O, 4 data shape.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -88,12 +89,11 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "x-stop": dict(type=float, help="sweep grid stop (default 1.0)"),
         "x-step": dict(type=float, help="sweep grid step (default 0.01)"),
         "gamma": dict(type=float, help="spontaneous emission rate in units of g"),
-        "g": dict(type=float, help="coupling strength (default 1)"),
         "delta": dict(type=float, help="detuning in units of g"),
         "nmax": dict(type=int, help="boson truncation per cavity (default 2)"),
         "model": dict(choices=sorted(MODEL_CHOICES), help="model variant"),
         "t-end": dict(type=float, help="evolution time in units of 1/g"),
-        "dt": dict(type=float, help="integrator step (default 1e-3)"),
+        "dt": dict(type=float, help="integrator step in units of 1/g (default 1e-3)"),
         "shots": dict(type=int, help="shots per stage (0 = exact statistics)"),
         "seed": dict(type=int, help="sampling seed"),
         "out": dict(type=str, help="output file path"),
@@ -109,30 +109,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate probing of entanglement, discord and classical "
         "correlation of the one-parameter two-qubit family.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a removed or misspelt flag must not reach another one
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     p = sub.add_parser("measures", help="all correlation measures of the family state")
     _add_common(p, "x", "out", "config")
 
     p = sub.add_parser("sweep", help="parameter sweep over x, CSV output")
-    _add_common(p, "x-start", "x-stop", "x-step", "gamma", "g", "dt", "model",
+    _add_common(p, "x-start", "x-stop", "x-step", "gamma", "dt", "model",
                 "nmax", "out", "config")
     p.add_argument("--emit-svg", action="store_true", default=None,
                    help="also render the correlation columns next to the CSV")
 
     p = sub.add_parser("evolve", help="time evolution of one configuration, CSV output")
-    _add_common(p, "x", "model", "gamma", "g", "delta", "nmax", "t-end", "dt",
+    _add_common(p, "x", "model", "gamma", "delta", "nmax", "t-end", "dt",
                 "out", "config")
     p.add_argument("--samples", type=int, default=None,
                    help="number of sample times (default 201)")
 
     p = sub.add_parser("probe", help="single ground-probe readout cycle")
-    _add_common(p, "x", "gamma", "g", "model", "nmax", "shots", "seed", "out", "config")
+    _add_common(p, "x", "gamma", "model", "nmax", "shots", "seed", "out", "config")
     p.add_argument("--n", type=int, default=None,
                    help="odd number of half periods (default 1)")
 
     p = sub.add_parser("qnd", help="non-demolition probe sequence")
-    _add_common(p, "x", "g", "delta", "shots", "seed", "out", "config")
+    _add_common(p, "x", "delta", "shots", "seed", "out", "config")
     p.add_argument("--cycles", type=int, default=None, help="full cycles (default 3)")
     p.add_argument("--report-tm", action="store_true", default=None,
                    help="also report fidelity at the delta*pi/g^2 candidate time")
@@ -157,10 +159,10 @@ def merged_options(args: argparse.Namespace, defaults: dict) -> dict:
                 raise ValueError(f"bad config file: {exc}") from exc
         if not isinstance(from_file, dict):
             raise ValueError("config file must hold a JSON object")
-    out = dict(defaults)
-    for key in defaults:
-        if key in from_file:
-            out[key] = from_file[key]
+        for key in from_file:
+            if key not in defaults:
+                raise ValueError(f"config key {key!r} is not an option of {args.command}")
+    out = {**defaults, **from_file}
     for key in defaults:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -179,10 +181,8 @@ def _require_x(opts: dict) -> float:
 
 
 def _model_config(opts: dict) -> ModelConfig:
-    variant = MODEL_CHOICES[opts["model"]]
     return ModelConfig(
-        variant=variant,
-        g=float(opts["g"]) if opts.get("g") is not None else 1.0,
+        variant=MODEL_CHOICES[opts["model"]],
         delta=float(opts["delta"]) if opts.get("delta") is not None else None,
         n_max=int(opts["nmax"]) if opts.get("nmax") is not None else 2,
     )
@@ -248,14 +248,14 @@ def _sweep_row(x: float, cfg: ModelConfig, noise: NoiseConfig, dt: float) -> lis
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
         "x_start": 0.5, "x_stop": 1.0, "x_step": 0.01,
-        "gamma": 0.0, "g": 1.0, "dt": 1e-3,
+        "gamma": 0.0, "dt": 1e-3,
         "model": "secii-qubit", "nmax": 2, "out": "sweep.csv",
         "emit_svg": False,
     })
     cfg = _model_config({**opts, "delta": None})
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("sweep runs on the resonant models")
-    noise = NoiseConfig(gamma=float(opts["gamma"]) * cfg.g)
+    noise = NoiseConfig(gamma=float(opts["gamma"]))
     dt = float(opts["dt"])
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError("dt must be positive and finite")
@@ -288,13 +288,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
-        "x": None, "model": "secii-qubit", "gamma": 0.0, "g": 1.0,
+        "x": None, "model": "secii-qubit", "gamma": 0.0,
         "delta": None, "nmax": 2, "t_end": 10.0, "dt": 1e-3,
         "samples": 201, "out": "evolve.csv",
     })
     x = _require_x(opts)
     cfg = _model_config(opts)
-    noise = NoiseConfig(gamma=float(opts["gamma"]) * cfg.g)
+    noise = NoiseConfig(gamma=float(opts["gamma"]))
     t_end = float(opts["t_end"])
     if not math.isfinite(t_end) or t_end <= 0:
         raise ValueError("t-end must be positive and finite")
@@ -328,7 +328,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
-        "x": None, "gamma": 0.0, "g": 1.0, "model": "secii-qubit", "nmax": 2,
+        "x": None, "gamma": 0.0, "model": "secii-qubit", "nmax": 2,
         "shots": 0, "seed": 0, "n": 1, "out": None,
     })
     x = _require_x(opts)
@@ -336,9 +336,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     cfg = _model_config({**opts, "delta": None})
-    gamma = float(opts["gamma"])
     report = run_probe_cycle(x, cfg, int(opts["n"]),
-                             NoiseConfig(gamma=gamma * cfg.g))
+                             NoiseConfig(gamma=float(opts["gamma"])))
     inferred = infer_from_sigmaz(min(1.0, max(-1.0, report.mean_sigma_z)))
     out = {
         "t_read": report.t_read,
@@ -381,12 +380,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def cmd_qnd(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
-        "x": None, "g": 1.0, "delta": 10.0, "cycles": 3,
+        "x": None, "delta": 10.0, "cycles": 3,
         "shots": 0, "seed": 7, "out": None, "report_tm": False,
     })
     x = _require_x(opts)
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE,
-                      g=float(opts["g"]), delta=float(opts["delta"]))
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=float(opts["delta"]))
     result = run_qnd_sequence(x, cfg, int(opts["cycles"]),
                               int(opts["shots"]), int(opts["seed"]))
     restoration = trace_distance(result.final_state.mat, one_param_density(x).mat)

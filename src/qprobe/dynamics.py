@@ -11,12 +11,12 @@ Four model variants share one builder interface:
     cavities (dim 8*(n_max+1)^2), written in the frame rotating at the
     cavity frequency.  The cavities sit ABOVE the atomic transitions by
     delta, so the atomic detunings are negative; the Stark compensation
-    raises the probe atom by g^2/(2 delta) so the dressed levels align.
+    raises the probe atom by 1/(2 delta) so the dressed levels align.
     (With atoms above the cavities the same compensation formula would
     mis-align the dressed levels by twice the exchange strength and the
     transfer would stall near fidelity 2/3.)
   * ``DISPERSIVE_EFFECTIVE`` -- the XY exchange model with strength
-    J = g^2/(2 delta) between the probe and each system atom (dim 8).
+    J = 1/(2 delta) between the probe and each system atom (dim 8).
 
 Tensor factor order is always (A, B, probe C[, cavity 1, cavity 2]).
 Atom factors use basis order (|e>, |g>); cavity factors use the photon
@@ -79,30 +79,32 @@ MAX_NMAX = 10
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Which Hamiltonian to build, plus its couplings and truncation."""
+    """Which Hamiltonian to build, plus its detuning and truncation."""
 
     variant: ModelVariant
-    g: float = 1.0
     delta: Optional[float] = None
     n_max: int = 2
 
     def __post_init__(self):
-        if not math.isfinite(self.g) or self.g <= 0:
-            raise ValueError("coupling g must be positive and finite")
         if self.delta is not None and not math.isfinite(self.delta):
             raise ValueError("detuning must be finite")
         if self.variant in _DISPERSIVE:
             if self.delta is None or self.delta <= 0:
                 raise ValueError("dispersive variants need a positive detuning")
+            j = self.j_exchange
+            if not 0.0 < j < math.inf or math.pi / j == math.inf:
+                raise ValueError(
+                    f"detuning {self.delta!r} leaves J = 1/(2 delta) or pi/J not finite"
+                )
         if self.variant in _BOSONIC and not 2 <= self.n_max <= MAX_NMAX:
             raise ValueError(f"n_max must lie in [2, {MAX_NMAX}]")
 
     @property
     def j_exchange(self) -> float:
-        """Effective exchange strength g^2 / (2 delta)."""
+        """Effective exchange strength 1 / (2 delta)."""
         if self.variant not in _DISPERSIVE:
             raise ValueError("exchange strength only defined with a detuning")
-        return self.g ** 2 / (2.0 * self.delta)
+        return 1.0 / (2.0 * self.delta)
 
     @property
     def space(self) -> HilbertSpace:
@@ -124,7 +126,7 @@ def _embed(ops: dict[int, Array], dims: Sequence[int]) -> Array:
 def build_hamiltonian(cfg: ModelConfig) -> Array:
     """Hermitian Hamiltonian matrix of the configured model (hbar = 1)."""
     dims = cfg.space.dims
-    lam = cfg.g / np.sqrt(2.0)
+    lam = 1.0 / np.sqrt(2.0)
 
     if cfg.variant in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         levels = dims[0]
@@ -297,7 +299,7 @@ HALF_STEP_LIMIT = 1e-7
 MAX_RK4_STEPS = 10 ** 7
 #: most density-matrix entries one integration may evolve (the reachable set)
 MAX_REACHABLE = 1024
-#: shortest positive gap between consecutive sample times (and from 0)
+#: shortest gap between consecutive sample times (and positive one from 0)
 MIN_SAMPLE_GAP = 1e-12
 
 
@@ -412,9 +414,9 @@ def integrate_master(
     exceeds 1e-7 or is not finite (the step size is then too large);
     trace drift beyond 1e-6, or a non-finite trace, aborts as well.  A
     non-finite t_end, a non-finite or non-positive dt, more than
-    MAX_RK4_STEPS steps, a positive gap below MIN_SAMPLE_GAP between
-    sample times (counted from 0) and more than MAX_REACHABLE reachable
-    entries are rejected before any step.
+    MAX_RK4_STEPS steps, sample times closer than MIN_SAMPLE_GAP (a
+    repeated one too; only a first sample at 0 may sit closer to 0) and
+    more than MAX_REACHABLE reachable entries are rejected before any step.
     """
     if rho0.space.dims != cfg.space.dims:
         raise ValueError("initial state does not live on the model space")
@@ -430,7 +432,8 @@ def integrate_master(
     if any(t < 0 or t > t_end + 1e-12 for t in sample_times):
         raise ValueError("sample times must lie in [0, t_end]")
     gaps = [b - a for a, b in zip([0.0, *sample_times], sample_times)]
-    if any(0.0 < gap < MIN_SAMPLE_GAP for gap in gaps):
+    # the first sample may sit at 0; a later one may not repeat a time
+    if any(gap < MIN_SAMPLE_GAP and (k > 0 or gap > 0.0) for k, gap in enumerate(gaps)):
         raise ValueError(
             f"sample times must lie {MIN_SAMPLE_GAP} or more apart and from 0"
         )
@@ -539,20 +542,16 @@ def dispersive_deviation(
     """
     if delta_over_g < 5.0:
         raise ValueError("dispersive comparison needs delta >= 5 g")
-    g = 1.0
-    j = g ** 2 / (2.0 * delta_over_g)
+    eff_cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=delta_over_g)
     if t_end is None:
-        t_end = float(np.pi / (2.0 * np.sqrt(2.0) * j))
+        t_end = float(np.pi / (2.0 * np.sqrt(2.0) * eff_cfg.j_exchange))
     times = np.linspace(0.0, float(t_end), int(n_points))
 
-    eff_cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=g, delta=delta_over_g)
     eff_prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(eff_cfg))
     eff0 = initial_joint(x, eff_cfg, ProbePrep.EXCITED).mat
 
     def run(n_max: int) -> float:
-        cfg = ModelConfig(
-            ModelVariant.DISPERSIVE_FULL, g=g, delta=delta_over_g, n_max=n_max
-        )
+        cfg = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=delta_over_g, n_max=n_max)
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
         full0 = initial_joint(x, cfg, ProbePrep.EXCITED).mat
         dims = cfg.space.dims

@@ -217,7 +217,7 @@ def run_probe_cycle(
     noise: Optional[NoiseConfig] = None,
     dt: float = DEFAULT_DT,
 ) -> ProbeCycleReport:
-    """Attach a ground probe, evolve to t = n pi/(2 g), read sigma_z.
+    """Attach a ground probe, evolve to t = n pi/2, read sigma_z.
 
     n must be odd: at even multiples the probe returns to its ground
     state and carries no information.  Without noise the pair state
@@ -233,7 +233,7 @@ def run_probe_cycle(
     noise = noise or NoiseConfig()
     rho0 = one_param_density(x)
     joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
-    t_read = n * np.pi / (2.0 * cfg.g)
+    t_read = n * np.pi / 2.0
 
     if noise.gamma == 0.0 and noise.collapse_ops is None:
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
@@ -281,7 +281,7 @@ _FIDELITY_X_GRID = (0.6, 0.75, 0.9)
 
 
 def _exchange_propagator(j: float) -> SpectralPropagator:
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=1.0 / (2.0 * j))
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=1.0 / (2.0 * j))
     return SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
 
 
@@ -306,8 +306,9 @@ def find_transfer_time(j: float) -> float:
     """
     if j <= 0:
         raise ValueError("exchange strength must be positive")
+    prop = _exchange_propagator(j)  # its config rejects a non-finite period
     t_star = np.pi / (2.0 * np.sqrt(2.0) * j)
-    if _swap_fidelity(_exchange_propagator(j), t_star) < 1.0 - 1e-9:
+    if _swap_fidelity(prop, t_star) < 1.0 - 1e-9:
         raise ValueError("no clean transfer")
     return float(t_star)
 
@@ -392,7 +393,7 @@ def run_qnd_sequence(
     of zero selects exact-statistics mode, separating protocol
     correctness from sampling noise.
     """
-    cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
+    cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
         raise ValueError("non-demolition sequence runs on the exchange model")
     if n_cycles < 1:

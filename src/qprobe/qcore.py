@@ -7,7 +7,7 @@ arrays, so a state checked once at construction cannot be changed
 afterwards through an alias of its matrix.
 
 Conventions:
-    hbar = 1; the coupling g = 1 is the default energy unit and times
+    hbar = 1; the coupling g = 1 is the fixed energy unit and times
     are in units of 1/g.  Entropies are in bits (base-2 logarithms).
 """
 

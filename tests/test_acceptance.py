@@ -38,7 +38,7 @@ from qprobe.qcore import SpectralPropagator, entropy_bits, partial_trace, trace_
 from qprobe.states import ProbePrep, corner_swap, extract_xstate, join_with_probe, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
-EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
+EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
 X11 = np.linspace(0.5, 1.0, 11)
 
 

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qprobe
 from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
@@ -112,6 +120,14 @@ class TestConfigFile:
 
     def test_missing_config_is_io_error(self, capsys):
         assert run(["measures", "--config", "/no/such/file.json", "--x", "0.75"]) == 3
+
+    @pytest.mark.parametrize("key", ["gama", "g"])
+    def test_unknown_config_key_rejected(self, key, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x": 0.75, key: 0.1}))
+        assert run(["probe", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and captured.out == ""
 
 
 class TestEvolveCommand:
@@ -288,8 +304,8 @@ class TestInputValidation:
         assert not out.exists()
 
     def test_probe_sample_gap_below_floor_rejected(self, capsys):
-        # the readout time pi / (2 g) is 1.6e-13 here: no RK4 step would run
-        assert run(["probe", "--x", "0.75", "--gamma", "0.1", "--g", "1e13"]) == 2
+        # the second sample sits 1e-13 after the first: no RK4 step would run
+        assert run(["evolve", "--x", "0.75", "--t-end", "1e-13", "--samples", "2"]) == 2
         captured = capsys.readouterr()
         assert str(MIN_SAMPLE_GAP) in captured.err and captured.out == ""
 
@@ -354,3 +370,58 @@ def test_cli_import_leaves_out_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI block, in order, in one directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("qprobe ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+
+
+# ---------------------------------------------------------------------------
+# random float inputs end in a documented exit code
+
+SPECIAL_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, 1.7e308,
+])
+
+
+def any_float(typical):
+    """Any float (nan, infinities, subnormal, huge) or one from a typical range."""
+    return st.one_of(st.floats(), SPECIAL_FLOATS, typical)
+
+
+FUZZED_COMMANDS = {
+    "measures": (["measures"], ["x"]),
+    "probe": (["probe"], ["x", "gamma"]),
+    "qnd": (["qnd", "--shots", "0", "--report-tm"], ["x", "delta"]),
+    "evolve": (["evolve", "--samples", "3"], ["x", "gamma", "delta", "t-end"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    x=any_float(st.floats(0.5, 1.0)),
+    gamma=any_float(st.floats(0.0, 1.0)),
+    delta=any_float(st.floats(1.0, 100.0)),
+    # no value between 5 and the 10^7-step cap, so no example runs long
+    t_end=st.one_of(SPECIAL_FLOATS, st.floats(-1.0, 5.0)),
+)
+@example(x=0.75, gamma=0.0, delta=5e-324, t_end=1.0)  # J = 1/(2 delta) overflows
+@example(x=0.75, gamma=0.0, delta=8.5e307, t_end=1.0)  # the transfer time overflows
+def test_random_float_inputs_end_in_a_documented_exit_code(command, x, gamma, delta, t_end):
+    head, flags = FUZZED_COMMANDS[command]
+    values = {"x": x, "gamma": gamma, "delta": delta, "t-end": t_end}
+    argv = [*head, *(f"--{f}={values[f]!r}" for f in flags)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or "error:" in err.getvalue()

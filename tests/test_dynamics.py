@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -37,15 +38,11 @@ EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
 
 def evolved_reductions(x, cfg, gt, prep=ProbePrep.GROUND):
     prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
-    joint = prop.apply(initial_joint(x, cfg, prep), gt / cfg.g)
+    joint = prop.apply(initial_joint(x, cfg, prep), gt)
     return partial_trace(joint, {0, 1}), partial_trace(joint, {2})
 
 
 class TestModelConfig:
-    def test_bad_coupling(self):
-        with pytest.raises(ValueError):
-            ModelConfig(ModelVariant.RESONANT_QUBIT, g=0.0)
-
     def test_dispersive_needs_detuning(self):
         with pytest.raises(ValueError):
             ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE)
@@ -61,8 +58,8 @@ class TestModelConfig:
             ModelConfig(variant, delta=10.0, n_max=MAX_NMAX + 1)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(variant=ModelVariant.RESONANT_QUBIT, g=float("inf")),
-        dict(variant=ModelVariant.RESONANT_QUBIT, g=float("nan")),
+        dict(variant=ModelVariant.DISPERSIVE_FULL, delta=float("inf")),
+        dict(variant=ModelVariant.DISPERSIVE_FULL, delta=float("nan")),
         dict(variant=ModelVariant.DISPERSIVE_EFFECTIVE, delta=float("inf")),
         dict(variant=ModelVariant.DISPERSIVE_EFFECTIVE, delta=float("nan")),
     ])
@@ -71,8 +68,16 @@ class TestModelConfig:
             ModelConfig(**kwargs)
 
     def test_exchange_strength(self):
-        cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
+        cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
         assert cfg.j_exchange == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310, 6e307, 1e308])
+    def test_detuning_without_finite_exchange_rejected(self, delta):
+        # J = 1/(2 delta) overflows to inf, its period pi/J overflows, or
+        # 2 delta overflows and J comes out 0
+        for variant in (ModelVariant.DISPERSIVE_EFFECTIVE, ModelVariant.DISPERSIVE_FULL):
+            with pytest.raises(ValueError, match=re.escape(f"detuning {delta!r} leaves")):
+                ModelConfig(variant, delta=delta)
 
     def test_dimensions(self):
         assert ModelConfig(ModelVariant.RESONANT_QUBIT).space.dim == 8
@@ -110,7 +115,7 @@ class TestBuildHamiltonian:
         assert (e00 @ h @ s_g).real == pytest.approx(1.0, abs=1e-12)
 
     def test_exchange_pairwise_strength(self):
-        cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
+        cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
         h = build_hamiltonian(cfg)
         # <e_A g_B g_C| H |g_A g_B e_C> = J
         bra = np.zeros(8)
@@ -274,10 +279,13 @@ class TestIntegrateMaster:
     @pytest.mark.parametrize("t_end, sample_times", [
         (1e-13, None),
         (1.0, [0.5, 0.5 + 5e-13, 1.0]),
-    ], ids=["first-gap", "later-gap"])
+        (5.0, [5.0, 5.0]),
+        (1.0, [0.0, 0.0, 1.0]),
+    ], ids=["first-gap", "later-gap", "duplicate", "duplicate-zero"])
     def test_sample_gap_below_floor_rejected(self, t_end, sample_times):
         # the loop takes no step across such a gap, so the run would
-        # silently return its input state
+        # silently return its input state; a duplicate time is caught here,
+        # before any step, and not after the run by EvolutionResult
         with pytest.raises(ValueError, match=str(MIN_SAMPLE_GAP)):
             integrate_master(
                 initial_joint(0.75, QUBIT, ProbePrep.GROUND),

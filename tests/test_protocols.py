@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig, build_hamiltonian
 from qprobe.protocols import (
@@ -23,7 +25,7 @@ from qprobe.qcore import SpectralPropagator, partial_trace, trace_distance
 from qprobe.states import ProbePrep, corner_swap, join_with_probe, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
-EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, g=1.0, delta=10.0)
+EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
 
 
 def one_shot_count(p_excited, shots, seed):
@@ -194,6 +196,12 @@ class TestTransferTime:
             np.pi / (2 * np.sqrt(2) * j), rel=1e-12
         )
         assert transfer_time_report(j).best_fidelity >= 1.0 - 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(log_j=st.floats(-6.0, 6.0))
+    def test_fidelity_over_log_uniform_strength(self, log_j):
+        # the report locates the time through find_transfer_time
+        assert transfer_time_report(10.0 ** log_j).best_fidelity >= 1.0 - 1e-9
 
 
 class TestQndSequence:
