@@ -10,7 +10,10 @@ exactly, so measurement statistics can be accumulated over many cycles.
 
 Shot sampling is counter based (SplitMix64 keyed by seed and shot
 index), so identical inputs give identical records on any platform and
-stages can be sampled concurrently.
+stages can be sampled concurrently.  Shot i is excited iff
+u_i = z_i / 2^64 < p for its 64-bit word z_i.  Since float() is
+monotone, that holds exactly when z_i is below one integer cutoff of p,
+so the words are compared as integers and never converted.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .states import (
 )
 from .dynamics import (
     DEFAULT_DT,
+    MIN_DISPERSIVE_DELTA,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
@@ -64,6 +68,9 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # deterministic counter-based sampling
 
 _MASK64 = (1 << 64) - 1
+_GAMMA64 = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 #: counters drawn per block; keeps sampling memory bounded for any shot count
 SHOT_BLOCK = 2 ** 16
 #: most shots drawn per call (all stages together in a non-demolition
@@ -72,15 +79,34 @@ MAX_SHOTS = 10 ** 9
 
 
 def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (z + _GAMMA64) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
 def derive_seed(seed: int, stream: int) -> int:
     """Independent substream seed for (seed, stream index)."""
     return _splitmix64(_splitmix64(seed & _MASK64) ^ ((stream + 1) & _MASK64))
+
+
+def _excited_cutoff(p: float) -> int:
+    """Smallest word z with float(z) / 2^64 >= p.
+
+    float() is monotone on [0, 2^64), so {z : float(z) / 2^64 < p} is
+    exactly the prefix [0, cutoff).  Scaling by 2^64 is exact, so the
+    bisection compares float(z) with p * 2^64.  Every word at or above
+    2^64 - 2^10 rounds to 2^64, so the cutoff is below 2^64 even at p = 1.
+    """
+    scaled = p * 2.0 ** 64
+    lo, hi = 0, _MASK64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) >= scaled:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -107,9 +133,11 @@ class ShotRecord:
 def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     """Deterministic binomial draw: shot i is excited iff u_i < p.
 
-    u_i comes from SplitMix64 of (seed-derived base + i), so the record
-    depends only on (p, shots, seed).  Counters are drawn in blocks of
-    SHOT_BLOCK, so memory does not grow with the shot count.
+    u_i = z_i / 2^64 for the SplitMix64 word z_i of (seed-derived base
+    + i), so the record depends only on (p, shots, seed).  The words are
+    compared with the integer cutoff of p instead of being converted:
+    u_i < p exactly when z_i is below it.  Counters are hashed in place,
+    in blocks of SHOT_BLOCK, so memory does not grow with the shot count.
     """
     if not 0.0 <= p_excited <= 1.0:
         raise ValueError("probability out of range")
@@ -117,16 +145,28 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
         raise ValueError("shots must be nonnegative")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots exceed {MAX_SHOTS}")
-    base = np.uint64(_splitmix64(seed & _MASK64))
+    cutoff = np.uint64(_excited_cutoff(p_excited))
+    base = _splitmix64(seed & _MASK64)
+    size = min(shots, SHOT_BLOCK)
+    offsets = np.arange(size, dtype=np.uint64)
+    z = np.empty(size, dtype=np.uint64)
+    t = np.empty(size, dtype=np.uint64)
     count = 0
     for start in range(0, shots, SHOT_BLOCK):
-        z = base + np.arange(start, min(start + SHOT_BLOCK, shots), dtype=np.uint64)
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_MASK64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        u = z.astype(np.float64) / float(2 ** 64)
-        count += int(np.count_nonzero(u < p_excited))
+        n = min(SHOT_BLOCK, shots - start)
+        zb, tb = z[:n], t[:n]
+        # the first counter of the block, (base + start + gamma) mod 2^64,
+        # in Python ints: numpy scalar arithmetic would warn on the wrap
+        np.add(offsets[:n], np.uint64((base + start + _GAMMA64) & _MASK64), out=zb)
+        np.right_shift(zb, np.uint64(30), out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, np.uint64(_MIX1), out=zb)
+        np.right_shift(zb, np.uint64(27), out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, np.uint64(_MIX2), out=zb)
+        np.right_shift(zb, np.uint64(31), out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        count += int(np.count_nonzero(zb < cutoff))
     return ShotRecord(shots, count, seed)
 
 
@@ -391,11 +431,18 @@ def run_qnd_sequence(
     is measured and discarded after every stage.  Outcomes are grouped
     by preparation and pooled into the estimate.  ``shots_per_stage``
     of zero selects exact-statistics mode, separating protocol
-    correctness from sampling noise.
+    correctness from sampling noise.  The exchange model is the
+    dispersive limit of the cavity model, so detunings below
+    MIN_DISPERSIVE_DELTA are rejected.
     """
     cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
         raise ValueError("non-demolition sequence runs on the exchange model")
+    if not cfg.delta >= MIN_DISPERSIVE_DELTA:
+        raise ValueError(
+            f"non-demolition sequence needs delta >= {MIN_DISPERSIVE_DELTA:g} g: "
+            "the exchange model does not hold closer to resonance"
+        )
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
     if n_cycles > MAX_QND_CYCLES:

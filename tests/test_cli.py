@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 import qprobe
 from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
-from qprobe.dynamics import MAX_NMAX, MIN_SAMPLE_GAP, ModelConfig, ModelVariant, NoiseConfig
+from qprobe.dynamics import (
+    MAX_NMAX,
+    MIN_DISPERSIVE_DELTA,
+    MIN_SAMPLE_GAP,
+    ModelConfig,
+    ModelVariant,
+    NoiseConfig,
+)
 from qprobe.protocols import MAX_QND_CYCLES, MAX_SHOTS, run_probe_cycle
 
 
@@ -332,6 +339,17 @@ class TestInputValidation:
         assert run(["qnd", "--x", "0.75", *args]) == 2
         captured = capsys.readouterr()
         assert str(cap) in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("delta", ["0.5", "4.999"])
+    def test_qnd_detuning_outside_exchange_model(self, delta, tmp_path, capsys):
+        # the exchange model is the dispersive limit; dispersive_deviation
+        # refuses the same detunings
+        out = tmp_path / "q.csv"
+        assert main(["qnd", "--x", "0.75", "--delta", delta, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"delta >= {MIN_DISPERSIVE_DELTA:g}" in captured.err
+        assert not out.exists()
 
     def test_sweep_grid_bound_is_inclusive(self):
         grid = _sweep_grid(0.5, 1.0, 0.5 / (MAX_SWEEP_POINTS - 1))

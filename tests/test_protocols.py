@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig, build_hamiltonian
+from qprobe.dynamics import (
+    MIN_DISPERSIVE_DELTA,
+    ModelConfig,
+    ModelVariant,
+    NoiseConfig,
+    build_hamiltonian,
+)
 from qprobe.protocols import (
     EXCHANGE_E_READOUT,
     EXCHANGE_G_READOUT,
@@ -12,6 +20,7 @@ from qprobe.protocols import (
     RESONANT_READOUT,
     SHOT_BLOCK,
     ShotRecord,
+    _excited_cutoff,
     derive_seed,
     estimate_exact,
     estimate_from_counts,
@@ -84,6 +93,109 @@ class TestSampleShots:
     def test_derive_seed_streams_differ(self):
         seeds = {derive_seed(42, k) for k in range(16)}
         assert len(seeds) == 16
+
+
+MASK64 = (1 << 64) - 1
+GAMMA64 = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+
+
+def mix(z):
+    """The three SplitMix64 rounds, without the counter increment."""
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def _undo_xorshift(y, s):
+    # each pass fixes s more of the top bits of z in y = z ^ (z >> s)
+    z = y
+    for _ in range(64 // s):
+        z = y ^ (z >> s)
+    return z
+
+
+def unmix(y):
+    z = (_undo_xorshift(y, 31) * pow(MIX2, -1, 1 << 64)) & MASK64
+    z = (_undo_xorshift(z, 27) * pow(MIX1, -1, 1 << 64)) & MASK64
+    return _undo_xorshift(z, 30)
+
+
+def counter_of(seed, shot):
+    base = mix((seed + GAMMA64) & MASK64)
+    return (base + shot + GAMMA64) & MASK64
+
+
+def seed_with_counter(shot, counter):
+    """Seed whose stream gives ``shot`` the given SplitMix64 counter."""
+    base = (counter - shot - GAMMA64) & MASK64
+    return (unmix(base) - GAMMA64) & MASK64
+
+
+def seed_with_word(shot, word):
+    """Seed whose stream hashes ``shot`` to the given 64-bit word."""
+    return seed_with_counter(shot, unmix(word))
+
+
+class TestInvertedSeeds:
+    """Edge cases of the stream, reached by running SplitMix64 backwards."""
+
+    def test_inverse_and_stream_match_the_sampler_hash(self):
+        for z in (0, 1, GAMMA64, MASK64, 0x0123456789ABCDEF):
+            assert unmix(mix(z)) == z and mix(unmix(z)) == z
+        # derive_seed is two SplitMix64 steps of the package's hash
+        for seed, stream in ((0, 0), (12345, 3), (MASK64, 7)):
+            inner = mix(((mix((seed + GAMMA64) & MASK64) ^ (stream + 1)) + GAMMA64) & MASK64)
+            assert derive_seed(seed, stream) == inner
+
+    @pytest.mark.parametrize("wrap_shot", [5, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 100])
+    @pytest.mark.parametrize("p", [1e-7, 0.3, 0.5, 1.0])
+    def test_counters_wrap_past_2_64(self, wrap_shot, p):
+        seed = seed_with_counter(wrap_shot, 0)
+        assert counter_of(seed, wrap_shot - 1) == MASK64
+        shots = 2 * SHOT_BLOCK
+        assert sample_shots(p, shots, seed).count_excited == one_shot_count(p, shots, seed)
+
+    def test_top_word_is_never_excited(self):
+        # 2^64 - 1 converts to u = 1.0, which is not below p = 1
+        seed = seed_with_word(0, MASK64)
+        assert sample_shots(1.0, 1, seed).count_excited == 0 == one_shot_count(1.0, 1, seed)
+        seed = seed_with_word(7, MASK64)
+        assert sample_shots(1.0, 1000, seed).count_excited == 999
+        assert one_shot_count(1.0, 1000, seed) == 999
+
+    @pytest.mark.parametrize(
+        "p", [0.3, math.nextafter(1.0, 0.0), 2.0 ** -64, 5e-324, 1.0]
+    )
+    def test_words_on_either_side_of_the_cutoff(self, p):
+        cutoff = _excited_cutoff(p)
+        for word, excited in ((cutoff - 1, 1), (cutoff, 0)):
+            seed = seed_with_word(0, word)
+            assert sample_shots(p, 1, seed).count_excited == excited
+            assert one_shot_count(p, 1, seed) == excited
+            seed = seed_with_word(SHOT_BLOCK + 3, word)
+            shots = SHOT_BLOCK + 10
+            assert sample_shots(p, shots, seed).count_excited == one_shot_count(
+                p, shots, seed
+            )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.integers(0, 1 << 64).map(lambda k: math.ldexp(k, -64)),
+))
+@example(p=0.0)
+@example(p=1.0)
+@example(p=5e-324)
+@example(p=2.0 ** -64)
+@example(p=math.nextafter(1.0, 0.0))
+def test_cutoff_is_the_exact_prefix(p):
+    cutoff = _excited_cutoff(p)
+    assert 0 <= cutoff < 1 << 64
+    assert float(cutoff) / 2.0 ** 64 >= p
+    assert cutoff == 0 or float(cutoff - 1) / 2.0 ** 64 < p
 
 
 class TestEstimation:
@@ -261,6 +373,16 @@ class TestQndSequence:
     def test_wrong_model_rejected(self):
         with pytest.raises(ValueError):
             run_qnd_sequence(0.75, QUBIT)
+
+    def test_detuning_below_dispersive_limit_rejected(self):
+        near = ModelConfig(
+            ModelVariant.DISPERSIVE_EFFECTIVE,
+            delta=math.nextafter(MIN_DISPERSIVE_DELTA, 0.0),
+        )
+        with pytest.raises(ValueError, match="exchange model does not hold"):
+            run_qnd_sequence(0.75, near)
+        at_limit = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=MIN_DISPERSIVE_DELTA)
+        assert run_qnd_sequence(0.75, at_limit).estimate.x_hat == pytest.approx(0.75)
 
     def test_cycles_bounded(self):
         with pytest.raises(ValueError, match=str(MAX_QND_CYCLES)):
