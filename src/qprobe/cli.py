@@ -27,25 +27,26 @@ from .dynamics import (
     NoiseConfig,
     integrate_master,
     initial_joint,
-    sigma_z_expectation,
+    sigma_z_stack,
+    two_level_index,
 )
 from .measures import (
     CorrelationReport,
-    concurrence,
+    concurrence_stack,
     correlation_report,
     infer_from_sigmaz,
-    mutual_information,
+    mutual_information_stack,
 )
 from .protocols import (
     RESONANT_READOUT,
-    boson_pair_to_qubits,
+    boson_pair_to_qubits_stack,
     estimate_from_counts,
     run_probe_cycle,
     run_qnd_sequence,
     sample_shots,
     transfer_time_report,
 )
-from .qcore import trace_distance
+from .qcore import trace_distance, trace_distance_stack
 from .states import ProbePrep, one_param_density
 
 MODEL_CHOICES = {
@@ -66,7 +67,8 @@ SWEEP_COLUMNS = (
 
 #: largest sweep grid accepted; the grid is built in memory
 MAX_SWEEP_POINTS = 100_001
-#: most evolve sample times accepted; every sample keeps its joint state
+#: most evolve sample times accepted; a sample keeps only the entries the
+#: dynamics reach (at most dynamics.MAX_REACHABLE), so memory stays bounded
 MAX_EVOLVE_SAMPLES = 10_001
 
 
@@ -308,19 +310,23 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     times = np.linspace(0.0, t_end, n_samples)
     res = integrate_master(joint0, cfg, noise, t_end, dt=float(opts["dt"]),
                            sample_times=times)
-    rho0 = one_param_density(x)
+    # every sample at once, as (n, 4, 4) pair and (n, 2, 2) probe stacks
+    if cfg.variant is ModelVariant.RESONANT_BOSON:
+        ab = boson_pair_to_qubits_stack(
+            res.reduced_stack({0, 1}, two_level_index(cfg.space.dims[0])))
+    else:
+        ab = res.reduced_stack({0, 1})
+    pc = res.reduced_stack({2})
+    columns = (
+        res.times,
+        concurrence_stack(ab),
+        mutual_information_stack(ab),
+        sigma_z_stack(pc),
+        pc[:, 0, 0].real,
+        trace_distance_stack(ab, one_param_density(x).mat),
+    )
     lines = ["t,concurrence,mutual_info,sigma_z,p_excited,dist_to_initial"]
-    for t, ab, pc in zip(res.times, res.reduced_ab, res.probe):
-        if cfg.variant is ModelVariant.RESONANT_BOSON:
-            ab = boson_pair_to_qubits(ab)
-        lines.append(",".join(fmt(v) for v in (
-            t,
-            concurrence(ab),
-            mutual_information(ab),
-            sigma_z_expectation(pc),
-            float(pc.mat[0, 0].real),
-            trace_distance(ab.mat, rho0.mat),
-        )))
+    lines += [",".join(fmt(v) for v in row) for row in zip(*columns)]
     _write_text(opts["out"], "\n".join(lines) + "\n")
     print(f"wrote {len(res.times)} samples to {opts['out']}")
     return 0

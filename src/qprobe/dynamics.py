@@ -33,6 +33,7 @@ is precomputed as one matrix on it.  The module needs numpy only.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,9 +45,10 @@ from .qcore import (
     DensityMatrix,
     HilbertSpace,
     SpectralPropagator,
+    check_density_stack,
     kron_all,
-    partial_trace,
     partial_trace_mat,
+    reduced_entry_stack,
     trace_distance,
 )
 from .states import ProbePrep, one_param_density
@@ -237,9 +239,14 @@ def resonant_closed_form(x: float, gt: float) -> tuple[DensityMatrix, DensityMat
     return rho_ab, rho_c
 
 
+def sigma_z_stack(mats: Array) -> Array:
+    """<sigma_z> of every probe state of an (n, 2, 2) stack, (|e>, |g>) ordering."""
+    return np.real(np.trace(mats @ PROBE_SIGMA_Z, axis1=1, axis2=2))
+
+
 def sigma_z_expectation(rho_probe: DensityMatrix) -> float:
     """<sigma_z> of a probe state in the (|e>, |g>) ordering."""
-    return float(np.real(np.trace(rho_probe.mat @ PROBE_SIGMA_Z)))
+    return float(sigma_z_stack(rho_probe.mat[None])[0])
 
 
 @dataclass(frozen=True)
@@ -280,16 +287,64 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Sampled joint states plus the pair and probe reductions."""
+    """Sampled joint states, kept as the density-matrix entries they reach.
+
+    Row s of the (n, k) array ``entries`` holds the joint state at
+    ``times[s]`` at the flat indices ``codes`` (i * d + j); every other
+    entry is exactly zero.  Construction checks every sample at once
+    with DensityMatrix's checks and tolerances, on the matrices
+    restricted to the basis states the codes touch: the rows and
+    columns outside them are zero, so the checks are equivalent.
+    ``reduced_stack`` reduces all samples in one call; the DensityMatrix
+    views ``joint_states``, ``reduced_ab`` (factors A, B) and ``probe``
+    (factor C) are built on first use.
+    """
 
     times: tuple[float, ...]
-    joint_states: tuple[DensityMatrix, ...]
-    reduced_ab: tuple[DensityMatrix, ...]
-    probe: tuple[DensityMatrix, ...]
+    space: HilbertSpace
+    codes: Array
+    entries: Array
 
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("sample times must be strictly increasing")
+        codes = np.array(self.codes, dtype=np.int64)
+        entries = np.array(self.entries, dtype=complex)
+        if entries.shape != (len(self.times), codes.size):
+            raise ValueError(
+                f"entries of shape {entries.shape} do not match "
+                f"{len(self.times)} times and {codes.size} codes"
+            )
+        for a in (codes, entries):
+            a.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "entries", entries)
+        touched = np.unique(codes // self.space.dim)
+        check_density_stack(self.reduced_stack(range(self.space.nfactors), touched))
+
+    def reduced_stack(self, keep, index=None) -> Array:
+        """(n, m, m) stack of the samples reduced to the factors ``keep``.
+
+        Restricted to the basis states ``index`` of the kept space (all
+        of them by default); see ``qcore.reduced_entry_stack``.
+        """
+        return reduced_entry_stack(self.codes, self.entries, self.space.dims, keep, index)
+
+    def _views(self, keep) -> tuple[DensityMatrix, ...]:
+        space = self.space.subspace(keep)
+        return tuple(DensityMatrix(space, m) for m in self.reduced_stack(keep))
+
+    @functools.cached_property
+    def joint_states(self) -> tuple[DensityMatrix, ...]:
+        return self._views(range(self.space.nfactors))
+
+    @functools.cached_property
+    def reduced_ab(self) -> tuple[DensityMatrix, ...]:
+        return self._views({0, 1})
+
+    @functools.cached_property
+    def probe(self) -> tuple[DensityMatrix, ...]:
+        return self._views({2})
 
 
 DEFAULT_DT = 1e-3
@@ -407,9 +462,10 @@ def integrate_master(
     classic k1..k4 step for this linear, time-independent generator), is
     formed once, so each full step is one mat-vec; shorter steps apply
     the same polynomial to the vector.  The state is re-Hermitized
-    after every step and expanded to a d x d matrix only at the sample
-    times.  One Richardson half-step comparison runs on the first step
-    of the longest length the schedule takes, min(dt, largest gap
+    after every step, and the samples are returned as the (n, k) stack
+    of those entries (see ``EvolutionResult``), never as d x d
+    matrices.  One Richardson half-step comparison runs on the first
+    step of the longest length the schedule takes, min(dt, largest gap
     between sample times), and rejects the run if the discrepancy
     exceeds 1e-7 or is not finite (the step size is then too large);
     trace drift beyond 1e-6, or a non-finite trace, aborts as well.  A
@@ -460,7 +516,7 @@ def integrate_master(
     vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
     t = 0.0
     checked = False
-    samples: list[tuple[float, Array]] = []
+    entries = np.empty((len(sample_times), codes.size), dtype=complex)
 
     # a huge rate overflows to a non-finite state, which both checks reject
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,9 +525,9 @@ def integrate_master(
         step_map = eye + (dt / 4.0) * gen
         for c in (3.0, 2.0, 1.0):
             step_map = eye + (dt / c) * (gen @ step_map)
-        for target in sample_times:
+        for s, target in enumerate(sample_times):
             if target <= t + 1e-15:
-                samples.append((target, vec.copy()))
+                entries[s] = vec
                 continue
             while t < target - 1e-12:
                 step = min(dt, target - t)
@@ -488,18 +544,9 @@ def integrate_master(
                 if not abs(vec[diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
                     raise ValueError("trace drift exceeded tolerance: reduce dt")
             t = target
-            samples.append((target, vec.copy()))
+            entries[s] = vec
 
-    def expand(v: Array) -> Array:
-        full = np.zeros(d * d, dtype=complex)
-        full[codes] = v
-        return full.reshape(d, d)
-
-    times = tuple(s[0] for s in samples)
-    joint = tuple(DensityMatrix(cfg.space, expand(s[1])) for s in samples)
-    reduced = tuple(partial_trace(j, {0, 1}) for j in joint)
-    probe = tuple(partial_trace(j, {2}) for j in joint)
-    return EvolutionResult(times, joint, reduced, probe)
+    return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .measures import (
 from .qcore import (
     DensityMatrix,
     SpectralPropagator,
+    check_density_stack,
     fidelity,
     partial_trace,
     partial_trace_mat,
@@ -301,6 +302,18 @@ def run_probe_cycle(
     )
 
 
+def boson_pair_to_qubits_stack(blocks: np.ndarray) -> np.ndarray:
+    """Conditional pair states from their (n, 4, 4) {0, 1}-photon blocks.
+
+    ``blocks`` holds each pair state restricted to ``two_level_index``;
+    every block is renormalized to unit trace and checked as
+    DensityMatrix checks a state.
+    """
+    out = blocks / np.trace(blocks, axis1=1, axis2=2).real[:, None, None]
+    check_density_stack(out)
+    return out
+
+
 def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
     """Conditional pair state on the {0, 1}-photon subspace.
 
@@ -309,9 +322,8 @@ def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
     comparable with the two-level family.
     """
     idx = two_level_index(reduced.space.dims[0])
-    out = reduced.mat[np.ix_(idx, idx)]
-    out /= np.trace(out).real
-    return DensityMatrix(two_qubit_space(), out)
+    block = reduced.mat[np.ix_(idx, idx)]
+    return DensityMatrix(two_qubit_space(), boson_pair_to_qubits_stack(block[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Dense complex-matrix algebra and Hilbert-space bookkeeping.
 
-Everything is ordinary dense numpy on complex128; matrices stay small
-(dimension <= 72 for the largest model) so spectral decompositions are
-used freely.  All containers are frozen dataclasses holding read-only
-arrays, so a state checked once at construction cannot be changed
-afterwards through an alias of its matrix.
+Everything is ordinary dense numpy on complex128.  The largest model
+has dimension 968 (the full dispersive model at n_max = 10); the states
+the integrator produces are never formed as d x d matrices there, but
+kept as stacks of the few entries the dynamics reach, and validated
+and reduced on the basis states those entries touch (at most 18 of 968
+from the models' initial states).  All containers are frozen
+dataclasses holding read-only arrays, so a state checked once at
+construction cannot be changed afterwards through an alias of its
+matrix.
 
 Conventions:
     hbar = 1; the coupling g = 1 is the fixed energy unit and times
@@ -13,8 +17,9 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -79,12 +84,31 @@ class HilbertSpace:
         )
 
 
+def check_density_stack(mats: Array) -> None:
+    """Raise ValueError unless every matrix of an (n, m, m) stack is a state.
+
+    The checks run on the whole stack at once, in this order: finite
+    entries, Hermiticity (1e-10), unit trace (1e-10) and smallest
+    eigenvalue >= -1e-8.
+    """
+    if not np.isfinite(mats).all():
+        raise ValueError("non-finite entries")
+    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITICITY_TOL:
+        raise ValueError("not Hermitian")
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    if np.maximum(abs(tr.real - 1.0), abs(tr.imag)).max(initial=0.0) > TRACE_TOL:
+        raise ValueError("trace differs from one")
+    if np.linalg.eigvalsh(mats)[..., 0].min(initial=0.0) < EIG_FLOOR:
+        raise ValueError("not positive semidefinite")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive, unit-trace operator on a declared tensor-factor space.
 
     Construction validates Hermiticity (1e-10), trace (1e-10) and
-    positivity (smallest eigenvalue >= -1e-8); invalid states raise.
+    positivity (smallest eigenvalue >= -1e-8) with check_density_stack;
+    invalid states raise.
     """
 
     space: HilbertSpace
@@ -95,14 +119,7 @@ class DensityMatrix:
         d = self.space.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {d}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError("trace differs from one")
-        if np.linalg.eigvalsh(m)[0] < EIG_FLOOR:
-            raise ValueError("not positive semidefinite")
+        check_density_stack(m[None])
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -145,6 +162,64 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept factors, order preserved."""
     sub = rho.space.subspace(keep)
     return DensityMatrix(sub, partial_trace_mat(rho.mat, rho.space.dims, keep))
+
+
+def reduced_entry_stack(
+    codes: Array,
+    entries: Array,
+    dims: Sequence[int],
+    keep: Iterable[int],
+    index: Optional[Sequence[int]] = None,
+) -> Array:
+    """Partial traces of a stack of matrices given by their nonzero entries.
+
+    Row s of the (n, k) array ``entries`` holds matrix s at the flat
+    indices ``codes`` (i * d + j) of the space with factor dimensions
+    ``dims``; every other entry is zero.  Returns the (n, m, m) stack of
+    the reduced matrices on the factors ``keep`` (order preserved),
+    restricted to the basis states ``index`` of the kept space (all of
+    them by default).  No d x d matrix is formed: each traced factor,
+    last first as in partial_trace_mat, is summed out of the entries of
+    the whole stack at once, term by term in the order np.trace adds
+    them there.
+    """
+    dims = [int(d) for d in dims]
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError("bad subsystem")
+    codes = np.asarray(codes, dtype=np.int64)
+    entries = np.asarray(entries, dtype=complex)
+    for f in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        inner, size, d = math.prod(dims[f + 1:]), dims[f], math.prod(dims)
+        rows, cols = np.divmod(codes, d)
+        on_diag = np.flatnonzero(rows // inner % size == cols // inner % size)
+
+        def without_f(i):
+            return i // (inner * size) * inner + i % inner
+
+        merged = without_f(rows[on_diag]) * (d // size) + without_f(cols[on_diag])
+        order = np.argsort(merged, kind="stable")
+        merged, terms = merged[order], entries[:, on_diag[order]]
+        starts = np.flatnonzero(np.diff(merged, prepend=-1))
+        counts = np.diff(starts, append=merged.size)
+        # add the terms of each reduced entry one at a time, in ascending
+        # order of factor f's index
+        entries = terms[:, starts]
+        for j in range(1, counts.max(initial=1)):
+            more = counts > j
+            entries[:, more] += terms[:, starts[more] + j]
+        codes = merged[starts]
+        del dims[f]
+    dk = math.prod(dims)
+    index = np.arange(dk) if index is None else np.asarray(index, dtype=np.int64)
+    m = index.size
+    pos = np.full(dk, -1)
+    pos[index] = np.arange(m)
+    r, c = pos[codes // dk], pos[codes % dk]
+    inside = (r >= 0) & (c >= 0)
+    out = np.zeros((entries.shape[0], m * m), dtype=complex)
+    out[:, r[inside] * m + c[inside]] = entries[:, inside]
+    return out.reshape(entries.shape[0], m, m)
 
 
 def hermitian_eigen(m) -> tuple[Array, Array]:
@@ -215,16 +290,20 @@ def propagate(rho: DensityMatrix, h, t: float) -> DensityMatrix:
     return SpectralPropagator.from_hamiltonian(hm).apply(rho, t)
 
 
-def entropy_of_spectrum(values) -> float:
-    """Base-2 von Neumann entropy of a probability spectrum.
+def entropy_of_spectra(values) -> Array:
+    """Base-2 entropies of probability spectra along the last axis.
 
-    Values below 1e-12 are treated as exact zeros (0 log 0 := 0).
+    Values at or below 1e-12 are treated as exact zeros (0 log 0 := 0).
     """
     v = np.asarray(values, dtype=float)
-    v = v[v > ENTROPY_CLIP]
-    if v.size == 0:
-        return 0.0
-    return float(-np.sum(v * np.log2(v)))
+    kept = v > ENTROPY_CLIP
+    terms = np.where(kept, v * np.log2(np.where(kept, v, 1.0)), 0.0)
+    return -np.sum(terms, axis=-1)
+
+
+def entropy_of_spectrum(values) -> float:
+    """Base-2 von Neumann entropy of one probability spectrum."""
+    return float(entropy_of_spectra(values))
 
 
 def entropy_bits(rho) -> float:
@@ -232,10 +311,14 @@ def entropy_bits(rho) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(_as_matrix(rho)))
 
 
+def trace_distance_stack(a: Array, b: Array) -> Array:
+    """(1/2) * trace norm of a - b for (broadcast) stacks of Hermitian matrices."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+
+
 def trace_distance(a, b) -> float:
     """(1/2) * trace norm of the difference of two states."""
-    diff = _as_matrix(a) - _as_matrix(b)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(trace_distance_stack(_as_matrix(a)[None], _as_matrix(b)[None])[0])
 
 
 def fidelity(a, b) -> float:

@@ -7,9 +7,11 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,19 @@ from qprobe.dynamics import (
     ModelConfig,
     ModelVariant,
     NoiseConfig,
+    initial_joint,
+    integrate_master,
+    sigma_z_expectation,
 )
-from qprobe.protocols import MAX_QND_CYCLES, MAX_SHOTS, run_probe_cycle
+from qprobe.measures import _wootters_concurrence, concurrence, mutual_information
+from qprobe.protocols import (
+    MAX_QND_CYCLES,
+    MAX_SHOTS,
+    boson_pair_to_qubits,
+    run_probe_cycle,
+)
+from qprobe.qcore import trace_distance
+from qprobe.states import ProbePrep, one_param_density
 
 
 def run(args):
@@ -150,6 +163,56 @@ class TestEvolveCommand:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[1] == pytest.approx(0.25, abs=1e-6)  # revived concurrence
         assert last[3] == pytest.approx(0.0, abs=1e-6)   # sigma_z at t1
+
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "secii-boson", "--gamma", "0.1", "--x", "0.5"],
+        ["--model", "secii-boson", "--gamma", "0.1", "--x", "0.8"],
+        ["--model", "seciii-full", "--delta", "10", "--x", "0.6"],
+    ], ids=["secii-boson-0.5", "secii-boson-0.8", "seciii-full"])
+    def test_rows_match_per_sample_library_path(self, args, tmp_path, capsys):
+        # the CLI reduces and measures all samples as stacks; each row must
+        # print what the DensityMatrix views give one sample at a time
+        out = tmp_path / "e.csv"
+        assert run(["evolve", *args, "--out", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        opts = dict(zip(args[::2], args[1::2]))
+        cfg = ModelConfig(
+            ModelVariant.RESONANT_BOSON if opts["--model"] == "secii-boson"
+            else ModelVariant.DISPERSIVE_FULL,
+            delta=float(opts["--delta"]) if "--delta" in opts else None,
+        )
+        x = float(opts["--x"])
+        res = integrate_master(
+            initial_joint(x, cfg, ProbePrep.GROUND), cfg,
+            NoiseConfig(gamma=float(opts.get("--gamma", 0.0))), 10.0,
+            sample_times=np.linspace(0.0, 10.0, 201),
+        )
+        rho0 = one_param_density(x)
+        assert len(rows) == len(res.times) == 201
+        for row, t, ab, probe in zip(rows, res.times, res.reduced_ab, res.probe):
+            if cfg.variant is ModelVariant.RESONANT_BOSON:
+                ab = boson_pair_to_qubits(ab)
+            expect = (t, concurrence(ab), mutual_information(ab),
+                      sigma_z_expectation(probe), probe.mat[0, 0].real,
+                      trace_distance(ab.mat, rho0.mat))
+            assert row == [fmt(v) for v in expect]
+            # Wootters' square-root route loses up to 5.3e-9 at rank-deficient states
+            assert float(row[1]) == pytest.approx(_wootters_concurrence(ab.mat), abs=1e-8)
+
+    def test_memory_bounded_at_largest_truncation(self, tmp_path, capsys):
+        # seciii-full at n_max = 10 has d = 968: one d x d matrix takes
+        # 15 MB, and holding every sample as one took 2.9 GB here
+        d = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0, n_max=MAX_NMAX).space.dim
+        tracemalloc.start()
+        try:
+            assert run(["evolve", "--x", "0.75", "--model", "seciii-full", "--delta", "10",
+                        "--nmax", MAX_NMAX, "--t-end", "0.01", "--samples", "201",
+                        "--out", tmp_path / "e.csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d ** 2 * 8  # eight d x d matrices
 
 
 class TestProbeCommand:

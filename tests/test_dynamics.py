@@ -12,6 +12,7 @@ from qprobe.dynamics import (
     MAX_RK4_STEPS,
     MIN_SAMPLE_GAP,
     PROBE_SIGMA_Z,
+    EvolutionResult,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
@@ -27,7 +28,7 @@ from qprobe.dynamics import (
 )
 from qprobe.measures import concurrence, concurrence_time_formula, discord
 from qprobe.protocols import boson_pair_to_qubits
-from qprobe.qcore import SpectralPropagator, partial_trace
+from qprobe.qcore import DensityMatrix, SpectralPropagator, partial_trace
 from qprobe.states import ProbePrep, corner_swap, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
@@ -438,6 +439,66 @@ class TestIntegratorOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * d ** 4 / 10
+
+
+class TestEvolutionResult:
+    @staticmethod
+    def run():
+        return integrate_master(initial_joint(0.7, BOSON, ProbePrep.GROUND), BOSON,
+                                NoiseConfig(gamma=0.1), 1.0,
+                                sample_times=np.linspace(0.0, 1.0, 6))
+
+    def test_views_match_the_stack(self):
+        res = self.run()
+        d = BOSON.space.dim
+        assert res.entries.shape == (6, 35)
+        for row, joint, ab, probe in zip(res.entries, res.joint_states, res.reduced_ab,
+                                         res.probe):
+            full = np.zeros(d * d, dtype=complex)
+            full[res.codes] = row
+            assert np.array_equal(joint.mat, full.reshape(d, d))
+            assert np.allclose(ab.mat, partial_trace(joint, {0, 1}).mat, rtol=0, atol=1e-16)
+            assert np.allclose(probe.mat, partial_trace(joint, {2}).mat, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("non-finite", "non-finite entries"),
+        ("non-Hermitian", "not Hermitian"),
+        ("trace", "trace differs from one"),
+        ("negative", "not positive semidefinite"),
+    ])
+    def test_one_bad_row_raises_the_density_matrix_error(self, corrupt, message):
+        res = self.run()
+        d = BOSON.space.dim
+        rows, cols = np.divmod(res.codes, d)
+        diag = np.flatnonzero(rows == cols)
+        entries = np.array(res.entries)
+        bad = entries[3]
+        if corrupt == "non-finite":
+            bad[0] = np.nan
+        elif corrupt == "non-Hermitian":
+            bad[np.flatnonzero(rows != cols)[0]] += 2e-10
+        elif corrupt == "trace":
+            bad[diag[0]] += 2e-10
+        else:
+            # move population off the least populated touched state, past
+            # the -1e-8 eigenvalue floor, keeping the trace
+            low, high = diag[np.argmin(bad[diag].real)], diag[np.argmax(bad[diag].real)]
+            shift = bad[low].real + 2e-8
+            bad[low] -= shift
+            bad[high] += shift
+        full = np.zeros(d * d, dtype=complex)
+        full[res.codes] = bad
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(BOSON.space, full.reshape(d, d))
+        with pytest.raises(ValueError) as stack:
+            EvolutionResult(res.times, res.space, res.codes, entries)
+        assert str(stack.value) == str(single.value) == message
+
+    def test_valid_stack_accepted_and_frozen(self):
+        res = self.run()
+        again = EvolutionResult(res.times, res.space, res.codes, res.entries)
+        with pytest.raises(ValueError):
+            again.entries[0, 0] = 1.0
 
 
 def reachable_count(cfg, noise, prep=ProbePrep.GROUND):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qprobe import protocols
+from qprobe import measures, protocols
 from qprobe.measures import (
     GRID_THETA_POLAR,
     RESONANT_READOUT,
@@ -13,15 +13,18 @@ from qprobe.measures import (
     _conditional_entropy_batch,
     _min_conditional_entropy_polar,
     _min_conditional_entropy_sphere,
+    _wootters_concurrence,
     classical_correlation_closed_form,
     classical_correlation_optimized,
     concurrence,
+    concurrence_stack,
     concurrence_time_formula,
     conditional_entropy,
     correlation_report,
     discord,
     infer_from_sigmaz,
     mutual_information,
+    mutual_information_stack,
     xstate_spectrum,
 )
 from qprobe.qcore import DensityMatrix, HilbertSpace, kron, entropy_bits, partial_trace
@@ -36,6 +39,7 @@ from qprobe.states import (
 from qprobe.dynamics import resonant_closed_form
 
 SPACE = HilbertSpace((2, 2), ("A", "B"))
+PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 # frozen oracle values (binary entropies evaluated by direct arithmetic)
 H2_THIRD = 0.9182958340544896          # H2(1/3)
@@ -92,6 +96,51 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence(single)
 
+    @pytest.mark.parametrize("x", [0.5, 0.5 + 1e-7, 0.55, 0.6, 2.0 / 3.0, 0.7, 0.75,
+                                   0.8, 0.9, 0.95, 1.0 - 1e-7, 1.0])
+    def test_family_closed_form_accuracy(self, x):
+        # Wootters' route through sqrt(rho) was 6.8e-12 off at 0.5 + 1e-7
+        assert abs(concurrence(one_param_density(x)) - abs(2.0 - 3.0 * x)) <= 1e-14
+
+    @PROPERTIES
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=4, max_size=4),
+    )
+    def test_closed_form_matches_wootters_on_full_rank_x_states(self, weights, angles):
+        # X states with every eigenvalue >= 1e-3 and complex |00><11| and
+        # |01><10| coherences; Wootters is accurate away from rank deficiency
+        w = np.array(weights)
+        assume(w.sum() > 1e-6)
+        w = 1e-3 + (1.0 - 4e-3) * w / w.sum()
+        mat = np.zeros((4, 4), dtype=complex)
+        for (i, j), (a, b), (theta, phi) in zip(
+            ((0, 3), (1, 2)), ((w[0], w[1]), (w[2], w[3])), (angles[:2], angles[2:])
+        ):
+            u = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+                          [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+            mat[np.ix_([i, j], [i, j])] = u @ np.diag([a, b]) @ u.conj().T
+        rho = DensityMatrix(SPACE, mat)
+        assert np.linalg.eigvalsh(rho.mat)[0] >= 1e-3 - 1e-12
+        assert concurrence(rho) == pytest.approx(_wootters_concurrence(rho.mat), abs=1e-12)
+
+    def test_one_entry_off_the_x_takes_wootters(self, monkeypatch):
+        calls = []
+
+        def spy(mat):
+            calls.append(mat)
+            return _wootters_concurrence(mat)
+
+        monkeypatch.setattr(measures, "_wootters_concurrence", spy)
+        x_state = 0.8 * one_param_density(0.9).mat + 0.05 * np.eye(4)
+        off_x = x_state.copy()
+        off_x[0, 1] = off_x[1, 0] = 1e-3
+        mats = np.array([x_state, off_x, x_state])
+        values = concurrence_stack(mats)
+        assert len(calls) == 1 and np.array_equal(calls[0], off_x)
+        assert values[1] == _wootters_concurrence(off_x)
+        assert values[0] == values[2] == pytest.approx(_wootters_concurrence(x_state), abs=1e-12)
+
 
 class TestConcurrenceTimeFormula:
     def test_touching_zero(self):
@@ -127,6 +176,13 @@ class TestMutualInformation:
         joint = join_with_probe(one_param_density(0.75), ProbePrep.GROUND)
         with pytest.raises(ValueError):
             mutual_information(joint)
+
+    def test_stack_rows_match(self):
+        rng = np.random.default_rng(5)
+        states = [product_state(rng), one_param_density(0.6), one_param_density(1.0),
+                  corner_swap(one_param_density(0.9))]
+        got = mutual_information_stack(np.array([r.mat for r in states]))
+        assert got.tolist() == [mutual_information(r) for r in states]
 
 
 class TestConditionalEntropy:
@@ -399,8 +455,6 @@ class TestInferFromSigmaZ:
 
 # ---------------------------------------------------------------------------
 # excitation-conserving states: the 1-D polar search against the 2-D search
-
-PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 @st.composite

@@ -11,10 +11,13 @@ from qprobe.qcore import (
     hermitian_eigen,
     kron,
     partial_trace,
+    partial_trace_mat,
     propagate,
     psd_sqrt,
     psd_sqrt_mat,
+    reduced_entry_stack,
     trace_distance,
+    trace_distance_stack,
 )
 from qprobe.states import one_param_density
 
@@ -132,6 +135,39 @@ class TestPartialTrace:
         joint = dm(kron(kron(ra, rb), rc), (2, 2, 2))
         got = partial_trace(joint, {0, 2}).mat
         assert np.max(np.abs(got - kron(ra, rc))) < 1e-13
+
+
+class TestReducedEntryStack:
+    DIMS = (3, 2, 4)
+
+    def sparse_stack(self, seed):
+        # random matrices with 60% of their entries exactly zero
+        rng = np.random.default_rng(seed)
+        d = int(np.prod(self.DIMS))
+        mats = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        mats[:, rng.random((d, d)) < 0.6] = 0.0
+        codes = np.flatnonzero(np.any(mats.reshape(5, -1) != 0, axis=0))
+        return mats, codes, mats.reshape(5, -1)[:, codes]
+
+    @pytest.mark.parametrize("keep", [{0}, {1}, {2}, {0, 2}, {1, 2}, {0, 1, 2}])
+    def test_matches_dense_partial_trace(self, keep):
+        mats, codes, entries = self.sparse_stack(31)
+        got = reduced_entry_stack(codes, entries, self.DIMS, keep)
+        ref = np.array([partial_trace_mat(m, self.DIMS, keep) for m in mats])
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+    def test_restriction_to_basis_states(self):
+        mats, codes, entries = self.sparse_stack(32)
+        index = [0, 2, 5]
+        got = reduced_entry_stack(codes, entries, self.DIMS, {0, 2}, index)
+        ref = [partial_trace_mat(m, self.DIMS, {0, 2})[np.ix_(index, index)] for m in mats]
+        assert np.max(np.abs(got - np.array(ref))) < 1e-14
+
+    def test_bad_subsystem(self):
+        _, codes, entries = self.sparse_stack(33)
+        for keep in ({3}, set()):
+            with pytest.raises(ValueError, match="bad subsystem"):
+                reduced_entry_stack(codes, entries, self.DIMS, keep)
 
 
 class TestHermitianEigen:
@@ -259,6 +295,13 @@ class TestEntropy:
 class TestMetrics:
     def test_trace_distance_orthogonal_pure(self):
         assert abs(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) - 1.0) < 1e-14
+
+    def test_trace_distance_stack_rows_match(self):
+        rng = np.random.default_rng(41)
+        stack = np.array([random_psd(rng, 4) for _ in range(6)])
+        ref = one_param_density(0.8).mat
+        got = trace_distance_stack(stack, ref)
+        assert got.tolist() == [trace_distance(m, ref) for m in stack]
 
     def test_fidelity_identical(self):
         rho = one_param_density(0.8).mat
