@@ -22,13 +22,13 @@ import numpy as np
 
 from . import svgplot
 from .dynamics import (
+    TWO_LEVEL_INDEX,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
     integrate_master,
     initial_joint,
     sigma_z_stack,
-    two_level_index,
 )
 from .measures import (
     CorrelationReport,
@@ -92,7 +92,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "x-step": dict(type=float, help="sweep grid step (default 0.01)"),
         "gamma": dict(type=float, help="spontaneous emission rate in units of g"),
         "delta": dict(type=float, help="detuning in units of g"),
-        "nmax": dict(type=int, help="boson truncation per cavity (default 2)"),
         "model": dict(choices=sorted(MODEL_CHOICES), help="model variant"),
         "t-end": dict(type=float, help="evolution time in units of 1/g"),
         "dt": dict(type=float, help="integrator step in units of 1/g (default 1e-3)"),
@@ -120,18 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep over x, CSV output")
     _add_common(p, "x-start", "x-stop", "x-step", "gamma", "dt", "model",
-                "nmax", "out", "config")
+                "out", "config")
     p.add_argument("--emit-svg", action="store_true", default=None,
                    help="also render the correlation columns next to the CSV")
 
     p = sub.add_parser("evolve", help="time evolution of one configuration, CSV output")
-    _add_common(p, "x", "model", "gamma", "delta", "nmax", "t-end", "dt",
-                "out", "config")
+    _add_common(p, "x", "model", "gamma", "delta", "t-end", "dt", "out", "config")
     p.add_argument("--samples", type=int, default=None,
                    help="number of sample times (default 201)")
 
     p = sub.add_parser("probe", help="single ground-probe readout cycle")
-    _add_common(p, "x", "gamma", "model", "nmax", "shots", "seed", "out", "config")
+    _add_common(p, "x", "gamma", "model", "shots", "seed", "out", "config")
     p.add_argument("--n", type=int, default=None,
                    help="odd number of half periods (default 1)")
 
@@ -186,7 +184,6 @@ def _model_config(opts: dict) -> ModelConfig:
     return ModelConfig(
         variant=MODEL_CHOICES[opts["model"]],
         delta=float(opts["delta"]) if opts.get("delta") is not None else None,
-        n_max=int(opts["nmax"]) if opts.get("nmax") is not None else 2,
     )
 
 
@@ -251,7 +248,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
         "x_start": 0.5, "x_stop": 1.0, "x_step": 0.01,
         "gamma": 0.0, "dt": 1e-3,
-        "model": "secii-qubit", "nmax": 2, "out": "sweep.csv",
+        "model": "secii-qubit", "out": "sweep.csv",
         "emit_svg": False,
     })
     cfg = _model_config({**opts, "delta": None})
@@ -291,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
         "x": None, "model": "secii-qubit", "gamma": 0.0,
-        "delta": None, "nmax": 2, "t_end": 10.0, "dt": 1e-3,
+        "delta": None, "t_end": 10.0, "dt": 1e-3,
         "samples": 201, "out": "evolve.csv",
     })
     x = _require_x(opts)
@@ -312,8 +309,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                            sample_times=times)
     # every sample at once, as (n, 4, 4) pair and (n, 2, 2) probe stacks
     if cfg.variant is ModelVariant.RESONANT_BOSON:
-        ab = boson_pair_to_qubits_stack(
-            res.reduced_stack({0, 1}, two_level_index(cfg.space.dims[0])))
+        ab = boson_pair_to_qubits_stack(res.reduced_stack({0, 1}, TWO_LEVEL_INDEX))
     else:
         ab = res.reduced_stack({0, 1})
     pc = res.reduced_stack({2})
@@ -334,7 +330,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
-        "x": None, "gamma": 0.0, "model": "secii-qubit", "nmax": 2,
+        "x": None, "gamma": 0.0, "model": "secii-qubit",
         "shots": 0, "seed": 0, "n": 1, "out": None,
     })
     x = _require_x(opts)

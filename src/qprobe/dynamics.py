@@ -6,9 +6,9 @@ Four model variants share one builder interface:
     resonant cavity modes truncated to two levels each (dim 8).  This
     is the baseline: the family's closed-form evolution is exact here.
   * ``RESONANT_BOSON``   -- same geometry with bosonic cavity modes
-    (dim 2*(n_max+1)^2), kept to quantify the truncation deviation.
+    (dim 2*3^2 = 18), kept to quantify the two-level deviation.
   * ``DISPERSIVE_FULL``  -- three atoms coupled to two far-detuned
-    cavities (dim 8*(n_max+1)^2), written in the frame rotating at the
+    cavities (dim 8*3^2 = 72), written in the frame rotating at the
     cavity frequency.  The cavities sit ABOVE the atomic transitions by
     delta, so the atomic detunings are negative; the Stark compensation
     raises the probe atom by 1/(2 delta) so the dressed levels align.
@@ -20,14 +20,17 @@ Four model variants share one builder interface:
 
 Tensor factor order is always (A, B, probe C[, cavity 1, cavity 2]).
 Atom factors use basis order (|e>, |g>); cavity factors use the photon
-number basis.
+number basis with three levels, 0, 1 and 2 photons.  That is exact, not a
+truncation: the cavities start in vacuum, every state ``initial_joint``
+prepares holds at most two excitations, the Hamiltonians conserve that
+number and probe decay only lowers it, so no mode holds a third photon.
 
 Open-system evolution (``integrate_master``) is fixed-step RK4 on the
 density-matrix entries the dynamics can reach from the initial state.
 Every Hamiltonian here conserves excitation number and the probe's
 sigma^- lowers ket and bra together, so that set is small (at most 170
-entries under probe decay) and does not grow with n_max; the RK4 step
-is precomputed as one matrix on it.  The module needs numpy only.
+entries under probe decay); the RK4 step is precomputed as one matrix
+on it.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -73,19 +76,14 @@ class ModelVariant(enum.Enum):
 
 
 _DISPERSIVE = (ModelVariant.DISPERSIVE_FULL, ModelVariant.DISPERSIVE_EFFECTIVE)
-_BOSONIC = (ModelVariant.RESONANT_BOSON, ModelVariant.DISPERSIVE_FULL)
-
-#: largest boson truncation accepted; DISPERSIVE_FULL has dim 968 there
-MAX_NMAX = 10
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Which Hamiltonian to build, plus its detuning and truncation."""
+    """Which Hamiltonian to build, plus its detuning."""
 
     variant: ModelVariant
     delta: Optional[float] = None
-    n_max: int = 2
 
     def __post_init__(self):
         if self.delta is not None and not math.isfinite(self.delta):
@@ -98,8 +96,6 @@ class ModelConfig:
                 raise ValueError(
                     f"detuning {self.delta!r} leaves J = 1/(2 delta) or pi/J not finite"
                 )
-        if self.variant in _BOSONIC and not 2 <= self.n_max <= MAX_NMAX:
-            raise ValueError(f"n_max must lie in [2, {MAX_NMAX}]")
 
     @property
     def j_exchange(self) -> float:
@@ -110,13 +106,12 @@ class ModelConfig:
 
     @property
     def space(self) -> HilbertSpace:
-        nb = self.n_max + 1
         if self.variant is ModelVariant.RESONANT_QUBIT:
             return HilbertSpace((2, 2, 2), ("A", "B", "C"))
         if self.variant is ModelVariant.RESONANT_BOSON:
-            return HilbertSpace((nb, nb, 2), ("A", "B", "C"))
+            return HilbertSpace((3, 3, 2), ("A", "B", "C"))
         if self.variant is ModelVariant.DISPERSIVE_FULL:
-            return HilbertSpace((2, 2, 2, nb, nb), ("A", "B", "C", "cav1", "cav2"))
+            return HilbertSpace((2, 2, 2, 3, 3), ("A", "B", "C", "cav1", "cav2"))
         return HilbertSpace((2, 2, 2), ("A", "B", "C"))
 
 
@@ -186,25 +181,30 @@ def probe_lowering(cfg: ModelConfig) -> Array:
     return _embed({2: ATOM_LOWER}, cfg.space.dims)
 
 
-def two_level_index(nb: int) -> list[int]:
-    """Indices of |00>, |01>, |10>, |11> in the space of two nb-level modes.
-
-    Used through ``np.ix_`` to embed a two-qubit matrix into a pair of
-    bosonic modes and to project it back.
-    """
-    return [0, 1, nb, nb + 1]
+#: indices of |00>, |01>, |10>, |11> in the space of two three-level
+#: modes; used through ``np.ix_`` to embed a two-qubit matrix into a
+#: pair of bosonic modes and to project it back
+TWO_LEVEL_INDEX = (0, 1, 3, 4)
 
 
 def initial_joint(x: float, cfg: ModelConfig, prep: ProbePrep) -> DensityMatrix:
-    """Family state on (A, B), freshly prepared probe, cavities in vacuum."""
+    """Family state on (A, B), freshly prepared probe, cavities in vacuum.
+
+    An excited probe on ``RESONANT_BOSON`` is refused: its |11>
+    component holds three excitations, which can put a third photon
+    into one mode.
+    """
     rho_ab = one_param_density(x).mat
     dims = cfg.space.dims
 
     if cfg.variant is ModelVariant.RESONANT_BOSON:
-        nb = dims[0]
-        idx = two_level_index(nb)
-        big = np.zeros((nb * nb, nb * nb), dtype=complex)
-        big[np.ix_(idx, idx)] = rho_ab
+        if prep is ProbePrep.EXCITED:
+            raise ValueError(
+                "an excited probe on the bosonic resonant model needs a third "
+                "photon per mode; only the ground probe is supported"
+            )
+        big = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+        big[np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)] = rho_ab
         rho_ab = big
 
     parts = [rho_ab, prep.matrix]
@@ -456,10 +456,10 @@ def integrate_master(
     The state is evolved on the entries it can reach from rho0 (see
     ``reachable_entries``; under probe decay 19 of 64 for the resonant
     qubit model with a ground probe and at most 170 for the full
-    dispersive model, whatever n_max).  The generator G restricted to
-    them is built once per call, and the RK4 polynomial of a step of
-    length dt, M = I + dt G (I + dt G/2 (I + dt G/3 (I + dt G/4))) (the
-    classic k1..k4 step for this linear, time-independent generator), is
+    dispersive model).  The generator G restricted to them is built
+    once per call, and the RK4 polynomial of a step of length dt,
+    M = I + dt G (I + dt G/2 (I + dt G/3 (I + dt G/4))) (the classic
+    k1..k4 step for this linear, time-independent generator), is
     formed once, so each full step is one mat-vec; shorter steps apply
     the same polynomial to the vector.  The state is re-Hermitized
     after every step, and the samples are returned as the (n, k) stack
@@ -588,9 +588,8 @@ def dispersive_deviation(
     Evolves the family state with an excited probe and vacuum cavities
     under the full (Stark-compensated) model, reduces to the three
     atoms and compares against the exchange model over [0, t_end]
-    (default: one transfer period).  Runs at truncation n_max = 2 and 3
-    and raises when the two disagree by more than 10%, which signals a
-    non-converged truncation.
+    (default: one transfer period).  The cavities' three Fock levels
+    are exact here (see the module docstring), so one run suffices.
     """
     if delta_over_g < MIN_DISPERSIVE_DELTA:
         raise ValueError(f"dispersive comparison needs delta >= {MIN_DISPERSIVE_DELTA:g} g")
@@ -601,22 +600,12 @@ def dispersive_deviation(
 
     eff_prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(eff_cfg))
     eff0 = initial_joint(x, eff_cfg, ProbePrep.EXCITED).mat
-
-    def run(n_max: int) -> float:
-        cfg = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=delta_over_g, n_max=n_max)
-        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
-        full0 = initial_joint(x, cfg, ProbePrep.EXCITED).mat
-        dims = cfg.space.dims
-        worst = 0.0
-        for t in times:
-            full_abc = partial_trace_mat(prop.apply_mat(full0, t), dims, {0, 1, 2})
-            eff_abc = eff_prop.apply_mat(eff0, t)
-            d = trace_distance(_phase_twirl(full_abc), _phase_twirl(eff_abc))
-            worst = max(worst, d)
-        return worst
-
-    d2 = run(2)
-    d3 = run(3)
-    if abs(d2 - d3) > 0.1 * max(d2, d3) and abs(d2 - d3) > 1e-9:
-        raise ValueError("increase n_max")
-    return d2
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=delta_over_g)
+    prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
+    full0 = initial_joint(x, cfg, ProbePrep.EXCITED).mat
+    worst = 0.0
+    for t in times:
+        full_abc = partial_trace_mat(prop.apply_mat(full0, t), cfg.space.dims, {0, 1, 2})
+        eff_abc = eff_prop.apply_mat(eff0, t)
+        worst = max(worst, trace_distance(_phase_twirl(full_abc), _phase_twirl(eff_abc)))
+    return worst

@@ -51,6 +51,7 @@ from .states import (
 from .dynamics import (
     DEFAULT_DT,
     MIN_DISPERSIVE_DELTA,
+    TWO_LEVEL_INDEX,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
@@ -58,7 +59,6 @@ from .dynamics import (
     initial_joint,
     integrate_master,
     sigma_z_expectation,
-    two_level_index,
 )
 
 RESTORED_TOL = 1e-8
@@ -305,7 +305,7 @@ def run_probe_cycle(
 def boson_pair_to_qubits_stack(blocks: np.ndarray) -> np.ndarray:
     """Conditional pair states from their (n, 4, 4) {0, 1}-photon blocks.
 
-    ``blocks`` holds each pair state restricted to ``two_level_index``;
+    ``blocks`` holds each pair state restricted to ``TWO_LEVEL_INDEX``;
     every block is renormalized to unit trace and checked as
     DensityMatrix checks a state.
     """
@@ -321,8 +321,7 @@ def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
     and the block renormalized, so the measures see the state actually
     comparable with the two-level family.
     """
-    idx = two_level_index(reduced.space.dims[0])
-    block = reduced.mat[np.ix_(idx, idx)]
+    block = reduced.mat[np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)]
     return DensityMatrix(two_qubit_space(), boson_pair_to_qubits_stack(block[None])[0])
 
 

@@ -1,10 +1,10 @@
 """Dense complex-matrix algebra and Hilbert-space bookkeeping.
 
 Everything is ordinary dense numpy on complex128.  The largest model
-has dimension 968 (the full dispersive model at n_max = 10); the states
-the integrator produces are never formed as d x d matrices there, but
+has dimension 72 (the full dispersive model); the states the
+integrator produces are never formed as d x d matrices there, but
 kept as stacks of the few entries the dynamics reach, and validated
-and reduced on the basis states those entries touch (at most 18 of 968
+and reduced on the basis states those entries touch (at most 18 of 72
 from the models' initial states).  All containers are frozen
 dataclasses holding read-only arrays, so a state checked once at
 construction cannot be changed afterwards through an alias of its

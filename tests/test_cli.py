@@ -7,7 +7,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 import qprobe
 from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
 from qprobe.dynamics import (
-    MAX_NMAX,
     MIN_DISPERSIVE_DELTA,
     MIN_SAMPLE_GAP,
     ModelConfig,
@@ -200,20 +198,6 @@ class TestEvolveCommand:
             # Wootters' square-root route loses up to 5.3e-9 at rank-deficient states
             assert float(row[1]) == pytest.approx(_wootters_concurrence(ab.mat), abs=1e-8)
 
-    def test_memory_bounded_at_largest_truncation(self, tmp_path, capsys):
-        # seciii-full at n_max = 10 has d = 968: one d x d matrix takes
-        # 15 MB, and holding every sample as one took 2.9 GB here
-        d = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0, n_max=MAX_NMAX).space.dim
-        tracemalloc.start()
-        try:
-            assert run(["evolve", "--x", "0.75", "--model", "seciii-full", "--delta", "10",
-                        "--nmax", MAX_NMAX, "--t-end", "0.01", "--samples", "201",
-                        "--out", tmp_path / "e.csv"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * d ** 2 * 8  # eight d x d matrices
-
 
 class TestProbeCommand:
     def test_exact_readout(self, capsys):
@@ -331,11 +315,23 @@ class TestInputValidation:
         assert str(MAX_EVOLVE_SAMPLES) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_boson_truncation_bounded(self, tmp_path, capsys):
-        out = tmp_path / "e.csv"
-        assert run(["evolve", "--x", "0.7", "--model", "secii-boson", "--nmax", "1000",
-                    "--out", out]) == 2
-        assert str(MAX_NMAX) in capsys.readouterr().err
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--model", "secii-boson"],
+        ["evolve", "--x", "0.75", "--model", "secii-boson"],
+        ["probe", "--x", "0.75", "--model", "secii-boson"],
+    ], ids=["sweep", "evolve", "probe"])
+    def test_boson_truncation_is_not_an_option(self, args, via, tmp_path, capsys):
+        # three Fock levels per mode are exact, so there is no truncation to set
+        out = tmp_path / "out"
+        if via == "flag":
+            extra, message = ["--nmax", "2"], "unrecognized arguments"
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"nmax": 2}))
+            extra, message = ["--config", cfg], "'nmax'"
+        assert run([*args, *extra, "--out", out]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qprobe.dynamics import (
+    ATOM_LOWER,
+    ATOM_NUMBER,
+    ATOM_RAISE,
     DEFAULT_DT,
-    MAX_NMAX,
     MAX_REACHABLE,
     MAX_RK4_STEPS,
     MIN_SAMPLE_GAP,
@@ -16,6 +19,9 @@ from qprobe.dynamics import (
     ModelConfig,
     ModelVariant,
     NoiseConfig,
+    _embed,
+    _restricted_generator,
+    boson_lower,
     build_hamiltonian,
     dispersive_deviation,
     excitation_number,
@@ -28,11 +34,11 @@ from qprobe.dynamics import (
 )
 from qprobe.measures import concurrence, concurrence_time_formula, discord
 from qprobe.protocols import boson_pair_to_qubits
-from qprobe.qcore import DensityMatrix, SpectralPropagator, partial_trace
+from qprobe.qcore import DensityMatrix, SpectralPropagator, partial_trace, reduced_entry_stack
 from qprobe.states import ProbePrep, corner_swap, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
-BOSON = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
+BOSON = ModelConfig(ModelVariant.RESONANT_BOSON)
 FULL = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)
 EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
 
@@ -47,16 +53,6 @@ class TestModelConfig:
     def test_dispersive_needs_detuning(self):
         with pytest.raises(ValueError):
             ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE)
-
-    def test_boson_truncation_floor(self):
-        with pytest.raises(ValueError):
-            ModelConfig(ModelVariant.RESONANT_BOSON, n_max=1)
-
-    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_BOSON, ModelVariant.DISPERSIVE_FULL])
-    def test_boson_truncation_cap(self, variant):
-        assert ModelConfig(variant, delta=10.0, n_max=MAX_NMAX).n_max == MAX_NMAX
-        with pytest.raises(ValueError, match=str(MAX_NMAX)):
-            ModelConfig(variant, delta=10.0, n_max=MAX_NMAX + 1)
 
     @pytest.mark.parametrize("kwargs", [
         dict(variant=ModelVariant.DISPERSIVE_FULL, delta=float("inf")),
@@ -82,10 +78,8 @@ class TestModelConfig:
 
     def test_dimensions(self):
         assert ModelConfig(ModelVariant.RESONANT_QUBIT).space.dim == 8
-        assert ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2).space.dim == 2 * 9
-        assert ModelConfig(
-            ModelVariant.DISPERSIVE_FULL, delta=20.0, n_max=2
-        ).space.dim == 8 * 9
+        assert ModelConfig(ModelVariant.RESONANT_BOSON).space.dim == 2 * 9
+        assert ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=20.0).space.dim == 8 * 9
         assert ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0).space.dim == 8
 
 
@@ -129,8 +123,8 @@ class TestBuildHamiltonian:
         "cfg",
         [
             QUBIT,
-            ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2),
-            ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=20.0, n_max=2),
+            ModelConfig(ModelVariant.RESONANT_BOSON),
+            ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=20.0),
             ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0),
         ],
         ids=["res-qubit", "res-boson", "disp-full", "disp-eff"],
@@ -315,11 +309,10 @@ class TestIntegrateMaster:
                 )
 
     def test_space_mismatch_rejected(self):
-        cfg_b = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
         with pytest.raises(ValueError):
             integrate_master(
                 initial_joint(0.75, QUBIT, ProbePrep.GROUND),
-                cfg_b,
+                BOSON,
                 NoiseConfig(),
                 1.0,
             )
@@ -516,12 +509,6 @@ class TestReachableEntries:
     def test_probe_decay_sizes(self, cfg, prep, size):
         assert reachable_count(cfg, NoiseConfig(gamma=0.1), prep) == size
 
-    def test_size_does_not_grow_with_truncation(self):
-        # the step cost stays that of 35 entries, whatever n_max
-        sizes = [reachable_count(ModelConfig(ModelVariant.RESONANT_BOSON, n_max=n),
-                                 NoiseConfig(gamma=0.1)) for n in (2, MAX_NMAX)]
-        assert sizes == [35, 35]
-
     def test_sector_breaking_operator_enlarges_the_set(self):
         op = np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]]))
         size = reachable_count(QUBIT, NoiseConfig(collapse_ops=((0.03, op),)))
@@ -554,17 +541,15 @@ class TestReachableEntries:
 
 class TestBosonModel:
     def test_two_level_embedding_round_trip(self):
-        cfg = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=3)
         for x in (0.5, 0.75, 1.0):
-            ab = partial_trace(initial_joint(x, cfg, ProbePrep.GROUND), {0, 1})
+            ab = partial_trace(initial_joint(x, BOSON, ProbePrep.GROUND), {0, 1})
             assert np.allclose(boson_pair_to_qubits(ab).mat,
                                one_param_density(x).mat, rtol=0.0, atol=1e-15)
 
     def test_excitation_conserved(self):
-        cfg = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
-        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
-        joint0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
-        n_op = excitation_number(cfg)
+        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(BOSON))
+        joint0 = initial_joint(0.75, BOSON, ProbePrep.GROUND)
+        n_op = excitation_number(BOSON)
         e0 = np.trace(n_op @ joint0.mat).real
         for t in np.linspace(0.0, 10.0, 21):
             et = np.trace(n_op @ prop.apply(joint0, t).mat).real
@@ -573,15 +558,107 @@ class TestBosonModel:
     def test_two_level_truncation_is_load_bearing(self):
         # with true bosonic modes the double-occupancy component leaks
         # into two-photon states and the probe law breaks down by O(0.1)
-        cfg = ModelConfig(ModelVariant.RESONANT_BOSON, n_max=2)
-        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
-        joint0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
+        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(BOSON))
+        joint0 = initial_joint(0.75, BOSON, ProbePrep.GROUND)
         worst = 0.0
         for gt in np.linspace(0.0, np.pi, 41):
             probe = partial_trace(prop.apply(joint0, gt), {2})
             pe = float(probe.mat[0, 0].real)
             worst = max(worst, abs(pe - 2 * 0.25 * np.sin(gt) ** 2))
         assert worst > 0.05
+
+    def test_excited_probe_refused(self):
+        with pytest.raises(ValueError, match="third photon per mode"):
+            initial_joint(0.75, BOSON, ProbePrep.EXCITED)
+
+
+# ---------------------------------------------------------------------------
+# three Fock levels per mode are exact: the same models at four levels
+
+def _coupling(dims, atom, cav):
+    a = boson_lower(dims[cav])
+    term = _embed({atom: ATOM_RAISE, cav: a}, dims)
+    return term + term.conj().T
+
+
+def four_level_model(cfg):
+    """Hamiltonian, probe sigma^- and factor dims of ``cfg`` at four Fock levels."""
+    lam = 1.0 / np.sqrt(2.0)
+    if cfg.variant is ModelVariant.RESONANT_BOSON:
+        dims = (4, 4, 2)
+        h = lam * (_coupling(dims, 2, 0) + _coupling(dims, 2, 1))
+    else:
+        dims = (2, 2, 2, 4, 4)
+        det_ab = -cfg.delta - cfg.j_exchange
+        h = -cfg.delta * _embed({2: ATOM_NUMBER}, dims)
+        h += det_ab * (_embed({0: ATOM_NUMBER}, dims) + _embed({1: ATOM_NUMBER}, dims))
+        h += lam * (_coupling(dims, 2, 3) + _coupling(dims, 2, 4)
+                    + _coupling(dims, 0, 3) + _coupling(dims, 1, 4))
+    return h, _embed({2: ATOM_LOWER}, dims), dims
+
+
+def widen(mat, dims, wide):
+    """``mat`` on factors ``dims`` placed into the larger factors ``wide``."""
+    idx = np.ravel_multi_index(np.unravel_index(np.arange(mat.shape[0]), dims), wide)
+    out = np.zeros((int(np.prod(wide)),) * 2, dtype=complex)
+    out[np.ix_(idx, idx)] = mat
+    return out
+
+
+def exact_reductions(rho0, h, ops, dims, t):
+    """Exact (A, B) pair and probe states at ``t``, from the reachable entries only."""
+    codes = reachable_entries(rho0, h, ops)
+    vec = expm(t * _restricted_generator(h, ops, codes)) @ rho0.ravel()[codes]
+    return [reduced_entry_stack(codes, vec[None], dims, keep)[0] for keep in ({0, 1}, {2})]
+
+
+CAVITY_PREPARATIONS = [
+    (BOSON, ProbePrep.GROUND),
+    (FULL, ProbePrep.GROUND),
+    (FULL, ProbePrep.EXCITED),
+]
+CAVITY_IDS = ["secii-boson", "seciii-full-ground", "seciii-full-excited"]
+
+
+class TestThreeFockLevelsExact:
+    @staticmethod
+    def most_photons_reached(rho0, cfg, gamma):
+        h, lower, dims = four_level_model(cfg)
+        ops = [(gamma, lower)] if gamma else []
+        codes = reachable_entries(rho0, h, ops)
+        states = np.unravel_index(np.unique(codes // h.shape[0]), dims)
+        cavities = (0, 1) if cfg.variant is ModelVariant.RESONANT_BOSON else (3, 4)
+        return max(int(states[k].max()) for k in cavities)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("cfg, prep", CAVITY_PREPARATIONS, ids=CAVITY_IDS)
+    def test_no_mode_reaches_a_third_photon(self, cfg, prep, gamma):
+        wide = four_level_model(cfg)[2]
+        rho0 = widen(initial_joint(0.75, cfg, prep).mat, cfg.space.dims, wide)
+        assert self.most_photons_reached(rho0, cfg, gamma) <= 2
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_excited_boson_probe_would_reach_a_third_photon(self, gamma):
+        # the preparation initial_joint refuses: |11>|e> holds three excitations
+        wide = four_level_model(BOSON)[2]
+        ground = widen(initial_joint(0.75, BOSON, ProbePrep.GROUND).mat, BOSON.space.dims, wide)
+        flip = _embed({2: np.array([[0.0, 1.0], [1.0, 0.0]])}, wide)
+        assert self.most_photons_reached(flip @ ground @ flip, BOSON, gamma) == 3
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("cfg, prep", CAVITY_PREPARATIONS, ids=CAVITY_IDS)
+    def test_reduced_states_match_four_levels(self, cfg, prep, gamma):
+        rho0 = initial_joint(0.75, cfg, prep).mat
+        ops = [(gamma, probe_lowering(cfg))] if gamma else []
+        h4, lower4, wide = four_level_model(cfg)
+        ops4 = [(gamma, lower4)] if gamma else []
+        rho4 = widen(rho0, cfg.space.dims, wide)
+        for t in (0.3, 1.7):
+            built_in = exact_reductions(rho0, build_hamiltonian(cfg), ops, cfg.space.dims, t)
+            four = exact_reductions(rho4, h4, ops4, wide, t)
+            pair = widen(built_in[0], cfg.space.dims[:2], wide[:2])
+            assert np.max(np.abs(pair - four[0])) < 1e-12
+            assert np.max(np.abs(built_in[1] - four[1])) < 1e-12
 
 
 class TestDispersiveDeviation:
