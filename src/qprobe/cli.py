@@ -84,24 +84,31 @@ def fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "x": dict(type=float, help="family parameter in [0.5, 1]"),
-        "x-start": dict(type=float, help="sweep grid start (default 0.5)"),
-        "x-stop": dict(type=float, help="sweep grid stop (default 1.0)"),
-        "x-step": dict(type=float, help="sweep grid step (default 0.01)"),
-        "gamma": dict(type=float, help="spontaneous emission rate in units of g"),
-        "delta": dict(type=float, help="detuning in units of g"),
-        "model": dict(choices=sorted(MODEL_CHOICES), help="model variant"),
-        "t-end": dict(type=float, help="evolution time in units of 1/g"),
-        "dt": dict(type=float, help="integrator step in units of 1/g (default 1e-3)"),
-        "shots": dict(type=int, help="shots per stage (0 = exact statistics)"),
-        "seed": dict(type=int, help="sampling seed"),
-        "out": dict(type=str, help="output file path"),
-        "config": dict(type=str, help="JSON config file (flags win on conflict)"),
-    }
-    for name in names:
-        p.add_argument(f"--{name}", default=None, **flags[name])
+#: every flag of every command; a --config key is the flag's name with underscores
+_FLAGS = {
+    "x": dict(type=float, help="family parameter in [0.5, 1]"),
+    "x-start": dict(type=float, help="sweep grid start (default 0.5)"),
+    "x-stop": dict(type=float, help="sweep grid stop (default 1.0)"),
+    "x-step": dict(type=float, help="sweep grid step (default 0.01)"),
+    "gamma": dict(type=float, help="spontaneous emission rate in units of g"),
+    "delta": dict(type=float, help="detuning in units of g"),
+    "model": dict(type=str, choices=sorted(MODEL_CHOICES), help="model variant"),
+    "t-end": dict(type=float, help="evolution time in units of 1/g"),
+    "dt": dict(type=float, help="integrator step in units of 1/g (default 1e-3)"),
+    "samples": dict(type=int, help="number of sample times (default 201)"),
+    "shots": dict(type=int, help="shots per stage (0 = exact statistics)"),
+    "seed": dict(type=int, help="sampling seed"),
+    "n": dict(type=int, help="odd number of half periods (default 1)"),
+    "cycles": dict(type=int, help="full cycles (default 3)"),
+    "emit-svg": dict(action="store_true",
+                     help="also render the correlation columns next to the CSV"),
+    "report-tm": dict(action="store_true",
+                      help="also report fidelity at the delta*pi/g^2 candidate time"),
+    "csv": dict(type=str, help="input CSV path"),
+    "columns": dict(type=str, help="comma-separated column names to draw"),
+    "out": dict(type=str, help="output file path"),
+    "config": dict(type=str, help="JSON config file (flags win on conflict)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,39 +120,31 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a removed or misspelt flag must not reach another one
     no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
-
-    p = sub.add_parser("measures", help="all correlation measures of the family state")
-    _add_common(p, "x", "out", "config")
-
-    p = sub.add_parser("sweep", help="parameter sweep over x, CSV output")
-    _add_common(p, "x-start", "x-stop", "x-step", "gamma", "dt", "model",
-                "out", "config")
-    p.add_argument("--emit-svg", action="store_true", default=None,
-                   help="also render the correlation columns next to the CSV")
-
-    p = sub.add_parser("evolve", help="time evolution of one configuration, CSV output")
-    _add_common(p, "x", "model", "gamma", "delta", "t-end", "dt", "out", "config")
-    p.add_argument("--samples", type=int, default=None,
-                   help="number of sample times (default 201)")
-
-    p = sub.add_parser("probe", help="single ground-probe readout cycle")
-    _add_common(p, "x", "gamma", "model", "shots", "seed", "out", "config")
-    p.add_argument("--n", type=int, default=None,
-                   help="odd number of half periods (default 1)")
-
-    p = sub.add_parser("qnd", help="non-demolition probe sequence")
-    _add_common(p, "x", "delta", "shots", "seed", "out", "config")
-    p.add_argument("--cycles", type=int, default=None, help="full cycles (default 3)")
-    p.add_argument("--report-tm", action="store_true", default=None,
-                   help="also report fidelity at the delta*pi/g^2 candidate time")
-
-    p = sub.add_parser("plot", help="render CSV columns as an SVG line chart")
-    _add_common(p, "out", "config")
-    p.add_argument("--csv", type=str, default=None, help="input CSV path")
-    p.add_argument("--columns", type=str, default=None,
-                   help="comma-separated column names to draw")
-
+    for command, (_, help_text, *names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument(f"--{name}", default=None, **_FLAGS[name])
     return parser
+
+
+def _config_value(key: str, value):
+    """``value`` of a --config key, converted as its flag converts text.
+
+    A switch takes a JSON boolean only; any other flag takes a string or
+    a number (as its repr) through its type and choices, so 2.7 is no
+    int, and true or null is no value at all.
+    """
+    spec = _FLAGS[key.replace("_", "-")]
+    switch = spec.get("action") == "store_true"
+    if isinstance(value, bool) == switch and isinstance(value, (str, int, float)):
+        try:
+            converted = value if switch else spec["type"](
+                value if isinstance(value, str) else repr(value))
+        except ValueError:
+            converted = None
+        if converted is not None and converted in spec.get("choices", [converted]):
+            return converted
+    raise ValueError(f"config key {key!r} has an invalid value: {value!r}")
 
 
 def merged_options(args: argparse.Namespace, defaults: dict) -> dict:
@@ -162,6 +161,7 @@ def merged_options(args: argparse.Namespace, defaults: dict) -> dict:
         for key in from_file:
             if key not in defaults:
                 raise ValueError(f"config key {key!r} is not an option of {args.command}")
+            from_file[key] = _config_value(key, from_file[key])
     out = {**defaults, **from_file}
     for key in defaults:
         flag_val = getattr(args, key, None)
@@ -210,8 +210,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
         "classical_eq20": rep.classical_closed_form,
         "sigma_z": sigma_z,
     }
-    lines = [f"{k} = {fmt(v)}" for k, v in values.items()]
-    print("\n".join(lines))
+    print("\n".join(f"{k} = {fmt(v)}" for k, v in values.items()))
     if opts["out"]:
         _write_text(opts["out"], json.dumps({k: float(v) for k, v in values.items()},
                                             indent=2) + "\n")
@@ -366,17 +365,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
         out["stderr"] = est.stderr
         out["ci99_lo"], out["ci99_hi"] = est.ci99
 
+    out = {k: v if isinstance(v, (bool, int)) else float(v) for k, v in out.items()}
     for k, v in out.items():
-        if isinstance(v, bool):
-            print(f"{k} = {str(v).lower()}")
-        elif isinstance(v, int):
-            print(f"{k} = {v}")
-        else:
-            print(f"{k} = {fmt(v)}")
+        print(f"{k} = {fmt(v) if isinstance(v, float) else json.dumps(v)}")
     if opts["out"]:
-        serializable = {k: (v if isinstance(v, (bool, int)) else float(v))
-                        for k, v in out.items()}
-        _write_text(opts["out"], json.dumps(serializable, indent=2) + "\n")
+        _write_text(opts["out"], json.dumps(out, indent=2) + "\n")
     return 0
 
 
@@ -457,13 +450,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+#: each command's handler, help line and flags, in --help order
 _COMMANDS = {
-    "measures": cmd_measures,
-    "sweep": cmd_sweep,
-    "evolve": cmd_evolve,
-    "probe": cmd_probe,
-    "qnd": cmd_qnd,
-    "plot": cmd_plot,
+    "measures": (cmd_measures, "all correlation measures of the family state",
+                 "x", "out", "config"),
+    "sweep": (cmd_sweep, "parameter sweep over x, CSV output", "x-start", "x-stop",
+              "x-step", "gamma", "dt", "model", "out", "config", "emit-svg"),
+    "evolve": (cmd_evolve, "time evolution of one configuration, CSV output", "x",
+               "model", "gamma", "delta", "t-end", "dt", "out", "config", "samples"),
+    "probe": (cmd_probe, "single ground-probe readout cycle", "x", "gamma", "model",
+              "shots", "seed", "out", "config", "n"),
+    "qnd": (cmd_qnd, "non-demolition probe sequence", "x", "delta", "shots", "seed",
+            "out", "config", "cycles", "report-tm"),
+    "plot": (cmd_plot, "render CSV columns as an SVG line chart", "out", "config",
+             "csv", "columns"),
 }
 
 
@@ -474,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except DataShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -149,13 +149,10 @@ def build_hamiltonian(cfg: ModelConfig) -> Array:
     det_ab = -cfg.delta - j
     h = det_c * _embed({2: ATOM_NUMBER}, dims)
     h += det_ab * (_embed({0: ATOM_NUMBER}, dims) + _embed({1: ATOM_NUMBER}, dims))
-    for cav in (3, 4):
-        h += lam * _embed({2: ATOM_RAISE, cav: a}, dims)
-        h += lam * _embed({2: ATOM_LOWER, cav: a.conj().T}, dims)
-    h += lam * _embed({0: ATOM_RAISE, 3: a}, dims)
-    h += lam * _embed({0: ATOM_LOWER, 3: a.conj().T}, dims)
-    h += lam * _embed({1: ATOM_RAISE, 4: a}, dims)
-    h += lam * _embed({1: ATOM_LOWER, 4: a.conj().T}, dims)
+    # the probe couples to both cavities, A to the first and B to the second
+    for atom, cav in ((2, 3), (2, 4), (0, 3), (1, 4)):
+        h += lam * _embed({atom: ATOM_RAISE, cav: a}, dims)
+        h += lam * _embed({atom: ATOM_LOWER, cav: a.conj().T}, dims)
     return h
 
 
@@ -164,11 +161,8 @@ def excitation_number(cfg: ModelConfig) -> Array:
     dims = cfg.space.dims
     total = np.zeros((cfg.space.dim,) * 2, dtype=complex)
     for k, d in enumerate(dims):
-        label = cfg.space.labels[k]
-        if label.startswith("cav"):
-            a = boson_lower(d)
-            total += _embed({k: a.conj().T @ a}, dims)
-        elif cfg.variant in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON) and k < 2:
+        # cavity modes (A and B themselves in the resonant models) count photons
+        if cfg.space.labels[k].startswith("cav") or (cfg.variant not in _DISPERSIVE and k < 2):
             a = boson_lower(d)
             total += _embed({k: a.conj().T @ a}, dims)
         else:
@@ -368,46 +362,30 @@ def reachable_entries(
     ``h``, of each collapse operator L (the jump L rho L+ sends (k, l)
     to (i, j) when L_ik and L_jl are nonzero) and of each L+L (nonzero
     at (i, k) when some row of L is nonzero in columns i and k).  The
-    entries outside it stay exactly zero.  The closure works from index
-    lists and raises once the set exceeds MAX_REACHABLE entries, before
-    any generator is built.
+    entries outside it stay exactly zero.  The closure is a boolean
+    fixed point on d x d patterns and raises once the set exceeds
+    MAX_REACHABLE entries, before any generator is built.
     """
-    d = h.shape[0]
-    drift: dict[int, list[int]] = {}
-    jumps: dict[int, list[list[int]]] = {}
-
-    def drift_of(k: int) -> list[int]:
-        # i with H_ik, H_ki or (L+L)_ik nonzero
-        if k not in drift:
-            found = set(np.flatnonzero((h[:, k] != 0) | (h[k] != 0)).tolist())
-            for _, op in ops:
-                for r in np.flatnonzero(op[:, k]):
-                    found.update(np.flatnonzero(op[r]).tolist())
-            drift[k] = sorted(found)
-        return drift[k]
-
-    def jumps_of(k: int) -> list[list[int]]:
-        # per collapse operator, i with L_ik nonzero
-        if k not in jumps:
-            jumps[k] = [np.flatnonzero(op[:, k]).tolist() for _, op in ops]
-        return jumps[k]
-
-    seen = set(np.flatnonzero((rho0 != 0) | (rho0.T != 0)).tolist())
-    todo = list(seen)
-    while todo:
-        k, l = divmod(todo.pop(), d)
-        found = [i * d + l for i in drift_of(k)] + [k * d + j for j in drift_of(l)]
-        for rows, cols in zip(jumps_of(k), jumps_of(l)):
-            found += [i * d + j for i in rows for j in cols]
-        for code in found:
-            if code not in seen:
-                seen.add(code)
-                todo.append(code)
-        if len(seen) > MAX_REACHABLE:
+    # 0/1 patterns as floats: products run in BLAS and their path counts are exact
+    jumps = [(op != 0).astype(float) for _, op in ops]
+    # H or an L+L joins i and k: the drift moves (k, l) to (i, l) and (l, k) to (l, i)
+    drift = ((h != 0) | (h.T != 0)).astype(float)
+    for jump in jumps:
+        drift += jump.T @ jump
+    mask = (rho0 != 0) | (rho0.T != 0)
+    while True:
+        m = mask.astype(float)
+        flow = drift @ m + m @ drift
+        for jump in jumps:
+            flow += jump @ m @ jump.T
+        grown = mask | (flow > 0)
+        if np.count_nonzero(grown) > MAX_REACHABLE:
             raise ValueError(
                 f"more than {MAX_REACHABLE} density-matrix entries are reachable"
             )
-    return np.array(sorted(seen), dtype=np.int64)
+        if np.array_equal(grown, mask):
+            return np.flatnonzero(mask).astype(np.int64)
+        mask = grown
 
 
 def _restricted_generator(

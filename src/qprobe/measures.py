@@ -18,11 +18,11 @@ onto its best point until the spacing is below REFINE_TOL.  Every state
 the models produce has this form.  Any other state (one non-zero entry
 between sectors suffices) goes through the 2-D search over
 (theta, phi), which is also the reference the 1-D path is tested
-against; it alone uses scipy.optimize, imported on first use.  Both
-searches evaluate one batched kernel: measuring the
-second qubit along |v> leaves the first in the unnormalised 2x2 state
-(I (x) <v|) rho (I (x) |v>), whose trace and eigenvalues are closed
-form, so no eigensolver runs and no small outcome is clipped.
+against.  Both searches are numpy only and evaluate one batched
+kernel: measuring the second qubit along |v> leaves the first in the
+unnormalised 2x2 state (I (x) <v|) rho (I (x) |v>), whose trace and
+eigenvalues are closed form, so no eigensolver runs and no small
+outcome is clipped.
 
 The definitional optimizer is the authority for discord; the closed
 form is exposed separately because its first branch disagrees with the
@@ -183,7 +183,7 @@ def _xlog2(w) -> np.ndarray:
 def _conditional_entropy_batch(
     mat: np.ndarray, thetas: np.ndarray, phis: np.ndarray
 ) -> np.ndarray:
-    """Conditional entropy at every angle pair (thetas[k], phis[k]) at once.
+    """Conditional entropy at every angle pair of two same-shaped arrays at once.
 
     Outcome |v> on B leaves A in the unnormalised 2x2 state
     (I (x) <v|) rho (I (x) |v>), whose trace p and eigenvalues l+, l-
@@ -196,7 +196,7 @@ def _conditional_entropy_batch(
     # outcome vector (cos, e^{i phi} sin) and the one orthogonal to it
     vecs = np.array([[cos, sin], [-sin.conj(), cos]])
     # rho[2a + b, 2a' + b'] read as rho[a, b, a', b']
-    cond = np.einsum("kbn,abcd,kdn->knac", vecs.conj(), mat.reshape(2, 2, 2, 2), vecs)
+    cond = np.einsum("kb...,abcd,kd...->k...ac", vecs.conj(), mat.reshape(2, 2, 2, 2), vecs)
     top, bottom = cond[..., 0, 0].real, cond[..., 1, 1].real
     p = top + bottom
     gap = np.hypot(top - bottom, 2.0 * np.abs(cond[..., 0, 1]))
@@ -242,37 +242,50 @@ def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
 def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, float]:
     """Minimum over all measurement directions (theta, phi), and its angles.
 
-    Grid scan (64 phi x 32 theta) followed by Nelder-Mead refinement
-    from the best cells; ties break toward smaller theta then smaller
-    phi.
+    Grid scan (32 theta x 64 phi), then Nelder-Mead (scipy's initial
+    simplex and coefficients) from the REFINE_STARTS best cells, ties
+    toward smaller theta, then smaller phi.  All starts step together:
+    one batch evaluates every point a step may need, and each start
+    takes the one its rule picks, until its simplex spans at most
+    REFINE_TOL in angles and values or REFINE_MAXITER rounds have run.
+    The angles stay unfolded; only the winner is mapped back.
     """
-    from scipy.optimize import minimize
-
     thetas = np.linspace(0.0, np.pi, GRID_THETA)
     phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.ravel()
-    pp = pp.ravel()
+    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
     values = _conditional_entropy_batch(mat, tt, pp)
-    order = np.lexsort((pp, tt, values))
-    candidates: list[tuple[float, float, float]] = []
-    best = order[0]
-    candidates.append((float(values[best]), float(tt[best]), float(pp[best])))
-    for idx in order[:REFINE_STARTS]:
-        res = minimize(
-            lambda ang: _conditional_entropy_angles(mat, ang[0], ang[1]),
-            x0=[float(tt[idx]), float(pp[idx])],
-            method="Nelder-Mead",
-            options={
-                "maxiter": REFINE_MAXITER,
-                "xatol": REFINE_TOL,
-                "fatol": REFINE_TOL,
-            },
-        )
-        th, ph = _normalized_angles(res.x[0], res.x[1])
-        candidates.append((float(res.fun), th, ph))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    return candidates[0]
+    starts = np.lexsort((pp, tt, values))[:REFINE_STARTS]
+
+    # sim[start, vertex]; vertex k + 1 scales angle k by 1.05 (0 -> 0.00025)
+    x0 = np.stack([tt[starts], pp[starts]], axis=1)
+    sim = np.repeat(x0[:, None, :], 3, axis=1)
+    sim[:, [1, 2], [0, 1]] = np.where(x0 != 0.0, 1.05 * x0, 0.00025)
+    fsim = _conditional_entropy_batch(mat, sim[..., 0], sim[..., 1])
+    running = np.ones(starts.size, dtype=bool)
+    for _ in range(REFINE_MAXITER - 1):
+        order = np.argsort(fsim, axis=1, kind="stable")
+        sim = np.take_along_axis(sim, order[..., None], axis=1)
+        fsim = np.take_along_axis(fsim, order, axis=1)
+        running &= ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > REFINE_TOL)
+                    | (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) > REFINE_TOL))
+        if not running.any():
+            break
+        # reflection, expansion, outside and inside contraction, shrunk vertices
+        best, mid = sim[:, :1], 0.5 * (sim[:, :1] + sim[:, 1:2])
+        moves = np.array([1.0, 2.0, 0.5, -0.5])[:, None] * (mid - sim[:, 2:])
+        trial = np.concatenate([mid + moves, best + 0.5 * (sim[:, 1:] - best)], axis=1)
+        ftrial = _conditional_entropy_batch(mat, trial[..., 0], trial[..., 1])
+        fr, fe, fout, fin = ftrial[:, :4].T
+        pick = np.select(
+            [fr < fsim[:, 0], fr < fsim[:, 1], (fr < fsim[:, 2]) & (fout <= fr),
+             (fr >= fsim[:, 2]) & (fin < fsim[:, 2])],
+            [np.where(fe < fr, 1, 0), 0, 2, 3], default=-1)
+        one = np.flatnonzero(running & (pick >= 0))
+        sim[one, 2], fsim[one, 2] = trial[one, pick[one]], ftrial[one, pick[one]]
+        shrink = np.flatnonzero(running & (pick < 0))
+        sim[shrink, 1:], fsim[shrink, 1:] = trial[shrink, 4:], ftrial[shrink, 4:]
+    s, v = np.unravel_index(np.argmin(fsim), fsim.shape)
+    return (float(fsim[s, v]), *_normalized_angles(*sim[s, v]))
 
 
 def classical_correlation_optimized(

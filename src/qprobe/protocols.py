@@ -62,6 +62,9 @@ from .dynamics import (
 )
 
 RESTORED_TOL = 1e-8
+#: most half periods a probe cycle accepts; the spectral propagator's
+#: eigenphase roundoff grows with t and moves x_hat by 1e-12 at 10^10
+MAX_HALF_PERIODS = 10 ** 6
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -260,17 +263,19 @@ def run_probe_cycle(
 ) -> ProbeCycleReport:
     """Attach a ground probe, evolve to t = n pi/2, read sigma_z.
 
-    n must be odd: at even multiples the probe returns to its ground
-    state and carries no information.  Without noise the pair state
-    lands exactly on the corner swap of the family state while every
-    correlation measure is preserved.  With noise the master equation
-    is integrated with step ``dt``.
+    n must be odd (at even multiples the probe returns to its ground
+    state and carries no information) and at most MAX_HALF_PERIODS.
+    Without noise the pair state lands exactly on the corner swap of the
+    family state while every correlation measure is preserved.  With
+    noise the master equation is integrated with step ``dt``.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
     n = int(n_half_periods)
     if n < 1 or n % 2 == 0:
         raise ValueError("no readout information at even multiples")
+    if n > MAX_HALF_PERIODS:
+        raise ValueError(f"n exceeds {MAX_HALF_PERIODS} half periods")
     noise = noise or NoiseConfig()
     rho0 = one_param_density(x)
     joint0 = initial_joint(x, cfg, ProbePrep.GROUND)

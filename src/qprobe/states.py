@@ -19,7 +19,6 @@ from .qcore import Array, DensityMatrix, HilbertSpace, kron, partial_trace
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: zero-pattern tolerance accepted by extract_xstate
 XSTATE_PATTERN_TOL = 1e-8

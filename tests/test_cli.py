@@ -29,6 +29,7 @@ from qprobe.dynamics import (
 )
 from qprobe.measures import _wootters_concurrence, concurrence, mutual_information
 from qprobe.protocols import (
+    MAX_HALF_PERIODS,
     MAX_QND_CYCLES,
     MAX_SHOTS,
     boson_pair_to_qubits,
@@ -146,6 +147,38 @@ class TestConfigFile:
         assert run(["probe", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert repr(key) in captured.err and captured.out == ""
+
+
+    @pytest.mark.parametrize("command, config, key", [
+        # a string is no switch: "false" once turned the SVG on
+        ("sweep", {"x_start": 0.75, "x_stop": 0.75, "emit_svg": "false"}, "emit_svg"),
+        # 2.7 once drew 2 shots
+        ("probe", {"x": 0.75, "shots": 2.7}, "shots"),
+        ("probe", {"x": 0.75, "seed": True}, "seed"),
+        # true once ran at x = 1
+        ("probe", {"x": True}, "x"),
+        ("probe", {"x": 0.75, "model": "secii"}, "model"),
+        ("probe", {"x": 0.75, "out": None}, "out"),
+    ])
+    def test_mistyped_config_value_rejected(self, command, config, key, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_config_values_convert_as_flags_do(self, tmp_path, capsys):
+        # JSON numbers and numeric strings read like the same flag text
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x": "0.75", "shots": 10, "seed": 3, "gamma": 0}))
+        assert run(["probe", "--config", cfg]) == 0
+        from_config = capsys.readouterr().out
+        assert run(["probe", "--x", "0.75", "--shots", "10", "--seed", "3",
+                    "--gamma", "0"]) == 0
+        assert capsys.readouterr().out == from_config
 
 
 class TestEvolveCommand:
@@ -384,6 +417,14 @@ class TestInputValidation:
         assert "half-step" in captured.err and "Warning" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("model", ["secii-qubit", "secii-boson"])
+    def test_probe_half_periods_bounded(self, model, capsys):
+        # far beyond the bound the readout once printed x_hat = 0.86 at x = 0.75
+        args = ["probe", "--x", "0.75", "--model", model, "--n", "100000000000000000001"]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert str(MAX_HALF_PERIODS) in captured.err and captured.out == ""
+
     def test_probe_shots_bounded(self, capsys):
         assert run(["probe", "--x", "0.75", "--shots", "1000000000000"]) == 2
         captured = capsys.readouterr()
@@ -438,15 +479,34 @@ class TestNoisySweepRow:
         assert row == [fmt(v) for v in expected]
 
 
-def test_cli_import_leaves_out_scipy():
-    # the optimizer fallback imports scipy.optimize on first use only
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is test-only: with it blocked, the sphere-search fallback, the
+    # report on a state that takes it and a noisy sweep all still run
     src = os.path.dirname(os.path.dirname(qprobe.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, qprobe.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from qprobe.cli import main
+from qprobe.measures import classical_correlation_optimized, correlation_report
+from qprobe.qcore import DensityMatrix
+from qprobe.states import one_param_density
+family = one_param_density(0.75)
+mat = 0.9 * family.mat + 0.025 * np.eye(4)
+mat[0, 1] = mat[1, 0] = 0.01  # |00><01| joins excitation sectors
+rho = DensityMatrix(family.space, mat)
+value, basis = classical_correlation_optimized(rho)
+report = correlation_report(rho)
+assert abs(report.classical - value) == 0.0
+assert main(["sweep", "--gamma", "0.1", "--x-step", "0.25", "--out", "s.csv"]) == 0
+print("ok", value)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("ok ")
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 4
 
 
 def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):

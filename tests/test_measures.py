@@ -5,14 +5,21 @@ from hypothesis import strategies as st
 
 from qprobe import measures, protocols
 from qprobe.measures import (
+    GRID_PHI,
+    GRID_THETA,
     GRID_THETA_POLAR,
+    REFINE_MAXITER,
+    REFINE_STARTS,
+    REFINE_TOL,
     RESONANT_READOUT,
     CorrelationReport,
     MeasurementBasis,
     ReadoutModel,
+    _conditional_entropy_angles,
     _conditional_entropy_batch,
     _min_conditional_entropy_polar,
     _min_conditional_entropy_sphere,
+    _normalized_angles,
     _wootters_concurrence,
     classical_correlation_closed_form,
     classical_correlation_optimized,
@@ -566,3 +573,143 @@ class TestPolarZoom:
         value, theta = _min_conditional_entropy_polar(rho.mat)
         assert value <= grid.min()
         assert 0.0 <= theta <= np.pi / 2.0
+
+
+# ---------------------------------------------------------------------------
+# general states: the batched numpy Nelder-Mead against scipy's
+
+
+def scipy_sphere_oracle(mat):
+    """The 2-D search as it ran on scipy.optimize, kept as the oracle.
+
+    Grid scan (64 phi x 32 theta) followed by Nelder-Mead refinement
+    from the best cells; ties break toward smaller theta then smaller
+    phi.
+    """
+    from scipy.optimize import minimize
+
+    thetas = np.linspace(0.0, np.pi, GRID_THETA)
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    tt = tt.ravel()
+    pp = pp.ravel()
+    values = _conditional_entropy_batch(mat, tt, pp)
+    order = np.lexsort((pp, tt, values))
+    candidates: list[tuple[float, float, float]] = []
+    best = order[0]
+    candidates.append((float(values[best]), float(tt[best]), float(pp[best])))
+    for idx in order[:REFINE_STARTS]:
+        res = minimize(
+            lambda ang: _conditional_entropy_angles(mat, ang[0], ang[1]),
+            x0=[float(tt[idx]), float(pp[idx])],
+            method="Nelder-Mead",
+            options={
+                "maxiter": REFINE_MAXITER,
+                "xatol": REFINE_TOL,
+                "fatol": REFINE_TOL,
+            },
+        )
+        th, ph = _normalized_angles(res.x[0], res.x[1])
+        candidates.append((float(res.fun), th, ph))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    return candidates[0]
+
+
+def _rotate_second(mat, tilt, azimuth):
+    """``mat`` with qubit B turned by R_z(azimuth) R_y(tilt)."""
+    ry = np.array([[np.cos(tilt / 2), -np.sin(tilt / 2)], [np.sin(tilt / 2), np.cos(tilt / 2)]])
+    u = kron(np.eye(2), _z_rotation(azimuth) @ ry)
+    return u @ mat @ u.conj().T
+
+
+@st.composite
+def general_states(draw):
+    """Random 4x4 states of rank 1 to 4: A A+ / tr for a 4 x rank A."""
+    rank = draw(st.integers(1, 4))
+    amp = st.floats(-1.0, 1.0)
+    a = np.array([[complex(draw(amp), draw(amp)) for _ in range(rank)] for _ in range(4)])
+    mat = a @ a.conj().T
+    assume(np.trace(mat).real > 1e-3)
+    return mat / np.trace(mat).real
+
+
+@st.composite
+def near_x_states(draw):
+    """X states with a |00><11| coherence of 1e-8 to 1e-2, B turned by any angle.
+
+    Untilted, the minimum sits at a pole or on the equator; a small or
+    large tilt moves it near a pole or onto a tilted ring whose values
+    differ by about the coherence only.
+    """
+    unit = st.floats(0.0, 1.0)
+    pops = np.array([draw(unit) for _ in range(4)])
+    assume(pops.sum() > 1e-3)
+    pops /= pops.sum()
+    coherence = draw(st.floats(-0.95, 0.95)) * np.sqrt(pops[1] * pops[2])
+    mat = XState(*pops, coherence).to_density().mat.copy()
+    corner = min(10.0 ** draw(st.floats(-8.0, -2.0)), 0.95 * np.sqrt(pops[0] * pops[3]))
+    mat[0, 3] = corner * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    mat[3, 0] = np.conj(mat[0, 3])
+    tilt = draw(st.one_of(st.just(0.0), st.floats(0.0, np.pi)))
+    return _rotate_second(mat, tilt, draw(st.floats(0.0, 2.0 * np.pi)))
+
+
+def _corner_coherence_state():
+    mat = XState(0.2, 0.3, 0.3, 0.2, 0.25).to_density().mat.copy()
+    mat[0, 3] = mat[3, 0] = -1e-6
+    return mat
+
+
+#: the best grid cell lies in a basin 6.7e-6 above the minimum; another start finds it
+_TWO_BASIN_STATE = _rotate_second(
+    XState(0.009, 0.295, 0.295, 0.401, -0.097).to_density().mat, 1.43, 0.03)
+#: a minimum 1e-3 off the pole theta = pi, where phi barely moves the direction
+_NEAR_POLE_STATE = _rotate_second(
+    XState(0.125, 0.188, 0.188, 0.499, -0.032).to_density().mat, np.pi - 1e-3, 2.0)
+
+
+def _tilted_ring_state():
+    # a ring of minima tilted by 0.3 against the grid rows, whose values
+    # a 1e-6 |00><11| coherence splits
+    mat = XState(0.06, 0.2, 0.2, 0.54, 0.15).to_density().mat.copy()
+    mat[0, 3] = mat[3, 0] = 1e-6
+    return _rotate_second(mat, 0.3, 1.0)
+
+
+class TestSphereSearch:
+    @PROPERTIES
+    @given(mat=st.one_of(general_states(), near_x_states()))
+    @example(mat=np.eye(4, dtype=complex) / 4.0)
+    # a product state: every direction gives the same value
+    @example(mat=kron(np.array([[0.7, 0.2], [0.2, 0.3]]), np.array([[0.6, 0.1j], [-0.1j, 0.4]])))
+    @example(mat=_corner_coherence_state())
+    @example(mat=_TWO_BASIN_STATE)
+    @example(mat=_NEAR_POLE_STATE)
+    @example(mat=_tilted_ring_state())
+    def test_matches_scipy_oracle(self, mat):
+        value, theta, phi = _min_conditional_entropy_sphere(mat)
+        assert value == pytest.approx(scipy_sphere_oracle(mat)[0], abs=1e-12)
+        thetas = np.linspace(0.0, np.pi, GRID_THETA)
+        phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        assert value <= _conditional_entropy_batch(mat, tt.ravel(), pp.ravel()).min()
+        basis = MeasurementBasis(theta, phi)
+        assert conditional_entropy(DensityMatrix(SPACE, mat), basis) == pytest.approx(
+            value, abs=1e-12)
+
+    @pytest.mark.parametrize("mat", [
+        np.eye(4, dtype=complex) / 4.0,
+        kron(np.diag([0.7, 0.3]), np.array([[0.6, 0.1j], [-0.1j, 0.4]])),
+    ], ids=["maximally-mixed", "product"])
+    def test_plateau_stops_by_tolerance(self, mat, monkeypatch):
+        # every direction ties: only strict improvements may move a
+        # vertex, so each start shrinks its simplex below REFINE_TOL
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _conditional_entropy_batch(*args)
+
+        monkeypatch.setattr(measures, "_conditional_entropy_batch", counting)
+        _min_conditional_entropy_sphere(mat)
+        assert len(calls) < REFINE_MAXITER // 2

@@ -15,6 +15,7 @@ from qprobe.dynamics import (
 from qprobe.protocols import (
     EXCHANGE_E_READOUT,
     EXCHANGE_G_READOUT,
+    MAX_HALF_PERIODS,
     MAX_QND_CYCLES,
     MAX_SHOTS,
     RESONANT_READOUT,
@@ -259,6 +260,22 @@ class TestProbeCycle:
     def test_wrong_model_rejected(self):
         with pytest.raises(ValueError):
             run_probe_cycle(0.75, EXCHANGE, 1)
+
+    def test_half_periods_bounded(self, monkeypatch):
+        # rejected before any propagator is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the bound was checked")
+
+        monkeypatch.setattr(SpectralPropagator, "from_hamiltonian", no_work)
+        with pytest.raises(ValueError, match=str(MAX_HALF_PERIODS)):
+            run_probe_cycle(0.75, QUBIT, MAX_HALF_PERIODS + 1)
+
+    def test_largest_accepted_half_period_count_is_exact(self):
+        # eigenphase roundoff grows with t; at the largest odd n accepted
+        # it is still below 1e-12
+        far = run_probe_cycle(0.75, QUBIT, MAX_HALF_PERIODS - 1)
+        assert far.mean_sigma_z == pytest.approx(run_probe_cycle(0.75, QUBIT, 1).mean_sigma_z,
+                                                 abs=1e-12)
 
     def test_noise_shifts_readout(self):
         clean = run_probe_cycle(0.75, QUBIT, 1)
