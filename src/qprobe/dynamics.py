@@ -29,8 +29,9 @@ Open-system evolution (``integrate_master``) is fixed-step RK4 on the
 density-matrix entries the dynamics can reach from the initial state.
 Every Hamiltonian here conserves excitation number and the probe's
 sigma^- lowers ket and bra together, so that set is small (at most 170
-entries under probe decay); the RK4 step is precomputed as one matrix
-on it.  The module needs numpy only.
+entries under probe decay).  The generator does not depend on time, so
+the RK4 steps across each gap between sample times are one precomputed
+matrix on that set.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -419,6 +420,42 @@ def _restricted_generator(
     return gen
 
 
+def _rk4_increment(gen: Array, step: float) -> Array:
+    """M - I for the RK4 polynomial M of one step, formed without adding I.
+
+    M = I + step G (I + step G/2 (I + step G/3 (I + step G/4))) is the
+    classic k1..k4 step for this linear, time-independent generator;
+    adding the outer I would round away the low bits of a short step.
+    """
+    eye = np.eye(gen.shape[0])
+    inc = eye + (step / 4.0) * gen
+    for c in (3.0, 2.0):
+        inc = eye + (step / c) * (gen @ inc)
+    return step * (gen @ inc)
+
+
+def _gap_increment(gen: Array, dt: float, n: int, rem: float) -> Array:
+    """P - I for the gap map P = M(rem) M(dt)^n, by squaring in increment form.
+
+    With E = M - I, maps compose as (I + A)(I + B) = I + (A + B + AB) and
+    square as E -> 2E + EE, so the identity is never added and the
+    increment keeps its low bits through every squaring.  All factors
+    are polynomials in G, so their order does not matter.
+    """
+    acc = None
+    base = _rk4_increment(gen, dt) if n else None
+    while n:
+        if n & 1:
+            acc = base if acc is None else acc + base + acc @ base
+        n >>= 1
+        if n:
+            base = 2.0 * base + base @ base
+    if rem:
+        inc = _rk4_increment(gen, rem)
+        acc = inc if acc is None else acc + inc + acc @ inc
+    return acc
+
+
 def integrate_master(
     rho0: DensityMatrix,
     cfg: ModelConfig,
@@ -435,18 +472,20 @@ def integrate_master(
     ``reachable_entries``; under probe decay 19 of 64 for the resonant
     qubit model with a ground probe and at most 170 for the full
     dispersive model).  The generator G restricted to them is built
-    once per call, and the RK4 polynomial of a step of length dt,
-    M = I + dt G (I + dt G/2 (I + dt G/3 (I + dt G/4))) (the classic
-    k1..k4 step for this linear, time-independent generator), is
-    formed once, so each full step is one mat-vec; shorter steps apply
-    the same polynomial to the vector.  The state is re-Hermitized
-    after every step, and the samples are returned as the (n, k) stack
-    of those entries (see ``EvolutionResult``), never as d x d
-    matrices.  One Richardson half-step comparison runs on the first
-    step of the longest length the schedule takes, min(dt, largest gap
-    between sample times), and rejects the run if the discrepancy
-    exceeds 1e-7 or is not finite (the step size is then too large);
-    trace drift beyond 1e-6, or a non-finite trace, aborts as well.  A
+    once per call.  Each gap g between consecutive sample times is n
+    RK4 steps of length dt, n = floor((g + 1e-12) / dt), then one step
+    of the remainder r when r exceeds 1e-12; as G does not depend on
+    time, the gap is one fixed linear map P = M(r) M(dt)^n, with M the
+    RK4 polynomial of a step.  P is formed once per distinct (n, r) by
+    repeated squaring of M - I (see ``_gap_increment``), and each sample
+    then costs one mat-vec.  The state is re-Hermitized at every sample,
+    and the samples are returned as the (n, k) stack of those entries
+    (see ``EvolutionResult``), never as d x d matrices.  One Richardson half-step comparison runs on the
+    state at the start of the first gap that takes a step of the
+    longest length the schedule takes, min(dt, largest gap between
+    sample times), and rejects the run if the discrepancy exceeds 1e-7
+    or is not finite (the step size is then too large); trace drift
+    beyond 1e-6 at any sample, or a non-finite trace, aborts as well.  A
     non-finite t_end, a non-finite or non-positive dt, more than
     MAX_RK4_STEPS steps, sample times closer than MIN_SAMPLE_GAP (a
     repeated one too; only a first sample at 0 may sit closer to 0) and
@@ -473,6 +512,15 @@ def integrate_master(
         )
     check_step = min(dt, max(gaps, default=dt))
 
+    # each gap is n full steps and a remainder, with the 1e-12 tolerance of
+    # the sample times: a gap one ulp short of n dt is still n steps
+    keys = []
+    for gap in gaps:
+        n = math.floor((gap + 1e-12) / dt)
+        rem = gap - n * dt
+        keys.append((n, rem if rem > 1e-12 else 0.0))
+    last_use = {key: s for s, key in enumerate(keys)}
+
     h = build_hamiltonian(cfg)
     d = h.shape[0]
     ops = noise.resolved_ops(cfg)
@@ -481,47 +529,36 @@ def integrate_master(
     adj = np.searchsorted(codes, cols * d + rows)
     diag = np.flatnonzero(rows == cols)
 
-    def rk4_step(v: Array, step: float) -> Array:
-        if step == dt:
-            v = step_map @ v
-        else:
-            w = v + (step / 4.0) * (gen @ v)
-            w = v + (step / 3.0) * (gen @ w)
-            w = v + (step / 2.0) * (gen @ w)
-            v = v + step * (gen @ w)
-        return 0.5 * (v + v[adj].conj())
+    def rk4(v: Array, step: float) -> Array:
+        w = v + (step / 4.0) * (gen @ v)
+        for c in (3.0, 2.0, 1.0):
+            w = v + (step / c) * (gen @ w)
+        return w
 
     vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
-    t = 0.0
     checked = False
+    maps = {}
     entries = np.empty((len(sample_times), codes.size), dtype=complex)
 
     # a huge rate overflows to a non-finite state, which both checks reject
     with np.errstate(over="ignore", invalid="ignore"):
         gen = _restricted_generator(h, ops, codes)
-        eye = np.eye(codes.size)
-        step_map = eye + (dt / 4.0) * gen
-        for c in (3.0, 2.0, 1.0):
-            step_map = eye + (dt / c) * (gen @ step_map)
-        for s, target in enumerate(sample_times):
-            if target <= t + 1e-15:
-                entries[s] = vec
-                continue
-            while t < target - 1e-12:
-                step = min(dt, target - t)
-                if not checked and step >= check_step:
-                    coarse = rk4_step(vec, step)
-                    fine = rk4_step(rk4_step(vec, step / 2.0), step / 2.0)
+        for s, (gap, key) in enumerate(zip(gaps, keys)):
+            if key != (0, 0.0):
+                if not checked and gap >= check_step:
+                    coarse = rk4(vec, check_step)
+                    fine = rk4(rk4(vec, check_step / 2.0), check_step / 2.0)
                     if not np.max(np.abs(coarse - fine)) <= HALF_STEP_LIMIT:
                         raise ValueError("time step too large: half-step check failed")
                     checked = True
-                    vec = coarse
-                else:
-                    vec = rk4_step(vec, step)
-                t += step
+                if key not in maps:
+                    maps[key] = _gap_increment(gen, dt, *key)
+                # a map is dropped after its last gap, so memory stays bounded
+                inc = maps.pop(key) if last_use[key] == s else maps[key]
+                vec = vec + inc @ vec
+                vec = 0.5 * (vec + vec[adj].conj())
                 if not abs(vec[diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
                     raise ValueError("trace drift exceeded tolerance: reduce dt")
-            t = target
             entries[s] = vec
 
     return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)

@@ -20,6 +20,7 @@ from qprobe.dynamics import (
     ModelVariant,
     NoiseConfig,
     _embed,
+    _gap_increment,
     _restricted_generator,
     boson_lower,
     build_hamiltonian,
@@ -271,6 +272,16 @@ class TestIntegrateMaster:
                 dt=1.0 / (2 * MAX_RK4_STEPS),
             )
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_step_cap_matches_default_step(self, gamma):
+        # 10^7 steps in one gap map: squaring M itself, not M - I, would
+        # round away the low bits of each step and drift past 1e-12
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
+        noise = NoiseConfig(gamma=gamma)
+        capped = integrate_master(rho0, QUBIT, noise, 1.0, dt=1.0 / MAX_RK4_STEPS)
+        default = integrate_master(rho0, QUBIT, noise, 1.0)
+        assert np.max(np.abs(capped.entries - default.entries)) < 1e-12
+
     @pytest.mark.parametrize("t_end, sample_times", [
         (1e-13, None),
         (1.0, [0.5, 0.5 + 5e-13, 1.0]),
@@ -392,25 +403,31 @@ def largest_deviation(res, mats):
 
 
 class TestIntegratorOracle:
-    @pytest.mark.parametrize("cfg, noise, t_end, sample_times", [
-        (QUBIT, NoiseConfig(gamma=0.1), np.pi / 2, None),
-        (BOSON, NoiseConfig(gamma=0.1), 2.0, np.linspace(0.0, 2.0, 21)),
-        (FULL, NoiseConfig(gamma=0.1), 0.5, None),
+    @pytest.mark.parametrize("cfg, noise, t_end, sample_times, bound", [
+        (QUBIT, NoiseConfig(gamma=0.1), np.pi / 2, None, 1e-13),
+        (BOSON, NoiseConfig(gamma=0.1), 2.0, np.linspace(0.0, 2.0, 21), 1e-13),
+        (FULL, NoiseConfig(gamma=0.1), 0.5, None, 1e-13),
         (QUBIT, NoiseConfig(collapse_ops=(
             (0.05, probe_lowering(QUBIT)),
             (0.02, np.kron(np.eye(4), PROBE_SIGMA_Z)),
-        )), 1.0, None),
+        )), 1.0, None, 1e-13),
         (QUBIT, NoiseConfig(collapse_ops=(
             # complex L with complex L+L: tells L from conj(L) and L+L from its transpose
             (0.03, np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]]))),
-        )), 1.0, None),
+        )), 1.0, None, 1e-13),
+        # the evolve-boson schedule: 200 gaps of 50 steps, some one ulp short of 0.05
+        (BOSON, NoiseConfig(gamma=0.1), 10.0, np.linspace(0.0, 10.0, 201), 1e-12),
+        # uneven gaps with remainders, and gaps shorter than dt
+        (QUBIT, NoiseConfig(gamma=0.1), 1.3, [0.0, 0.0123, 0.5, 0.5004, 1.3], 1e-13),
+        (FULL, NoiseConfig(gamma=0.1), 0.5, [0.0007, 0.25, 0.3333, 0.5], 1e-13),
     ], ids=["secii-qubit", "secii-boson", "seciii-full", "two-collapse-ops",
-            "complex-collapse-op"])
-    def test_matches_dense_rk4(self, cfg, noise, t_end, sample_times):
+            "complex-collapse-op", "secii-boson-evolve-schedule", "secii-qubit-uneven",
+            "seciii-full-uneven"])
+    def test_matches_dense_rk4(self, cfg, noise, t_end, sample_times, bound):
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         res = integrate_master(rho0, cfg, noise, t_end, sample_times=sample_times)
         ref = dense_rk4_reference(rho0, cfg, noise, t_end, sample_times=sample_times)
-        assert largest_deviation(res, ref) < 1e-13
+        assert largest_deviation(res, ref) < bound
 
     @pytest.mark.parametrize("cfg, t_end", [(QUBIT, np.pi / 2), (BOSON, 2.0), (EXCHANGE, 5.0)],
                              ids=["secii-qubit", "secii-boson", "seciii-eff"])
@@ -420,6 +437,25 @@ class TestIntegratorOracle:
         res = integrate_master(rho0, cfg, NoiseConfig(), t_end, sample_times=times)
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
         assert largest_deviation(res, [prop.apply_mat(rho0.mat, t) for t in times]) < 1e-10
+
+    @pytest.mark.parametrize("t_end, sample_times, maps", [
+        # the evolve-boson schedule: every gap is 50 steps, also where it
+        # sits one ulp short of 0.05, so the run forms one map
+        (10.0, np.linspace(0.0, 10.0, 201), [(50, 0.0)]),
+        # three distinct gaps, two of them repeated out of order
+        (1.0, [0.1, 0.35, 0.45, 0.7, 0.8, 1.0], [(100, 0.0), (250, 0.0), (200, 0.0)]),
+    ], ids=["linspace", "alternating"])
+    def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times, maps):
+        formed = []
+
+        def counted(gen, dt, n, rem):
+            formed.append((n, rem))
+            return _gap_increment(gen, dt, n, rem)
+
+        monkeypatch.setattr("qprobe.dynamics._gap_increment", counted)
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
+        integrate_master(rho0, QUBIT, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
+        assert formed == maps
 
     def test_no_dense_liouvillian(self):
         # a dense d^2 x d^2 generator at d = 72 would take 430 MB
