@@ -94,7 +94,6 @@ _FLAGS = {
     "delta": dict(type=float, help="detuning in units of g"),
     "model": dict(type=str, choices=sorted(MODEL_CHOICES), help="model variant"),
     "t-end": dict(type=float, help="evolution time in units of 1/g"),
-    "dt": dict(type=float, help="integrator step in units of 1/g (default 1e-3)"),
     "samples": dict(type=int, help="number of sample times (default 201)"),
     "shots": dict(type=int, help="shots per stage (0 = exact statistics)"),
     "seed": dict(type=int, help="sampling seed"),
@@ -200,7 +199,6 @@ def cmd_measures(args: argparse.Namespace) -> int:
     x = _require_x(opts)
     rho = one_param_density(x)
     rep = correlation_report(rho)
-    sigma_z = 3.0 - 4.0 * x
     values = {
         "x": x,
         "concurrence": rep.concurrence,
@@ -208,7 +206,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
         "classical": rep.classical,
         "discord": rep.discord,
         "classical_eq20": rep.classical_closed_form,
-        "sigma_z": sigma_z,
+        "sigma_z": 2.0 * RESONANT_READOUT.probability(x) - 1.0,
     }
     print("\n".join(f"{k} = {fmt(v)}" for k, v in values.items()))
     if opts["out"]:
@@ -225,7 +223,8 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     n = np.floor((stop - start) / step + 1e-9) + 1
     if n > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
-    return [start + i * step for i in range(int(n))]
+    # the 1e-9 slack can admit a last point just past stop: end on stop
+    return [min(start + i * step, stop) for i in range(int(n))]
 
 
 def _report_values(rep: CorrelationReport) -> list[float]:
@@ -233,37 +232,34 @@ def _report_values(rep: CorrelationReport) -> list[float]:
             rep.classical_closed_form]
 
 
-def _sweep_row(x: float, cfg: ModelConfig, noise: NoiseConfig, dt: float) -> list[float]:
+def _sweep_row(x: float, cfg: ModelConfig, noise: NoiseConfig) -> list[float]:
     """Noiseless measures and sigma_z; with noise, also one noisy probe cycle."""
+    sigma_z = 2.0 * RESONANT_READOUT.probability(x) - 1.0
     if noise.gamma == 0.0:
         rep = correlation_report(one_param_density(x))
-        return [x, *_report_values(rep), 3.0 - 4.0 * x]
-    cycle = run_probe_cycle(x, cfg, 1, noise, dt=dt)
-    return [x, *_report_values(cycle.measures_before), 3.0 - 4.0 * x,
+        return [x, *_report_values(rep), sigma_z]
+    cycle = run_probe_cycle(x, cfg, 1, noise)
+    return [x, *_report_values(cycle.measures_before), sigma_z,
             *_report_values(cycle.measures_after), cycle.mean_sigma_z]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
         "x_start": 0.5, "x_stop": 1.0, "x_step": 0.01,
-        "gamma": 0.0, "dt": 1e-3,
-        "model": "secii-qubit", "out": "sweep.csv",
+        "gamma": 0.0, "model": "secii-qubit", "out": "sweep.csv",
         "emit_svg": False,
     })
     cfg = _model_config({**opts, "delta": None})
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("sweep runs on the resonant models")
     noise = NoiseConfig(gamma=float(opts["gamma"]))
-    dt = float(opts["dt"])
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError("dt must be positive and finite")
     grid = _sweep_grid(float(opts["x_start"]), float(opts["x_stop"]),
                        float(opts["x_step"]))
 
     header = ["x", *SWEEP_COLUMNS]
     if noise.gamma > 0:
         header += [f"{c}_noisy" for c in SWEEP_COLUMNS]
-    rows = [_sweep_row(x, cfg, noise, dt) for x in grid]
+    rows = [_sweep_row(x, cfg, noise) for x in grid]
 
     text = ",".join(header) + "\n"
     for row in rows:
@@ -287,8 +283,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     opts = merged_options(args, {
         "x": None, "model": "secii-qubit", "gamma": 0.0,
-        "delta": None, "t_end": 10.0, "dt": 1e-3,
-        "samples": 201, "out": "evolve.csv",
+        "delta": None, "t_end": 10.0, "samples": 201, "out": "evolve.csv",
     })
     x = _require_x(opts)
     cfg = _model_config(opts)
@@ -304,8 +299,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
     times = np.linspace(0.0, t_end, n_samples)
-    res = integrate_master(joint0, cfg, noise, t_end, dt=float(opts["dt"]),
-                           sample_times=times)
+    res = integrate_master(joint0, cfg, noise, t_end, sample_times=times)
     # every sample at once, as (n, 4, 4) pair and (n, 2, 2) probe stacks
     if cfg.variant is ModelVariant.RESONANT_BOSON:
         ab = boson_pair_to_qubits_stack(res.reduced_stack({0, 1}, TWO_LEVEL_INDEX))
@@ -437,9 +431,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if len(parts) != len(header):
             raise DataShapeError("ragged CSV row")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise DataShapeError(f"non-numeric CSV cell: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise DataShapeError(f"non-finite CSV cell in row: {ln}")
+        rows.append(row)
     abscissa = [r[0] for r in rows]
     series = [(c, [r[idx[c]] for r in rows]) for c in wanted]
     svg = svgplot.render_line_chart(abscissa, series, x_label=header[0])
@@ -455,9 +452,9 @@ _COMMANDS = {
     "measures": (cmd_measures, "all correlation measures of the family state",
                  "x", "out", "config"),
     "sweep": (cmd_sweep, "parameter sweep over x, CSV output", "x-start", "x-stop",
-              "x-step", "gamma", "dt", "model", "out", "config", "emit-svg"),
+              "x-step", "gamma", "model", "out", "config", "emit-svg"),
     "evolve": (cmd_evolve, "time evolution of one configuration, CSV output", "x",
-               "model", "gamma", "delta", "t-end", "dt", "out", "config", "samples"),
+               "model", "gamma", "delta", "t-end", "out", "config", "samples"),
     "probe": (cmd_probe, "single ground-probe readout cycle", "x", "gamma", "model",
               "shots", "seed", "out", "config", "n"),
     "qnd": (cmd_qnd, "non-demolition probe sequence", "x", "delta", "shots", "seed",

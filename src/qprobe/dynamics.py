@@ -342,6 +342,8 @@ class EvolutionResult:
         return self._views({2})
 
 
+#: the integration step every caller in the package uses; ``integrate_master``
+#: takes another only for convergence checks
 DEFAULT_DT = 1e-3
 TRACE_DRIFT_LIMIT = 1e-6
 HALF_STEP_LIMIT = 1e-7
@@ -592,26 +594,21 @@ def _phase_twirl(mat: Array) -> Array:
     return mat * _TWIRL_MASK
 
 
-def dispersive_deviation(
-    x: float,
-    delta_over_g: float,
-    t_end: Optional[float] = None,
-    n_points: int = 201,
-) -> float:
+def dispersive_deviation(x: float, delta_over_g: float) -> float:
     """Worst-case twirled trace distance between the full and effective models.
 
     Evolves the family state with an excited probe and vacuum cavities
     under the full (Stark-compensated) model, reduces to the three
-    atoms and compares against the exchange model over [0, t_end]
-    (default: one transfer period).  The cavities' three Fock levels
-    are exact here (see the module docstring), so one run suffices.
+    atoms and compares against the exchange model at 201 evenly spaced
+    times over one transfer period, pi / (2 sqrt(2) J).  The cavities'
+    three Fock levels are exact here (see the module docstring), so one
+    run suffices.
     """
     if delta_over_g < MIN_DISPERSIVE_DELTA:
         raise ValueError(f"dispersive comparison needs delta >= {MIN_DISPERSIVE_DELTA:g} g")
     eff_cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=delta_over_g)
-    if t_end is None:
-        t_end = float(np.pi / (2.0 * np.sqrt(2.0) * eff_cfg.j_exchange))
-    times = np.linspace(0.0, float(t_end), int(n_points))
+    t_end = float(np.pi / (2.0 * np.sqrt(2.0) * eff_cfg.j_exchange))
+    times = np.linspace(0.0, t_end, 201)
 
     eff_prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(eff_cfg))
     eff0 = initial_joint(x, eff_cfg, ProbePrep.EXCITED).mat

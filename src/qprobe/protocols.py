@@ -49,7 +49,6 @@ from .states import (
     two_qubit_space,
 )
 from .dynamics import (
-    DEFAULT_DT,
     MIN_DISPERSIVE_DELTA,
     TWO_LEVEL_INDEX,
     ModelConfig,
@@ -259,7 +258,6 @@ def run_probe_cycle(
     cfg: ModelConfig,
     n_half_periods: int = 1,
     noise: Optional[NoiseConfig] = None,
-    dt: float = DEFAULT_DT,
 ) -> ProbeCycleReport:
     """Attach a ground probe, evolve to t = n pi/2, read sigma_z.
 
@@ -267,7 +265,8 @@ def run_probe_cycle(
     state and carries no information) and at most MAX_HALF_PERIODS.
     Without noise the pair state lands exactly on the corner swap of the
     family state while every correlation measure is preserved.  With
-    noise the master equation is integrated with step ``dt``.
+    noise the master equation is integrated at the library's fixed step
+    (``dynamics.DEFAULT_DT``).
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -287,7 +286,7 @@ def run_probe_cycle(
         reduced = partial_trace(joint, {0, 1})
         probe = partial_trace(joint, {2})
     else:
-        result = integrate_master(joint0, cfg, noise, t_read, dt=dt)
+        result = integrate_master(joint0, cfg, noise, t_read)
         reduced = result.reduced_ab[-1]
         probe = result.probe[-1]
 

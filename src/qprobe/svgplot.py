@@ -7,6 +7,7 @@ formatted with fixed precision so identical data gives identical bytes.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 WIDTH = 720
@@ -51,6 +52,10 @@ def render_line_chart(
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    # a coordinate is at most WIDTH spans, so that product must be finite too
+    if not all(map(math.isfinite, [*xs, *ys_all, WIDTH * (x_hi - x_lo),
+                                   WIDTH * (y_hi - y_lo)])):
+        raise ValueError("data or axis span is not finite")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -116,6 +116,19 @@ class TestSweepCommand:
     def test_unwritable_path_exit_code(self, capsys):
         assert run(["sweep", "--x-step", "0.5", "--out", "/nonexistent/d/s.csv"]) == 3
 
+    def test_grid_ends_on_stop(self):
+        # the 1e-9 slack once admitted a last point at 1.00000000005, or 0.80000000003
+        grid = _sweep_grid(0.5, 1.0, 0.10000000001)
+        assert len(grid) == 6 and grid[-1] == 1.0
+        assert _sweep_grid(0.5, 0.8, 0.10000000001)[-1] == 0.8
+
+    def test_grid_past_stop_runs_to_stop(self, tmp_path, capsys):
+        # this grid once exited 2 with "x out of family domain"
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--x-step", "0.10000000001", "--out", out]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 6 and rows[-1].startswith("1,1,2,")
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path, capsys):
@@ -307,6 +320,29 @@ class TestPlotCommand:
                     tmp_path / "x.svg"]) == 4
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_exit_code(self, cell, tmp_path, capsys):
+        # such a cell once gave points="72.00,nan ..." and exit 0
+        csv = tmp_path / "c.csv"
+        csv.write_text(f"x,y\n0.5,1\n0.6,{cell}\n")
+        svg = tmp_path / "p.svg"
+        assert run(["plot", "--csv", csv, "--columns", "y", "--out", svg]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("rows", [
+        "0.5,-1e308\n0.6,1e308",  # the range itself overflows
+        "0.5,0\n0.6,1e308",  # the range is finite, a coordinate is not
+        "-1e308,0\n1e308,1",
+    ], ids=["y-range", "y-coordinate", "x-range"])
+    def test_overflowing_axis_span_exit_code(self, rows, tmp_path, capsys):
+        csv = tmp_path / "c.csv"
+        csv.write_text(f"x,y\n{rows}\n")
+        svg = tmp_path / "p.svg"
+        assert run(["plot", "--csv", csv, "--columns", "y", "--out", svg]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_empty_csv_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("x,concurrence\n")
@@ -368,25 +404,35 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
-        ["--t-end", "nan"],
-        ["--t-end", "inf"],
-        ["--dt", "inf"],
-        ["--dt", "nan"],
-        ["--dt", "0"],
-        ["--dt", "1e-300"],
-    ], ids=" ".join)
-    def test_evolve_times_validated(self, args, tmp_path, capsys):
+        ["sweep", "--x-step", "0.25"],
+        ["evolve", "--x", "0.75"],
+    ], ids=["sweep", "evolve"])
+    def test_integration_step_is_not_a_config_key(self, args, tmp_path, capsys):
+        # the gap maps make the default step exact to the printed digits
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dt": 0.001}))
+        assert run([*args, "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "'dt'" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--t-end", "nan"], "t-end", id="--t-end nan"),
+        pytest.param(["--t-end", "inf"], "t-end", id="--t-end inf"),
+        # the integration step is fixed: --dt is refused, whatever its value
+        pytest.param(["--dt", "inf"], "--dt", id="--dt inf"),
+        pytest.param(["--dt", "nan"], "--dt", id="--dt nan"),
+        pytest.param(["--dt", "0"], "--dt", id="--dt 0"),
+        pytest.param(["--dt", "1e-300"], "--dt", id="--dt 1e-300"),
+        # 10^8 steps of the fixed 1e-3 step: over the step cap
+        pytest.param(["--t-end", "1e5"], "10000000 steps", id="--t-end 1e5"),
+    ])
+    def test_evolve_times_validated(self, args, message, tmp_path, capsys):
         out = tmp_path / "e.csv"
         assert run(["evolve", "--x", "0.75", *args, "--out", out]) == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err and captured.out == ""
-        assert not out.exists()
-
-    def test_evolve_dt_above_every_sample_gap_checked(self, tmp_path, capsys):
-        out = tmp_path / "e.csv"
-        assert run(["evolve", "--x", "0.75", "--gamma", "0.1", "--t-end", "1",
-                    "--samples", "3", "--dt", "0.6", "--out", out]) == 2
-        assert "half-step" in capsys.readouterr().err
+        assert message in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_probe_negative_shots(self, capsys):
@@ -396,10 +442,11 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("dt", ["-1", "nan", "0"])
     def test_noiseless_sweep_dt_validated(self, dt, tmp_path, capsys):
+        # sweep has no --dt: the flag is refused before any row is written
         out = tmp_path / "s.csv"
         assert run(["sweep", "--x-step", "0.25", "--dt", dt, "--out", out]) == 2
         captured = capsys.readouterr()
-        assert "dt" in captured.err and captured.out == ""
+        assert "unrecognized arguments: --dt" in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_probe_sample_gap_below_floor_rejected(self, capsys):
@@ -457,11 +504,14 @@ class TestInputValidation:
 
 
 class TestNoisySweepRow:
-    def test_dt_reaches_integrator(self, tmp_path, capsys):
+    def test_rate_beyond_the_fixed_step_fails_half_step_check(self, tmp_path, capsys):
+        # at gamma 500 the probe's excitation decays within about 1e-3 of pi/2
         out = tmp_path / "s.csv"
-        assert run(["sweep", "--x-start", "0.75", "--x-stop", "0.75",
-                    "--gamma", "0.1", "--dt", "0.5", "--out", out]) == 2
-        assert "half-step" in capsys.readouterr().err
+        assert run(["sweep", "--x-start", "0.5", "--x-stop", "0.5",
+                    "--gamma", "500", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "half-step" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_row_is_one_probe_cycle(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
