@@ -31,7 +31,15 @@ Every Hamiltonian here conserves excitation number and the probe's
 sigma^- lowers ket and bra together, so that set is small (at most 170
 entries under probe decay).  The generator does not depend on time, so
 the RK4 steps across each gap between sample times are one precomputed
-matrix on that set.  The module needs numpy only.
+matrix on that set, composed from the squaring chain of one step.
+
+A ``ModelConfig`` caches what depends on it alone, for as long as the
+config object lives: its Hamiltonian and the probe's sigma^- (read-only
+arrays), and the latest propagation plan of ``integrate_master`` (the
+reachable set, the restricted generator and the squaring chain), rebuilt
+when the collapse operators, the initial nonzero pattern or the step
+change.  The rows of one sweep share one config and so one plan; every
+CLI call builds its own config.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -81,7 +89,14 @@ _DISPERSIVE = (ModelVariant.DISPERSIVE_FULL, ModelVariant.DISPERSIVE_EFFECTIVE)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Which Hamiltonian to build, plus its detuning."""
+    """Which Hamiltonian to build, plus its detuning.
+
+    A config also owns what is derived from it alone, built on first
+    use and kept as long as the config object: ``hamiltonian`` and
+    ``probe_sigma_minus`` (read-only arrays), and ``integrate_master``'s
+    latest propagation plan (see ``_propagation_plan``).  None of them
+    is a field, so equality, hashing and ``repr`` see the two fields only.
+    """
 
     variant: ModelVariant
     delta: Optional[float] = None
@@ -114,6 +129,21 @@ class ModelConfig:
         if self.variant is ModelVariant.DISPERSIVE_FULL:
             return HilbertSpace((2, 2, 2, 3, 3), ("A", "B", "C", "cav1", "cav2"))
         return HilbertSpace((2, 2, 2), ("A", "B", "C"))
+
+    @functools.cached_property
+    def hamiltonian(self) -> Array:
+        """``build_hamiltonian(self)``, built on first use; read-only."""
+        return _read_only(build_hamiltonian(self))
+
+    @functools.cached_property
+    def probe_sigma_minus(self) -> Array:
+        """``probe_lowering(self)``, built on first use; read-only."""
+        return _read_only(probe_lowering(self))
+
+
+def _read_only(a: Array) -> Array:
+    a.setflags(write=False)
+    return a
 
 
 def _embed(ops: dict[int, Array], dims: Sequence[int]) -> Array:
@@ -277,7 +307,7 @@ class NoiseConfig:
             return ops
         if self.gamma == 0.0:
             return []
-        return [(self.gamma, probe_lowering(cfg))]
+        return [(self.gamma, cfg.probe_sigma_minus)]
 
 
 @dataclass(frozen=True)
@@ -436,24 +466,82 @@ def _rk4_increment(gen: Array, step: float) -> Array:
     return step * (gen @ inc)
 
 
-def _gap_increment(gen: Array, dt: float, n: int, rem: float) -> Array:
-    """P - I for the gap map P = M(rem) M(dt)^n, by squaring in increment form.
+class _PropagationPlan:
+    """The model-only work of ``integrate_master`` for one key.
 
-    With E = M - I, maps compose as (I + A)(I + B) = I + (A + B + AB) and
-    square as E -> 2E + EE, so the identity is never added and the
-    increment keeps its low bits through every squaring.  All factors
-    are polynomials in G, so their order does not matter.
+    It holds the reachable entries ``codes`` of the initial pattern,
+    the positions of their adjoints and of the diagonal, the restricted
+    generator ``gen`` and the squaring chain of the RK4 step of length
+    ``dt``.  Chain entry j is M(dt)^(2^j) - I, squared in increment form
+    from entry j - 1 on first use (E -> 2E + EE), so the identity is
+    never added and the increment keeps its low bits through every
+    squaring.  The chain only grows by replacing a tuple with a longer
+    one, so a plan shared between threads never holds a wrong entry.
+    """
+
+    def __init__(self, key: tuple, h: Array, ops, rho0: Array, dt: float):
+        self.key = key
+        self.dt = dt
+        codes = reachable_entries(rho0, h, ops)
+        d = h.shape[0]
+        rows, cols = np.divmod(codes, d)
+        self.codes = _read_only(codes)
+        self.adj = _read_only(np.searchsorted(codes, cols * d + rows))
+        self.diag = _read_only(np.flatnonzero(rows == cols))
+        self.gen = _read_only(_restricted_generator(h, ops, codes))
+        self._chain: tuple[Array, ...] = ()
+
+    def power_increment(self, j: int) -> Array:
+        """M(dt)^(2^j) - I, read-only."""
+        chain = self._chain
+        if len(chain) <= j:
+            grown = list(chain) or [_read_only(_rk4_increment(self.gen, self.dt))]
+            while len(grown) <= j:
+                grown.append(_read_only(2.0 * grown[-1] + grown[-1] @ grown[-1]))
+            self._chain = chain = tuple(grown)
+        return chain[j]
+
+
+def _propagation_plan(
+    cfg: ModelConfig, ops: Sequence[tuple[float, Array]], rho0: Array, dt: float
+) -> _PropagationPlan:
+    """``cfg``'s plan for these collapse operators, initial pattern and step.
+
+    The config keeps one plan, the latest, and builds a new one when the
+    key changes: the step, the rates and operator entries as bytes, and
+    the nonzero pattern of ``rho0``.  Default and explicit collapse
+    operators of equal values therefore share a plan.  The plan is kept
+    as long as the config object, so every call made with one config
+    (the rows of a sweep) shares it and separate configs never do.
+    """
+    key = (dt, (rho0 != 0).tobytes(), np.array([r for r, _ in ops]).tobytes(),
+           *(op.tobytes() for _, op in ops))
+    plan = cfg.__dict__.get("_plan")
+    if plan is None or plan.key != key:
+        plan = _PropagationPlan(key, cfg.hamiltonian, ops, rho0, dt)
+        # a frozen dataclass: stored beside the cached operators, not as a field
+        object.__setattr__(cfg, "_plan", plan)
+    return plan
+
+
+def _gap_increment(plan: _PropagationPlan, n: int, rem: float) -> Array:
+    """P - I for the gap map P = M(rem) M(dt)^n, composed from the plan's chain.
+
+    With E = M - I, maps compose as (I + A)(I + B) = I + (A + B + AB):
+    the chain entries of n's set bits are composed from the lowest bit
+    up, then the remainder step.  All factors are polynomials in G, so
+    their order does not matter.
     """
     acc = None
-    base = _rk4_increment(gen, dt) if n else None
+    j = 0
     while n:
         if n & 1:
+            base = plan.power_increment(j)
             acc = base if acc is None else acc + base + acc @ base
         n >>= 1
-        if n:
-            base = 2.0 * base + base @ base
+        j += 1
     if rem:
-        inc = _rk4_increment(gen, rem)
+        inc = _rk4_increment(plan.gen, rem)
         acc = inc if acc is None else acc + inc + acc @ inc
     return acc
 
@@ -473,21 +561,26 @@ def integrate_master(
     The state is evolved on the entries it can reach from rho0 (see
     ``reachable_entries``; under probe decay 19 of 64 for the resonant
     qubit model with a ground probe and at most 170 for the full
-    dispersive model).  The generator G restricted to them is built
-    once per call.  Each gap g between consecutive sample times is n
-    RK4 steps of length dt, n = floor((g + 1e-12) / dt), then one step
-    of the remainder r when r exceeds 1e-12; as G does not depend on
-    time, the gap is one fixed linear map P = M(r) M(dt)^n, with M the
-    RK4 polynomial of a step.  P is formed once per distinct (n, r) by
-    repeated squaring of M - I (see ``_gap_increment``), and each sample
-    then costs one mat-vec.  The state is re-Hermitized at every sample,
-    and the samples are returned as the (n, k) stack of those entries
-    (see ``EvolutionResult``), never as d x d matrices.  One Richardson half-step comparison runs on the
-    state at the start of the first gap that takes a step of the
-    longest length the schedule takes, min(dt, largest gap between
-    sample times), and rejects the run if the discrepancy exceeds 1e-7
-    or is not finite (the step size is then too large); trace drift
-    beyond 1e-6 at any sample, or a non-finite trace, aborts as well.  A
+    dispersive model).  The set, the generator G restricted to it and
+    the squaring chain of the step are ``cfg``'s propagation plan (see
+    ``_propagation_plan``): built once and reused by later calls with
+    the same collapse operators, initial nonzero pattern and dt.  Each
+    gap g between consecutive sample times is n RK4 steps of length dt,
+    n = floor((g + 1e-12) / dt), then one step of the remainder r when
+    r exceeds 1e-12; as G does not depend on time, the gap is one fixed
+    linear map P = M(r) M(dt)^n, with M the RK4 polynomial of a step.
+    P is formed once per distinct (n, r) from the chain entries of n's
+    set bits (see ``_gap_increment``), and each sample then costs one
+    mat-vec.  The state is re-Hermitized at every sample, and the
+    samples are returned as the (n, k) stack of those entries (see
+    ``EvolutionResult``), never as d x d matrices.  One Richardson
+    half-step comparison runs on the state at the start of the first
+    gap that takes a step of the longest length the schedule takes,
+    min(dt, largest gap between sample times), and rejects the run if
+    the discrepancy exceeds 1e-7 or is not finite; trace drift beyond
+    1e-6 at any sample, or a non-finite trace, aborts as well.  Both
+    messages say the decay rate is too large for the step, which is
+    fixed for every caller in the package.  A
     non-finite t_end, a non-finite or non-positive dt, more than
     MAX_RK4_STEPS steps, sample times closer than MIN_SAMPLE_GAP (a
     repeated one too; only a first sample at 0 may sit closer to 0) and
@@ -523,13 +616,7 @@ def integrate_master(
         keys.append((n, rem if rem > 1e-12 else 0.0))
     last_use = {key: s for s, key in enumerate(keys)}
 
-    h = build_hamiltonian(cfg)
-    d = h.shape[0]
     ops = noise.resolved_ops(cfg)
-    codes = reachable_entries(rho0.mat, h, ops)
-    rows, cols = np.divmod(codes, d)
-    adj = np.searchsorted(codes, cols * d + rows)
-    diag = np.flatnonzero(rows == cols)
 
     def rk4(v: Array, step: float) -> Array:
         w = v + (step / 4.0) * (gen @ v)
@@ -537,30 +624,35 @@ def integrate_master(
             w = v + (step / c) * (gen @ w)
         return w
 
-    vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
     checked = False
     maps = {}
-    entries = np.empty((len(sample_times), codes.size), dtype=complex)
 
     # a huge rate overflows to a non-finite state, which both checks reject
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = _restricted_generator(h, ops, codes)
+        plan = _propagation_plan(cfg, ops, rho0.mat, dt)
+        codes, gen = plan.codes, plan.gen
+        vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
+        entries = np.empty((len(sample_times), codes.size), dtype=complex)
         for s, (gap, key) in enumerate(zip(gaps, keys)):
             if key != (0, 0.0):
                 if not checked and gap >= check_step:
                     coarse = rk4(vec, check_step)
                     fine = rk4(rk4(vec, check_step / 2.0), check_step / 2.0)
                     if not np.max(np.abs(coarse - fine)) <= HALF_STEP_LIMIT:
-                        raise ValueError("time step too large: half-step check failed")
+                        raise ValueError(
+                            f"decay rate too large for the integration step "
+                            f"(dt = {dt:g}): half-step check failed")
                     checked = True
                 if key not in maps:
-                    maps[key] = _gap_increment(gen, dt, *key)
+                    maps[key] = _gap_increment(plan, *key)
                 # a map is dropped after its last gap, so memory stays bounded
                 inc = maps.pop(key) if last_use[key] == s else maps[key]
                 vec = vec + inc @ vec
-                vec = 0.5 * (vec + vec[adj].conj())
-                if not abs(vec[diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
-                    raise ValueError("trace drift exceeded tolerance: reduce dt")
+                vec = 0.5 * (vec + vec[plan.adj].conj())
+                if not abs(vec[plan.diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
+                    raise ValueError(
+                        f"trace drift exceeded tolerance: decay rate too large "
+                        f"for the integration step (dt = {dt:g})")
             entries[s] = vec
 
     return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)
@@ -610,10 +702,10 @@ def dispersive_deviation(x: float, delta_over_g: float) -> float:
     t_end = float(np.pi / (2.0 * np.sqrt(2.0) * eff_cfg.j_exchange))
     times = np.linspace(0.0, t_end, 201)
 
-    eff_prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(eff_cfg))
+    eff_prop = SpectralPropagator.from_hamiltonian(eff_cfg.hamiltonian)
     eff0 = initial_joint(x, eff_cfg, ProbePrep.EXCITED).mat
     cfg = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=delta_over_g)
-    prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
+    prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
     full0 = initial_joint(x, cfg, ProbePrep.EXCITED).mat
     worst = 0.0
     for t in times:

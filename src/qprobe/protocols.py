@@ -54,7 +54,6 @@ from .dynamics import (
     ModelConfig,
     ModelVariant,
     NoiseConfig,
-    build_hamiltonian,
     initial_joint,
     integrate_master,
     sigma_z_expectation,
@@ -281,7 +280,7 @@ def run_probe_cycle(
     t_read = n * np.pi / 2.0
 
     if noise.gamma == 0.0 and noise.collapse_ops is None:
-        prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
+        prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
         joint = prop.apply(joint0, t_read)
         reduced = partial_trace(joint, {0, 1})
         probe = partial_trace(joint, {2})
@@ -337,7 +336,7 @@ _FIDELITY_X_GRID = (0.6, 0.75, 0.9)
 
 def _exchange_propagator(j: float) -> SpectralPropagator:
     cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=1.0 / (2.0 * j))
-    return SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
+    return SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
 
 
 def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
@@ -465,7 +464,7 @@ def run_qnd_sequence(
     if 2 * n_cycles * shots_per_stage > MAX_SHOTS:
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg.j_exchange)
-    prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
+    prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
 
     state = one_param_density(x)
     stages: list[QndStageResult] = []

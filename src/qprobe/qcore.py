@@ -8,7 +8,9 @@ and reduced on the basis states those entries touch (at most 18 of 72
 from the models' initial states).  All containers are frozen
 dataclasses holding read-only arrays, so a state checked once at
 construction cannot be changed afterwards through an alias of its
-matrix.
+matrix.  qcore keeps no state between calls and never writes to an
+input, so the read-only operators a ``dynamics.ModelConfig`` caches for
+its lifetime pass through it as they are.
 
 Conventions:
     hbar = 1; the coupling g = 1 is the fixed energy unit and times
@@ -129,15 +131,24 @@ class DensityMatrix:
 
 
 def kron(a, b) -> Array:
-    """Kronecker product of two operators (dimensions multiply)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    """Kronecker product of two operators (dimensions multiply).
+
+    One broadcast multiply, entry (i p + k, j q + l) = a[i, j] b[k, l]
+    for b of shape (p, q): the products np.kron forms, bit for bit,
+    without its shape handling.  Both operands must be 2-D.
+    """
+    a, b = _as_matrix(a), _as_matrix(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("kron takes two 2-D operators")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def kron_all(*ops) -> Array:
     """Left-to-right Kronecker product of several operators."""
     out = np.array([[1.0 + 0j]])
     for op in ops:
-        out = np.kron(out, _as_matrix(op))
+        out = kron(out, op)
     return out
 
 

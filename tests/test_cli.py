@@ -16,15 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qprobe
-from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, fmt, main
+from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, _sweep_row, fmt, main
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
     MIN_SAMPLE_GAP,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
+    build_hamiltonian,
     initial_joint,
     integrate_master,
+    reachable_entries,
     sigma_z_expectation,
 )
 from qprobe.measures import _wootters_concurrence, concurrence, mutual_information
@@ -511,6 +513,7 @@ class TestNoisySweepRow:
                     "--gamma", "500", "--out", out]) == 2
         captured = capsys.readouterr()
         assert "half-step" in captured.err and captured.out == ""
+        assert "decay rate too large" in captured.err
         assert not out.exists()
 
     def test_row_is_one_probe_cycle(self, tmp_path, capsys):
@@ -527,6 +530,47 @@ class TestNoisySweepRow:
             *(getattr(cycle.measures_after, n) for n in names), cycle.mean_sigma_z,
         ]
         assert row == [fmt(v) for v in expected]
+
+
+#: a grid through x = 2/3, which zeroes the family's coherence, ending on
+#: x = 1, which zeroes its |11> population: the initial pattern changes
+#: at both
+PATTERN_GRID = ["--x-start", "0.5", "--x-stop", "1", "--x-step", "0.08333333333333333"]
+
+
+class TestSweepSharesOneModel:
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_QUBIT,
+                                         ModelVariant.RESONANT_BOSON],
+                             ids=["secii-qubit", "secii-boson"])
+    def test_rows_from_one_config_equal_rows_from_fresh_configs(self, variant):
+        grid = _sweep_grid(0.5, 1.0, float(PATTERN_GRID[-1]))
+        assert 2 / 3 in grid and grid[-1] == 1.0
+        noise = NoiseConfig(gamma=0.1)
+        shared = ModelConfig(variant)
+        # twice over, so the grid's last pattern meets its first again
+        rows = [_sweep_row(x, shared, noise) for x in grid + grid]
+        fresh = [_sweep_row(x, ModelConfig(variant), noise) for x in grid]
+        assert rows == fresh + fresh
+
+    def test_noisy_sweep_builds_the_model_once(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        patterns = [(initial_joint(x, cfg, ProbePrep.GROUND).mat != 0).tobytes()
+                    for x in _sweep_grid(0.5, 1.0, float(PATTERN_GRID[-1]))]
+        changes = 1 + sum(a != b for a, b in zip(patterns, patterns[1:]))
+        assert changes == 4
+        calls = {"build_hamiltonian": 0, "reachable_entries": 0}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("qprobe.dynamics.build_hamiltonian", counted(build_hamiltonian))
+        monkeypatch.setattr("qprobe.dynamics.reachable_entries", counted(reachable_entries))
+        assert run(["sweep", "--gamma", "0.1", *PATTERN_GRID,
+                    "--out", tmp_path / "s.csv"]) == 0
+        assert calls == {"build_hamiltonian": 1, "reachable_entries": changes}
 
 
 def test_runtime_needs_no_scipy(tmp_path):

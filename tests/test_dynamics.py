@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -19,9 +21,11 @@ from qprobe.dynamics import (
     ModelConfig,
     ModelVariant,
     NoiseConfig,
+    _PropagationPlan,
     _embed,
     _gap_increment,
     _restricted_generator,
+    _rk4_increment,
     boson_lower,
     build_hamiltonian,
     dispersive_deviation,
@@ -310,7 +314,7 @@ class TestIntegrateMaster:
     def test_overflowing_rate_rejected_without_warning(self, gamma, sample_times, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message) as exc:
                 integrate_master(
                     initial_joint(0.75, QUBIT, ProbePrep.GROUND),
                     QUBIT,
@@ -318,6 +322,8 @@ class TestIntegrateMaster:
                     1.0,
                     sample_times=sample_times,
                 )
+        # the step is fixed, so the message names the rate
+        assert "decay rate too large" in str(exc.value)
 
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -448,9 +454,9 @@ class TestIntegratorOracle:
     def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times, maps):
         formed = []
 
-        def counted(gen, dt, n, rem):
+        def counted(plan, n, rem):
             formed.append((n, rem))
-            return _gap_increment(gen, dt, n, rem)
+            return _gap_increment(plan, n, rem)
 
         monkeypatch.setattr("qprobe.dynamics._gap_increment", counted)
         rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
@@ -468,6 +474,162 @@ class TestIntegratorOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * d ** 4 / 10
+
+
+def gap_increment_reference(gen, dt, n, rem):
+    """P - I for P = M(rem) M(dt)^n, squared up on its own for this one gap.
+
+    The per-gap squaring that the plan's shared chain replaced.
+    """
+    acc = None
+    base = _rk4_increment(gen, dt) if n else None
+    while n:
+        if n & 1:
+            acc = base if acc is None else acc + base + acc @ base
+        n >>= 1
+        if n:
+            base = 2.0 * base + base @ base
+    if rem:
+        inc = _rk4_increment(gen, rem)
+        acc = inc if acc is None else acc + inc + acc @ inc
+    return acc
+
+
+def plans_of(cfg):
+    return [v for v in vars(cfg).values() if isinstance(v, _PropagationPlan)]
+
+
+class TestPropagationPlan:
+    @pytest.mark.parametrize("cfg, prep", [
+        (QUBIT, ProbePrep.GROUND),
+        (FULL, ProbePrep.EXCITED),
+    ], ids=["secii-qubit", "seciii-full-excited"])
+    def test_shared_chain_maps_equal_per_gap_squaring(self, cfg, prep):
+        # the chain is grown by the first key and reused, in any order, by
+        # the rest; every map must still equal the per-gap squaring bit for bit
+        cfg = ModelConfig(cfg.variant, cfg.delta)
+        rho0 = initial_joint(0.75, cfg, prep)
+        integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), 0.01)
+        [plan] = plans_of(cfg)
+        for n, rem in [(5, 0.0), (1570, 7.963e-4), (0, 3e-4), (2 ** 12, 0.0),
+                       (10 ** 7 - 1, 0.0), (1, 1e-11), (50, 0.0)]:
+            got = _gap_increment(plan, n, rem)
+            assert np.array_equal(got, gap_increment_reference(plan.gen, DEFAULT_DT, n, rem))
+
+    def test_random_schedule_matches_a_fresh_config(self):
+        # random sample times: every gap has its own map
+        times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
+        rho0 = initial_joint(0.75, FULL, ProbePrep.EXCITED)
+        noise = NoiseConfig(gamma=0.1)
+        shared = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)
+        integrate_master(rho0, shared, noise, 1.0, sample_times=times[:10])
+        first = integrate_master(rho0, shared, noise, 1.0, sample_times=times)
+        fresh = integrate_master(rho0, ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0),
+                                 noise, 1.0, sample_times=times)
+        assert np.array_equal(first.entries, fresh.entries)
+
+    def test_equal_explicit_operators_share_the_plan(self):
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        rho0 = initial_joint(0.8, cfg, ProbePrep.GROUND)
+        default = integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), 1.0)
+        [plan] = plans_of(cfg)
+        for _ in range(2):
+            # equal values in new arrays, one of them real
+            op = np.array(probe_lowering(cfg).real)
+            explicit = integrate_master(
+                rho0, cfg, NoiseConfig(collapse_ops=((0.1, op),)), 1.0)
+            assert plans_of(cfg) == [plan]
+            assert np.array_equal(explicit.entries, default.entries)
+            assert np.array_equal(explicit.codes, default.codes)
+
+    def test_one_plan_after_many_rates(self):
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        rho0 = initial_joint(0.8, cfg, ProbePrep.GROUND)
+        for gamma in np.linspace(0.0, 0.5, 12):
+            res = integrate_master(rho0, cfg, NoiseConfig(gamma=gamma), 1.0)
+            [plan] = plans_of(cfg)
+            fresh = integrate_master(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT),
+                                     NoiseConfig(gamma=gamma), 1.0)
+            assert np.array_equal(res.entries, fresh.entries)
+        assert plan.key == plans_of(cfg)[0].key
+
+    def test_step_and_pattern_are_part_of_the_key(self, monkeypatch):
+        noise = NoiseConfig(gamma=0.1)
+        # x = 2/3 zeroes the family's coherence and x = 1 its |11> population
+        runs = [(x, dt, initial_joint(x, QUBIT, ProbePrep.GROUND)) for x, dt in [
+            (0.75, DEFAULT_DT), (0.6, DEFAULT_DT), (2 / 3, DEFAULT_DT), (1.0, DEFAULT_DT),
+            (1.0, DEFAULT_DT), (1.0, 5e-4), (0.75, 5e-4)]]
+        fresh = [integrate_master(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), noise,
+                                  0.5, dt=dt) for _, dt, rho0 in runs]
+        built = []
+
+        def counted(rho0, h, ops):
+            built.append(np.count_nonzero(rho0))
+            return reachable_entries(rho0, h, ops)
+
+        monkeypatch.setattr("qprobe.dynamics.reachable_entries", counted)
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        for (_, dt, rho0), ref in zip(runs, fresh):
+            res = integrate_master(rho0, cfg, noise, 0.5, dt=dt)
+            assert np.array_equal(res.entries, ref.entries)
+        # one build per change of initial pattern (nonzero count) or step
+        assert built == [5, 3, 4, 4, 5]
+
+
+    def test_threads_sharing_a_config_get_fresh_results(self):
+        # threads alternate between keys on one config and grow one chain
+        # to different lengths; each must see exactly a fresh config's result
+        cases = [(x, gamma, t_end) for x in (0.75, 2 / 3, 1.0) for gamma in (0.05, 0.1)
+                 for t_end in (0.3, 2.5)]
+        expected = {}
+        for x, gamma, t_end in cases:
+            rho0 = initial_joint(x, QUBIT, ProbePrep.GROUND)
+            expected[x, gamma, t_end] = integrate_master(
+                rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), NoiseConfig(gamma=gamma),
+                t_end).entries
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        failures = []
+
+        def work(offset):
+            for case in (cases[offset:] + cases[:offset]) * 3:
+                x, gamma, t_end = case
+                rho0 = initial_joint(x, cfg, ProbePrep.GROUND)
+                got = integrate_master(rho0, cfg, NoiseConfig(gamma=gamma), t_end).entries
+                if not np.array_equal(got, expected[case]):
+                    failures.append(case)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+class TestConfigOperators:
+    @pytest.mark.parametrize("cfg", [QUBIT, BOSON, FULL, EXCHANGE],
+                             ids=["secii-qubit", "secii-boson", "seciii-full", "seciii-eff"])
+    def test_cached_and_read_only(self, cfg):
+        for name, build in (("hamiltonian", build_hamiltonian),
+                            ("probe_sigma_minus", probe_lowering)):
+            op = getattr(cfg, name)
+            assert getattr(cfg, name) is op
+            assert np.array_equal(op, build(cfg))
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+
+    def test_not_part_of_equality(self):
+        fresh = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        QUBIT.hamiltonian
+        assert fresh == QUBIT and hash(fresh) == hash(QUBIT)
+        assert repr(fresh) == repr(QUBIT)
 
 
 class TestEvolutionResult:

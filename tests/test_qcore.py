@@ -10,6 +10,7 @@ from qprobe.qcore import (
     fidelity,
     hermitian_eigen,
     kron,
+    kron_all,
     partial_trace,
     partial_trace_mat,
     propagate,
@@ -101,6 +102,40 @@ class TestKron:
         right = kron(sz, kron(sz, I2))
         assert np.max(np.abs(left - right)) < 1e-14
         assert np.max(np.abs(kron(kron(a, b), I2) - kron(a, kron(b, I2)))) < 1e-14
+
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((2, 2), (3, 3)), ((2, 3), (4, 1)), ((1, 5), (3, 2)), ((1, 1), (1, 1)),
+        ((1, 1), (3, 3)), ((3, 3), (1, 1)),
+    ])
+    def test_bit_identical_to_numpy(self, shape_a, shape_b):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        # the signs of zero products must match too
+        a.flat[0], b.flat[-1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+        # real operands are taken as complex first, as they always were
+        ar, br = a.real.astype(complex), b.real.astype(complex)
+        assert kron(a.real, b.real).tobytes() == np.kron(ar, br).tobytes()
+        assert kron_all(a, b, a).tobytes() == np.kron(np.kron(a, b), a).tobytes()
+
+    def test_density_matrix_operands(self):
+        rng = np.random.default_rng(14)
+        ra, rb = dm(random_psd(rng, 2)), dm(random_psd(rng, 3))
+        expect = np.kron(ra.mat, rb.mat)
+        assert kron(ra, rb).tobytes() == expect.tobytes()
+        assert kron_all(ra, rb).tobytes() == np.kron(np.kron([[1.0 + 0j]], ra.mat),
+                                                     rb.mat).tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(2), I2), (I2, np.ones(2)), (np.ones((2, 2, 2)), I2), (1.0, I2),
+    ], ids=["1-D left", "1-D right", "3-D", "0-D"])
+    def test_operands_must_be_2d(self, a, b):
+        with pytest.raises(ValueError, match="2-D"):
+            kron(a, b)
+        with pytest.raises(ValueError, match="2-D"):
+            kron_all(a, b)
 
 
 class TestPartialTrace:
