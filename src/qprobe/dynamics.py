@@ -25,25 +25,26 @@ truncation: the cavities start in vacuum, every state ``initial_joint``
 prepares holds at most two excitations, the Hamiltonians conserve that
 number and probe decay only lowers it, so no mode holds a third photon.
 
-Open-system evolution (``integrate_master``) is fixed-step RK4 on the
-density-matrix entries the dynamics can reach from the initial state.
-Every Hamiltonian here conserves excitation number and the probe's
-sigma^- lowers ket and bra together, so that set is small (at most 170
-entries under probe decay).  The generator does not depend on time, so
-the RK4 steps across each gap between sample times are one precomputed
-matrix on that set, composed from the squaring chain of one step.
+Open-system evolution (``integrate_master``) is exact propagation of
+the density-matrix entries the dynamics can reach from the initial
+state.  Every Hamiltonian here conserves excitation number and the
+probe's sigma^- lowers ket and bra together, so that set is small (at
+most 170 entries under probe decay).  The generator G does not depend
+on time, so each gap g between sample times is the matrix exp(G g) on
+that set, formed once per distinct gap by scaling and squaring.
 
 A ``ModelConfig`` caches what depends on it alone, for as long as the
-config object lives: its Hamiltonian and the probe's sigma^- (read-only
-arrays), and the latest propagation plan of ``integrate_master`` (the
-reachable set, the restricted generator and the squaring chain), rebuilt
-when the collapse operators, the initial nonzero pattern or the step
+config object lives: its Hilbert space, its Hamiltonian and the probe's
+sigma^- (read-only arrays), and the latest propagation plan of
+``integrate_master`` (the reachable set and the restricted generator),
+rebuilt when the collapse operators or the initial nonzero pattern
 change.  The rows of one sweep share one config and so one plan; every
 CLI call builds its own config.  The module needs numpy only.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -92,10 +93,11 @@ class ModelConfig:
     """Which Hamiltonian to build, plus its detuning.
 
     A config also owns what is derived from it alone, built on first
-    use and kept as long as the config object: ``hamiltonian`` and
-    ``probe_sigma_minus`` (read-only arrays), and ``integrate_master``'s
-    latest propagation plan (see ``_propagation_plan``).  None of them
-    is a field, so equality, hashing and ``repr`` see the two fields only.
+    use and kept as long as the config object: ``space``,
+    ``hamiltonian`` and ``probe_sigma_minus`` (read-only arrays), and
+    ``integrate_master``'s latest propagation plan (see
+    ``_propagation_plan``).  None of them is a field, so equality,
+    hashing and ``repr`` see the two fields only.
     """
 
     variant: ModelVariant
@@ -120,7 +122,7 @@ class ModelConfig:
             raise ValueError("exchange strength only defined with a detuning")
         return 1.0 / (2.0 * self.delta)
 
-    @property
+    @functools.cached_property
     def space(self) -> HilbertSpace:
         if self.variant is ModelVariant.RESONANT_QUBIT:
             return HilbertSpace((2, 2, 2), ("A", "B", "C"))
@@ -372,13 +374,11 @@ class EvolutionResult:
         return self._views({2})
 
 
-#: the integration step every caller in the package uses; ``integrate_master``
-#: takes another only for convergence checks
+#: the only ``dt`` that ``integrate_master`` accepts (see there)
 DEFAULT_DT = 1e-3
 TRACE_DRIFT_LIMIT = 1e-6
-HALF_STEP_LIMIT = 1e-7
-#: most RK4 steps one integration may take (t_end / dt)
-MAX_RK4_STEPS = 10 ** 7
+#: latest time one integration may run to
+MAX_T_END = 1e4
 #: most density-matrix entries one integration may evolve (the reachable set)
 MAX_REACHABLE = 1024
 #: shortest gap between consecutive sample times (and positive one from 0)
@@ -452,36 +452,89 @@ def _restricted_generator(
     return gen
 
 
-def _rk4_increment(gen: Array, step: float) -> Array:
-    """M - I for the RK4 polynomial M of one step, formed without adding I.
+#: Pade degrees m with the largest 1-norm theta_m at which the degree-m
+#: approximant of exp meets double precision (Higham 2005, Table 2.3)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
+#: coefficients b_j = (2m - j)! / (j! (m - j)!) of each degree's numerator
+_PADE_COEFFS = {
+    m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+        for j in range(m + 1)]
+    for m, _ in _PADE_THETA
+}
 
-    M = I + step G (I + step G/2 (I + step G/3 (I + step G/4))) is the
-    classic k1..k4 step for this linear, time-independent generator;
-    adding the outer I would round away the low bits of a short step.
+
+def _pade_degree(norm: float) -> tuple[int, int]:
+    """Pade degree m and squarings s for exp of a matrix of 1-norm ``norm``.
+
+    m is the lowest degree whose theta_m bounds the norm; above theta_13
+    the matrix is halved s times to meet it.
     """
-    eye = np.eye(gen.shape[0])
-    inc = eye + (step / 4.0) * gen
-    for c in (3.0, 2.0):
-        inc = eye + (step / c) * (gen @ inc)
-    return step * (gen @ inc)
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            return m, 0
+    return m, math.ceil(math.log2(norm / theta))
+
+
+class _Expm:
+    """exp(t G) for the gaps t <= ``t_max`` of one schedule.
+
+    Scaling and squaring with a diagonal Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)): exp(A) = r(A / 2^s)^(2^s)
+    with r = p(A) / p(-A) of the degree and s ``_pade_degree`` picks for
+    the 1-norm of A = t G.  The powers of G / |G|_1 are formed once, up
+    to the degree ``t_max`` needs, so a map costs one weighted sum of
+    them, one solve and its squarings; powers of a unit-norm matrix
+    cannot overflow.  A non-finite G gives NaN.
+    """
+
+    def __init__(self, gen: Array, t_max: float):
+        self.norm = np.abs(gen).sum(axis=0).max()
+        powers = [np.eye(gen.shape[0]), gen / self.norm if self.norm else gen]
+        top = t_max * self.norm
+        while np.isfinite(top) and len(powers) <= _pade_degree(top)[0]:
+            powers.append(powers[-1] @ powers[1])
+        self.powers = powers
+
+    def __call__(self, t: float, vec: Optional[Array] = None) -> Array:
+        """exp(t G), or exp(t G) @ ``vec`` when a vector is given.
+
+        Without squarings the vector's image is one solve against that
+        vector, a fraction of the cost of the matrix.
+        """
+        norm = t * self.norm
+        if not np.isfinite(norm):
+            return np.full_like(self.powers[1] if vec is None else vec, np.nan)
+        m, s = _pade_degree(norm)
+        c = norm * 2.0 ** -s
+        # the even and odd terms b_j A^j of p(A), A = (t / 2^s) G; the
+        # denominator is p(-A).  Summed in place, not as one BLAS product
+        # over the stacked powers: that product runs threaded, and the
+        # threads' spin-wait about doubles a job's CPU time.
+        v, u = np.zeros_like(self.powers[1]), np.zeros_like(self.powers[1])
+        for j, b in enumerate(_PADE_COEFFS[m]):
+            acc = u if j % 2 else v
+            acc += b * c ** j * self.powers[j]
+        p, q = v + u, v - u
+        if vec is not None and not s:
+            return np.linalg.solve(q, p @ vec)
+        r = np.linalg.solve(q, p)
+        for _ in range(s):
+            r = r @ r
+        return r if vec is None else r @ vec
 
 
 class _PropagationPlan:
     """The model-only work of ``integrate_master`` for one key.
 
     It holds the reachable entries ``codes`` of the initial pattern,
-    the positions of their adjoints and of the diagonal, the restricted
-    generator ``gen`` and the squaring chain of the RK4 step of length
-    ``dt``.  Chain entry j is M(dt)^(2^j) - I, squared in increment form
-    from entry j - 1 on first use (E -> 2E + EE), so the identity is
-    never added and the increment keeps its low bits through every
-    squaring.  The chain only grows by replacing a tuple with a longer
-    one, so a plan shared between threads never holds a wrong entry.
+    the positions of their adjoints and of the diagonal, and the
+    restricted generator ``gen``, all read-only.
     """
 
-    def __init__(self, key: tuple, h: Array, ops, rho0: Array, dt: float):
+    def __init__(self, key: tuple, h: Array, ops, rho0: Array):
         self.key = key
-        self.dt = dt
         codes = reachable_entries(rho0, h, ops)
         d = h.shape[0]
         rows, cols = np.divmod(codes, d)
@@ -489,61 +542,28 @@ class _PropagationPlan:
         self.adj = _read_only(np.searchsorted(codes, cols * d + rows))
         self.diag = _read_only(np.flatnonzero(rows == cols))
         self.gen = _read_only(_restricted_generator(h, ops, codes))
-        self._chain: tuple[Array, ...] = ()
-
-    def power_increment(self, j: int) -> Array:
-        """M(dt)^(2^j) - I, read-only."""
-        chain = self._chain
-        if len(chain) <= j:
-            grown = list(chain) or [_read_only(_rk4_increment(self.gen, self.dt))]
-            while len(grown) <= j:
-                grown.append(_read_only(2.0 * grown[-1] + grown[-1] @ grown[-1]))
-            self._chain = chain = tuple(grown)
-        return chain[j]
 
 
 def _propagation_plan(
-    cfg: ModelConfig, ops: Sequence[tuple[float, Array]], rho0: Array, dt: float
+    cfg: ModelConfig, ops: Sequence[tuple[float, Array]], rho0: Array
 ) -> _PropagationPlan:
-    """``cfg``'s plan for these collapse operators, initial pattern and step.
+    """``cfg``'s plan for these collapse operators and initial pattern.
 
     The config keeps one plan, the latest, and builds a new one when the
-    key changes: the step, the rates and operator entries as bytes, and
-    the nonzero pattern of ``rho0``.  Default and explicit collapse
+    key changes: the rates and operator entries as bytes, and the
+    nonzero pattern of ``rho0``.  Default and explicit collapse
     operators of equal values therefore share a plan.  The plan is kept
     as long as the config object, so every call made with one config
     (the rows of a sweep) shares it and separate configs never do.
     """
-    key = (dt, (rho0 != 0).tobytes(), np.array([r for r, _ in ops]).tobytes(),
+    key = ((rho0 != 0).tobytes(), np.array([r for r, _ in ops]).tobytes(),
            *(op.tobytes() for _, op in ops))
     plan = cfg.__dict__.get("_plan")
     if plan is None or plan.key != key:
-        plan = _PropagationPlan(key, cfg.hamiltonian, ops, rho0, dt)
+        plan = _PropagationPlan(key, cfg.hamiltonian, ops, rho0)
         # a frozen dataclass: stored beside the cached operators, not as a field
         object.__setattr__(cfg, "_plan", plan)
     return plan
-
-
-def _gap_increment(plan: _PropagationPlan, n: int, rem: float) -> Array:
-    """P - I for the gap map P = M(rem) M(dt)^n, composed from the plan's chain.
-
-    With E = M - I, maps compose as (I + A)(I + B) = I + (A + B + AB):
-    the chain entries of n's set bits are composed from the lowest bit
-    up, then the remainder step.  All factors are polynomials in G, so
-    their order does not matter.
-    """
-    acc = None
-    j = 0
-    while n:
-        if n & 1:
-            base = plan.power_increment(j)
-            acc = base if acc is None else acc + base + acc @ base
-        n >>= 1
-        j += 1
-    if rem:
-        inc = _rk4_increment(plan.gen, rem)
-        acc = inc if acc is None else acc + inc + acc @ inc
-    return acc
 
 
 def integrate_master(
@@ -554,46 +574,44 @@ def integrate_master(
     dt: float = DEFAULT_DT,
     sample_times: Optional[Sequence[float]] = None,
 ) -> EvolutionResult:
-    """Fixed-step RK4 integration of the master equation.
+    """Exact propagation of the master equation to each sample time.
 
     d rho/dt = -i [H, rho] + sum_k gamma_k (2 L rho L+ - L+L rho - rho L+L)
 
     The state is evolved on the entries it can reach from rho0 (see
     ``reachable_entries``; under probe decay 19 of 64 for the resonant
     qubit model with a ground probe and at most 170 for the full
-    dispersive model).  The set, the generator G restricted to it and
-    the squaring chain of the step are ``cfg``'s propagation plan (see
-    ``_propagation_plan``): built once and reused by later calls with
-    the same collapse operators, initial nonzero pattern and dt.  Each
-    gap g between consecutive sample times is n RK4 steps of length dt,
-    n = floor((g + 1e-12) / dt), then one step of the remainder r when
-    r exceeds 1e-12; as G does not depend on time, the gap is one fixed
-    linear map P = M(r) M(dt)^n, with M the RK4 polynomial of a step.
-    P is formed once per distinct (n, r) from the chain entries of n's
-    set bits (see ``_gap_increment``), and each sample then costs one
-    mat-vec.  The state is re-Hermitized at every sample, and the
-    samples are returned as the (n, k) stack of those entries (see
-    ``EvolutionResult``), never as d x d matrices.  One Richardson
-    half-step comparison runs on the state at the start of the first
-    gap that takes a step of the longest length the schedule takes,
-    min(dt, largest gap between sample times), and rejects the run if
-    the discrepancy exceeds 1e-7 or is not finite; trace drift beyond
-    1e-6 at any sample, or a non-finite trace, aborts as well.  Both
-    messages say the decay rate is too large for the step, which is
-    fixed for every caller in the package.  A
-    non-finite t_end, a non-finite or non-positive dt, more than
-    MAX_RK4_STEPS steps, sample times closer than MIN_SAMPLE_GAP (a
-    repeated one too; only a first sample at 0 may sit closer to 0) and
-    more than MAX_REACHABLE reachable entries are rejected before any step.
+    dispersive model).  The set and the generator G restricted to it
+    are ``cfg``'s propagation plan (see ``_propagation_plan``): built
+    once and reused by later calls with the same collapse operators and
+    initial nonzero pattern.  G does not depend on time, so the gap g
+    between consecutive sample times is the linear map exp(G g) (see
+    ``_Expm``).  A gap that recurs is formed once as a matrix, dropped
+    after its last use, so each of its samples costs one mat-vec; a gap
+    taken once costs one solve against the state.  The state is
+    re-Hermitized at every sample, and the samples are returned as the
+    (n, k) stack of those entries (see ``EvolutionResult``), never as
+    d x d matrices.  Trace drift beyond 1e-6 at any sample, or a
+    non-finite trace, aborts the run: that is how a rate too large to
+    propagate in double precision (or one that overflows) fails.  A
+    non-finite t_end, one above MAX_T_END, sample times closer than
+    MIN_SAMPLE_GAP (a repeated one too; only a first sample at 0 may
+    sit closer to 0) and more than MAX_REACHABLE reachable entries are
+    rejected before any propagation.
+
+    There is no step: ``dt`` accepts DEFAULT_DT only and raises on any
+    other value.  It stays in the signature because the benchmark's
+    tracer (``bench/tracing.py``) binds this function's arguments by name
+    and reads it; it goes once the tracer drops its step counters.
     """
+    if dt != DEFAULT_DT:
+        raise ValueError("propagation is exact; the step is not an option")
     if rho0.space.dims != cfg.space.dims:
         raise ValueError("initial state does not live on the model space")
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError("dt must be positive and finite")
-    if t_end / dt > MAX_RK4_STEPS:
-        raise ValueError(f"t_end / dt exceeds {MAX_RK4_STEPS} steps")
+    if t_end > MAX_T_END:
+        raise ValueError(f"t_end exceeds {MAX_T_END:g}")
     if sample_times is None:
         sample_times = (float(t_end),)
     sample_times = sorted(float(t) for t in sample_times)
@@ -605,54 +623,34 @@ def integrate_master(
         raise ValueError(
             f"sample times must lie {MIN_SAMPLE_GAP} or more apart and from 0"
         )
-    check_step = min(dt, max(gaps, default=dt))
-
-    # each gap is n full steps and a remainder, with the 1e-12 tolerance of
-    # the sample times: a gap one ulp short of n dt is still n steps
-    keys = []
-    for gap in gaps:
-        n = math.floor((gap + 1e-12) / dt)
-        rem = gap - n * dt
-        keys.append((n, rem if rem > 1e-12 else 0.0))
-    last_use = {key: s for s, key in enumerate(keys)}
+    uses = collections.Counter(gaps)
 
     ops = noise.resolved_ops(cfg)
-
-    def rk4(v: Array, step: float) -> Array:
-        w = v + (step / 4.0) * (gen @ v)
-        for c in (3.0, 2.0, 1.0):
-            w = v + (step / c) * (gen @ w)
-        return w
-
-    checked = False
     maps = {}
 
-    # a huge rate overflows to a non-finite state, which both checks reject
+    # a huge rate overflows to a non-finite state, which the trace check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = _propagation_plan(cfg, ops, rho0.mat, dt)
-        codes, gen = plan.codes, plan.gen
+        plan = _propagation_plan(cfg, ops, rho0.mat)
+        codes = plan.codes
         vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
         entries = np.empty((len(sample_times), codes.size), dtype=complex)
-        for s, (gap, key) in enumerate(zip(gaps, keys)):
-            if key != (0, 0.0):
-                if not checked and gap >= check_step:
-                    coarse = rk4(vec, check_step)
-                    fine = rk4(rk4(vec, check_step / 2.0), check_step / 2.0)
-                    if not np.max(np.abs(coarse - fine)) <= HALF_STEP_LIMIT:
-                        raise ValueError(
-                            f"decay rate too large for the integration step "
-                            f"(dt = {dt:g}): half-step check failed")
-                    checked = True
-                if key not in maps:
-                    maps[key] = _gap_increment(plan, *key)
-                # a map is dropped after its last gap, so memory stays bounded
-                inc = maps.pop(key) if last_use[key] == s else maps[key]
-                vec = vec + inc @ vec
+        expm = _Expm(plan.gen, max(gaps, default=0.0))
+        for s, gap in enumerate(gaps):
+            if gap:
+                uses[gap] -= 1
+                if gap in maps or uses[gap]:
+                    if gap not in maps:
+                        maps[gap] = expm(gap)
+                    # a map is dropped after its last gap, so memory stays bounded
+                    vec = (maps[gap] if uses[gap] else maps.pop(gap)) @ vec
+                else:
+                    # a gap taken once needs only the state's image
+                    vec = expm(gap, vec)
                 vec = 0.5 * (vec + vec[plan.adj].conj())
                 if not abs(vec[plan.diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
                     raise ValueError(
-                        f"trace drift exceeded tolerance: decay rate too large "
-                        f"for the integration step (dt = {dt:g})")
+                        "trace drift exceeded tolerance: decay rate too large "
+                        "to propagate")
             entries[s] = vec
 
     return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)

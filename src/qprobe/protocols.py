@@ -264,8 +264,8 @@ def run_probe_cycle(
     state and carries no information) and at most MAX_HALF_PERIODS.
     Without noise the pair state lands exactly on the corner swap of the
     family state while every correlation measure is preserved.  With
-    noise the master equation is integrated at the library's fixed step
-    (``dynamics.DEFAULT_DT``).
+    noise the master equation is propagated exactly
+    (``dynamics.integrate_master``).
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")

@@ -70,7 +70,7 @@ class HilbertSpace:
     @property
     def dim(self) -> int:
         """Total dimension (product of the factor dimensions)."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def nfactors(self) -> int:

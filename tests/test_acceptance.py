@@ -10,6 +10,7 @@ hold there; see notes in the repository docs and the module test
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qprobe.cli import main as cli_main
 from qprobe.dynamics import (
@@ -20,6 +21,7 @@ from qprobe.dynamics import (
     dispersive_deviation,
     initial_joint,
     integrate_master,
+    probe_lowering,
     sigma_z_expectation,
 )
 from qprobe.measures import (
@@ -196,13 +198,21 @@ def test_c08_lindblad_correctness():
     assert trace_drift <= 1e-8
     assert min_eig >= -1e-8
 
-    fine = integrate_master(joint0, QUBIT, NoiseConfig(gamma=0.1), t1, dt=5e-4)
-    richardson = np.max(np.abs(noisy.joint_states[-1].mat - fine.joint_states[-1].mat))
-    assert richardson <= 1e-7
+    # the same master equation as a dense 64 x 64 superoperator on the
+    # row-major vec(rho): vec(A rho B) = (A kron B^T) vec(rho)
+    h = build_hamiltonian(QUBIT)
+    low = probe_lowering(QUBIT)
+    damp = low.conj().T @ low
+    eye = np.eye(8)
+    liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + 0.1 * (
+        2.0 * np.kron(low, low.conj()) - np.kron(damp, eye) - np.kron(eye, damp.T))
+    exact = (expm(t1 * liouvillian) @ joint0.mat.ravel()).reshape(8, 8)
+    expm_dev = np.max(np.abs(noisy.joint_states[-1].mat - exact))
+    assert expm_dev <= 1e-12
     print(
         "ACCEPTANCE 8 PASS: Lindblad integrator "
         f"(unitary-limit dev {unitary_dev:.2e}, trace drift {trace_drift:.2e}, "
-        f"min eig {min_eig:.2e}, half-step dev {richardson:.2e})"
+        f"min eig {min_eig:.2e}, expm dev {expm_dev:.2e})"
     )
 
 
