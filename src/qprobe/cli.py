@@ -110,7 +110,13 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Parsing keeps no state between calls: every call gets a fresh
+    namespace, and every flag defaults to None.
+    """
     parser = argparse.ArgumentParser(
         prog="qprobe",
         description="Simulate probing of entanglement, discord and classical "

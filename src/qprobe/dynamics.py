@@ -36,10 +36,11 @@ that set, formed once per distinct gap by scaling and squaring.
 A ``ModelConfig`` caches what depends on it alone, for as long as the
 config object lives: its Hilbert space, its Hamiltonian and the probe's
 sigma^- (read-only arrays), and the latest propagation plan of
-``integrate_master`` (the reachable set and the restricted generator),
-rebuilt when the collapse operators or the initial nonzero pattern
-change.  The rows of one sweep share one config and so one plan; every
-CLI call builds its own config.  The module needs numpy only.
+``integrate_master`` (the reachable set, the restricted generator and
+the Pade pair of the last gap a call took once), rebuilt when the
+collapse operators or the initial nonzero pattern change.  The rows of
+one sweep share one config and so one plan; every CLI call builds its
+own config.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qcore import (
+    TRACE_TOL,
     Array,
     DensityMatrix,
     HilbertSpace,
@@ -376,7 +378,9 @@ class EvolutionResult:
 
 #: the only ``dt`` that ``integrate_master`` accepts (see there)
 DEFAULT_DT = 1e-3
-TRACE_DRIFT_LIMIT = 1e-6
+#: largest trace drift a sample may show; ``EvolutionResult`` checks the
+#: trace against the same bound, so a drifting run fails here, by rate
+TRACE_DRIFT_LIMIT = TRACE_TOL
 #: latest time one integration may run to
 MAX_T_END = 1e4
 #: most density-matrix entries one integration may evolve (the reachable set)
@@ -483,29 +487,35 @@ class _Expm:
     Scaling and squaring with a diagonal Pade approximant (Higham, SIAM
     J. Matrix Anal. Appl. 26, 1179 (2005)): exp(A) = r(A / 2^s)^(2^s)
     with r = p(A) / p(-A) of the degree and s ``_pade_degree`` picks for
-    the 1-norm of A = t G.  The powers of G / |G|_1 are formed once, up
-    to the degree ``t_max`` needs, so a map costs one weighted sum of
-    them, one solve and its squarings; powers of a unit-norm matrix
-    cannot overflow.  A non-finite G gives NaN.
+    the 1-norm of A = t G.  The powers of G / |G|_1 are formed on first
+    use, once, up to the degree ``t_max`` needs, so a map costs one
+    weighted sum of them, one solve and its squarings; powers of a
+    unit-norm matrix cannot overflow.  A non-finite G gives NaN.
     """
 
     def __init__(self, gen: Array, t_max: float):
+        self.gen, self.t_max = gen, t_max
         self.norm = np.abs(gen).sum(axis=0).max()
+
+    @functools.cached_property
+    def powers(self) -> list[Array]:
+        gen = self.gen
         powers = [np.eye(gen.shape[0]), gen / self.norm if self.norm else gen]
-        top = t_max * self.norm
+        top = self.t_max * self.norm
         while np.isfinite(top) and len(powers) <= _pade_degree(top)[0]:
             powers.append(powers[-1] @ powers[1])
-        self.powers = powers
+        return powers
 
-    def __call__(self, t: float, vec: Optional[Array] = None) -> Array:
-        """exp(t G), or exp(t G) @ ``vec`` when a vector is given.
+    def pair(self, t: float) -> tuple[Array, Optional[Array]]:
+        """(p, q) with exp(t G) = q^-1 p, or (exp(t G), None) once squared.
 
-        Without squarings the vector's image is one solve against that
-        vector, a fraction of the cost of the matrix.
+        ``_apply_pair`` takes a vector's image through it: without
+        squarings that is one solve against the vector, a fraction of
+        the cost of the matrix.
         """
         norm = t * self.norm
         if not np.isfinite(norm):
-            return np.full_like(self.powers[1] if vec is None else vec, np.nan)
+            return np.full_like(self.gen, np.nan), None
         m, s = _pade_degree(norm)
         c = norm * 2.0 ** -s
         # the even and odd terms b_j A^j of p(A), A = (t / 2^s) G; the
@@ -517,12 +527,23 @@ class _Expm:
             acc = u if j % 2 else v
             acc += b * c ** j * self.powers[j]
         p, q = v + u, v - u
-        if vec is not None and not s:
-            return np.linalg.solve(q, p @ vec)
+        if not s:
+            return p, q
         r = np.linalg.solve(q, p)
         for _ in range(s):
             r = r @ r
-        return r if vec is None else r @ vec
+        return r, None
+
+    def __call__(self, t: float) -> Array:
+        """exp(t G) as a matrix."""
+        p, q = self.pair(t)
+        return p if q is None else np.linalg.solve(q, p)
+
+
+def _apply_pair(pair: tuple[Array, Optional[Array]], vec: Array) -> Array:
+    """exp(t G) @ ``vec`` from ``_Expm.pair(t)``."""
+    p, q = pair
+    return p @ vec if q is None else np.linalg.solve(q, p @ vec)
 
 
 class _PropagationPlan:
@@ -530,7 +551,10 @@ class _PropagationPlan:
 
     It holds the reachable entries ``codes`` of the initial pattern,
     the positions of their adjoints and of the diagonal, and the
-    restricted generator ``gen``, all read-only.
+    restricted generator ``gen``, all read-only.  It also keeps the
+    ``_Expm.pair`` of the last gap a call took once (``one_off``), so
+    the next call with that gap, the next row of a sweep, applies the
+    same pair without forming G's powers or their weighted sum.
     """
 
     def __init__(self, key: tuple, h: Array, ops, rho0: Array):
@@ -542,6 +566,17 @@ class _PropagationPlan:
         self.adj = _read_only(np.searchsorted(codes, cols * d + rows))
         self.diag = _read_only(np.flatnonzero(rows == cols))
         self.gen = _read_only(_restricted_generator(h, ops, codes))
+        self.last_one_off = (None, None)
+
+    def one_off(self, gap: float, expm: _Expm) -> tuple[Array, Optional[Array]]:
+        """``expm.pair(gap)``, reused while consecutive calls take the same gap."""
+        # one read and one write of a tuple: threads sharing the plan
+        # each see a gap with its own pair
+        last = self.last_one_off
+        if last[0] != gap:
+            last = (gap, expm.pair(gap))
+            self.last_one_off = last
+        return last[1]
 
 
 def _propagation_plan(
@@ -588,12 +623,17 @@ def integrate_master(
     between consecutive sample times is the linear map exp(G g) (see
     ``_Expm``).  A gap that recurs is formed once as a matrix, dropped
     after its last use, so each of its samples costs one mat-vec; a gap
-    taken once costs one solve against the state.  The state is
-    re-Hermitized at every sample, and the samples are returned as the
-    (n, k) stack of those entries (see ``EvolutionResult``), never as
-    d x d matrices.  Trace drift beyond 1e-6 at any sample, or a
-    non-finite trace, aborts the run: that is how a rate too large to
-    propagate in double precision (or one that overflows) fails.  A
+    taken once costs one solve against the state, through the Pade pair
+    the plan keeps for the last such gap, so a later call with the same
+    gap (the next row of a sweep) forms no exponential and gives
+    bit-identical states.  G's powers are formed only when a map is
+    missing.  The state is re-Hermitized at every sample, and the
+    samples are returned as the (n, k) stack of those entries (see
+    ``EvolutionResult``), never as d x d matrices.  Trace drift beyond
+    TRACE_DRIFT_LIMIT (``qcore.TRACE_TOL``, the bound of the samples'
+    state check) at any sample, or a non-finite trace, aborts the run:
+    that is how a rate too large to propagate in double precision (or
+    one that overflows) fails.  A
     non-finite t_end, one above MAX_T_END, sample times closer than
     MIN_SAMPLE_GAP (a repeated one too; only a first sample at 0 may
     sit closer to 0) and more than MAX_REACHABLE reachable entries are
@@ -634,6 +674,7 @@ def integrate_master(
         codes = plan.codes
         vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
         entries = np.empty((len(sample_times), codes.size), dtype=complex)
+        # G's powers are formed only if a map is missing
         expm = _Expm(plan.gen, max(gaps, default=0.0))
         for s, gap in enumerate(gaps):
             if gap:
@@ -645,7 +686,7 @@ def integrate_master(
                     vec = (maps[gap] if uses[gap] else maps.pop(gap)) @ vec
                 else:
                     # a gap taken once needs only the state's image
-                    vec = expm(gap, vec)
+                    vec = _apply_pair(plan.one_off(gap, expm), vec)
                 vec = 0.5 * (vec + vec[plan.adj].conj())
                 if not abs(vec[plan.diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
                     raise ValueError(

@@ -8,15 +8,19 @@ measurement bases), quantum discord, the closed-form classical
 correlation for symmetric X-states, the affine probe readout laws and
 the sigma_z readout inversion.
 
-The optimizer takes one of two paths, chosen from the state itself.  A
-state whose entries between different excitation numbers (|00>, the
-|01>/|10> block, |11>) are all exactly zero commutes with
-Z (x) I + I (x) Z; its measured conditional entropy then does not depend
-on the azimuth phi and is symmetric under theta -> pi - theta, so the
-minimum is found by a grid over theta in [0, pi/2] at phi = 0, zoomed
-onto its best point until the spacing is below REFINE_TOL.  Every state
-the models produce has this form.  Any other state (one non-zero entry
-between sectors suffices) goes through the 2-D search over
+The optimizer takes one of two paths, chosen from the state itself.  An
+X state, whose entries off the diagonal and the anti-diagonal are all
+exactly zero, leaves the first qubit in 2x2 states whose diagonals do
+not depend on the azimuth phi and whose coherence has modulus
+cos sin |e^{-i phi} r23 + e^{i phi} r14|; so phi* = (arg r23 - arg r14)/2
+maximizes it at every theta (Chen et al., PRA 84, 042313 (2011)), and the
+conditional entropy is symmetric under theta -> pi - theta.  The minimum
+is then a 65-point grid over theta in [0, pi/2] at phi*, refined by a
+golden-section search of the cells around its best point on a closed
+form in ``math`` of r11 .. r44 and |r23| + |r14|, and S(A) is the
+entropy of the marginal's two populations.  Every state the models
+produce is an X state (with r14 = 0).  Any other state (one non-zero
+entry off the X suffices) goes through the 2-D search over
 (theta, phi), which is also the reference the 1-D path is tested
 against.  Both searches are numpy only and evaluate one batched
 kernel: measuring the second qubit along |v> leaves the first in the
@@ -33,6 +37,7 @@ being silently reconciled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -59,13 +64,9 @@ REFINE_STARTS = 4
 REFINE_MAXITER = 200
 REFINE_TOL = 1e-10
 
-#: polar grid on [0, pi/2] (both ends included) for excitation-conserving states
+#: polar grid on [0, pi/2] (both ends included) for X states
 GRID_THETA_POLAR = 65
 
-#: excitation number of the two-qubit basis states |00>, |01>, |10>, |11>
-_EXCITATIONS = np.array([0, 1, 1, 2])
-#: entries of a two-qubit matrix that join different excitation numbers
-_OFF_SECTOR = _EXCITATIONS[:, None] != _EXCITATIONS[None, :]
 #: entries of a two-qubit matrix off its diagonal and anti-diagonal (the X)
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
@@ -216,27 +217,76 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
     return _conditional_entropy_angles(rho.mat, basis.theta, basis.phi)
 
 
-def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
-    """Minimum over theta in [0, pi/2] at phi = 0, and its theta.
+def _xlog2_scalar(w: float) -> float:
+    """w log2 w for one float, 0 where w <= 0 (``_xlog2`` without numpy)."""
+    return w * math.log2(w) if w > 0.0 else 0.0
 
-    Valid for states that conserve excitation number (see the module
-    docstring).  A grid that holds both ends exactly is re-gridded on
-    the two cells around its best point until the spacing falls below
-    REFINE_TOL.  The best point of every grid stays a candidate, so the
-    result is never worse than the first grid.  Ties break toward
-    smaller theta.
+
+def _outcome_entropy(top: float, bottom: float, off: float) -> float:
+    """p S(M / p) for the 2x2 state M = [[top, off / 2], [., bottom]]."""
+    p = top + bottom
+    gap = math.hypot(top - bottom, off)
+    return _xlog2_scalar(p) - _xlog2_scalar(0.5 * (p + gap)) - _xlog2_scalar(0.5 * (p - gap))
+
+
+def _x_conditional_entropy(
+    theta: float, r11: float, r22: float, r33: float, r44: float, coherence: float
+) -> float:
+    """Conditional entropy of an X state measured at polar angle theta, in closed form.
+
+    With c = cos(theta/2), s = sin(theta/2) and a = ``coherence`` =
+    |r23| + |r14| (the largest |M01| / (c s) over phi), the two outcomes
+    leave A in [[c^2 r11 + s^2 r22, c s a], [., c^2 r33 + s^2 r44]] and
+    in the same matrix with c and s swapped.  The sum over outcomes is
+    ``_conditional_entropy_batch``'s, in scalar ``math``.
     """
-    lo, hi = 0.0, np.pi / 2.0
-    phis = np.zeros(GRID_THETA_POLAR)
-    best = (np.inf, 0.0)
-    while True:
-        thetas = np.linspace(lo, hi, GRID_THETA_POLAR)
-        values = _conditional_entropy_batch(mat, thetas, phis)
-        k = int(np.argmin(values))
-        best = min(best, (float(values[k]), float(thetas[k])))
-        if thetas[1] - thetas[0] < REFINE_TOL:
-            return best
-        lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, thetas.size - 1)]
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    c2, s2, off = c * c, s * s, 2.0 * c * s * coherence
+    return (_outcome_entropy(c2 * r11 + s2 * r22, c2 * r33 + s2 * r44, off)
+            + _outcome_entropy(s2 * r11 + c2 * r22, s2 * r33 + c2 * r44, off))
+
+
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
+    """(f(t), t) at the best point a golden-section search of [lo, hi] evaluates.
+
+    The bracket shrinks by the golden ratio per evaluation until it is
+    narrower than REFINE_TOL; ties keep the smaller t.
+    """
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > REFINE_TOL:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv * (hi - lo)
+            fd = f(d)
+    return min((fc, c), (fd, d))
+
+
+def _min_conditional_entropy_polar(mat: np.ndarray, phi: float = 0.0) -> tuple[float, float]:
+    """Minimum over theta in [0, pi/2] at azimuth ``phi``, and its theta.
+
+    Valid for X states measured at the azimuth that aligns their two
+    coherences (see ``classical_correlation_optimized``).  A 65-point
+    grid that holds both ends exactly picks the two cells around its
+    best point; a golden-section search of them, on the closed form
+    ``_x_conditional_entropy``, refines it to REFINE_TOL.  The best grid
+    point stays a candidate, so the result is never worse than the
+    grid.  Ties break toward smaller theta.
+    """
+    thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+    values = _conditional_entropy_batch(mat, thetas, np.full(thetas.size, phi))
+    k = int(np.argmin(values))
+    pops = mat.diagonal().real.tolist()
+    coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
+    refined = _golden_section(
+        lambda theta: _x_conditional_entropy(theta, *pops, coherence),
+        float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, thetas.size - 1)]))
+    return min((float(values[k]), float(thetas[k])), refined)
 
 
 def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, float]:
@@ -293,22 +343,28 @@ def classical_correlation_optimized(
 ) -> tuple[float, MeasurementBasis]:
     """Classical correlation S(A) - min_B S(A|{B}) and the minimizing basis.
 
-    A state whose entries between different excitation numbers are all
-    exactly zero (every state the models produce) is minimized by a
-    1-D search over theta in [0, pi/2] at phi = 0: its conditional
-    entropy does not depend on phi and is symmetric about theta = pi/2.
-    Any other state takes the 2-D search over (theta, phi).  Both paths
-    are deterministic.
+    An X state (entries off the diagonal and the anti-diagonal all
+    exactly zero; every state the models produce) is minimized by a
+    1-D search over theta in [0, pi/2] at the azimuth
+    phi* = (arg r23 - arg r14) / 2 mod pi (0 when either coherence is
+    exactly 0), and S(A) is the entropy of its marginal's two
+    populations.  Any other state takes the 2-D search over
+    (theta, phi).  Both paths are deterministic.
     """
     if rho.dim != 4:
         raise ValueError("two-qubit state required")
     mat = rho.mat
-    s_a = entropy_bits(partial_trace(rho, {0}).mat)
-    if np.any(mat[_OFF_SECTOR]):
+    if np.any(mat[_OFF_X]):
+        s_a = entropy_bits(partial_trace(rho, {0}).mat)
         ce_min, theta, phi = _min_conditional_entropy_sphere(mat)
     else:
-        ce_min, theta = _min_conditional_entropy_polar(mat)
+        r23, r14 = complex(mat[1, 2]), complex(mat[0, 3])
         phi = 0.0
+        if r23 and r14:
+            phi = float(np.angle(r23) - np.angle(r14)) / 2.0 % math.pi
+        ce_min, theta = _min_conditional_entropy_polar(mat, phi)
+        s_a = entropy_of_spectrum([mat[0, 0].real + mat[1, 1].real,
+                                   mat[2, 2].real + mat[3, 3].real])
     return s_a - ce_min, MeasurementBasis(theta, phi)
 
 

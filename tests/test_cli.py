@@ -196,6 +196,23 @@ class TestConfigFile:
         assert capsys.readouterr().out == from_config
 
 
+class TestParserReuse:
+    # main reuses one parser: nothing a call parses may reach the next call
+    def test_emit_svg_does_not_stick(self, tmp_path, capsys):
+        grid = ["--x-start", "0.75", "--x-stop", "0.75"]
+        assert run(["sweep", *grid, "--emit-svg", "--out", tmp_path / "a.csv"]) == 0
+        assert run(["sweep", *grid, "--out", tmp_path / "b.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg", "b.csv"]
+
+    def test_config_does_not_stick(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"x": 0.6}))
+        assert run(["measures", "--config", cfg]) == 0
+        assert "x = 0.6" in capsys.readouterr().out
+        assert run(["measures"]) == 2
+        assert "missing required parameter x" in capsys.readouterr().err
+
+
 class TestEvolveCommand:
     def test_time_series(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -457,7 +474,8 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert str(MIN_SAMPLE_GAP) in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("gamma", ["1e200", "1.7e308"])
+    # 1e6 stays finite, but its trace drifts past the state check's bound
+    @pytest.mark.parametrize("gamma", ["1e200", "1.7e308", "1e6"])
     def test_probe_overflowing_rate_fails_half_step_check(self, gamma, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -291,7 +291,9 @@ class TestIntegrateMaster:
         (1.7e308, None, "trace drift"),
         # a short first gap fails the same way as a long one
         (1e200, [1e-4, 1.0], "trace drift"),
-    ], ids=["1e200", "1.7e308", "before-checked-step"])
+        # finite throughout, but the trace drifts past the state check's bound
+        (1e6, None, "trace drift"),
+    ], ids=["1e200", "1.7e308", "before-checked-step", "1e6"])
     def test_overflowing_rate_rejected_without_warning(self, gamma, sample_times, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -441,21 +443,21 @@ class TestIntegratorOracle:
         (1.25, [0.125, 0.375, 0.5, 0.75, 0.875, 1.25]),
     ], ids=["linspace", "alternating"])
     def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times):
-        formed = []
-        call = _Expm.__call__
-
-        def counted(self, t, vec=None):
-            formed.append((t, vec is None))
-            return call(self, t, vec)
-
-        monkeypatch.setattr(_Expm, "__call__", counted)
-        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
-        integrate_master(rho0, QUBIT, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
+        formed, matrices = [], []
+        pair, call = _Expm.pair, _Expm.__call__
+        monkeypatch.setattr(_Expm, "pair", lambda self, t: formed.append(t) or pair(self, t))
+        monkeypatch.setattr(_Expm, "__call__",
+                            lambda self, t: matrices.append(t) or call(self, t))
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
+        integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
         gaps = list(np.diff([0.0, *sample_times]))
-        # a gap that recurs is formed as a matrix; one taken once only as the state's image
-        expected = [(gap, gaps.count(gap) > 1) for gap in dict.fromkeys(gaps) if gap]
-        assert any(matrix for _, matrix in expected)
-        assert formed == expected
+        distinct = [gap for gap in dict.fromkeys(gaps) if gap]
+        # one exponential per distinct gap; a gap that recurs is formed as a
+        # matrix, one taken once only as the pair its state's image needs
+        assert formed == distinct
+        assert matrices == [gap for gap in distinct if gaps.count(gap) > 1]
+        assert matrices
 
     def test_no_dense_liouvillian(self):
         # a dense d^2 x d^2 generator at d = 72 would take 430 MB
@@ -533,6 +535,24 @@ class TestPropagationPlan:
         # one build per change of initial pattern (nonzero count)
         assert built == [5, 3, 4, 5]
 
+    def test_one_off_pair_kept_for_the_next_call(self, monkeypatch):
+        # sweep rows: one gap per call, on one config
+        noise = NoiseConfig(gamma=0.1)
+        runs = [(0.75, np.pi / 2), (0.8, np.pi / 2), (0.6, np.pi / 2), (0.75, 1.0),
+                (0.8, np.pi / 2)]
+        fresh = [integrate_master(initial_joint(x, QUBIT, ProbePrep.GROUND),
+                                  ModelConfig(ModelVariant.RESONANT_QUBIT), noise, t_end)
+                 for x, t_end in runs]
+        formed = []
+        pair = _Expm.pair
+        monkeypatch.setattr(_Expm, "pair", lambda self, t: formed.append(t) or pair(self, t))
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        for (x, t_end), ref in zip(runs, fresh):
+            res = integrate_master(initial_joint(x, cfg, ProbePrep.GROUND), cfg, noise, t_end)
+            assert np.array_equal(res.entries, ref.entries)
+        # a repeated gap forms no new exponential; another gap replaces the pair
+        assert formed == [np.pi / 2, 1.0, np.pi / 2]
+        assert len(plans_of(cfg)) == 1
 
     def test_threads_sharing_a_config_get_fresh_results(self):
         # threads alternate between keys on one config, each replacing the

@@ -542,10 +542,11 @@ class TestPolarSearchProperties:
         assert rep_b.classical == pytest.approx(rep_a.classical, abs=1e-12)
         assert rep_b.discord == pytest.approx(rep_a.discord, abs=1e-12)
 
-    def test_corner_coherence_takes_sphere_search(self):
+    def test_corner_coherence_minimum_lies_off_phi_zero(self):
         # a 1e-6 |00><11| coherence makes the conditional entropy depend
         # on phi; with this sign the minimum sits at phi = pi/2, which a
-        # search restricted to phi = 0 cannot reach
+        # search restricted to phi = 0 cannot reach, and which the X-state
+        # azimuth (arg r23 - arg r14) / 2 mod pi finds
         mat = XState(0.2, 0.3, 0.3, 0.2, 0.25).to_density().mat.copy()
         mat[0, 3] = mat[3, 0] = -1e-6
         rho = DensityMatrix(SPACE, mat)
@@ -557,8 +558,51 @@ class TestPolarSearchProperties:
         phi_zero = min(conditional_entropy(rho, MeasurementBasis(t, 0.0)) for t in thetas)
         assert phi_zero > brute + 1e-8
         s_a = entropy_bits(partial_trace(rho, {0}).mat)
-        value, _ = classical_correlation_optimized(rho)
+        value, basis = classical_correlation_optimized(rho)
         assert s_a - value <= brute + 1e-12
+        assert basis.phi == pytest.approx(np.pi / 2.0, abs=1e-15)
+
+
+@st.composite
+def x_states(draw):
+    """X states with complex coherences, each at 0 to its positivity bound.
+
+    Either coherence may be exactly 0, a population 0 gives a
+    rank-deficient state, and both coherences at their bounds a rank-2 one.
+    """
+    unit = st.floats(0.0, 1.0)
+    pops = np.array([draw(unit) for _ in range(4)])
+    assume(pops.sum() > 1e-3)
+    pops /= pops.sum()
+    mat = np.diag(pops).astype(complex)
+    for (i, j) in ((1, 2), (0, 3)):
+        size = draw(st.one_of(st.just(0.0), unit)) * np.sqrt(pops[i] * pops[j])
+        mat[i, j] = size * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        mat[j, i] = np.conj(mat[i, j])
+    return DensityMatrix(SPACE, mat)
+
+
+def _complex_x_state():
+    mat = np.diag([0.1, 0.4, 0.3, 0.2]).astype(complex)
+    mat[1, 2], mat[0, 3] = 0.2 * np.exp(0.7j), 0.1 * np.exp(-2.0j)
+    mat[2, 1], mat[3, 0] = np.conj(mat[1, 2]), np.conj(mat[0, 3])
+    return DensityMatrix(SPACE, mat)
+
+
+class TestXStatePolarSearch:
+    @PROPERTIES
+    @given(rho=x_states())
+    @example(rho=_complex_x_state())
+    def test_matches_sphere_search(self, rho):
+        # |M01| = cs |e^{-i phi} r23 + e^{i phi} r14| is largest, at
+        # cs (|r23| + |r14|), where the polar search measures
+        value, basis = classical_correlation_optimized(rho)
+        s_a = entropy_bits(partial_trace(rho, {0}).mat)
+        ce_sphere, _, _ = _min_conditional_entropy_sphere(rho.mat)
+        assert value == pytest.approx(s_a - ce_sphere, abs=1e-12)
+        assert conditional_entropy(rho, basis) == pytest.approx(s_a - value, abs=1e-12)
+        if rho.mat[1, 2] == 0 or rho.mat[0, 3] == 0:
+            assert basis.phi == 0.0
 
 
 class TestPolarZoom:
@@ -573,6 +617,20 @@ class TestPolarZoom:
         value, theta = _min_conditional_entropy_polar(rho.mat)
         assert value <= grid.min()
         assert 0.0 <= theta <= np.pi / 2.0
+
+    @pytest.mark.parametrize("coherence, end", [(0.094675, 0.0), (0.107216, np.pi / 2.0)],
+                             ids=["sigma-z-end", "sigma-x-end"])
+    def test_interior_optimum_in_an_end_cell(self, coherence, end):
+        # the first grid's best point is an end, and the minimum lies
+        # inside the cell next to it, 1e-10 to 1e-9 below the end
+        mat = XState(0.0355, 0.9466, 0.0164, 0.0015, coherence).to_density().mat
+        thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+        grid = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
+        value, theta = _min_conditional_entropy_polar(mat)
+        assert thetas[np.argmin(grid)] == end
+        assert 0.0 < abs(theta - end) < thetas[1]
+        assert value < grid.min() - 5e-11
+        assert value == pytest.approx(_min_conditional_entropy_sphere(mat)[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
