@@ -18,6 +18,7 @@ so the words are compared as integers and never converted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,8 +74,13 @@ _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-#: counters drawn per block; keeps sampling memory bounded for any shot count
-SHOT_BLOCK = 2 ** 16
+#: counters drawn per block; keeps sampling memory bounded for any shot
+#: count.  A power of two, so blocks can start on multiples of it.
+SHOT_BLOCK = 2 ** 15
+#: counter bits above the block offset
+_BLOCK_HIGH = _MASK64 ^ (SHOT_BLOCK - 1)
+#: width of the band of last-round inputs that the top bits leave open
+_FINAL_BAND = 2 ** 33
 #: most shots drawn per call (all stages together in a non-demolition
 #: sequence); sampling time grows linearly with the shot count
 MAX_SHOTS = 10 ** 9
@@ -135,11 +141,31 @@ class ShotRecord:
 def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     """Deterministic binomial draw: shot i is excited iff u_i < p.
 
-    u_i = z_i / 2^64 for the SplitMix64 word z_i of (seed-derived base
-    + i), so the record depends only on (p, shots, seed).  The words are
-    compared with the integer cutoff of p instead of being converted:
+    u_i = z_i / 2^64 for the SplitMix64 word z_i of counter (seed-derived
+    base + i), so the record depends only on (p, shots, seed).  The words
+    are compared with the integer cutoff of p instead of being converted:
     u_i < p exactly when z_i is below it.  Counters are hashed in place,
-    in blocks of SHOT_BLOCK, so memory does not grow with the shot count.
+    in blocks of at most SHOT_BLOCK that never cross a multiple of
+    SHOT_BLOCK, so memory does not grow with the shot count.
+
+    Only the count is kept, and two shortcuts leave it unchanged:
+
+    * Aligned blocks.  Within a block every counter has the same bits
+      above bit 14, so round one's z >> 30 is one constant K.  In a whole
+      block, starting at a multiple c of 2^15, z ^ K = (c ^ K_high) +
+      (k ^ K_low) for offsets k < 2^15, and k -> k ^ K_low only permutes
+      the offsets.  The block thus holds the words of the counters
+      (c ^ K_high) + k, whose first product is offsets * MIX1 (formed
+      once per call) plus one constant: a single addition.  Only the
+      partial blocks before the first multiple of 2^15 and after the
+      last one hash their counters in order.  Counters wrap at 2^64, a
+      multiple of 2^15, so no block contains the wrap.
+    * Top bits decide the last round.  w = y ^ (y >> 31) has the top 31
+      bits of y.  With lo the cutoff with its low 33 bits cleared,
+      y < lo gives w < lo <= cutoff and y >= lo + 2^33 gives w > cutoff,
+      so two comparisons of y settle every word but those in the band
+      between (a 2^-31 share), which are finished one by one.  When
+      lo + 2^33 exceeds 2^64 - 1 (p near 1) there is no word above it.
     """
     if not 0.0 <= p_excited <= 1.0:
         raise ValueError("probability out of range")
@@ -147,28 +173,57 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
         raise ValueError("shots must be nonnegative")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots exceed {MAX_SHOTS}")
-    cutoff = np.uint64(_excited_cutoff(p_excited))
-    base = _splitmix64(seed & _MASK64)
+    # every constant is a Python int, wrapped in np.uint64 only to pass it:
+    # numpy scalar arithmetic would warn on the wrap, and NumPy 1.x and 2.x
+    # promote mixed scalars differently
+    cutoff = _excited_cutoff(p_excited)
+    lo = cutoff & ~(_FINAL_BAND - 1)
+    hi = lo + _FINAL_BAND
+    lo_u = np.uint64(lo)
+    hi_u = np.uint64(hi) if hi <= _MASK64 else None
+    shift27, mix1, mix2 = np.uint64(27), np.uint64(_MIX1), np.uint64(_MIX2)
+    counter = (_splitmix64(seed & _MASK64) + _GAMMA64) & _MASK64
+    head = min(shots, -counter % SHOT_BLOCK)
+    whole, tail = divmod(shots - head, SHOT_BLOCK)
     size = min(shots, SHOT_BLOCK)
     offsets = np.arange(size, dtype=np.uint64)
+    mixed = offsets * mix1 if whole else None
     z = np.empty(size, dtype=np.uint64)
     t = np.empty(size, dtype=np.uint64)
+    mask = np.empty(size, dtype=bool)
+
+    def finish(n: int) -> int:
+        # rounds two and three on z[:n], which holds round one's product
+        zb, tb, mb = z[:n], t[:n], mask[:n]
+        np.right_shift(zb, shift27, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, mix2, out=zb)
+        excited = int(np.count_nonzero(np.less(zb, lo_u, out=mb)))
+        below_hi = n if hi_u is None else int(np.count_nonzero(np.less(zb, hi_u, out=mb)))
+        if below_hi > excited:
+            band = [y for y in zb[zb >= lo_u].tolist() if y < hi]
+            excited += sum(y ^ (y >> 31) < cutoff for y in band)
+        return excited
+
+    def partial(first: int, n: int) -> int:
+        # counters first .. first + n - 1, below the next multiple of 2^15
+        zb = z[:n]
+        np.add(offsets[:n], np.uint64(first), out=zb)
+        np.bitwise_xor(zb, np.uint64(first >> 30), out=zb)
+        np.multiply(zb, mix1, out=zb)
+        return finish(n)
+
     count = 0
-    for start in range(0, shots, SHOT_BLOCK):
-        n = min(SHOT_BLOCK, shots - start)
-        zb, tb = z[:n], t[:n]
-        # the first counter of the block, (base + start + gamma) mod 2^64,
-        # in Python ints: numpy scalar arithmetic would warn on the wrap
-        np.add(offsets[:n], np.uint64((base + start + _GAMMA64) & _MASK64), out=zb)
-        np.right_shift(zb, np.uint64(30), out=tb)
-        np.bitwise_xor(zb, tb, out=zb)
-        np.multiply(zb, np.uint64(_MIX1), out=zb)
-        np.right_shift(zb, np.uint64(27), out=tb)
-        np.bitwise_xor(zb, tb, out=zb)
-        np.multiply(zb, np.uint64(_MIX2), out=zb)
-        np.right_shift(zb, np.uint64(31), out=tb)
-        np.bitwise_xor(zb, tb, out=zb)
-        count += int(np.count_nonzero(zb < cutoff))
+    if head:
+        count += partial(counter, head)
+        counter = (counter + head) & _MASK64
+    for _ in range(whole):
+        shifted = counter ^ ((counter >> 30) & _BLOCK_HIGH)
+        np.add(mixed, np.uint64((shifted * _MIX1) & _MASK64), out=z)
+        count += finish(SHOT_BLOCK)
+        counter = (counter + SHOT_BLOCK) & _MASK64
+    if tail:
+        count += partial(counter, tail)
     return ShotRecord(shots, count, seed)
 
 
@@ -350,6 +405,23 @@ def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
     return total / len(_FIDELITY_X_GRID)
 
 
+@functools.lru_cache(maxsize=16)
+def _checked_transfer(j: float) -> tuple[SpectralPropagator, float, float]:
+    """Exchange propagator for J, the transfer time and its swap fidelity.
+
+    Raises ValueError unless the fidelity reaches 1 - 1e-9.  Cached, so
+    a sequence and its report check each J once.
+    """
+    if j <= 0:
+        raise ValueError("exchange strength must be positive")
+    prop = _exchange_propagator(j)  # its config rejects a non-finite period
+    t_star = float(np.pi / (2.0 * np.sqrt(2.0) * j))
+    fid = _swap_fidelity(prop, t_star)
+    if fid < 1.0 - 1e-9:
+        raise ValueError("no clean transfer")
+    return prop, t_star, fid
+
+
 def find_transfer_time(j: float) -> float:
     """Time of the first complete corner-swap transfer, pi / (2 sqrt(2) J).
 
@@ -358,13 +430,7 @@ def find_transfer_time(j: float) -> float:
     in closed form when sqrt(2) J t = pi / 2.  The time is checked
     against the swap fidelity, which must reach 1 - 1e-9.
     """
-    if j <= 0:
-        raise ValueError("exchange strength must be positive")
-    prop = _exchange_propagator(j)  # its config rejects a non-finite period
-    t_star = np.pi / (2.0 * np.sqrt(2.0) * j)
-    if _swap_fidelity(prop, t_star) < 1.0 - 1e-9:
-        raise ValueError("no clean transfer")
-    return float(t_star)
+    return _checked_transfer(j)[1]
 
 
 @dataclass(frozen=True)
@@ -385,12 +451,13 @@ def transfer_time_report(j: float) -> TransferTimeReport:
     factor sqrt(2) earlier.  Both fidelities are reported so the
     shortfall is documented rather than silently corrected.
     """
-    prop = _exchange_propagator(j)
     best = find_transfer_time(j)
+    # the check behind find_transfer_time is cached: no second build or check
+    prop, _, best_fidelity = _checked_transfer(j)
     candidate = np.pi / (2.0 * j)
     return TransferTimeReport(
         best_time=best,
-        best_fidelity=_swap_fidelity(prop, best),
+        best_fidelity=best_fidelity,
         candidate_time=float(candidate),
         candidate_fidelity=_swap_fidelity(prop, candidate),
     )

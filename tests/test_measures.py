@@ -605,6 +605,18 @@ class TestXStatePolarSearch:
             assert basis.phi == 0.0
 
 
+class TestXStateMutualInformation:
+    @PROPERTIES
+    @given(rho=x_states())
+    @example(rho=_complex_x_state())
+    @example(rho=one_param_density(1.0))
+    def test_closed_form_matches_eigvalsh(self, rho):
+        # the two 2x2 blocks and the diagonal marginals against three eigvalsh
+        expected = (entropy_bits(partial_trace(rho, {0}).mat)
+                    + entropy_bits(partial_trace(rho, {1}).mat) - entropy_bits(rho.mat))
+        assert mutual_information(rho) == pytest.approx(expected, abs=1e-13)
+
+
 class TestPolarZoom:
     @PROPERTIES
     @given(rho=excitation_block_states())

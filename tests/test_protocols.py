@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qprobe import protocols
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
     ModelConfig,
@@ -55,7 +56,9 @@ def one_shot_count(p_excited, shots, seed):
 
 
 class TestSampleShots:
-    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 10 ** 6])
+    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1,
+                                       2 * SHOT_BLOCK - 1, 2 * SHOT_BLOCK, 2 * SHOT_BLOCK + 1,
+                                       10 ** 6])
     @pytest.mark.parametrize("p", [0.0, 1e-7, 0.3, 1.0])
     def test_blocks_match_one_shot_draw(self, shots, p):
         for seed in (0, derive_seed(11, 2)):
@@ -150,12 +153,14 @@ class TestInvertedSeeds:
             inner = mix(((mix((seed + GAMMA64) & MASK64) ^ (stream + 1)) + GAMMA64) & MASK64)
             assert derive_seed(seed, stream) == inner
 
-    @pytest.mark.parametrize("wrap_shot", [5, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 100])
+    @pytest.mark.parametrize("wrap_shot", [5, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 100,
+                                           2 * SHOT_BLOCK - 1, 2 * SHOT_BLOCK,
+                                           2 * SHOT_BLOCK + 100])
     @pytest.mark.parametrize("p", [1e-7, 0.3, 0.5, 1.0])
     def test_counters_wrap_past_2_64(self, wrap_shot, p):
         seed = seed_with_counter(wrap_shot, 0)
         assert counter_of(seed, wrap_shot - 1) == MASK64
-        shots = 2 * SHOT_BLOCK
+        shots = 3 * SHOT_BLOCK  # every wrap_shot lies inside the draw
         assert sample_shots(p, shots, seed).count_excited == one_shot_count(p, shots, seed)
 
     def test_top_word_is_never_excited(self):
@@ -180,6 +185,63 @@ class TestInvertedSeeds:
             assert sample_shots(p, shots, seed).count_excited == one_shot_count(
                 p, shots, seed
             )
+
+
+class TestSamplerShortcuts:
+    """Aligned blocks and the last-round band give the one-shot counts."""
+
+    ALIGNED = 0x0123456789AB8000  # a multiple of SHOT_BLOCK
+    PS = (1e-7, 0.3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("before", [0, 1, SHOT_BLOCK - 1])
+    def test_first_shot_just_before_an_aligned_counter(self, before):
+        assert self.ALIGNED % SHOT_BLOCK == 0
+        seed = seed_with_counter(0, self.ALIGNED - before)
+        for shots in (before, before + 1, 3 * SHOT_BLOCK + 5):
+            for p in self.PS:
+                assert sample_shots(p, shots, seed).count_excited == one_shot_count(
+                    p, shots, seed
+                )
+
+    @pytest.mark.parametrize("high", [1, 0x2A5, (1 << 34) - 1])
+    def test_partial_blocks_either_side_of_a_2_30_boundary(self, high):
+        # head and tail only: round one's constant z >> 30 differs between them
+        seed = seed_with_counter(0, (high << 30) - 10)
+        for p in self.PS:
+            assert sample_shots(p, 20, seed).count_excited == one_shot_count(p, 20, seed)
+            shots = SHOT_BLOCK + 20
+            assert sample_shots(p, shots, seed).count_excited == one_shot_count(
+                p, shots, seed
+            )
+
+    @pytest.mark.parametrize("p", [0.3, 2.0 ** -64, math.nextafter(1.0, 0.0), 1.0])
+    def test_last_round_inputs_at_the_band_edges(self, p):
+        cutoff = _excited_cutoff(p)
+        lo = cutoff & ~((1 << 33) - 1)
+        inputs = [y for y in (lo - 1, lo, lo + (1 << 33) - 1, lo + (1 << 33)) if 0 <= y <= MASK64]
+        assert lo in inputs and len(inputs) >= 2
+        for y in inputs:
+            word = y ^ (y >> 31)  # the last round of the hash
+            excited = int(word < cutoff)
+            seed = seed_with_word(0, word)
+            assert sample_shots(p, 1, seed).count_excited == excited
+            assert one_shot_count(p, 1, seed) == excited
+            # shot 1.5 blocks in lies in a whole block whatever the alignment
+            seed = seed_with_word(SHOT_BLOCK + SHOT_BLOCK // 2, word)
+            shots = 3 * SHOT_BLOCK
+            assert sample_shots(p, shots, seed).count_excited == one_shot_count(
+                p, shots, seed
+            )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(0.0, 1.0, allow_subnormal=True),
+    shots=st.integers(0, 3 * SHOT_BLOCK),
+    seed=st.integers(0, MASK64),
+)
+def test_random_draws_match_the_one_shot_count(p, shots, seed):
+    assert sample_shots(p, shots, seed).count_excited == one_shot_count(p, shots, seed)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -325,6 +387,31 @@ class TestTransferTime:
             np.pi / (2 * np.sqrt(2) * j), rel=1e-12
         )
         assert transfer_time_report(j).best_fidelity >= 1.0 - 1e-12
+
+    def test_sequence_and_report_check_the_strength_once(self, monkeypatch):
+        protocols._checked_transfer.cache_clear()
+        builds, times = [], []
+        build = SpectralPropagator.from_hamiltonian.__func__
+        swap_fidelity = protocols._swap_fidelity
+
+        def counted_build(cls, h):
+            builds.append(h.shape)
+            return build(cls, h)
+
+        def counted_fidelity(prop, t):
+            times.append(t)
+            return swap_fidelity(prop, t)
+
+        monkeypatch.setattr(SpectralPropagator, "from_hamiltonian", classmethod(counted_build))
+        monkeypatch.setattr(protocols, "_swap_fidelity", counted_fidelity)
+        cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=7.3)
+        run_qnd_sequence(0.75, cfg, 1)
+        rep = transfer_time_report(cfg.j_exchange)
+        # the check's propagator and the sequence's own; t* once, the candidate once
+        assert len(builds) == 2
+        assert times == [rep.best_time, rep.candidate_time]
+        assert rep.best_time == find_transfer_time(cfg.j_exchange)
+        assert len(builds) == 2 and len(times) == 2
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(log_j=st.floats(-6.0, 6.0))
