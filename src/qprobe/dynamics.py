@@ -223,7 +223,20 @@ def initial_joint(x: float, cfg: ModelConfig, prep: ProbePrep) -> DensityMatrix:
     component holds three excitations, which can put a third photon
     into one mode.
     """
-    rho_ab = one_param_density(x).mat
+    return initial_joint_from_pair(one_param_density(x), cfg, prep)
+
+
+def initial_joint_from_pair(
+    pair: DensityMatrix, cfg: ModelConfig, prep: ProbePrep
+) -> DensityMatrix:
+    """``initial_joint`` with the two-qubit state ``pair`` on (A, B).
+
+    A caller that also needs the family state itself passes
+    ``one_param_density(x)``, so the state is built and checked once.
+    """
+    if pair.space.dims != (2, 2):
+        raise ValueError("two-qubit pair state required")
+    rho_ab = pair.mat
     dims = cfg.space.dims
 
     if cfg.variant is ModelVariant.RESONANT_BOSON:

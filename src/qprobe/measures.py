@@ -15,13 +15,15 @@ not depend on the azimuth phi and whose coherence has modulus
 cos sin |e^{-i phi} r23 + e^{i phi} r14|; so phi* = (arg r23 - arg r14)/2
 maximizes it at every theta (Chen et al., PRA 84, 042313 (2011)), and the
 conditional entropy is symmetric under theta -> pi - theta.  The minimum
-is then a 65-point grid over theta in [0, pi/2] at phi*, refined by a
-golden-section search of the cells around its best point on a closed
-form in ``math`` of r11 .. r44 and |r23| + |r14|, and S(A) is the
-entropy of the marginal's two populations.  Every state the models
-produce is an X state (with r14 = 0).  Any other state (one non-zero
-entry off the X suffices) goes through the 2-D search over
-(theta, phi), which is also the reference the 1-D path is tested
+is then a 65-point grid over theta in [0, pi/2] at phi*, refined by
+Brent's bounded method (parabolic steps with a golden-section fallback)
+on the cells around its best point, on a closed form in ``math`` of
+r11 .. r44 and |r23| + |r14|, and S(A) is the entropy of the
+marginal's two populations.  Every state the models produce is an X
+state (with r14 = 0), and ``correlation_report`` takes its other
+columns from the same few entries, in ``math`` too.  Any other state
+(one non-zero entry off the X suffices) goes through the 2-D search
+over (theta, phi), which is also the reference the 1-D path is tested
 against.  Both searches are numpy only and evaluate one batched
 kernel: measuring the second qubit along |v> leaves the first in the
 unnormalised 2x2 state (I (x) <v|) rho (I (x) |v>), whose trace and
@@ -44,15 +46,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .qcore import (
+    ENTROPY_CLIP,
     DensityMatrix,
     entropy_bits,
     entropy_of_spectra,
-    entropy_of_spectrum,
     kron,
     partial_trace,
     psd_sqrt_mat,
 )
-from .states import SIGMA_Y, XState, extract_xstate, one_param_density
+from .states import SIGMA_Y, XState, extract_xstate, one_param_density, xstate_from_entries
 
 # Optimizer schedule for general states: coarse grid scan over the
 # measurement 2-torus, then simplex refinement from the best cells.  The
@@ -69,6 +71,10 @@ GRID_THETA_POLAR = 65
 
 #: entries of a two-qubit matrix off its diagonal and anti-diagonal (the X)
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+#: the same entries as flat positions 4 i + j
+_OFF_X_FLAT = tuple(np.flatnonzero(_OFF_X).tolist())
+
+_LN2 = math.log(2.0)
 
 #: closed-form branch threshold on the |11> population, used verbatim
 CLOSED_FORM_BRANCH_R44 = 0.4716
@@ -258,11 +264,33 @@ def _xlog2_scalar(w: float) -> float:
     return w * math.log2(w) if w > 0.0 else 0.0
 
 
+def _entropy_of_values(*values: float) -> float:
+    """``qcore.entropy_of_spectrum`` of a few floats, in ``math``, summed in order."""
+    total = 0.0
+    for v in values:
+        if v > ENTROPY_CLIP:
+            total += v * math.log2(v)
+    return -total
+
+
 def _outcome_entropy(top: float, bottom: float, off: float) -> float:
-    """p S(M / p) for the 2x2 state M = [[top, off / 2], [., bottom]]."""
+    """p S(M / p) for the 2x2 state M = [[top, off / 2], [., bottom]].
+
+    With M's eigenvalues hi >= lo and p = hi + lo this is
+    -hi log2(hi / p) - lo log2(lo / p), with lo from the determinant,
+    (4 top bottom - off^2) / (2 (p + gap)), and log2(hi / p) from
+    log1p(-lo / p).  Near a pure outcome that keeps the small result
+    accurate, where eta(p) - eta(hi) - eta(lo) cancels terms of size p
+    (off by up to 1.5e-15 bits on X states with near-zero populations).
+    """
     p = top + bottom
+    if not p > 0.0:
+        return 0.0
     gap = math.hypot(top - bottom, off)
-    return _xlog2_scalar(p) - _xlog2_scalar(0.5 * (p + gap)) - _xlog2_scalar(0.5 * (p - gap))
+    lo = (4.0 * top * bottom - off * off) / (2.0 * (p + gap))
+    if not lo > 0.0:
+        return 0.0
+    return -((p - lo) * math.log1p(-lo / p) / _LN2 + lo * math.log2(lo / p))
 
 
 def _x_conditional_entropy(
@@ -274,7 +302,8 @@ def _x_conditional_entropy(
     |r23| + |r14| (the largest |M01| / (c s) over phi), the two outcomes
     leave A in [[c^2 r11 + s^2 r22, c s a], [., c^2 r33 + s^2 r44]] and
     in the same matrix with c and s swapped.  The sum over outcomes is
-    ``_conditional_entropy_batch``'s, in scalar ``math``.
+    the one ``_conditional_entropy_batch`` forms, in scalar ``math``,
+    with each outcome's term as ``_outcome_entropy`` forms it.
     """
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     c2, s2, off = c * c, s * s, 2.0 * c * s * coherence
@@ -282,25 +311,66 @@ def _x_conditional_entropy(
             + _outcome_entropy(s2 * r11 + c2 * r22, s2 * r33 + c2 * r44, off))
 
 
-def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
-    """(f(t), t) at the best point a golden-section search of [lo, hi] evaluates.
+#: share of a bracket a golden-section step moves into, (3 - sqrt 5) / 2
+_GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))
 
-    The bracket shrinks by the golden ratio per evaluation until it is
-    narrower than REFINE_TOL; ties keep the smaller t.
+
+def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+    """(f(t), t) at the best point Brent's bounded method evaluates on [lo, hi].
+
+    Parabolic steps through the three best points, with a golden-section
+    step whenever the parabola's step is out of the bracket or not
+    shrinking (Brent, Algorithms for Minimization without Derivatives
+    (1973), ch. 5).  A step is never shorter than REFINE_TOL / 4, and
+    the search stops once the bracket around its best point is at most
+    REFINE_TOL wide.  Only a strictly lower value replaces the best
+    point: where f is flat to rounding, a tie would otherwise move it
+    and drag the bracket along one step at a time.
     """
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > REFINE_TOL:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv * (hi - lo)
-            fc = f(c)
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    tol = 0.25 * REFINE_TOL
+    while True:
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return fx, x
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            # a parabolic step lands no nearer than 2 tol to an end of the bracket
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < mid else -tol
         else:
-            lo, c, fc = c, d, fd
-            d = lo + inv * (hi - lo)
-            fd = f(d)
-    return min((fc, c), (fd, d))
+            e = (b if x < mid else a) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu < fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _min_conditional_entropy_polar(mat: np.ndarray, phi: float = 0.0) -> tuple[float, float]:
@@ -309,20 +379,30 @@ def _min_conditional_entropy_polar(mat: np.ndarray, phi: float = 0.0) -> tuple[f
     Valid for X states measured at the azimuth that aligns their two
     coherences (see ``classical_correlation_optimized``).  A 65-point
     grid that holds both ends exactly picks the two cells around its
-    best point; a golden-section search of them, on the closed form
-    ``_x_conditional_entropy``, refines it to REFINE_TOL.  The best grid
-    point stays a candidate, so the result is never worse than the
-    grid.  Ties break toward smaller theta.
+    best point; Brent's bounded method (``_brent_minimize``) on the
+    closed form ``_x_conditional_entropy`` refines it to REFINE_TOL.
+    The objective is even about 0 and about pi/2, so when the best point
+    is an end the bracket spans both cells beside it, the one outside
+    [0, pi/2] mirrored, and every angle is folded back into [0, pi/2]
+    before it is evaluated; an optimum at the end is then interior to
+    the bracket.  The best grid point stays a candidate, so the result
+    is never worse than the grid.  Ties break toward smaller theta.
     """
     thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
     values = _conditional_entropy_batch(mat, thetas, np.full(thetas.size, phi))
     k = int(np.argmin(values))
     pops = mat.diagonal().real.tolist()
     coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
-    refined = _golden_section(
-        lambda theta: _x_conditional_entropy(theta, *pops, coherence),
-        float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, thetas.size - 1)]))
-    return min((float(values[k]), float(thetas[k])), refined)
+    top, h = float(thetas[-1]), float(thetas[1])
+
+    def fold(theta: float) -> float:
+        return 2.0 * top - theta if theta > top else abs(theta)
+
+    lo = float(thetas[k - 1]) if k else -h
+    hi = float(thetas[k + 1]) if k < thetas.size - 1 else top + h
+    value, theta = _brent_minimize(
+        lambda t: _x_conditional_entropy(fold(t), *pops, coherence), lo, hi)
+    return min((float(values[k]), float(thetas[k])), (value, fold(theta)))
 
 
 def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, float]:
@@ -399,8 +479,8 @@ def classical_correlation_optimized(
         if r23 and r14:
             phi = float(np.angle(r23) - np.angle(r14)) / 2.0 % math.pi
         ce_min, theta = _min_conditional_entropy_polar(mat, phi)
-        s_a = entropy_of_spectrum([mat[0, 0].real + mat[1, 1].real,
-                                   mat[2, 2].real + mat[3, 3].real])
+        r11, r22, r33, r44 = mat.diagonal().real.tolist()
+        s_a = _entropy_of_values(r11 + r22, r33 + r44)
     return s_a - ce_min, MeasurementBasis(theta, phi)
 
 
@@ -422,14 +502,14 @@ def classical_correlation_closed_form(xs: XState) -> float:
     """
     if abs(xs.r22 - xs.r33) > 1e-9:
         raise ValueError("closed form requires equal middle populations")
-    s_a = entropy_of_spectrum([xs.r11 + xs.r22, xs.r33 + xs.r44])
+    s_a = _entropy_of_values(xs.r11 + xs.r22, xs.r33 + xs.r44)
     if xs.r44 <= CLOSED_FORM_BRANCH_R44:
         mid = xs.r22 + xs.r33
-        ce_min = _xlog2(mid) - _xlog2(xs.r22) - _xlog2(xs.r33)
+        ce_min = _xlog2_scalar(mid) - _xlog2_scalar(xs.r22) - _xlog2_scalar(xs.r33)
     else:
-        theta = np.sqrt((xs.r11 - xs.r44) ** 2 + 4.0 * xs.r23 ** 2)
-        ce_min = 1.0 - 0.5 * (_xlog2(1.0 - theta) + _xlog2(1.0 + theta))
-    return float(s_a - ce_min)
+        theta = math.sqrt((xs.r11 - xs.r44) ** 2 + 4.0 * xs.r23 ** 2)
+        ce_min = 1.0 - 0.5 * (_xlog2_scalar(1.0 - theta) + _xlog2_scalar(1.0 + theta))
+    return s_a - ce_min
 
 
 def discord(rho: DensityMatrix) -> float:
@@ -462,17 +542,55 @@ class CorrelationReport:
             raise ValueError("classical correlation exceeds mutual information")
 
 
-def correlation_report(rho: DensityMatrix) -> CorrelationReport:
-    """Evaluate every quantifier once (a single optimizer run is shared)."""
-    classical, basis = classical_correlation_optimized(rho)
-    mi = mutual_information(rho)
+def _x_state_columns(flat: list) -> tuple[float, float, Optional[float]]:
+    """Concurrence, mutual information and closed form of one two-qubit X state.
+
+    ``flat`` lists the 16 entries of the matrix in row order.  These are
+    the formulas of ``concurrence_stack``, ``_x_mutual_information`` and
+    ``classical_correlation_closed_form`` (None where ``extract_xstate``
+    or the closed form refuses the state), on r11 .. r44, |r23| and
+    |r14| as floats, in ``math``.
+    """
+    r11, r22, r33, r44 = flat[0].real, flat[5].real, flat[10].real, flat[15].real
+    a14, a23 = abs(flat[3]), abs(flat[6])
+    conc = 2.0 * max(0.0, a23 - math.sqrt(max(r11 * r44, 0.0)),
+                     a14 - math.sqrt(max(r22 * r33, 0.0)))
+    # the blocks on {|00>, |11>} and {|01>, |10>}: mean -+ radius
+    outer, inner = 0.5 * (r11 + r44), 0.5 * (r22 + r33)
+    r_outer, r_inner = math.hypot(0.5 * (r11 - r44), a14), math.hypot(0.5 * (r22 - r33), a23)
+    mi = (_entropy_of_values(r11 + r22, r33 + r44) + _entropy_of_values(r11 + r33, r22 + r44)
+          - _entropy_of_values(outer - r_outer, inner - r_inner,
+                               outer + r_outer, inner + r_inner))
     closed: Optional[float]
     try:
-        closed = classical_correlation_closed_form(extract_xstate(rho))
+        closed = classical_correlation_closed_form(xstate_from_entries(flat))
     except ValueError:
         closed = None
+    return conc, mi, closed
+
+
+def correlation_report(rho: DensityMatrix) -> CorrelationReport:
+    """Evaluate every quantifier once (a single optimizer run is shared).
+
+    A two-qubit X state (routed as in ``concurrence_stack``; every state
+    the models produce) has its other columns from one read of its
+    entries (``_x_state_columns``); any other state takes
+    ``mutual_information``, ``extract_xstate`` and ``concurrence``.
+    """
+    classical, basis = classical_correlation_optimized(rho)
+    flat = rho.mat.ravel().tolist()
+    closed: Optional[float]
+    if rho.space.dims == (2, 2) and not any(flat[k] for k in _OFF_X_FLAT):
+        conc, mi, closed = _x_state_columns(flat)
+    else:
+        mi = mutual_information(rho)
+        try:
+            closed = classical_correlation_closed_form(extract_xstate(rho))
+        except ValueError:
+            closed = None
+        conc = concurrence(rho)
     return CorrelationReport(
-        concurrence=concurrence(rho),
+        concurrence=conc,
         mutual_info=mi,
         classical=classical,
         discord=mi - classical,

@@ -55,7 +55,7 @@ from .dynamics import (
     ModelConfig,
     ModelVariant,
     NoiseConfig,
-    initial_joint,
+    initial_joint_from_pair,
     integrate_master,
     sigma_z_expectation,
 )
@@ -331,7 +331,7 @@ def run_probe_cycle(
         raise ValueError(f"n exceeds {MAX_HALF_PERIODS} half periods")
     noise = noise or NoiseConfig()
     rho0 = one_param_density(x)
-    joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
+    joint0 = initial_joint_from_pair(rho0, cfg, ProbePrep.GROUND)
     t_read = n * np.pi / 2.0
 
     if noise.gamma == 0.0 and noise.collapse_ops is None:

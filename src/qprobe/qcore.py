@@ -8,9 +8,11 @@ and reduced on the basis states those entries touch (at most 18 of 72
 from the models' initial states).  All containers are frozen
 dataclasses holding read-only arrays, so a state checked once at
 construction cannot be changed afterwards through an alias of its
-matrix.  qcore keeps no state between calls and never writes to an
-input, so the read-only operators a ``dynamics.ModelConfig`` caches for
-its lifetime pass through it as they are.
+matrix.  qcore never writes to an input, so the read-only operators a
+``dynamics.ModelConfig`` caches for its lifetime pass through it as
+they are.  The only state it keeps between calls is the bounded cache
+of ``reduced_entry_stack``'s index plans, read-only arrays that depend
+on the entries' positions, never on their values.
 
 Conventions:
     hbar = 1; the coupling g = 1 is the fixed energy unit and times
@@ -19,6 +21,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -175,6 +178,68 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(sub, partial_trace_mat(rho.mat, rho.space.dims, keep))
 
 
+#: reduction plans ``reduced_entry_stack`` keeps, least recently used dropped first
+REDUCTION_PLANS = 32
+
+
+def _read_only_int(a) -> Array:
+    a = np.array(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=REDUCTION_PLANS)
+def _reduction_plan(
+    codes: bytes, dims: tuple[int, ...], keep: tuple[int, ...], index: Optional[bytes]
+) -> tuple:
+    """The index arithmetic of ``reduced_entry_stack`` for one set of inputs.
+
+    ``codes`` and ``index`` are int64 arrays as bytes (``index`` None for
+    every basis state).  Returns (steps, m, dest, inside): one step per
+    traced factor, last first, as (first, adds), where the step's
+    reduced entries start as the columns ``first`` of its input and
+    each (targets, sources) of ``adds`` in turn adds the input's
+    columns ``sources`` to the columns ``targets``; then the columns
+    ``inside`` of the last step's output land at the flat positions
+    ``dest`` of the m x m result.  Every array is read-only.
+    """
+    codes = np.frombuffer(codes, dtype=np.int64)
+    dims = list(dims)
+    steps = []
+    for f in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        inner, size, d = math.prod(dims[f + 1:]), dims[f], math.prod(dims)
+        rows, cols = np.divmod(codes, d)
+        on_diag = np.flatnonzero(rows // inner % size == cols // inner % size)
+
+        def without_f(i):
+            return i // (inner * size) * inner + i % inner
+
+        merged = without_f(rows[on_diag]) * (d // size) + without_f(cols[on_diag])
+        order = np.argsort(merged, kind="stable")
+        merged, taken = merged[order], on_diag[order]
+        starts = np.flatnonzero(np.diff(merged, prepend=-1))
+        counts = np.diff(starts, append=merged.size)
+        # the terms of each reduced entry are added one at a time, in
+        # ascending order of factor f's index
+        adds = tuple(
+            (_read_only_int(np.flatnonzero(counts > j)),
+             _read_only_int(taken[starts[counts > j] + j]))
+            for j in range(1, counts.max(initial=1))
+        )
+        steps.append((_read_only_int(taken[starts]), adds))
+        codes = merged[starts]
+        del dims[f]
+    dk = math.prod(dims)
+    index = np.arange(dk) if index is None else np.frombuffer(index, dtype=np.int64)
+    m = index.size
+    pos = np.full(dk, -1)
+    pos[index] = np.arange(m)
+    r, c = pos[codes // dk], pos[codes % dk]
+    inside = (r >= 0) & (c >= 0)
+    return (tuple(steps), m, _read_only_int(r[inside] * m + c[inside]),
+            _read_only_int(np.flatnonzero(inside)))
+
+
 def reduced_entry_stack(
     codes: Array,
     entries: Array,
@@ -192,44 +257,27 @@ def reduced_entry_stack(
     them by default).  No d x d matrix is formed: each traced factor,
     last first as in partial_trace_mat, is summed out of the entries of
     the whole stack at once, term by term in the order np.trace adds
-    them there.
+    them there.  The index arithmetic depends on ``codes``, ``dims``,
+    ``keep`` and ``index`` only, so it is planned once per distinct set
+    of them (``_reduction_plan``, an LRU cache of REDUCTION_PLANS) and
+    each call only gathers and adds ``entries``.
     """
-    dims = [int(d) for d in dims]
-    keep = sorted(set(int(k) for k in keep))
+    dims = tuple(int(d) for d in dims)
+    keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError("bad subsystem")
-    codes = np.asarray(codes, dtype=np.int64)
+    if index is not None:
+        index = np.asarray(index, dtype=np.int64).tobytes()
+    steps, m, dest, inside = _reduction_plan(
+        np.asarray(codes, dtype=np.int64).tobytes(), dims, keep, index)
     entries = np.asarray(entries, dtype=complex)
-    for f in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        inner, size, d = math.prod(dims[f + 1:]), dims[f], math.prod(dims)
-        rows, cols = np.divmod(codes, d)
-        on_diag = np.flatnonzero(rows // inner % size == cols // inner % size)
-
-        def without_f(i):
-            return i // (inner * size) * inner + i % inner
-
-        merged = without_f(rows[on_diag]) * (d // size) + without_f(cols[on_diag])
-        order = np.argsort(merged, kind="stable")
-        merged, terms = merged[order], entries[:, on_diag[order]]
-        starts = np.flatnonzero(np.diff(merged, prepend=-1))
-        counts = np.diff(starts, append=merged.size)
-        # add the terms of each reduced entry one at a time, in ascending
-        # order of factor f's index
-        entries = terms[:, starts]
-        for j in range(1, counts.max(initial=1)):
-            more = counts > j
-            entries[:, more] += terms[:, starts[more] + j]
-        codes = merged[starts]
-        del dims[f]
-    dk = math.prod(dims)
-    index = np.arange(dk) if index is None else np.asarray(index, dtype=np.int64)
-    m = index.size
-    pos = np.full(dk, -1)
-    pos[index] = np.arange(m)
-    r, c = pos[codes // dk], pos[codes % dk]
-    inside = (r >= 0) & (c >= 0)
+    for first, adds in steps:
+        reduced = entries[:, first]
+        for targets, sources in adds:
+            reduced[:, targets] += entries[:, sources]
+        entries = reduced
     out = np.zeros((entries.shape[0], m * m), dtype=complex)
-    out[:, r[inside] * m + c[inside]] = entries[:, inside]
+    out[:, dest] = entries[:, inside]
     return out.reshape(entries.shape[0], m, m)
 
 

@@ -23,6 +23,10 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 #: zero-pattern tolerance accepted by extract_xstate
 XSTATE_PATTERN_TOL = 1e-8
 
+#: flat positions 4 i + j of the two-qubit entries an XState holds at
+#: zero: all but the diagonal and the |01>, |10> coherence pair
+_XSTATE_ZEROS = tuple(k for k in range(16) if k % 5 and k not in (6, 9))
+
 
 class ProbePrep(enum.Enum):
     """Initial preparation of the probe qubit."""
@@ -136,19 +140,18 @@ def extract_xstate(rho: DensityMatrix) -> XState:
     """Read off the five real X-state parameters, validating the zero pattern."""
     if rho.dim != 4:
         raise ValueError("two-qubit state required")
-    m = rho.mat
-    pattern = np.zeros((4, 4), dtype=bool)
-    for i in range(4):
-        pattern[i, i] = True
-    pattern[1, 2] = pattern[2, 1] = True
-    if np.max(np.abs(m[~pattern])) > XSTATE_PATTERN_TOL:
-        raise ValueError("not an X-state of the required form")
-    if abs(m[1, 2].imag) > XSTATE_PATTERN_TOL:
+    return xstate_from_entries(rho.mat.ravel().tolist())
+
+
+def xstate_from_entries(flat: list) -> XState:
+    """``extract_xstate`` of the 4x4 matrix whose 16 entries ``flat`` lists in row order."""
+    if (max(abs(flat[k]) for k in _XSTATE_ZEROS) > XSTATE_PATTERN_TOL
+            or abs(flat[6].imag) > XSTATE_PATTERN_TOL):
         raise ValueError("not an X-state of the required form")
     return XState(
-        r11=float(m[0, 0].real),
-        r22=float(m[1, 1].real),
-        r33=float(m[2, 2].real),
-        r44=float(m[3, 3].real),
-        r23=float(m[1, 2].real),
+        r11=flat[0].real,
+        r22=flat[5].real,
+        r33=flat[10].real,
+        r44=flat[15].real,
+        r23=flat[6].real,
     )

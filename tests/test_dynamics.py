@@ -30,6 +30,7 @@ from qprobe.dynamics import (
     dispersive_deviation,
     excitation_number,
     initial_joint,
+    initial_joint_from_pair,
     integrate_master,
     probe_lowering,
     reachable_entries,
@@ -747,6 +748,24 @@ class TestBosonModel:
     def test_excited_probe_refused(self):
         with pytest.raises(ValueError, match="third photon per mode"):
             initial_joint(0.75, BOSON, ProbePrep.EXCITED)
+
+
+class TestInitialJointFromPair:
+    @pytest.mark.parametrize("cfg, prep", [
+        (QUBIT, ProbePrep.GROUND), (QUBIT, ProbePrep.EXCITED), (BOSON, ProbePrep.GROUND),
+        (FULL, ProbePrep.EXCITED), (EXCHANGE, ProbePrep.GROUND)])
+    def test_matches_initial_joint(self, cfg, prep):
+        for x in (0.5, 0.75, 1.0):
+            joint = initial_joint_from_pair(one_param_density(x), cfg, prep)
+            assert joint.space == cfg.space
+            assert np.array_equal(joint.mat, initial_joint(x, cfg, prep).mat)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="two-qubit pair state required"):
+            initial_joint_from_pair(initial_joint(0.75, QUBIT, ProbePrep.GROUND), QUBIT,
+                                    ProbePrep.GROUND)
+        with pytest.raises(ValueError, match="third photon per mode"):
+            initial_joint_from_pair(one_param_density(0.75), BOSON, ProbePrep.EXCITED)
 
 
 # ---------------------------------------------------------------------------

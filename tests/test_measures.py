@@ -43,7 +43,7 @@ from qprobe.states import (
     one_param_density,
     ProbePrep,
 )
-from qprobe.dynamics import resonant_closed_form
+from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig, resonant_closed_form
 
 SPACE = HilbertSpace((2, 2), ("A", "B"))
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -643,6 +643,126 @@ class TestPolarZoom:
         assert 0.0 < abs(theta - end) < thetas[1]
         assert value < grid.min() - 5e-11
         assert value == pytest.approx(_min_conditional_entropy_sphere(mat)[0], abs=1e-12)
+
+
+def _golden_section(f, lo, hi):
+    """(f(t), t) at the best point a golden-section search of [lo, hi] evaluates.
+
+    The polar refinement before Brent's method, kept as its oracle: the
+    bracket shrinks by the golden ratio per evaluation until it is
+    narrower than REFINE_TOL; ties keep the smaller t.
+    """
+    inv = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > REFINE_TOL:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv * (hi - lo)
+            fd = f(d)
+    return min((fc, c), (fd, d))
+
+
+def _golden_polar(mat, phi=0.0):
+    """The 65-point polar grid, then a golden-section search of the two cells at its best point."""
+    thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+    values = _conditional_entropy_batch(mat, thetas, np.full(thetas.size, phi))
+    k = int(np.argmin(values))
+    pops = mat.diagonal().real.tolist()
+    coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
+    refined = _golden_section(
+        lambda theta: measures._x_conditional_entropy(theta, *pops, coherence),
+        float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, thetas.size - 1)]))
+    return min((float(values[k]), float(thetas[k])), refined)
+
+
+def _aligned_phi(mat):
+    """The azimuth classical_correlation_optimized measures an X state at."""
+    r23, r14 = complex(mat[1, 2]), complex(mat[0, 3])
+    return float(np.angle(r23) - np.angle(r14)) / 2.0 % np.pi if r23 and r14 else 0.0
+
+
+class TestBrentRefinement:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rho=st.one_of(x_states(), excitation_block_states()))
+    @example(rho=one_param_density(0.5))
+    @example(rho=one_param_density(0.75))
+    @example(rho=one_param_density(1.0))
+    @example(rho=_complex_x_state())
+    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.094675).to_density())
+    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.107216).to_density())
+    def test_never_above_golden_section(self, rho):
+        phi = _aligned_phi(rho.mat)
+        value, theta = _min_conditional_entropy_polar(rho.mat, phi)
+        assert value <= _golden_polar(rho.mat, phi)[0] + 1e-15
+        assert 0.0 <= theta <= np.pi / 2.0
+        basis = MeasurementBasis(theta, phi)
+        assert conditional_entropy(rho, basis) == pytest.approx(value, abs=1e-12)
+
+    def test_half_the_evaluations_on_noisy_sweep_states(self, monkeypatch):
+        cfgs = (ModelConfig(ModelVariant.RESONANT_QUBIT), ModelConfig(ModelVariant.RESONANT_BOSON))
+        mats = [protocols.run_probe_cycle(float(x), cfg, 1, NoiseConfig(0.1)).post_state.mat
+                for cfg in cfgs for x in np.linspace(0.5, 1.0, 26)]
+        objective, calls = measures._x_conditional_entropy, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return objective(*args)
+
+        monkeypatch.setattr(measures, "_x_conditional_entropy", counted)
+        mean = {}
+        for search in (_min_conditional_entropy_polar, _golden_polar):
+            calls.clear()
+            for mat in mats:
+                search(mat)
+            mean[search] = len(calls) / len(mats)
+        assert mean[_golden_polar] > 40
+        assert mean[_min_conditional_entropy_polar] <= 0.5 * mean[_golden_polar]
+        # every angle the objective sees is folded into [0, pi/2]
+        assert all(0.0 <= theta <= np.pi / 2.0 for theta in calls)
+
+
+@st.composite
+def symmetric_x_states(draw):
+    """Real X states with r22 = r33 (the closed form's domain), r14 from 0 to 1e-7."""
+    unit = st.floats(0.0, 1.0)
+    pops = np.array([draw(unit) for _ in range(3)])
+    assume(pops.sum() > 1e-3)
+    r11, middle, r44 = pops / pops.sum()
+    mat = np.diag([r11, middle / 2.0, middle / 2.0, r44]).astype(complex)
+    mat[1, 2] = mat[2, 1] = draw(st.floats(-1.0, 1.0)) * middle / 2.0
+    mat[0, 3] = mat[3, 0] = min(draw(st.sampled_from([0.0, 5e-9, 1e-7])), np.sqrt(r11 * r44))
+    return DensityMatrix(SPACE, mat)
+
+
+class TestScalarReport:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rho=st.one_of(x_states(), excitation_block_states(), symmetric_x_states()))
+    @example(rho=one_param_density(0.5))
+    @example(rho=one_param_density(2.0 / 3.0))
+    @example(rho=one_param_density(1.0))
+    @example(rho=_complex_x_state())
+    @example(rho=XState(0.1, 0.3, 0.3, 0.3, 0.2).to_density())
+    def test_matches_stack_kernels(self, rho):
+        rep = correlation_report(rho)
+        assert abs(rep.concurrence - concurrence_stack(rho.mat[None])[0]) <= 1e-14
+        assert abs(rep.mutual_info - mutual_information_stack(rho.mat[None])[0]) <= 1e-14
+        try:
+            closed = classical_correlation_closed_form(extract_xstate(rho))
+        except ValueError:
+            closed = None
+        assert rep.classical_closed_form == closed
+
+    def test_other_states_keep_the_general_path(self):
+        rho = product_state(np.random.default_rng(41))
+        rep = correlation_report(rho)
+        assert rep.concurrence == concurrence(rho)
+        assert rep.mutual_info == mutual_information(rho)
+        assert rep.classical_closed_form is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qprobe import protocols
+from qprobe import dynamics, protocols, states
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
     ModelConfig,
@@ -322,6 +322,20 @@ class TestProbeCycle:
     def test_wrong_model_rejected(self):
         with pytest.raises(ValueError):
             run_probe_cycle(0.75, EXCHANGE, 1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_family_state_built_once(self, monkeypatch, gamma):
+        # one construction serves the initial joint state and the report before
+        built = []
+
+        def counted(x):
+            built.append(x)
+            return states.one_param_density(x)
+
+        monkeypatch.setattr(protocols, "one_param_density", counted)
+        monkeypatch.setattr(dynamics, "one_param_density", counted)
+        run_probe_cycle(0.75, QUBIT, 1, NoiseConfig(gamma))
+        assert built == [0.75]
 
     def test_half_periods_bounded(self, monkeypatch):
         # rejected before any propagator is built

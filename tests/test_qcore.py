@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qprobe.qcore import (
+    REDUCTION_PLANS,
     DensityMatrix,
     HilbertSpace,
     SpectralPropagator,
@@ -19,6 +24,7 @@ from qprobe.qcore import (
     reduced_entry_stack,
     trace_distance,
     trace_distance_stack,
+    _reduction_plan,
 )
 from qprobe.states import one_param_density
 
@@ -203,6 +209,83 @@ class TestReducedEntryStack:
         for keep in ({3}, set()):
             with pytest.raises(ValueError, match="bad subsystem"):
                 reduced_entry_stack(codes, entries, self.DIMS, keep)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bit_identical_to_unplanned_reduction(self, data):
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="dims")
+        d = math.prod(dims)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        # dense sets give reduced entries of three terms, whose order of addition shows
+        density = data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="density")
+        codes = rng.permutation(np.flatnonzero(rng.random(d * d) < density))
+        assume(codes.size)
+        keep = data.draw(st.sets(st.integers(0, len(dims) - 1), min_size=1), label="keep")
+        dk = math.prod(dims[k] for k in keep)
+        index = data.draw(st.one_of(st.none(), st.lists(
+            st.integers(0, dk - 1), min_size=1, max_size=dk, unique=True)), label="index")
+        # two calls share codes, dims, keep and index (so one plan), not entries
+        for n in (3, 1):
+            entries = rng.normal(size=(n, codes.size)) + 1j * rng.normal(size=(n, codes.size))
+            got = reduced_entry_stack(codes, entries, dims, keep, index)
+            assert np.array_equal(got, _reduced_entry_stack_unplanned(
+                codes, entries, dims, keep, index))
+
+    def test_plan_is_read_only_and_results_are_the_callers(self):
+        _, codes, entries = self.sparse_stack(34)
+        first = reduced_entry_stack(codes, entries, self.DIMS, {0, 2}, [0, 2, 5])
+        expected = first.copy()
+        first[...] = 7.0  # a caller edits the stack it was given
+        assert np.array_equal(reduced_entry_stack(codes, entries, self.DIMS, {0, 2}, [0, 2, 5]),
+                              expected)
+        steps, _, dest, inside = _reduction_plan(
+            codes.astype(np.int64).tobytes(), self.DIMS, (0, 2),
+            np.array([0, 2, 5], dtype=np.int64).tobytes())
+        arrays = [dest, inside]
+        for start, adds in steps:
+            arrays += [start, *(a for pair in adds for a in pair)]
+        assert len(steps) == 1 and len(arrays) > 3
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert _reduction_plan.cache_info().maxsize == REDUCTION_PLANS
+
+
+def _reduced_entry_stack_unplanned(codes, entries, dims, keep, index=None):
+    """``reduced_entry_stack`` as it was before its index plans were cached: the reference."""
+    dims = [int(d) for d in dims]
+    keep = sorted(set(int(k) for k in keep))
+    codes = np.asarray(codes, dtype=np.int64)
+    entries = np.asarray(entries, dtype=complex)
+    for f in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        inner, size, d = math.prod(dims[f + 1:]), dims[f], math.prod(dims)
+        rows, cols = np.divmod(codes, d)
+        on_diag = np.flatnonzero(rows // inner % size == cols // inner % size)
+
+        def without_f(i):
+            return i // (inner * size) * inner + i % inner
+
+        merged = without_f(rows[on_diag]) * (d // size) + without_f(cols[on_diag])
+        order = np.argsort(merged, kind="stable")
+        merged, terms = merged[order], entries[:, on_diag[order]]
+        starts = np.flatnonzero(np.diff(merged, prepend=-1))
+        counts = np.diff(starts, append=merged.size)
+        entries = terms[:, starts]
+        for j in range(1, counts.max(initial=1)):
+            more = counts > j
+            entries[:, more] += terms[:, starts[more] + j]
+        codes = merged[starts]
+        del dims[f]
+    dk = math.prod(dims)
+    index = np.arange(dk) if index is None else np.asarray(index, dtype=np.int64)
+    m = index.size
+    pos = np.full(dk, -1)
+    pos[index] = np.arange(m)
+    r, c = pos[codes // dk], pos[codes % dk]
+    inside = (r >= 0) & (c >= 0)
+    out = np.zeros((entries.shape[0], m * m), dtype=complex)
+    out[:, r[inside] * m + c[inside]] = entries[:, inside]
+    return out.reshape(entries.shape[0], m, m)
 
 
 class TestHermitianEigen:

@@ -3,8 +3,10 @@ import pytest
 
 from qprobe.qcore import DensityMatrix, HilbertSpace, entropy_bits, partial_trace
 from qprobe.states import (
+    XSTATE_PATTERN_TOL,
     ProbePrep,
     XState,
+    _XSTATE_ZEROS,
     corner_swap,
     discard_probe,
     extract_xstate,
@@ -141,6 +143,28 @@ class TestXState:
         )
         with pytest.raises(ValueError, match="X-state"):
             extract_xstate(rho)
+
+    def test_every_entry_off_the_pattern_checked(self):
+        base = XState(0.2, 0.3, 0.3, 0.2, 0.1).to_density()
+        pattern = np.ones((4, 4), dtype=bool)
+        pattern[np.diag_indices(4)] = pattern[1, 2] = pattern[2, 1] = False
+        assert _XSTATE_ZEROS == tuple(np.flatnonzero(pattern))
+        for k in _XSTATE_ZEROS:
+            i, j = divmod(k, 4)
+            for size, refused in ((2 * XSTATE_PATTERN_TOL, True),
+                                  (0.5 * XSTATE_PATTERN_TOL, False)):
+                mat = base.mat.copy()
+                mat[i, j], mat[j, i] = 1j * size, -1j * size
+                rho = DensityMatrix(base.space, mat)
+                if refused:
+                    with pytest.raises(ValueError, match="not an X-state of the required form"):
+                        extract_xstate(rho)
+                else:
+                    assert extract_xstate(rho) == extract_xstate(base)
+        mat = base.mat.copy()
+        mat[1, 2], mat[2, 1] = 0.1 + 2e-8j, 0.1 - 2e-8j
+        with pytest.raises(ValueError, match="not an X-state of the required form"):
+            extract_xstate(DensityMatrix(base.space, mat))
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(13)
