@@ -33,7 +33,6 @@ from .measures import (
     conditional_entropy,
     correlation_report,
     discord,
-    infer_from_sigmaz,
     mutual_information,
 )
 from .dynamics import (

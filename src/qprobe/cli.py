@@ -34,12 +34,12 @@ from .measures import (
     CorrelationReport,
     concurrence_stack,
     correlation_report,
-    infer_from_sigmaz,
     mutual_information_stack,
 )
 from .protocols import (
     RESONANT_READOUT,
     boson_pair_to_qubits_stack,
+    estimate_exact,
     estimate_from_counts,
     run_probe_cycle,
     run_qnd_sequence,
@@ -339,25 +339,24 @@ def cmd_probe(args: argparse.Namespace) -> int:
     cfg = _model_config({**opts, "delta": None})
     report = run_probe_cycle(x, cfg, int(opts["n"]),
                              NoiseConfig(gamma=float(opts["gamma"])))
-    inferred = infer_from_sigmaz(min(1.0, max(-1.0, report.mean_sigma_z)))
+    p_e = min(1.0, max(0.0, 0.5 * (1.0 + report.mean_sigma_z)))
+    inferred = estimate_exact([(RESONANT_READOUT, p_e)])
     out = {
         "t_read": report.t_read,
         "mean_sigma_z": report.mean_sigma_z,
         "x_hat": inferred.x_hat,
-        "concurrence_hat": inferred.concurrence,
-        "discord_hat": inferred.discord,
-        "classical_hat": inferred.classical,
+        "concurrence_hat": inferred.derived.concurrence,
+        "discord_hat": inferred.derived.discord,
+        "classical_hat": inferred.derived.classical,
         "state_restored": report.state_restored,
-        "post_distance_to_initial": trace_distance(
-            report.post_state.mat, one_param_density(x).mat),
+        "post_distance_to_initial": report.post_distance_to_initial,
     }
     for name in ("concurrence", "mutual_info", "classical", "discord"):
         out[f"{name}_before"] = getattr(report.measures_before, name)
         out[f"{name}_after"] = getattr(report.measures_after, name)
 
     if shots > 0:
-        p_e = 0.5 * (1.0 + report.mean_sigma_z)
-        rec = sample_shots(min(1.0, max(0.0, p_e)), shots, int(opts["seed"]))
+        rec = sample_shots(p_e, shots, int(opts["seed"]))
         est = estimate_from_counts([(RESONANT_READOUT, rec)])
         out["shots"] = shots
         out["count_excited"] = rec.count_excited

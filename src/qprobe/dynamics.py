@@ -270,10 +270,11 @@ def resonant_closed_form(x: float, gt: float) -> tuple[DensityMatrix, DensityMat
         raise ValueError("x out of family domain")
     s2 = float(np.sin(gt) ** 2)
     c2 = 1.0 - s2
-    mat = one_param_density(x).mat.copy()
+    family = one_param_density(x)
+    mat = family.mat.copy()
     mat[0, 0] = (1.0 - x) * s2
     mat[3, 3] = (1.0 - x) * c2
-    rho_ab = DensityMatrix(one_param_density(x).space, mat)
+    rho_ab = DensityMatrix(family.space, mat)
     pe = 2.0 * (1.0 - x) * s2
     rho_c = DensityMatrix(
         HilbertSpace((2,), ("C",)), np.diag([pe, 1.0 - pe]).astype(complex)

@@ -4,9 +4,8 @@ Implements the concurrence (closed form on X states, Wootters' formula
 on any other state), quantum mutual information, the
 conditional entropy under a projective measurement of the second qubit,
 the classical correlation (as a definitional optimization over
-measurement bases), quantum discord, the closed-form classical
-correlation for symmetric X-states, the affine probe readout laws and
-the sigma_z readout inversion.
+measurement bases), quantum discord and the closed-form classical
+correlation for symmetric X-states.
 
 The optimizer takes one of two paths, chosen from the state itself.  An
 X state, whose entries off the diagonal and the anti-diagonal are all
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .qcore import (
     partial_trace,
     psd_sqrt_mat,
 )
-from .states import SIGMA_Y, XState, extract_xstate, one_param_density, xstate_from_entries
+from .states import SIGMA_Y, XState, extract_xstate, xstate_from_entries
 
 # Optimizer schedule for general states: coarse grid scan over the
 # measurement 2-torus, then simplex refinement from the best cells.  The
@@ -596,56 +595,4 @@ def correlation_report(rho: DensityMatrix) -> CorrelationReport:
         discord=mi - classical,
         classical_closed_form=closed,
         optimizer_basis=basis,
-    )
-
-
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Affine readout map P(excited) = offset + slope * x."""
-
-    offset: float
-    slope: float
-
-    def probability(self, x: float) -> float:
-        return self.offset + self.slope * x
-
-    def invert(self, p: float) -> float:
-        return (p - self.offset) / self.slope
-
-
-#: ground-probe resonant readout at odd half-periods: P(e) = 2 (1 - x)
-RESONANT_READOUT = ReadoutModel(2.0, -2.0)
-#: exchange-model stage with an excited probe: P(e) = 2 x - 1
-EXCHANGE_E_READOUT = ReadoutModel(-1.0, 2.0)
-#: exchange-model stage with a ground probe: P(e) = 2 (1 - x)
-EXCHANGE_G_READOUT = ReadoutModel(2.0, -2.0)
-
-
-class SigmaZInference(NamedTuple):
-    x_hat: float
-    concurrence: float
-    discord: float
-    classical: float
-
-
-def infer_from_sigmaz(mean_sigma_z: float) -> SigmaZInference:
-    """Invert a probe <sigma_z> readout into x and the derived measures.
-
-    The excited population (1 + <sigma_z>)/2 is inverted through
-    RESONANT_READOUT, x = (3 - <sigma_z>)/4 (clamped to the family
-    domain); the concurrence follows as |3 <sigma_z> - 1| / 4 and the
-    remaining measures are evaluated on the reconstructed family state.
-    """
-    z = float(mean_sigma_z)
-    if abs(z) > 1.0:
-        raise ValueError("mean sigma_z must lie in [-1, 1]")
-    x_hat = min(1.0, max(0.5, RESONANT_READOUT.invert(0.5 * (1.0 + z))))
-    conc = abs(3.0 * z - 1.0) / 4.0
-    rho = one_param_density(x_hat)
-    classical, _ = classical_correlation_optimized(rho)
-    return SigmaZInference(
-        x_hat=x_hat,
-        concurrence=conc,
-        discord=mutual_information(rho) - classical,
-        classical=classical,
     )

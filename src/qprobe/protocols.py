@@ -7,6 +7,9 @@ the pair are untouched.  The non-demolition sequence alternates excited
 and ground probes under the exchange model: the excited stage maps the
 family state onto its corner swap and the ground stage restores it
 exactly, so measurement statistics can be accumulated over many cycles.
+Every readout is an affine law P(excited) = offset + slope x
+(``ReadoutModel``), inverted here alone: by ``estimate_exact`` for exact
+probabilities and by ``estimate_from_counts`` for shot records.
 
 Shot sampling is counter based (SplitMix64 keyed by seed and shot
 index), so identical inputs give identical records on any platform and
@@ -24,15 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# the readout laws live in measures; they are re-exported from here
-from .measures import (
-    EXCHANGE_E_READOUT,
-    EXCHANGE_G_READOUT,
-    RESONANT_READOUT,
-    CorrelationReport,
-    ReadoutModel,
-    correlation_report,
-)
+from .measures import CorrelationReport, correlation_report
 from .qcore import (
     DensityMatrix,
     SpectralPropagator,
@@ -231,6 +226,29 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
 # estimation
 
 @dataclass(frozen=True)
+class ReadoutModel:
+    """Affine readout map P(excited) = offset + slope * x."""
+
+    offset: float
+    slope: float
+
+    def probability(self, x: float) -> float:
+        return self.offset + self.slope * x
+
+    def invert(self, p: float) -> float:
+        return (p - self.offset) / self.slope
+
+
+#: ground-probe resonant readout at odd half-periods: P(e) = 2 (1 - x),
+#: so <sigma_z> = 2 P(e) - 1 = 3 - 4 x
+RESONANT_READOUT = ReadoutModel(2.0, -2.0)
+#: exchange-model stage with an excited probe: P(e) = 2 x - 1
+EXCHANGE_E_READOUT = ReadoutModel(-1.0, 2.0)
+#: exchange-model stage with a ground probe: P(e) = 2 (1 - x)
+EXCHANGE_G_READOUT = ReadoutModel(2.0, -2.0)
+
+
+@dataclass(frozen=True)
 class XEstimate:
     """Estimated family parameter with uncertainty and derived measures."""
 
@@ -281,9 +299,11 @@ def estimate_from_counts(
 def estimate_exact(
     probabilities: Sequence[tuple[ReadoutModel, float]],
 ) -> XEstimate:
-    """Infinite-statistics estimate from exact stage probabilities."""
+    """Infinite-statistics estimate from exact stage probabilities in [0, 1]."""
     if not probabilities:
         raise ValueError("no probabilities to estimate from")
+    if not all(0.0 <= p <= 1.0 for _, p in probabilities):
+        raise ValueError("probability out of range")
     num = sum(m.slope * (p - m.offset) for m, p in probabilities)
     den = sum(m.slope ** 2 for m, _ in probabilities)
     x_hat = _clamp(num / den)
@@ -302,6 +322,7 @@ class ProbeCycleReport:
     t_read: float
     mean_sigma_z: float
     post_state: DensityMatrix
+    post_distance_to_initial: float
     state_restored: bool
     measures_before: CorrelationReport
     measures_after: CorrelationReport
@@ -350,11 +371,13 @@ def run_probe_cycle(
     else:
         post = reduced
 
+    distance = trace_distance(post.mat, rho0.mat)
     return ProbeCycleReport(
         t_read=t_read,
         mean_sigma_z=sigma_z_expectation(probe),
         post_state=post,
-        state_restored=trace_distance(post.mat, rho0.mat) <= RESTORED_TOL,
+        post_distance_to_initial=distance,
+        state_restored=distance <= RESTORED_TOL,
         measures_before=correlation_report(rho0),
         measures_after=correlation_report(post),
     )

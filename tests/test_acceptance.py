@@ -29,9 +29,10 @@ from qprobe.measures import (
     concurrence,
     concurrence_time_formula,
     correlation_report,
-    infer_from_sigmaz,
 )
 from qprobe.protocols import (
+    RESONANT_READOUT,
+    estimate_exact,
     find_transfer_time,
     run_qnd_sequence,
     transfer_time_report,
@@ -91,7 +92,8 @@ def test_c04_readout_identity_and_inversion():
             probe = partial_trace(prop.apply(joint0, n * np.pi / 2), {2})
             z = sigma_z_expectation(probe)
             worst_z = max(worst_z, abs(z - (3 - 4 * x)))
-            inferred = infer_from_sigmaz(min(1.0, max(-1.0, z)))
+            p_e = min(1.0, max(0.0, 0.5 * (1.0 + z)))
+            inferred = estimate_exact([(RESONANT_READOUT, p_e)])
             worst_x = max(worst_x, abs(inferred.x_hat - x))
     assert worst_z <= 1e-9
     assert worst_x <= 1e-12

@@ -273,6 +273,13 @@ class TestProbeCommand:
         assert float(values["x_hat"]) == pytest.approx(0.75)
         assert values["state_restored"] == "false"
 
+    def test_separable_point_reads_zero_concurrence(self, capsys):
+        # the concurrence comes from the inverted state, so the rounding of
+        # <sigma_z> does not leave a 5.6e-17 residue at x = 2/3
+        assert run(["probe", "--x", "0.6666666666666666"]) == 0
+        out = capsys.readouterr().out
+        assert "concurrence_hat = 0\n" in out
+
     def test_sampled_readout(self, capsys):
         assert run(["probe", "--x", "0.75", "--shots", "2000", "--seed", "5"]) == 0
         out = capsys.readouterr().out

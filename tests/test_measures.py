@@ -11,10 +11,8 @@ from qprobe.measures import (
     REFINE_MAXITER,
     REFINE_STARTS,
     REFINE_TOL,
-    RESONANT_READOUT,
     CorrelationReport,
     MeasurementBasis,
-    ReadoutModel,
     _conditional_entropy_angles,
     _conditional_entropy_batch,
     _min_conditional_entropy_polar,
@@ -29,7 +27,6 @@ from qprobe.measures import (
     conditional_entropy,
     correlation_report,
     discord,
-    infer_from_sigmaz,
     mutual_information,
     mutual_information_stack,
     xstate_spectrum,
@@ -44,6 +41,7 @@ from qprobe.states import (
     ProbePrep,
 )
 from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig, resonant_closed_form
+from qprobe.protocols import RESONANT_READOUT, estimate_exact
 
 SPACE = HilbertSpace((2, 2), ("A", "B"))
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -431,33 +429,38 @@ class TestCorrelationReport:
 
 
 class TestInferFromSigmaZ:
+    """The probe's <sigma_z> readout, inverted through ``estimate_exact``."""
+
+    @staticmethod
+    def infer(z):
+        return estimate_exact([(RESONANT_READOUT, 0.5 * (1.0 + z))])
+
     @pytest.mark.parametrize(
         "z,x_expect,c_expect",
         [(1.0, 0.5, 0.5), (0.0, 0.75, 0.25), (-1.0, 1.0, 1.0)],
     )
     def test_inversion_points(self, z, x_expect, c_expect):
-        inf = infer_from_sigmaz(z)
-        assert inf.x_hat == pytest.approx(x_expect, abs=1e-12)
-        assert inf.concurrence == pytest.approx(c_expect, abs=1e-12)
+        est = self.infer(z)
+        assert est.x_hat == pytest.approx(x_expect, abs=1e-12)
+        assert est.derived.concurrence == pytest.approx(c_expect, abs=1e-12)
 
     def test_measures_match_reconstructed_state(self):
-        inf = infer_from_sigmaz(0.0)
+        est = self.infer(0.0)
         rep = correlation_report(one_param_density(0.75))
-        assert inf.discord == pytest.approx(rep.discord, abs=1e-6)
-        assert inf.classical == pytest.approx(rep.classical, abs=1e-6)
+        assert est.derived.discord == pytest.approx(rep.discord, abs=1e-6)
+        assert est.derived.classical == pytest.approx(rep.classical, abs=1e-6)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            infer_from_sigmaz(1.2)
+        for p in (1.1, -0.1):
+            with pytest.raises(ValueError, match="probability out of range"):
+                estimate_exact([(RESONANT_READOUT, p)])
 
     def test_one_readout_law(self):
-        # the protocols module re-exports the laws defined here, and the
-        # sigma_z inversion runs through the resonant one
-        assert protocols.RESONANT_READOUT is RESONANT_READOUT
-        assert protocols.ReadoutModel is ReadoutModel
+        # x -> P(e) -> x_hat round trip through the one resonant law
         for x in (0.5, 0.6, 0.75, 0.9, 1.0):
-            z = 2.0 * RESONANT_READOUT.probability(x) - 1.0
-            assert infer_from_sigmaz(z).x_hat == pytest.approx(x, abs=1e-15)
+            p = RESONANT_READOUT.probability(x)
+            assert estimate_exact([(RESONANT_READOUT, p)]).x_hat == pytest.approx(
+                x, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,13 @@ class TestProbeCycle:
                 getattr(rep.measures_before, name), abs=1e-6
             )
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_carried_distance_is_the_post_state_distance(self, gamma):
+        rep = run_probe_cycle(0.75, QUBIT, 1, NoiseConfig(gamma))
+        dist = trace_distance(rep.post_state.mat, one_param_density(0.75).mat)
+        assert rep.post_distance_to_initial == dist
+        assert rep.state_restored == (dist <= protocols.RESTORED_TOL)
+
     def test_singlet_probe_silent(self):
         rep = run_probe_cycle(1.0, QUBIT, 1)
         assert rep.mean_sigma_z == pytest.approx(-1.0, abs=1e-12)
