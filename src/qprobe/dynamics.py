@@ -31,21 +31,22 @@ state.  Every Hamiltonian here conserves excitation number and the
 probe's sigma^- lowers ket and bra together, so that set is small (at
 most 170 entries under probe decay).  The generator G does not depend
 on time, so each gap g between sample times is the matrix exp(G g) on
-that set, formed once per distinct gap by scaling and squaring.
+that set, formed by scaling and squaring and kept in an LRU cache of
+GAP_MAPS maps: memory stays bounded, and a gap that recurs soon after
+its last use is formed once.
 
 A ``ModelConfig`` caches what depends on it alone, for as long as the
 config object lives: its Hilbert space, its Hamiltonian and the probe's
 sigma^- (read-only arrays), and the latest propagation plan of
-``integrate_master`` (the reachable set, the restricted generator and
-the Pade pair of the last gap a call took once), rebuilt when the
-collapse operators or the initial nonzero pattern change.  The rows of
-one sweep share one config and so one plan; every CLI call builds its
-own config.  The module needs numpy only.
+``integrate_master`` (the reachable set, the restricted generator, the
+powers of it formed so far and the cache of gap maps), rebuilt when the
+collapse operators or the initial nonzero pattern change.  The rows of one sweep share one config
+and so one plan; every CLI call builds its own config.  The module
+needs numpy only.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import functools
 import math
@@ -189,20 +190,6 @@ def build_hamiltonian(cfg: ModelConfig) -> Array:
         h += lam * _embed({atom: ATOM_RAISE, cav: a}, dims)
         h += lam * _embed({atom: ATOM_LOWER, cav: a.conj().T}, dims)
     return h
-
-
-def excitation_number(cfg: ModelConfig) -> Array:
-    """Total excitation operator (atomic populations plus photon numbers)."""
-    dims = cfg.space.dims
-    total = np.zeros((cfg.space.dim,) * 2, dtype=complex)
-    for k, d in enumerate(dims):
-        # cavity modes (A and B themselves in the resonant models) count photons
-        if cfg.space.labels[k].startswith("cav") or (cfg.variant not in _DISPERSIVE and k < 2):
-            a = boson_lower(d)
-            total += _embed({k: a.conj().T @ a}, dims)
-        else:
-            total += _embed({k: ATOM_NUMBER}, dims)
-    return total
 
 
 def probe_lowering(cfg: ModelConfig) -> Array:
@@ -496,68 +483,62 @@ def _pade_degree(norm: float) -> tuple[int, int]:
 
 
 class _Expm:
-    """exp(t G) for the gaps t <= ``t_max`` of one schedule.
+    """exp(t G) for any gap t.
 
     Scaling and squaring with a diagonal Pade approximant (Higham, SIAM
     J. Matrix Anal. Appl. 26, 1179 (2005)): exp(A) = r(A / 2^s)^(2^s)
     with r = p(A) / p(-A) of the degree and s ``_pade_degree`` picks for
-    the 1-norm of A = t G.  The powers of G / |G|_1 are formed on first
-    use, once, up to the degree ``t_max`` needs, so a map costs one
-    weighted sum of them, one solve and its squarings; powers of a
-    unit-norm matrix cannot overflow.  A non-finite G gives NaN.
+    the 1-norm of A = t G.  The powers of G / |G|_1 are formed on
+    demand, once, up to the highest degree asked for, so a map costs
+    one weighted sum of them, one solve and its squarings; powers of a
+    unit-norm matrix cannot overflow.  The list grows by copy and swap,
+    so a thread never reads a half-grown one.  A non-finite G gives NaN.
     """
 
-    def __init__(self, gen: Array, t_max: float):
-        self.gen, self.t_max = gen, t_max
+    def __init__(self, gen: Array):
+        self.gen = gen
         self.norm = np.abs(gen).sum(axis=0).max()
+        self.powers = [np.eye(gen.shape[0]), gen / self.norm if self.norm else gen]
 
-    @functools.cached_property
-    def powers(self) -> list[Array]:
-        gen = self.gen
-        powers = [np.eye(gen.shape[0]), gen / self.norm if self.norm else gen]
-        top = self.t_max * self.norm
-        while np.isfinite(top) and len(powers) <= _pade_degree(top)[0]:
-            powers.append(powers[-1] @ powers[1])
+    def _powers_to(self, m: int) -> list[Array]:
+        powers = self.powers
+        if len(powers) <= m:
+            powers = list(powers)
+            while len(powers) <= m:
+                powers.append(powers[-1] @ powers[1])
+            self.powers = powers
         return powers
 
-    def pair(self, t: float) -> tuple[Array, Optional[Array]]:
-        """(p, q) with exp(t G) = q^-1 p, or (exp(t G), None) once squared.
-
-        ``_apply_pair`` takes a vector's image through it: without
-        squarings that is one solve against the vector, a fraction of
-        the cost of the matrix.
-        """
+    def __call__(self, t: float) -> Array:
+        """exp(t G) as a read-only matrix."""
         norm = t * self.norm
         if not np.isfinite(norm):
-            return np.full_like(self.gen, np.nan), None
+            return _read_only(np.full_like(self.gen, np.nan))
         m, s = _pade_degree(norm)
+        powers = self._powers_to(m)
         c = norm * 2.0 ** -s
         # the even and odd terms b_j A^j of p(A), A = (t / 2^s) G; the
         # denominator is p(-A).  Summed in place, not as one BLAS product
         # over the stacked powers: that product runs threaded, and the
         # threads' spin-wait about doubles a job's CPU time.
-        v, u = np.zeros_like(self.powers[1]), np.zeros_like(self.powers[1])
+        v, u = np.zeros_like(powers[1]), np.zeros_like(powers[1])
         for j, b in enumerate(_PADE_COEFFS[m]):
             acc = u if j % 2 else v
-            acc += b * c ** j * self.powers[j]
-        p, q = v + u, v - u
-        if not s:
-            return p, q
-        r = np.linalg.solve(q, p)
+            acc += b * c ** j * powers[j]
+        r = np.linalg.solve(v - u, v + u)
         for _ in range(s):
             r = r @ r
-        return r, None
-
-    def __call__(self, t: float) -> Array:
-        """exp(t G) as a matrix."""
-        p, q = self.pair(t)
-        return p if q is None else np.linalg.solve(q, p)
+        return _read_only(r)
 
 
-def _apply_pair(pair: tuple[Array, Optional[Array]], vec: Array) -> Array:
-    """exp(t G) @ ``vec`` from ``_Expm.pair(t)``."""
-    p, q = pair
-    return p @ vec if q is None else np.linalg.solve(q, p @ vec)
+#: gap maps exp(G g) each propagation plan keeps, least recently used
+#: out first.  Rounding gives an ``np.linspace`` schedule up to about 14
+#: distinct gaps, but only a few alternate at any one point: on every
+#: such schedule tried (201 to 10001 samples) an LRU of 3 already formed
+#: each distinct gap once.  8 leaves room to spare and for the next
+#: call's gap (the readout time of the next sweep row), and holds at
+#: most 8 k^2 16 B: 3.7 MB at the models' largest set (k = 170).
+GAP_MAPS = 8
 
 
 class _PropagationPlan:
@@ -565,10 +546,10 @@ class _PropagationPlan:
 
     It holds the reachable entries ``codes`` of the initial pattern,
     the positions of their adjoints and of the diagonal, and the
-    restricted generator ``gen``, all read-only.  It also keeps the
-    ``_Expm.pair`` of the last gap a call took once (``one_off``), so
-    the next call with that gap, the next row of a sweep, applies the
-    same pair without forming G's powers or their weighted sum.
+    restricted generator ``gen``, all read-only, and ``gap_map``: the
+    read-only matrix exp(G g) of a gap g, formed by ``_Expm`` and kept
+    in an LRU cache of GAP_MAPS maps, so a gap that recurs, within a
+    call or in the next call (the next row of a sweep), is formed once.
     """
 
     def __init__(self, key: tuple, h: Array, ops, rho0: Array):
@@ -580,17 +561,7 @@ class _PropagationPlan:
         self.adj = _read_only(np.searchsorted(codes, cols * d + rows))
         self.diag = _read_only(np.flatnonzero(rows == cols))
         self.gen = _read_only(_restricted_generator(h, ops, codes))
-        self.last_one_off = (None, None)
-
-    def one_off(self, gap: float, expm: _Expm) -> tuple[Array, Optional[Array]]:
-        """``expm.pair(gap)``, reused while consecutive calls take the same gap."""
-        # one read and one write of a tuple: threads sharing the plan
-        # each see a gap with its own pair
-        last = self.last_one_off
-        if last[0] != gap:
-            last = (gap, expm.pair(gap))
-            self.last_one_off = last
-        return last[1]
+        self.gap_map = functools.lru_cache(maxsize=GAP_MAPS)(_Expm(self.gen).__call__)
 
 
 def _propagation_plan(
@@ -634,24 +605,23 @@ def integrate_master(
     are ``cfg``'s propagation plan (see ``_propagation_plan``): built
     once and reused by later calls with the same collapse operators and
     initial nonzero pattern.  G does not depend on time, so the gap g
-    between consecutive sample times is the linear map exp(G g) (see
-    ``_Expm``).  A gap that recurs is formed once as a matrix, dropped
-    after its last use, so each of its samples costs one mat-vec; a gap
-    taken once costs one solve against the state, through the Pade pair
-    the plan keeps for the last such gap, so a later call with the same
-    gap (the next row of a sweep) forms no exponential and gives
-    bit-identical states.  G's powers are formed only when a map is
-    missing.  The state is re-Hermitized at every sample, and the
-    samples are returned as the (n, k) stack of those entries (see
+    between consecutive sample times is the linear map exp(G g), which
+    the plan forms once and keeps in its LRU cache of GAP_MAPS maps (see
+    ``_PropagationPlan``): every sample costs one mat-vec, and a later
+    call with the same gap (the next row of a sweep) forms no
+    exponential and gives bit-identical states.  The cache holds at most
+    GAP_MAPS k^2 16 B for k entries, whatever the schedule's length.
+    The state is re-Hermitized at every sample, and the samples are
+    returned as the (n, k) stack of those entries (see
     ``EvolutionResult``), never as d x d matrices.  Trace drift beyond
     TRACE_DRIFT_LIMIT (``qcore.TRACE_TOL``, the bound of the samples'
     state check) at any sample, or a non-finite trace, aborts the run:
     that is how a rate too large to propagate in double precision (or
-    one that overflows) fails.  A
-    non-finite t_end, one above MAX_T_END, sample times closer than
-    MIN_SAMPLE_GAP (a repeated one too; only a first sample at 0 may
-    sit closer to 0) and more than MAX_REACHABLE reachable entries are
-    rejected before any propagation.
+    one that overflows) fails.  A non-finite t_end, one above
+    MAX_T_END, sample times closer than MIN_SAMPLE_GAP (a repeated one
+    too; only a first sample at 0 may sit closer to 0) and more than
+    MAX_REACHABLE reachable entries are rejected before any
+    propagation.
 
     There is no step: ``dt`` accepts DEFAULT_DT only and raises on any
     other value.  It stays in the signature because the benchmark's
@@ -677,10 +647,7 @@ def integrate_master(
         raise ValueError(
             f"sample times must lie {MIN_SAMPLE_GAP} or more apart and from 0"
         )
-    uses = collections.Counter(gaps)
-
     ops = noise.resolved_ops(cfg)
-    maps = {}
 
     # a huge rate overflows to a non-finite state, which the trace check rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -688,19 +655,9 @@ def integrate_master(
         codes = plan.codes
         vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
         entries = np.empty((len(sample_times), codes.size), dtype=complex)
-        # G's powers are formed only if a map is missing
-        expm = _Expm(plan.gen, max(gaps, default=0.0))
         for s, gap in enumerate(gaps):
             if gap:
-                uses[gap] -= 1
-                if gap in maps or uses[gap]:
-                    if gap not in maps:
-                        maps[gap] = expm(gap)
-                    # a map is dropped after its last gap, so memory stays bounded
-                    vec = (maps[gap] if uses[gap] else maps.pop(gap)) @ vec
-                else:
-                    # a gap taken once needs only the state's image
-                    vec = _apply_pair(plan.one_off(gap, expm), vec)
+                vec = plan.gap_map(gap) @ vec
                 vec = 0.5 * (vec + vec[plan.adj].conj())
                 if not abs(vec[plan.diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
                     raise ValueError(

@@ -67,6 +67,9 @@ REFINE_TOL = 1e-10
 
 #: polar grid on [0, pi/2] (both ends included) for X states
 GRID_THETA_POLAR = 65
+#: that grid, built once; read-only, since every search shares it
+_POLAR_THETAS = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+_POLAR_THETAS.setflags(write=False)
 
 #: entries of a two-qubit matrix off its diagonal and anti-diagonal (the X)
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -216,21 +219,15 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(mutual_information_stack(rho.mat[None], rho.space.dims)[0])
 
 
-def _xlog2(w) -> np.ndarray:
-    """w log2 w elementwise, with w log2 w := 0 wherever w <= 0."""
-    pos = w > 0.0
-    return np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0)
-
-
 def _conditional_entropy_batch(
     mat: np.ndarray, thetas: np.ndarray, phis: np.ndarray
 ) -> np.ndarray:
     """Conditional entropy at every angle pair of two same-shaped arrays at once.
 
     Outcome |v> on B leaves A in the unnormalised 2x2 state
-    (I (x) <v|) rho (I (x) |v>), whose trace p and eigenvalues l+, l-
-    are closed form; the outcome contributes
-    p S(state / p) = eta(p) - eta(l+) - eta(l-) with eta = _xlog2.
+    (I (x) <v|) rho (I (x) |v>), whose trace p and eigenvalues are
+    closed form; the outcome contributes p S(state / p), formed as
+    ``_outcome_entropy`` forms it, from the determinant and log1p.
     """
     half = thetas / 2.0
     cos = np.cos(half)
@@ -240,10 +237,16 @@ def _conditional_entropy_batch(
     # rho[2a + b, 2a' + b'] read as rho[a, b, a', b']
     cond = np.einsum("kb...,abcd,kd...->k...ac", vecs.conj(), mat.reshape(2, 2, 2, 2), vecs)
     top, bottom = cond[..., 0, 0].real, cond[..., 1, 1].real
-    p = top + bottom
-    gap = np.hypot(top - bottom, 2.0 * np.abs(cond[..., 0, 1]))
-    eta = _xlog2(np.array([p, 0.5 * (p + gap), 0.5 * (p - gap)]))
-    return (eta[0] - eta[1] - eta[2]).sum(axis=0)
+    off = 2.0 * np.abs(cond[..., 0, 1])
+    p, det = top + bottom, 4.0 * top * bottom - off * off
+    # det = 4 det M; a pure or empty outcome adds 0, and its lanes get
+    # values that keep the logs finite
+    mixed = (det > 0.0) & (p > 0.0)
+    p, det = np.where(mixed, p, 1.0), np.where(mixed, det, 0.5)
+    lo = det / (2.0 * (p + np.hypot(top - bottom, off)))
+    ratio = lo / p
+    terms = (p - lo) * np.log1p(-ratio) / _LN2 + lo * np.log2(ratio)
+    return -np.where(mixed, terms, 0.0).sum(axis=0)
 
 
 def _conditional_entropy_angles(mat: np.ndarray, theta: float, phi: float) -> float:
@@ -259,7 +262,7 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
 
 
 def _xlog2_scalar(w: float) -> float:
-    """w log2 w for one float, 0 where w <= 0 (``_xlog2`` without numpy)."""
+    """w log2 w for one float, 0 where w <= 0."""
     return w * math.log2(w) if w > 0.0 else 0.0
 
 
@@ -387,7 +390,7 @@ def _min_conditional_entropy_polar(mat: np.ndarray, phi: float = 0.0) -> tuple[f
     the bracket.  The best grid point stays a candidate, so the result
     is never worse than the grid.  Ties break toward smaller theta.
     """
-    thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+    thetas = _POLAR_THETAS
     values = _conditional_entropy_batch(mat, thetas, np.full(thetas.size, phi))
     k = int(np.argmin(values))
     pops = mat.diagonal().real.tolist()
@@ -481,13 +484,6 @@ def classical_correlation_optimized(
         r11, r22, r33, r44 = mat.diagonal().real.tolist()
         s_a = _entropy_of_values(r11 + r22, r33 + r44)
     return s_a - ce_min, MeasurementBasis(theta, phi)
-
-
-def xstate_spectrum(xs: XState) -> np.ndarray:
-    """Eigenvalues of a symmetric X-state directly from its parameters."""
-    if abs(xs.r22 - xs.r33) > 1e-9:
-        raise ValueError("closed form requires equal middle populations")
-    return np.sort(np.array([xs.r11, xs.r22 - xs.r23, xs.r22 + xs.r23, xs.r44]))
 
 
 def classical_correlation_closed_form(xs: XState) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Array, DensityMatrix, HilbertSpace, kron, partial_trace
+from .qcore import Array, DensityMatrix, HilbertSpace, kron
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -93,11 +93,6 @@ def join_with_probe(rho_ab: DensityMatrix, prep: ProbePrep) -> DensityMatrix:
         k += 1
     space = HilbertSpace(rho_ab.space.dims + (2,), labels + (probe_label,))
     return DensityMatrix(space, kron(rho_ab.mat, prep.matrix))
-
-
-def discard_probe(rho: DensityMatrix) -> DensityMatrix:
-    """Trace out the last factor (remove the probe)."""
-    return partial_trace(rho, range(rho.space.nfactors - 1))
 
 
 @dataclass(frozen=True)

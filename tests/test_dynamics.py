@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from qprobe.dynamics import (
     ATOM_LOWER,
@@ -28,7 +29,6 @@ from qprobe.dynamics import (
     boson_lower,
     build_hamiltonian,
     dispersive_deviation,
-    excitation_number,
     initial_joint,
     initial_joint_from_pair,
     integrate_master,
@@ -46,6 +46,21 @@ QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
 BOSON = ModelConfig(ModelVariant.RESONANT_BOSON)
 FULL = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)
 EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
+
+
+def excitation_number(cfg):
+    """Total excitation operator (atomic populations plus photon numbers)."""
+    dims = cfg.space.dims
+    total = np.zeros((cfg.space.dim,) * 2, dtype=complex)
+    resonant = cfg.variant in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON)
+    for k, d in enumerate(dims):
+        # cavity modes (A and B themselves in the resonant models) count photons
+        if cfg.space.labels[k].startswith("cav") or (resonant and k < 2):
+            a = boson_lower(d)
+            total += _embed({k: a.conj().T @ a}, dims)
+        else:
+            total += _embed({k: ATOM_NUMBER}, dims)
+    return total
 
 
 def evolved_reductions(x, cfg, gt, prep=ProbePrep.GROUND):
@@ -354,6 +369,9 @@ def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
     Column q of G is the right-hand side, seven d x d matrix products,
     applied to the matrix unit at the reachable entry q; each column is
     checked to stay on the reachable set, so the restriction is exact.
+    Each sample's image is scipy's ``expm_multiply`` (truncated Taylor
+    series, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), a
+    method independent of the Pade approximant under test.
     """
     h = build_hamiltonian(cfg)
     ops = noise.resolved_ops(cfg)
@@ -379,7 +397,7 @@ def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
     samples = []
     for t in sorted(sample_times if sample_times is not None else (t_end,)):
         full = np.zeros(d * d, dtype=complex)
-        full[codes] = expm(t * gen) @ vec0
+        full[codes] = expm_multiply(t * gen, vec0)
         samples.append(full.reshape(d, d))
     return samples
 
@@ -444,21 +462,15 @@ class TestIntegratorOracle:
         (1.25, [0.125, 0.375, 0.5, 0.75, 0.875, 1.25]),
     ], ids=["linspace", "alternating"])
     def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times):
-        formed, matrices = [], []
-        pair, call = _Expm.pair, _Expm.__call__
-        monkeypatch.setattr(_Expm, "pair", lambda self, t: formed.append(t) or pair(self, t))
-        monkeypatch.setattr(_Expm, "__call__",
-                            lambda self, t: matrices.append(t) or call(self, t))
+        formed = []
+        call = _Expm.__call__
+        monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
         gaps = list(np.diff([0.0, *sample_times]))
-        distinct = [gap for gap in dict.fromkeys(gaps) if gap]
-        # one exponential per distinct gap; a gap that recurs is formed as a
-        # matrix, one taken once only as the pair its state's image needs
-        assert formed == distinct
-        assert matrices == [gap for gap in distinct if gaps.count(gap) > 1]
-        assert matrices
+        # one exponential per distinct gap, kept as a matrix for its later uses
+        assert formed == [gap for gap in dict.fromkeys(gaps) if gap]
 
     def test_no_dense_liouvillian(self):
         # a dense d^2 x d^2 generator at d = 72 would take 430 MB
@@ -536,7 +548,7 @@ class TestPropagationPlan:
         # one build per change of initial pattern (nonzero count)
         assert built == [5, 3, 4, 5]
 
-    def test_one_off_pair_kept_for_the_next_call(self, monkeypatch):
+    def test_map_kept_for_the_next_call(self, monkeypatch):
         # sweep rows: one gap per call, on one config
         noise = NoiseConfig(gamma=0.1)
         runs = [(0.75, np.pi / 2), (0.8, np.pi / 2), (0.6, np.pi / 2), (0.75, 1.0),
@@ -545,15 +557,34 @@ class TestPropagationPlan:
                                   ModelConfig(ModelVariant.RESONANT_QUBIT), noise, t_end)
                  for x, t_end in runs]
         formed = []
-        pair = _Expm.pair
-        monkeypatch.setattr(_Expm, "pair", lambda self, t: formed.append(t) or pair(self, t))
+        call = _Expm.__call__
+        monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         for (x, t_end), ref in zip(runs, fresh):
             res = integrate_master(initial_joint(x, cfg, ProbePrep.GROUND), cfg, noise, t_end)
             assert np.array_equal(res.entries, ref.entries)
-        # a repeated gap forms no new exponential; another gap replaces the pair
-        assert formed == [np.pi / 2, 1.0, np.pi / 2]
+        # a gap seen before forms no new exponential, even after another gap
+        assert formed == [np.pi / 2, 1.0]
         assert len(plans_of(cfg)) == 1
+
+    def test_map_cache_bounds_memory(self):
+        # 100 distinct gaps, the whole schedule taken twice; the gaps are
+        # dyadic, so each recurs exactly.  Keeping every map to its last
+        # use would hold all 100 (46 MB) at the middle of the schedule.
+        cfg = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)
+        rho0 = initial_joint(0.75, cfg, ProbePrep.EXCITED)
+        times = np.cumsum(np.tile((64 + np.arange(100)) * 2.0 ** -12, 2))
+        tracemalloc.start()
+        try:
+            res = integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), times[-1],
+                                   sample_times=times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = res.codes.size
+        assert k == 170
+        # GAP_MAPS maps, G's powers and one exponential's work: under 40 maps
+        assert peak < 40 * 16 * k ** 2
 
     def test_threads_sharing_a_config_get_fresh_results(self):
         # threads alternate between keys on one config, each replacing the

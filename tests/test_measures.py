@@ -29,7 +29,6 @@ from qprobe.measures import (
     discord,
     mutual_information,
     mutual_information_stack,
-    xstate_spectrum,
 )
 from qprobe.qcore import DensityMatrix, HilbertSpace, kron, entropy_bits, partial_trace
 from qprobe.states import (
@@ -40,7 +39,7 @@ from qprobe.states import (
     one_param_density,
     ProbePrep,
 )
-from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig, resonant_closed_form
+from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig
 from qprobe.protocols import RESONANT_READOUT, estimate_exact
 
 SPACE = HilbertSpace((2, 2), ("A", "B"))
@@ -320,23 +319,6 @@ class TestClassicalCorrelationClosedForm:
             assert branch1 < ce_min - 1e-3
             closed = classical_correlation_closed_form(xs)
             assert closed > value + 1e-3
-
-
-class TestXStateSpectrum:
-    def test_matches_generic_eigensolver(self):
-        for x in np.linspace(0.5, 1.0, 21):
-            rho = one_param_density(x)
-            expect = np.sort(np.linalg.eigvalsh(rho.mat))
-            got = xstate_spectrum(extract_xstate(rho))
-            assert np.max(np.abs(got - expect)) < 1e-10
-
-    def test_matches_on_evolved_states(self):
-        for x in (0.5, 0.75, 0.9):
-            for gt in np.linspace(0.0, np.pi, 9):
-                ab, _ = resonant_closed_form(x, gt)
-                expect = np.sort(np.linalg.eigvalsh(ab.mat))
-                got = xstate_spectrum(extract_xstate(ab))
-                assert np.max(np.abs(got - expect)) < 1e-10
 
 
 class TestDiscord:
@@ -646,6 +628,24 @@ class TestPolarZoom:
         assert 0.0 < abs(theta - end) < thetas[1]
         assert value < grid.min() - 5e-11
         assert value == pytest.approx(_min_conditional_entropy_sphere(mat)[0], abs=1e-12)
+
+
+class TestBatchOutcomeEntropy:
+    def test_near_pure_x_states_match_the_closed_form(self):
+        # populations down to 1e-13 leave near-pure outcomes, where
+        # eta(p) - eta(hi) - eta(lo) cancels terms of size p (4e-15 bits)
+        rng = np.random.default_rng(19)
+        thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+        for _ in range(40):
+            r11, r22 = 10.0 ** rng.uniform(-13.0, -8.0, 2)
+            r33 = rng.uniform(0.2, 0.8)
+            r23 = rng.uniform(0.0, 1.0) * np.sqrt(r22 * r33)
+            mat = XState(r11, r22, r33, 1.0 - r11 - r22 - r33, r23).to_density().mat
+            pops = mat.diagonal().real.tolist()
+            grid = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
+            closed = [measures._x_conditional_entropy(t, *pops, abs(mat[1, 2]))
+                      for t in thetas]
+            assert np.max(np.abs(grid - closed)) <= 5e-16
 
 
 def _golden_section(f, lo, hi):

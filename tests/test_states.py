@@ -8,7 +8,6 @@ from qprobe.states import (
     XState,
     _XSTATE_ZEROS,
     corner_swap,
-    discard_probe,
     extract_xstate,
     join_with_probe,
     one_param_density,
@@ -116,7 +115,7 @@ class TestJoinWithProbe:
     def test_discard_probe_roundtrip(self):
         rho = one_param_density(0.6)
         joint = join_with_probe(rho, ProbePrep.EXCITED)
-        assert np.max(np.abs(discard_probe(joint).mat - rho.mat)) < 1e-14
+        assert np.max(np.abs(partial_trace(joint, {0, 1}).mat - rho.mat)) < 1e-14
 
     def test_label_collision_resolved(self):
         joint = join_with_probe(one_param_density(0.75), ProbePrep.GROUND)
