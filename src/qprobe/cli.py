@@ -22,7 +22,6 @@ import numpy as np
 
 from . import svgplot
 from .dynamics import (
-    TWO_LEVEL_INDEX,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
@@ -38,7 +37,6 @@ from .measures import (
 )
 from .protocols import (
     RESONANT_READOUT,
-    boson_pair_to_qubits_stack,
     estimate_exact,
     estimate_from_counts,
     run_probe_cycle,
@@ -255,7 +253,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "gamma": 0.0, "model": "secii-qubit", "out": "sweep.csv",
         "emit_svg": False,
     })
-    cfg = _model_config({**opts, "delta": None})
+    cfg = _model_config(opts)
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("sweep runs on the resonant models")
     noise = NoiseConfig(gamma=float(opts["gamma"]))
@@ -307,11 +305,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     times = np.linspace(0.0, t_end, n_samples)
     res = integrate_master(joint0, cfg, noise, t_end, sample_times=times)
     # every sample at once, as (n, 4, 4) pair and (n, 2, 2) probe stacks
-    if cfg.variant is ModelVariant.RESONANT_BOSON:
-        ab = boson_pair_to_qubits_stack(res.reduced_stack({0, 1}, TWO_LEVEL_INDEX))
-    else:
-        ab = res.reduced_stack({0, 1})
-    pc = res.reduced_stack({2})
+    ab, pc = res.readout()
     columns = (
         res.times,
         concurrence_stack(ab),
@@ -336,7 +330,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     shots = int(opts["shots"])
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    cfg = _model_config({**opts, "delta": None})
+    cfg = _model_config(opts)
     report = run_probe_cycle(x, cfg, int(opts["n"]),
                              NoiseConfig(gamma=float(opts["gamma"])))
     p_e = min(1.0, max(0.0, 0.5 * (1.0 + report.mean_sigma_z)))

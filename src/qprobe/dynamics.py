@@ -24,6 +24,9 @@ number basis with three levels, 0, 1 and 2 photons.  That is exact, not a
 truncation: the cavities start in vacuum, every state ``initial_joint``
 prepares holds at most two excitations, the Hamiltonians conserve that
 number and probe decay only lowers it, so no mode holds a third photon.
+``EvolutionResult.readout`` reads the pair (A, B) and the probe C of every
+sample; on bosonic modes the pair is conditioned on the {0, 1}-photon
+block ``TWO_LEVEL_INDEX`` that ``initial_joint`` embeds the family into.
 
 Open-system evolution (``integrate_master``) is exact propagation of
 the density-matrix entries the dynamics can reach from the initial
@@ -93,7 +96,7 @@ _DISPERSIVE = (ModelVariant.DISPERSIVE_FULL, ModelVariant.DISPERSIVE_EFFECTIVE)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Which Hamiltonian to build, plus its detuning.
+    """Which Hamiltonian to build, plus its detuning (dispersive variants only).
 
     A config also owns what is derived from it alone, built on first
     use and kept as long as the config object: ``space``,
@@ -109,6 +112,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.delta is not None and not math.isfinite(self.delta):
             raise ValueError("detuning must be finite")
+        if self.variant not in _DISPERSIVE and self.delta is not None:
+            raise ValueError(f"the {self.variant.value} model takes no detuning")
         if self.variant in _DISPERSIVE:
             if self.delta is None or self.delta <= 0:
                 raise ValueError("dispersive variants need a positive detuning")
@@ -203,6 +208,18 @@ def probe_lowering(cfg: ModelConfig) -> Array:
 TWO_LEVEL_INDEX = (0, 1, 3, 4)
 
 
+def boson_pair_to_qubits_stack(blocks: Array) -> Array:
+    """Conditional pair states from their (n, 4, 4) {0, 1}-photon blocks.
+
+    ``blocks`` holds each pair state restricted to ``TWO_LEVEL_INDEX``;
+    every block is renormalized to unit trace and checked as
+    DensityMatrix checks a state.
+    """
+    out = blocks / np.trace(blocks, axis1=1, axis2=2).real[:, None, None]
+    check_density_stack(out)
+    return out
+
+
 def initial_joint(x: float, cfg: ModelConfig, prep: ProbePrep) -> DensityMatrix:
     """Family state on (A, B), freshly prepared probe, cavities in vacuum.
 
@@ -274,11 +291,6 @@ def sigma_z_stack(mats: Array) -> Array:
     return np.real(np.trace(mats @ PROBE_SIGMA_Z, axis1=1, axis2=2))
 
 
-def sigma_z_expectation(rho_probe: DensityMatrix) -> float:
-    """<sigma_z> of a probe state in the (|e>, |g>) ordering."""
-    return float(sigma_z_stack(rho_probe.mat[None])[0])
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Spontaneous-emission rate and optional explicit collapse operators.
@@ -325,9 +337,9 @@ class EvolutionResult:
     with DensityMatrix's checks and tolerances, on the matrices
     restricted to the basis states the codes touch: the rows and
     columns outside them are zero, so the checks are equivalent.
-    ``reduced_stack`` reduces all samples in one call; the DensityMatrix
-    views ``joint_states``, ``reduced_ab`` (factors A, B) and ``probe``
-    (factor C) are built on first use.
+    ``reduced_stack`` reduces all samples in one call, and ``readout``
+    gives the pair and probe stacks a readout reads; the DensityMatrix
+    view ``joint_states`` is built on first use.
     """
 
     times: tuple[float, ...]
@@ -360,21 +372,24 @@ class EvolutionResult:
         """
         return reduced_entry_stack(self.codes, self.entries, self.space.dims, keep, index)
 
-    def _views(self, keep) -> tuple[DensityMatrix, ...]:
-        space = self.space.subspace(keep)
-        return tuple(DensityMatrix(space, m) for m in self.reduced_stack(keep))
+    def readout(self) -> tuple[Array, Array]:
+        """The (n, 4, 4) pair (A, B) and (n, 2, 2) probe (C) stacks.
+
+        On bosonic modes (``space.dims[:2] == (3, 3)``) the pair is their
+        conditional state on ``TWO_LEVEL_INDEX``, renormalized and checked
+        by ``boson_pair_to_qubits_stack``; the other stacks are reductions
+        of the checked samples and are not checked again.
+        """
+        if self.space.dims[:2] == (3, 3):
+            pair = boson_pair_to_qubits_stack(self.reduced_stack({0, 1}, TWO_LEVEL_INDEX))
+        else:
+            pair = self.reduced_stack({0, 1})
+        return pair, self.reduced_stack({2})
 
     @functools.cached_property
     def joint_states(self) -> tuple[DensityMatrix, ...]:
-        return self._views(range(self.space.nfactors))
-
-    @functools.cached_property
-    def reduced_ab(self) -> tuple[DensityMatrix, ...]:
-        return self._views({0, 1})
-
-    @functools.cached_property
-    def probe(self) -> tuple[DensityMatrix, ...]:
-        return self._views({2})
+        return tuple(DensityMatrix(self.space, m)
+                     for m in self.reduced_stack(range(self.space.nfactors)))
 
 
 #: the only ``dt`` that ``integrate_master`` accepts (see there)

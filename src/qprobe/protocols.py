@@ -31,7 +31,6 @@ from .measures import CorrelationReport, correlation_report
 from .qcore import (
     DensityMatrix,
     SpectralPropagator,
-    check_density_stack,
     fidelity,
     partial_trace,
     partial_trace_mat,
@@ -47,12 +46,14 @@ from .states import (
 from .dynamics import (
     MIN_DISPERSIVE_DELTA,
     TWO_LEVEL_INDEX,
+    EvolutionResult,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
+    boson_pair_to_qubits_stack,
     initial_joint_from_pair,
     integrate_master,
-    sigma_z_expectation,
+    sigma_z_stack,
 )
 
 RESTORED_TOL = 1e-8
@@ -338,10 +339,14 @@ def run_probe_cycle(
 
     n must be odd (at even multiples the probe returns to its ground
     state and carries no information) and at most MAX_HALF_PERIODS.
-    Without noise the pair state lands exactly on the corner swap of the
-    family state while every correlation measure is preserved.  With
-    noise the master equation is propagated exactly
-    (``dynamics.integrate_master``).
+    Without noise the joint state is the spectral propagator's at
+    t_read; with noise the master equation is propagated exactly
+    (``dynamics.integrate_master``).  Either way the one sample is an
+    ``EvolutionResult``, which checks the joint state, and its
+    ``readout`` gives the pair state left behind (on bosonic carriers,
+    conditioned on their {0, 1}-photon block) and the probe state.
+    Without noise the pair lands exactly on the corner swap of the
+    family state while every correlation measure is preserved.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -357,24 +362,17 @@ def run_probe_cycle(
 
     if noise.gamma == 0.0 and noise.collapse_ops is None:
         prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
-        joint = prop.apply(joint0, t_read)
-        reduced = partial_trace(joint, {0, 1})
-        probe = partial_trace(joint, {2})
+        joint = prop.apply_mat(joint0.mat, t_read)
+        result = EvolutionResult((t_read,), cfg.space, np.arange(joint.size), joint.reshape(1, -1))
     else:
         result = integrate_master(joint0, cfg, noise, t_read)
-        reduced = result.reduced_ab[-1]
-        probe = result.probe[-1]
-
-    if cfg.variant is ModelVariant.RESONANT_BOSON:
-        # compare on the two-level subspace populations
-        post = boson_pair_to_qubits(reduced)
-    else:
-        post = reduced
+    pair, probe = result.readout()
+    post = DensityMatrix(two_qubit_space(), pair[-1])
 
     distance = trace_distance(post.mat, rho0.mat)
     return ProbeCycleReport(
         t_read=t_read,
-        mean_sigma_z=sigma_z_expectation(probe),
+        mean_sigma_z=float(sigma_z_stack(probe)[-1]),
         post_state=post,
         post_distance_to_initial=distance,
         state_restored=distance <= RESTORED_TOL,
@@ -383,24 +381,13 @@ def run_probe_cycle(
     )
 
 
-def boson_pair_to_qubits_stack(blocks: np.ndarray) -> np.ndarray:
-    """Conditional pair states from their (n, 4, 4) {0, 1}-photon blocks.
-
-    ``blocks`` holds each pair state restricted to ``TWO_LEVEL_INDEX``;
-    every block is renormalized to unit trace and checked as
-    DensityMatrix checks a state.
-    """
-    out = blocks / np.trace(blocks, axis1=1, axis2=2).real[:, None, None]
-    check_density_stack(out)
-    return out
-
-
 def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
     """Conditional pair state on the {0, 1}-photon subspace.
 
     Population that leaked above one photon per mode is projected out
     and the block renormalized, so the measures see the state actually
-    comparable with the two-level family.
+    comparable with the two-level family.  One state through
+    ``dynamics.boson_pair_to_qubits_stack``.
     """
     block = reduced.mat[np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)]
     return DensityMatrix(two_qubit_space(), boson_pair_to_qubits_stack(block[None])[0])

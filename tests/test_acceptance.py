@@ -22,7 +22,7 @@ from qprobe.dynamics import (
     initial_joint,
     integrate_master,
     probe_lowering,
-    sigma_z_expectation,
+    sigma_z_stack,
 )
 from qprobe.measures import (
     classical_correlation_optimized,
@@ -90,7 +90,7 @@ def test_c04_readout_identity_and_inversion():
         for x in X11:
             joint0 = initial_joint(x, QUBIT, ProbePrep.GROUND)
             probe = partial_trace(prop.apply(joint0, n * np.pi / 2), {2})
-            z = sigma_z_expectation(probe)
+            z = float(sigma_z_stack(probe.mat[None])[0])
             worst_z = max(worst_z, abs(z - (3 - 4 * x)))
             p_e = min(1.0, max(0.0, 0.5 * (1.0 + z)))
             inferred = estimate_exact([(RESONANT_READOUT, p_e)])

@@ -27,7 +27,7 @@ from qprobe.dynamics import (
     initial_joint,
     integrate_master,
     reachable_entries,
-    sigma_z_expectation,
+    sigma_z_stack,
 )
 from qprobe.measures import _wootters_concurrence, concurrence, mutual_information
 from qprobe.protocols import (
@@ -37,7 +37,7 @@ from qprobe.protocols import (
     boson_pair_to_qubits,
     run_probe_cycle,
 )
-from qprobe.qcore import trace_distance
+from qprobe.qcore import partial_trace, trace_distance
 from qprobe.states import ProbePrep, one_param_density
 
 
@@ -235,7 +235,7 @@ class TestEvolveCommand:
     ], ids=["secii-boson-0.5", "secii-boson-0.8", "seciii-full"])
     def test_rows_match_per_sample_library_path(self, args, tmp_path, capsys):
         # the CLI reduces and measures all samples as stacks; each row must
-        # print what the DensityMatrix views give one sample at a time
+        # print what each dense joint state gives, one sample at a time
         out = tmp_path / "e.csv"
         assert run(["evolve", *args, "--out", out]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -253,11 +253,12 @@ class TestEvolveCommand:
         )
         rho0 = one_param_density(x)
         assert len(rows) == len(res.times) == 201
-        for row, t, ab, probe in zip(rows, res.times, res.reduced_ab, res.probe):
+        for row, t, joint in zip(rows, res.times, res.joint_states):
+            ab, probe = partial_trace(joint, {0, 1}), partial_trace(joint, {2})
             if cfg.variant is ModelVariant.RESONANT_BOSON:
                 ab = boson_pair_to_qubits(ab)
             expect = (t, concurrence(ab), mutual_information(ab),
-                      sigma_z_expectation(probe), probe.mat[0, 0].real,
+                      sigma_z_stack(probe.mat[None])[0], probe.mat[0, 0].real,
                       trace_distance(ab.mat, rho0.mat))
             assert row == [fmt(v) for v in expect]
             # Wootters' square-root route loses up to 5.3e-9 at rank-deficient states
@@ -427,6 +428,25 @@ class TestInputValidation:
             extra, message = ["--config", cfg], "'nmax'"
         assert run([*args, *extra, "--out", out]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, delta", [("secii-qubit", "10"), ("secii-boson", "3")])
+    def test_resonant_models_refuse_a_detuning(self, model, delta, tmp_path, capsys):
+        # a resonant model has no detuning: running without it would drop
+        # the one asked for
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--x", "0.75", "--model", model, "--gamma", "0.1",
+                    "--delta", delta, "--out", out]) == 2
+        assert "takes no detuning" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resonant_detuning_from_config_refused(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"delta": 10}))
+        assert run(["evolve", "--x", "0.75", "--model", "secii-qubit", "--config", cfg,
+                    "--out", out]) == 2
+        assert "takes no detuning" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

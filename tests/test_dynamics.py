@@ -18,6 +18,7 @@ from qprobe.dynamics import (
     MAX_T_END,
     MIN_SAMPLE_GAP,
     PROBE_SIGMA_Z,
+    TWO_LEVEL_INDEX,
     EvolutionResult,
     ModelConfig,
     ModelVariant,
@@ -35,12 +36,18 @@ from qprobe.dynamics import (
     probe_lowering,
     reachable_entries,
     resonant_closed_form,
-    sigma_z_expectation,
+    sigma_z_stack,
 )
 from qprobe.measures import concurrence, concurrence_time_formula, discord
 from qprobe.protocols import boson_pair_to_qubits
-from qprobe.qcore import DensityMatrix, SpectralPropagator, partial_trace, reduced_entry_stack
-from qprobe.states import ProbePrep, corner_swap, one_param_density
+from qprobe.qcore import (
+    DensityMatrix,
+    SpectralPropagator,
+    partial_trace,
+    partial_trace_mat,
+    reduced_entry_stack,
+)
+from qprobe.states import ProbePrep, corner_swap, one_param_density, two_qubit_space
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
 BOSON = ModelConfig(ModelVariant.RESONANT_BOSON)
@@ -95,6 +102,12 @@ class TestModelConfig:
         for variant in (ModelVariant.DISPERSIVE_EFFECTIVE, ModelVariant.DISPERSIVE_FULL):
             with pytest.raises(ValueError, match=re.escape(f"detuning {delta!r} leaves")):
                 ModelConfig(variant, delta=delta)
+
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_QUBIT,
+                                         ModelVariant.RESONANT_BOSON])
+    def test_resonant_variants_take_no_detuning(self, variant):
+        with pytest.raises(ValueError, match="takes no detuning"):
+            ModelConfig(variant, delta=3.0)
 
     def test_dimensions(self):
         assert ModelConfig(ModelVariant.RESONANT_QUBIT).space.dim == 8
@@ -214,7 +227,7 @@ class TestUnitaryEvolution:
     def test_sigma_z_readout_identity(self, n):
         for x in np.linspace(0.5, 1.0, 11):
             _, probe = evolved_reductions(x, QUBIT, n * np.pi / 2)
-            assert sigma_z_expectation(probe) == pytest.approx(3 - 4 * x, abs=1e-9)
+            assert sigma_z_stack(probe.mat[None])[0] == pytest.approx(3 - 4 * x, abs=1e-9)
 
 
 class TestIntegrateMaster:
@@ -226,7 +239,7 @@ class TestIntegrateMaster:
             np.pi / 2,
         )
         ab_cf, _ = resonant_closed_form(0.75, np.pi / 2)
-        assert np.max(np.abs(res.reduced_ab[-1].mat - ab_cf.mat)) < 1e-6
+        assert np.max(np.abs(res.readout()[0][-1] - ab_cf.mat)) < 1e-6
 
     def test_unitary_limit_matches_spectral_long(self):
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(QUBIT))
@@ -341,7 +354,7 @@ class TestIntegrateMaster:
             NoiseConfig(gamma=0.1),
             np.pi / 2,
         )
-        noisy = discord(res.reduced_ab[-1])
+        noisy = discord(DensityMatrix(two_qubit_space(), res.readout()[0][-1]))
         clean = discord(one_param_density(x))
         assert noisy > clean
 
@@ -650,16 +663,22 @@ class TestEvolutionResult:
                                 sample_times=np.linspace(0.0, 1.0, 6))
 
     def test_views_match_the_stack(self):
+        # the joint_states view and the readout stacks against a dense
+        # reduction of each sample
         res = self.run()
         d = BOSON.space.dim
         assert res.entries.shape == (6, 35)
-        for row, joint, ab, probe in zip(res.entries, res.joint_states, res.reduced_ab,
-                                         res.probe):
+        pairs, probes = res.readout()
+        assert pairs.shape == (6, 4, 4) and probes.shape == (6, 2, 2)
+        for row, joint, ab, probe in zip(res.entries, res.joint_states, pairs, probes):
             full = np.zeros(d * d, dtype=complex)
             full[res.codes] = row
             assert np.array_equal(joint.mat, full.reshape(d, d))
-            assert np.allclose(ab.mat, partial_trace(joint, {0, 1}).mat, rtol=0, atol=1e-16)
-            assert np.allclose(probe.mat, partial_trace(joint, {2}).mat, rtol=0, atol=1e-16)
+            block = partial_trace_mat(joint.mat, BOSON.space.dims, {0, 1})[
+                np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)]
+            assert np.allclose(ab, block / np.trace(block).real, rtol=0, atol=1e-16)
+            assert np.allclose(probe, partial_trace_mat(joint.mat, BOSON.space.dims, {2}),
+                               rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("corrupt, message", [
         ("non-finite", "non-finite entries"),

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from qprobe import dynamics, protocols, states
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
+    TWO_LEVEL_INDEX,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
     build_hamiltonian,
+    initial_joint,
+    integrate_master,
+    sigma_z_stack,
 )
 from qprobe.protocols import (
     EXCHANGE_E_READOUT,
@@ -32,7 +36,7 @@ from qprobe.protocols import (
     sample_shots,
     transfer_time_report,
 )
-from qprobe.qcore import SpectralPropagator, partial_trace, trace_distance
+from qprobe.qcore import SpectralPropagator, partial_trace, partial_trace_mat, trace_distance
 from qprobe.states import ProbePrep, corner_swap, join_with_probe, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
@@ -370,6 +374,32 @@ class TestProbeCycle:
         a = run_probe_cycle(0.8, QUBIT, 1)
         b = run_probe_cycle(0.8, QUBIT, 3)
         assert a.mean_sigma_z == pytest.approx(b.mean_sigma_z, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_QUBIT,
+                                         ModelVariant.RESONANT_BOSON],
+                             ids=["secii-qubit", "secii-boson"])
+    def test_readout_equals_the_dense_reduction(self, variant, gamma, n):
+        # bit for bit: the dense joint state, partial_trace_mat and, on
+        # bosonic modes, the {0, 1}-photon block renormalized
+        cfg = ModelConfig(variant)
+        t = n * np.pi / 2
+        for x in (0.6, 0.85):
+            joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
+            if gamma:
+                joint = integrate_master(joint0, cfg, NoiseConfig(gamma), t).joint_states[-1].mat
+            else:
+                joint = SpectralPropagator.from_hamiltonian(cfg.hamiltonian).apply_mat(
+                    joint0.mat, t)
+            pair = partial_trace_mat(joint, cfg.space.dims, {0, 1})
+            if variant is ModelVariant.RESONANT_BOSON:
+                pair = pair[np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)]
+                pair = pair / np.trace(pair).real
+            probe = partial_trace_mat(joint, cfg.space.dims, {2})
+            rep = run_probe_cycle(x, cfg, n, NoiseConfig(gamma))
+            assert rep.mean_sigma_z == float(sigma_z_stack(probe[None])[0])
+            assert np.array_equal(rep.post_state.mat, pair)
 
     def test_non_disturbance_over_grid(self):
         # measures before vs after agree over the whole family without noise
