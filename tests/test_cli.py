@@ -677,7 +677,10 @@ FUZZED_COMMANDS = {
     "measures": (["measures"], ["x"]),
     "probe": (["probe"], ["x", "gamma"]),
     "qnd": (["qnd", "--shots", "0", "--report-tm"], ["x", "delta"]),
-    "evolve": (["evolve", "--samples", "3"], ["x", "gamma", "delta", "t-end"]),
+    # the default resonant model takes no detuning, so --delta is fuzzed on seciii-eff
+    "evolve": (["evolve", "--samples", "3"], ["x", "gamma", "t-end"]),
+    "evolve-detuned": (["evolve", "--samples", "3", "--model", "seciii-eff"],
+                       ["x", "gamma", "delta", "t-end"]),
 }
 
 
