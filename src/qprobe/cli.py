@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: measures, sweep, evolve, probe, qnd, plot.  Flags can also
-be supplied as a JSON document via --config (keys: the flag names with
-underscores, no others); explicit flags win on conflict.  Outputs are
-byte deterministic for identical configuration: floats are serialized
-with 12 significant digits and sweep rows are assembled in grid order.
+Subcommands: measures, sweep, evolve, probe, qnd, plot, each declared once
+in ``_COMMANDS`` with its options and their defaults; that table gives the
+flags, the defaults their help states, and the --config keys (the flag
+names with underscores, no others).  Explicit flags win over --config.
+Outputs are byte deterministic for identical configuration: floats are
+serialized with 12 significant digits and sweep rows are assembled in
+grid order.
 
 Exit codes: 0 success, 2 argument validation, 3 I/O, 4 data shape.
 """
@@ -15,8 +17,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +56,8 @@ MODEL_CHOICES = {
     "seciii-full": ModelVariant.DISPERSIVE_FULL,
     "seciii-eff": ModelVariant.DISPERSIVE_EFFECTIVE,
 }
+#: sweep and probe read the probe through the resonant law, so they take only these
+RESONANT_MODELS = ("secii-boson", "secii-qubit")
 
 SWEEP_COLUMNS = (
     "concurrence",
@@ -82,38 +87,44 @@ def fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # argument handling
 
-#: every flag of every command; a --config key is the flag's name with underscores
+#: every option of every command, by its --config key (the flag's name with underscores)
 _FLAGS = {
     "x": dict(type=float, help="family parameter in [0.5, 1]"),
-    "x-start": dict(type=float, help="sweep grid start (default 0.5)"),
-    "x-stop": dict(type=float, help="sweep grid stop (default 1.0)"),
-    "x-step": dict(type=float, help="sweep grid step (default 0.01)"),
+    "x_start": dict(type=float, help="sweep grid start"),
+    "x_stop": dict(type=float, help="sweep grid stop"),
+    "x_step": dict(type=float, help="sweep grid step"),
     "gamma": dict(type=float, help="spontaneous emission rate in units of g"),
     "delta": dict(type=float, help="detuning in units of g"),
     "model": dict(type=str, choices=sorted(MODEL_CHOICES), help="model variant"),
-    "t-end": dict(type=float, help="evolution time in units of 1/g"),
-    "samples": dict(type=int, help="number of sample times (default 201)"),
-    "shots": dict(type=int, help="shots per stage (0 = exact statistics)"),
+    "t_end": dict(type=float, help="evolution time in units of 1/g"),
+    "samples": dict(type=int, help="number of sample times"),
+    "shots": dict(type=int, help="shots per stage, 0 for exact statistics"),
     "seed": dict(type=int, help="sampling seed"),
-    "n": dict(type=int, help="odd number of half periods (default 1)"),
-    "cycles": dict(type=int, help="full cycles (default 3)"),
-    "emit-svg": dict(action="store_true",
+    "n": dict(type=int, help="odd number of half periods"),
+    "cycles": dict(type=int, help="full cycles"),
+    "emit_svg": dict(action="store_true",
                      help="also render the correlation columns next to the CSV"),
-    "report-tm": dict(action="store_true",
+    "report_tm": dict(action="store_true",
                       help="also report fidelity at the delta*pi/g^2 candidate time"),
     "csv": dict(type=str, help="input CSV path"),
     "columns": dict(type=str, help="comma-separated column names to draw"),
     "out": dict(type=str, help="output file path"),
-    "config": dict(type=str, help="JSON config file (flags win on conflict)"),
 }
+
+
+def _flag_spec(command: str, key: str) -> dict:
+    """A fresh copy of option ``key``'s argparse keywords, with ``command``'s choices."""
+    narrowed = _COMMANDS[command][3]
+    return {**_FLAGS[key], **({"choices": narrowed[key]} if key in narrowed else {})}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process.
+    """The CLI's parser, built once per process from ``_COMMANDS``.
 
     Parsing keeps no state between calls: every call gets a fresh
-    namespace, and every flag defaults to None.
+    namespace, and every flag defaults to None (``merged_options``
+    applies the command's default, which the flag's help states).
     """
     parser = argparse.ArgumentParser(
         prog="qprobe",
@@ -123,21 +134,25 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a removed or misspelt flag must not reach another one
     no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
-    for command, (_, help_text, *names) in _COMMANDS.items():
+    for command, (_, help_text, defaults, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name in names:
-            p.add_argument(f"--{name}", default=None, **_FLAGS[name])
+        for key, default in defaults.items():
+            spec = _flag_spec(command, key)
+            # by identity: 0.0 == False, and a zero default is still stated
+            if default is not None and default is not False:
+                spec["help"] += f" (default {default})"
+            p.add_argument(f"--{key.replace('_', '-')}", default=None, **spec)
+        p.add_argument("--config", help="JSON config file (flags win on conflict)")
     return parser
 
 
-def _config_value(key: str, value):
-    """``value`` of a --config key, converted as its flag converts text.
+def _config_value(key: str, value, spec: dict):
+    """``value`` of a --config key, converted as its flag (``spec``) converts text.
 
     A switch takes a JSON boolean only; any other flag takes a string or
     a number (as its repr) through its type and choices, so 2.7 is no
     int, and true or null is no value at all.
     """
-    spec = _FLAGS[key.replace("_", "-")]
     switch = spec.get("action") == "store_true"
     if isinstance(value, bool) == switch and isinstance(value, (str, int, float)):
         try:
@@ -150,10 +165,11 @@ def _config_value(key: str, value):
     raise ValueError(f"config key {key!r} has an invalid value: {value!r}")
 
 
-def merged_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag values over --config values over defaults."""
+def merged_options(args: argparse.Namespace) -> dict:
+    """The options of ``args.command``: flag values over --config values over defaults."""
+    defaults = _COMMANDS[args.command][2]
     from_file: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 from_file = json.load(fh)
@@ -164,30 +180,27 @@ def merged_options(args: argparse.Namespace, defaults: dict) -> dict:
         for key in from_file:
             if key not in defaults:
                 raise ValueError(f"config key {key!r} is not an option of {args.command}")
-            from_file[key] = _config_value(key, from_file[key])
+            from_file[key] = _config_value(key, from_file[key],
+                                           _flag_spec(args.command, key))
     out = {**defaults, **from_file}
     for key in defaults:
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             out[key] = flag_val
     return out
 
 
 def _require_x(opts: dict) -> float:
-    x = opts.get("x")
+    x = opts["x"]
     if x is None:
         raise ValueError("missing required parameter x")
-    x = float(x)
     if not 0.5 <= x <= 1.0:
         raise ValueError("x out of family domain")
     return x
 
 
 def _model_config(opts: dict) -> ModelConfig:
-    return ModelConfig(
-        variant=MODEL_CHOICES[opts["model"]],
-        delta=float(opts["delta"]) if opts.get("delta") is not None else None,
-    )
+    return ModelConfig(MODEL_CHOICES[opts["model"]], delta=opts.get("delta"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -195,33 +208,37 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-# ---------------------------------------------------------------------------
-# commands
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row: floats through ``fmt``, the rest as text."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
-def cmd_measures(args: argparse.Namespace) -> int:
-    opts = merged_options(args, {"x": None, "out": None})
-    x = _require_x(opts)
-    rho = one_param_density(x)
-    rep = correlation_report(rho)
-    values = {
-        "x": x,
-        "concurrence": rep.concurrence,
-        "mutual_info": rep.mutual_info,
-        "classical": rep.classical,
-        "discord": rep.discord,
-        "classical_eq20": rep.classical_closed_form,
-        "sigma_z": 2.0 * RESONANT_READOUT.probability(x) - 1.0,
-    }
-    print("\n".join(f"{k} = {fmt(v)}" for k, v in values.items()))
-    if opts["out"]:
-        _write_text(opts["out"], json.dumps({k: float(v) for k, v in values.items()},
-                                            indent=2) + "\n")
+
+def _print_values(values: dict, out: Optional[str]) -> None:
+    """Print ``key = value`` lines; with ``out``, also write the values as JSON."""
+    values = {k: v if isinstance(v, (bool, int)) else float(v) for k, v in values.items()}
+    for k, v in values.items():
+        print(f"{k} = {fmt(v) if isinstance(v, float) else json.dumps(v)}")
+    if out:
+        _write_text(out, json.dumps(values, indent=2) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# commands; each takes the options that merged_options resolved
+
+def cmd_measures(opts: dict) -> int:
+    row = _sweep_row(_require_x(opts), None, NoiseConfig())
+    _print_values(dict(zip(["x", *SWEEP_COLUMNS], row)), opts["out"])
     return 0
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     if not math.isfinite(step) or step <= 0:
         raise ValueError("step must be positive and finite")
+    if start > stop:
+        raise ValueError(f"x grid start {start!r} exceeds its stop {stop!r}")
     if not (0.5 <= start <= stop <= 1.0):
         raise ValueError("x grid must lie inside [0.5, 1]")
     n = np.floor((stop - start) / step + 1e-9) + 1
@@ -236,8 +253,8 @@ def _report_values(rep: CorrelationReport) -> list[float]:
             rep.classical_closed_form]
 
 
-def _sweep_row(x: float, cfg: ModelConfig, noise: NoiseConfig) -> list[float]:
-    """Noiseless measures and sigma_z; with noise, also one noisy probe cycle."""
+def _sweep_row(x: float, cfg: Optional[ModelConfig], noise: NoiseConfig) -> list[float]:
+    """Noiseless measures and sigma_z; with noise, also one noisy probe cycle on ``cfg``."""
     sigma_z = 2.0 * RESONANT_READOUT.probability(x) - 1.0
     if noise.gamma == 0.0:
         rep = correlation_report(one_param_density(x))
@@ -247,55 +264,39 @@ def _sweep_row(x: float, cfg: ModelConfig, noise: NoiseConfig) -> list[float]:
             *_report_values(cycle.measures_after), cycle.mean_sigma_z]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = merged_options(args, {
-        "x_start": 0.5, "x_stop": 1.0, "x_step": 0.01,
-        "gamma": 0.0, "model": "secii-qubit", "out": "sweep.csv",
-        "emit_svg": False,
-    })
+def cmd_sweep(opts: dict) -> int:
     cfg = _model_config(opts)
-    if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
-        raise ValueError("sweep runs on the resonant models")
-    noise = NoiseConfig(gamma=float(opts["gamma"]))
-    grid = _sweep_grid(float(opts["x_start"]), float(opts["x_stop"]),
-                       float(opts["x_step"]))
+    noise = NoiseConfig(gamma=opts["gamma"])
+    grid = _sweep_grid(opts["x_start"], opts["x_stop"], opts["x_step"])
+    svg_path = os.path.splitext(opts["out"])[0] + ".svg"
+    if opts["emit_svg"] and svg_path == opts["out"]:
+        raise ValueError(f"--emit-svg would overwrite the CSV at {svg_path}: "
+                         "give --out another extension than .svg")
 
     header = ["x", *SWEEP_COLUMNS]
     if noise.gamma > 0:
         header += [f"{c}_noisy" for c in SWEEP_COLUMNS]
     rows = [_sweep_row(x, cfg, noise) for x in grid]
-
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(fmt(v) for v in row) + "\n"
-    _write_text(opts["out"], text)
+    _write_csv(opts["out"], header, rows)
     print(f"wrote {len(rows)} rows to {opts['out']}")
 
     if opts["emit_svg"]:
-        columns = ["discord", "classical"]
-        if noise.gamma > 0:
-            columns += ["discord_noisy", "classical_noisy"]
-        series = [
-            (c, [row[header.index(c)] for row in rows]) for c in columns
-        ]
-        svg_path = str(opts["out"]).rsplit(".", 1)[0] + ".svg"
+        columns = [c for c in ("discord", "classical", "discord_noisy", "classical_noisy")
+                   if c in header]
+        series = [(c, [row[header.index(c)] for row in rows]) for c in columns]
         _write_text(svg_path, svgplot.render_line_chart(grid, series, x_label="x"))
         print(f"wrote {svg_path}")
     return 0
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    opts = merged_options(args, {
-        "x": None, "model": "secii-qubit", "gamma": 0.0,
-        "delta": None, "t_end": 10.0, "samples": 201, "out": "evolve.csv",
-    })
+def cmd_evolve(opts: dict) -> int:
     x = _require_x(opts)
     cfg = _model_config(opts)
-    noise = NoiseConfig(gamma=float(opts["gamma"]))
-    t_end = float(opts["t_end"])
+    noise = NoiseConfig(gamma=opts["gamma"])
+    t_end = opts["t_end"]
     if not math.isfinite(t_end) or t_end <= 0:
         raise ValueError("t-end must be positive and finite")
-    n_samples = int(opts["samples"])
+    n_samples = opts["samples"]
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if n_samples > MAX_EVOLVE_SAMPLES:
@@ -314,25 +315,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         pc[:, 0, 0].real,
         trace_distance_stack(ab, one_param_density(x).mat),
     )
-    lines = ["t,concurrence,mutual_info,sigma_z,p_excited,dist_to_initial"]
-    lines += [",".join(fmt(v) for v in row) for row in zip(*columns)]
-    _write_text(opts["out"], "\n".join(lines) + "\n")
+    _write_csv(opts["out"], ["t", "concurrence", "mutual_info", "sigma_z", "p_excited",
+                             "dist_to_initial"], zip(*columns))
     print(f"wrote {len(res.times)} samples to {opts['out']}")
     return 0
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
-    opts = merged_options(args, {
-        "x": None, "gamma": 0.0, "model": "secii-qubit",
-        "shots": 0, "seed": 0, "n": 1, "out": None,
-    })
+def cmd_probe(opts: dict) -> int:
     x = _require_x(opts)
-    shots = int(opts["shots"])
+    shots = opts["shots"]
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     cfg = _model_config(opts)
-    report = run_probe_cycle(x, cfg, int(opts["n"]),
-                             NoiseConfig(gamma=float(opts["gamma"])))
+    report = run_probe_cycle(x, cfg, opts["n"], NoiseConfig(gamma=opts["gamma"]))
     p_e = min(1.0, max(0.0, 0.5 * (1.0 + report.mean_sigma_z)))
     inferred = estimate_exact([(RESONANT_READOUT, p_e)])
     out = {
@@ -350,31 +345,21 @@ def cmd_probe(args: argparse.Namespace) -> int:
         out[f"{name}_after"] = getattr(report.measures_after, name)
 
     if shots > 0:
-        rec = sample_shots(p_e, shots, int(opts["seed"]))
+        rec = sample_shots(p_e, shots, opts["seed"])
         est = estimate_from_counts([(RESONANT_READOUT, rec)])
         out["shots"] = shots
         out["count_excited"] = rec.count_excited
         out["x_hat_sampled"] = est.x_hat
         out["stderr"] = est.stderr
         out["ci99_lo"], out["ci99_hi"] = est.ci99
-
-    out = {k: v if isinstance(v, (bool, int)) else float(v) for k, v in out.items()}
-    for k, v in out.items():
-        print(f"{k} = {fmt(v) if isinstance(v, float) else json.dumps(v)}")
-    if opts["out"]:
-        _write_text(opts["out"], json.dumps(out, indent=2) + "\n")
+    _print_values(out, opts["out"])
     return 0
 
 
-def cmd_qnd(args: argparse.Namespace) -> int:
-    opts = merged_options(args, {
-        "x": None, "delta": 10.0, "cycles": 3,
-        "shots": 0, "seed": 7, "out": None, "report_tm": False,
-    })
+def cmd_qnd(opts: dict) -> int:
     x = _require_x(opts)
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=float(opts["delta"]))
-    result = run_qnd_sequence(x, cfg, int(opts["cycles"]),
-                              int(opts["shots"]), int(opts["seed"]))
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=opts["delta"])
+    result = run_qnd_sequence(x, cfg, opts["cycles"], opts["shots"], opts["seed"])
     restoration = trace_distance(result.final_state.mat, one_param_density(x).mat)
     est = result.estimate
     print(f"x_hat = {fmt(est.x_hat)}")
@@ -391,23 +376,15 @@ def cmd_qnd(args: argparse.Namespace) -> int:
         print(f"candidate_time_dpig2 = {fmt(rep.candidate_time)}")
         print(f"candidate_fidelity = {fmt(rep.candidate_fidelity)}")
     if opts["out"]:
-        lines = ["cycle,stage,prep,duration,p_excited,shots,count_excited"]
-        for i, sr in enumerate(result.stages):
-            lines.append(",".join([
-                str(i // 2),
-                str(i % 2),
-                sr.stage.probe_prep.value,
-                fmt(sr.stage.duration),
-                fmt(sr.stage.outcome_p_excited),
-                str(sr.shots.shots),
-                str(sr.shots.count_excited),
-            ]))
-        _write_text(opts["out"], "\n".join(lines) + "\n")
+        _write_csv(opts["out"], ["cycle", "stage", "prep", "duration", "p_excited",
+                                 "shots", "count_excited"],
+                   [(i // 2, i % 2, sr.stage.probe_prep.value, sr.stage.duration,
+                     sr.stage.outcome_p_excited, sr.shots.shots, sr.shots.count_excited)
+                    for i, sr in enumerate(result.stages)])
     return 0
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    opts = merged_options(args, {"csv": None, "columns": None, "out": "plot.svg"})
+def cmd_plot(opts: dict) -> int:
     if not opts["csv"]:
         raise ValueError("missing required --csv path")
     if not opts["columns"]:
@@ -417,7 +394,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if len(lines) < 2:
         raise DataShapeError("CSV has no data rows")
     header = lines[0].split(",")
-    wanted = [c.strip() for c in str(opts["columns"]).split(",") if c.strip()]
+    wanted = [c.strip() for c in opts["columns"].split(",") if c.strip()]
     if not wanted:
         raise ValueError("empty column list")
     for col in wanted:
@@ -446,20 +423,27 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-#: each command's handler, help line and flags, in --help order
+#: each command's handler, help line, options (--config keys) with their
+#: defaults in --help order, and the choices it narrows from _FLAGS
 _COMMANDS = {
     "measures": (cmd_measures, "all correlation measures of the family state",
-                 "x", "out", "config"),
-    "sweep": (cmd_sweep, "parameter sweep over x, CSV output", "x-start", "x-stop",
-              "x-step", "gamma", "model", "out", "config", "emit-svg"),
-    "evolve": (cmd_evolve, "time evolution of one configuration, CSV output", "x",
-               "model", "gamma", "delta", "t-end", "out", "config", "samples"),
-    "probe": (cmd_probe, "single ground-probe readout cycle", "x", "gamma", "model",
-              "shots", "seed", "out", "config", "n"),
-    "qnd": (cmd_qnd, "non-demolition probe sequence", "x", "delta", "shots", "seed",
-            "out", "config", "cycles", "report-tm"),
-    "plot": (cmd_plot, "render CSV columns as an SVG line chart", "out", "config",
-             "csv", "columns"),
+                 {"x": None, "out": None}, {}),
+    "sweep": (cmd_sweep, "parameter sweep over x, CSV output",
+              {"x_start": 0.5, "x_stop": 1.0, "x_step": 0.01, "gamma": 0.0,
+               "model": "secii-qubit", "out": "sweep.csv", "emit_svg": False},
+              {"model": RESONANT_MODELS}),
+    "evolve": (cmd_evolve, "time evolution of one configuration, CSV output",
+               {"x": None, "model": "secii-qubit", "gamma": 0.0, "delta": None,
+                "t_end": 10.0, "out": "evolve.csv", "samples": 201}, {}),
+    "probe": (cmd_probe, "single ground-probe readout cycle",
+              {"x": None, "gamma": 0.0, "model": "secii-qubit", "shots": 0, "seed": 0,
+               "out": None, "n": 1},
+              {"model": RESONANT_MODELS}),
+    "qnd": (cmd_qnd, "non-demolition probe sequence",
+            {"x": None, "delta": 10.0, "shots": 0, "seed": 7, "out": None, "cycles": 3,
+             "report_tm": False}, {}),
+    "plot": (cmd_plot, "render CSV columns as an SVG line chart",
+             {"out": "plot.svg", "csv": None, "columns": None}, {}),
 }
 
 
@@ -470,16 +454,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][0](args)
-    except DataShapeError as exc:
+        return _COMMANDS[args.command][0](merged_options(args))
+    except (DataShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, DataShapeError) else 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qprobe
-from qprobe.cli import MAX_EVOLVE_SAMPLES, MAX_SWEEP_POINTS, _sweep_grid, _sweep_row, fmt, main
+from qprobe.cli import (
+    _COMMANDS,
+    MAX_EVOLVE_SAMPLES,
+    MAX_SWEEP_POINTS,
+    _sweep_grid,
+    _sweep_row,
+    fmt,
+    main,
+)
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
     MIN_SAMPLE_GAP,
@@ -131,6 +140,34 @@ class TestSweepCommand:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 6 and rows[-1].startswith("1,1,2,")
 
+    def test_reversed_grid_is_named(self, capsys):
+        # both ends lie in [0.5, 1]: the message once said they did not
+        assert run(["sweep", "--x-start", "0.9", "--x-stop", "0.6"]) == 2
+        captured = capsys.readouterr()
+        assert "start 0.9 exceeds its stop 0.6" in captured.err and captured.out == ""
+
+    def test_svg_lands_next_to_the_csv(self, tmp_path, monkeypatch, capsys):
+        # the SVG path was once cut at the first dot: out.d/sweep drew ./out.svg
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.d").mkdir()
+        assert run(["sweep", "--x-step", "0.25", "--out", "out.d/sweep", "--emit-svg"]) == 0
+        assert capsys.readouterr().out.endswith("wrote out.d/sweep.svg\n")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "out.d", "out.d/sweep", "out.d/sweep.svg"]
+
+    def test_svg_path_equal_to_out_refused_before_any_row(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the SVG once overwrote the CSV that had just been reported written
+        def no_row(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("qprobe.cli._sweep_row", no_row)
+        assert run(["sweep", "--x-step", "0.25", "--out", "s.svg", "--emit-svg"]) == 2
+        captured = capsys.readouterr()
+        assert "--emit-svg would overwrite" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path, capsys):
@@ -211,6 +248,56 @@ class TestParserReuse:
         assert "x = 0.6" in capsys.readouterr().out
         assert run(["measures"]) == 2
         assert "missing required parameter x" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ("measures", "sweep", "evolve", "probe", "qnd", "plot")
+
+
+def help_options(command: str) -> dict[str, str]:
+    """Each flag that ``command --help`` lists, with its help text, whitespace collapsed."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([command, "--help"]) == 0
+    text = " ".join(out.getvalue().split()).split("show this help message and exit", 1)[1]
+    return dict(re.findall(r"(--[a-z-]+)(.*?)(?= --[a-z]|$)", text))
+
+
+class TestOneTable:
+    # each subcommand's flags, the defaults its --help states and its
+    # --config keys all come from one declaration
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_lists_exactly_the_config_keys(self, command, tmp_path, capsys):
+        listed = {f[2:].replace("-", "_") for f in help_options(command)} - {"config"}
+        every_key = {f[2:].replace("-", "_") for c in SUBCOMMANDS for f in help_options(c)}
+        cfg = tmp_path / "c.json"
+        for key in sorted(every_key | {"dt", "nmax", "gama"}):
+            # no option takes a list, so a key it has is refused for its value
+            cfg.write_text(json.dumps({key: []}))
+            assert run([command, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            accepted = f"config key {key!r} has an invalid value" in err
+            assert accepted or f"config key {key!r} is not an option" in err
+            assert accepted == (key in listed), key
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_states_every_default(self, command):
+        options = help_options(command)
+        defaults = _COMMANDS[command][2]
+        assert sorted(options) == sorted(["--config", *(f"--{k.replace('_', '-')}"
+                                                        for k in defaults)])
+        for key, default in defaults.items():
+            text = options[f"--{key.replace('_', '-')}"]
+            if default is None or default is False:
+                assert "(default" not in text, key
+            else:
+                assert text.endswith(f"(default {default})"), (key, text)
+
+    def test_named_defaults(self):
+        assert help_options("qnd")["--seed"].endswith("(default 7)")
+        assert help_options("probe")["--seed"].endswith("(default 0)")
+        for command in ("sweep", "evolve", "probe"):
+            assert help_options(command)["--gamma"].endswith("(default 0.0)")
+        assert help_options("sweep")["--model"].startswith(" {secii-boson,secii-qubit} ")
 
 
 class TestEvolveCommand:
@@ -429,6 +516,27 @@ class TestInputValidation:
         assert run([*args, *extra, "--out", out]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("args, model", [
+        (["sweep", "--x-step", "0.25"], "seciii-eff"),
+        (["probe", "--x", "0.75"], "seciii-full"),
+    ], ids=["sweep", "probe"])
+    def test_readout_commands_take_only_resonant_models(self, args, model, via, tmp_path,
+                                                        capsys):
+        # both once exited with "dispersive variants need a positive detuning",
+        # which asks for a flag neither command has
+        out = tmp_path / "out"
+        if via == "flag":
+            extra, message = ["--model", model], f"invalid choice: '{model}'"
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"model": model}))
+            extra, message = ["--config", cfg], "config key 'model' has an invalid value"
+        assert run([*args, *extra, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "detuning" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("model, delta", [("secii-qubit", "10"), ("secii-boson", "3")])
     def test_resonant_models_refuse_a_detuning(self, model, delta, tmp_path, capsys):
