@@ -332,14 +332,14 @@ class EvolutionResult:
     """Sampled joint states, kept as the density-matrix entries they reach.
 
     Row s of the (n, k) array ``entries`` holds the joint state at
-    ``times[s]`` at the flat indices ``codes`` (i * d + j); every other
-    entry is exactly zero.  Construction checks every sample at once
-    with DensityMatrix's checks and tolerances, on the matrices
-    restricted to the basis states the codes touch: the rows and
-    columns outside them are zero, so the checks are equivalent.
-    ``reduced_stack`` reduces all samples in one call, and ``readout``
-    gives the pair and probe stacks a readout reads; the DensityMatrix
-    view ``joint_states`` is built on first use.
+    ``times[s]`` at the flat indices ``codes`` (i * d + j), the
+    reachable entries (``reachable_entries``) of ``integrate_master``
+    or of the noiseless probe cycle; every other entry is exactly zero.
+    Construction checks every sample at once with DensityMatrix's
+    checks and tolerances, on the matrices restricted to the basis
+    states the codes touch (the rows and columns outside are zero).
+    ``reduced_stack`` reduces all samples in one call, ``readout`` gives
+    the pair and probe stacks, and ``joint_states`` is built on first use.
     """
 
     times: tuple[float, ...]

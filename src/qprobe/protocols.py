@@ -44,6 +44,7 @@ from .states import (
     two_qubit_space,
 )
 from .dynamics import (
+    MAX_T_END,
     MIN_DISPERSIVE_DELTA,
     TWO_LEVEL_INDEX,
     EvolutionResult,
@@ -53,6 +54,7 @@ from .dynamics import (
     boson_pair_to_qubits_stack,
     initial_joint_from_pair,
     integrate_master,
+    reachable_entries,
     sigma_z_stack,
 )
 
@@ -338,15 +340,15 @@ def run_probe_cycle(
     """Attach a ground probe, evolve to t = n pi/2, read sigma_z.
 
     n must be odd (at even multiples the probe returns to its ground
-    state and carries no information) and at most MAX_HALF_PERIODS.
-    Without noise the joint state is the spectral propagator's at
-    t_read; with noise the master equation is propagated exactly
-    (``dynamics.integrate_master``).  Either way the one sample is an
-    ``EvolutionResult``, which checks the joint state, and its
-    ``readout`` gives the pair state left behind (on bosonic carriers,
-    conditioned on their {0, 1}-photon block) and the probe state.
-    Without noise the pair lands exactly on the corner swap of the
-    family state while every correlation measure is preserved.
+    state and carries no information), at most MAX_HALF_PERIODS and,
+    with noise, at most MAX_T_END / (pi/2).  The one sample at t_read
+    is an ``EvolutionResult`` of the entries the dynamics reach: the
+    spectral propagator's state on those H reaches without noise (the
+    rest hold only its rounding), ``dynamics.integrate_master``'s with
+    noise.  Its ``readout`` gives the pair left behind, an exact X
+    state (on bosonic carriers, conditioned on their {0, 1}-photon
+    block), and the probe.  Without noise the pair lands exactly on
+    the corner swap of the family state, every measure preserved.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -361,9 +363,11 @@ def run_probe_cycle(
     t_read = n * np.pi / 2.0
 
     if noise.gamma == 0.0 and noise.collapse_ops is None:
-        prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
-        joint = prop.apply_mat(joint0.mat, t_read)
-        result = EvolutionResult((t_read,), cfg.space, np.arange(joint.size), joint.reshape(1, -1))
+        codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
+        joint = SpectralPropagator.from_hamiltonian(cfg.hamiltonian).apply_mat(joint0.mat, t_read)
+        result = EvolutionResult((t_read,), cfg.space, codes, joint.ravel()[codes][None])
+    elif t_read > MAX_T_END:
+        raise ValueError(f"with noise n may not exceed {int(MAX_T_END * 2 / np.pi)} half periods")
     else:
         result = integrate_master(joint0, cfg, noise, t_read)
     pair, probe = result.readout()

@@ -374,6 +374,12 @@ class TestProbeCommand:
         values = dict(line.split(" = ") for line in out.strip().splitlines())
         assert abs(float(values["x_hat_sampled"]) - 0.75) < 0.05
 
+    @pytest.mark.parametrize("model", ["secii-qubit", "secii-boson"])
+    def test_correlations_untouched_to_the_last_digit(self, model, capsys):
+        # the post state is the exact X state: concurrence once read 0.99999999
+        assert run(["probe", "--x", "1", "--n", "3", "--model", model]) == 0
+        assert "concurrence_after = 1" in capsys.readouterr().out.splitlines()
+
 
 class TestQndCommand:
     def test_exact_run_with_report(self, tmp_path, capsys):
@@ -627,6 +633,18 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert str(MAX_HALF_PERIODS) in captured.err and captured.out == ""
 
+    def test_noisy_probe_half_periods_name_n(self, capsys):
+        # 6367 half periods run past MAX_T_END; the error once named t_end,
+        # which is not an option of probe
+        assert run(["probe", "--x", "0.75", "--gamma", "0.1", "--n", "6367"]) == 2
+        captured = capsys.readouterr()
+        assert "n may not exceed 6366 half periods" in captured.err
+        assert "t_end" not in captured.err and captured.out == ""
+
+    def test_noisy_probe_runs_to_the_last_odd_half_period(self, capsys):
+        assert run(["probe", "--x", "0.75", "--gamma", "0.1", "--n", "6365"]) == 0
+        assert "t_read = 9998.11862005\n" in capsys.readouterr().out
+
     def test_probe_shots_bounded(self, capsys):
         assert run(["probe", "--x", "0.75", "--shots", "1000000000000"]) == 2
         captured = capsys.readouterr()
@@ -725,6 +743,37 @@ class TestSweepSharesOneModel:
         assert run(["sweep", "--gamma", "0.1", *PATTERN_GRID,
                     "--out", tmp_path / "s.csv"]) == 0
         assert calls == {"build_hamiltonian": 1, "reachable_entries": changes}
+
+
+ONE_PATH_COMMANDS = [
+    ["measures", "--x", "0.75"],
+    *(["sweep", "--x-step", "0.05", "--model", m, *g]
+      for m in ("secii-qubit", "secii-boson") for g in ([], ["--gamma", "0.1"])),
+    *(["evolve", "--x", "0.75", "--model", m, *d, *g]
+      for m, d in (("secii-qubit", []), ("secii-boson", []),
+                   ("seciii-eff", ["--delta", "10"]), ("seciii-full", ["--delta", "10"]))
+      for g in ([], ["--gamma", "0.1"])),
+    *(["probe", *a, "--model", m]
+      for m in ("secii-qubit", "secii-boson")
+      for a in (["--x", "0.75"], ["--x", "1", "--n", "3"], ["--x", "0.9", "--n", "999999"])),
+    ["probe", "--x", "0.75", "--gamma", "0.1", "--n", "3", "--shots", "1000"],
+    ["qnd", "--x", "0.75", "--shots", "10000", "--report-tm"],
+]
+
+
+@pytest.mark.parametrize("args", ONE_PATH_COMMANDS, ids=" ".join)
+def test_every_report_takes_the_x_state_path(args, tmp_path, monkeypatch, capsys):
+    # every state a CLI job reports on is an exact X state: the 2-D
+    # search, Wootters' formula, the eigvalsh mutual information and
+    # extract_xstate serve library input only
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a CLI report left the X-state path")
+
+    for name in ("_min_conditional_entropy_sphere", "_wootters_concurrence",
+                 "_mutual_information_eigvalsh", "extract_xstate"):
+        monkeypatch.setattr(f"qprobe.measures.{name}", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0, capsys.readouterr().err
 
 
 def test_runtime_needs_no_scipy(tmp_path):

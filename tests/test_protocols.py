@@ -15,6 +15,7 @@ from qprobe.dynamics import (
     build_hamiltonian,
     initial_joint,
     integrate_master,
+    reachable_entries,
     sigma_z_stack,
 )
 from qprobe.protocols import (
@@ -382,7 +383,9 @@ class TestProbeCycle:
                              ids=["secii-qubit", "secii-boson"])
     def test_readout_equals_the_dense_reduction(self, variant, gamma, n):
         # bit for bit: the dense joint state, partial_trace_mat and, on
-        # bosonic modes, the {0, 1}-photon block renormalized
+        # bosonic modes, the {0, 1}-photon block renormalized.  Without
+        # noise the dense state is zeroed outside the entries the
+        # Hamiltonian reaches, which hold only the propagator's rounding
         cfg = ModelConfig(variant)
         t = n * np.pi / 2
         for x in (0.6, 0.85):
@@ -390,8 +393,11 @@ class TestProbeCycle:
             if gamma:
                 joint = integrate_master(joint0, cfg, NoiseConfig(gamma), t).joint_states[-1].mat
             else:
-                joint = SpectralPropagator.from_hamiltonian(cfg.hamiltonian).apply_mat(
+                dense = SpectralPropagator.from_hamiltonian(cfg.hamiltonian).apply_mat(
                     joint0.mat, t)
+                codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
+                joint = np.zeros_like(dense)
+                joint.flat[codes] = dense.flat[codes]
             pair = partial_trace_mat(joint, cfg.space.dims, {0, 1})
             if variant is ModelVariant.RESONANT_BOSON:
                 pair = pair[np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)]
@@ -408,6 +414,20 @@ class TestProbeCycle:
             for name in ("concurrence", "mutual_info", "classical", "discord"):
                 assert getattr(rep.measures_after, name) == pytest.approx(
                     getattr(rep.measures_before, name), abs=1e-6
+                )
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_disturbance_to_rounding(self, n):
+        # the post state carries no rounding off the X pattern, so each
+        # measure after equals its value before to 1e-12 (concurrence was
+        # once off by 9.9e-9 at x = 1, n = 3)
+        off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+        for x in np.linspace(0.5, 1.0, 51):
+            rep = run_probe_cycle(x, QUBIT, n)
+            assert not np.any(rep.post_state.mat[off_x])
+            for name in ("concurrence", "mutual_info", "classical", "discord"):
+                assert getattr(rep.measures_after, name) == pytest.approx(
+                    getattr(rep.measures_before, name), abs=1e-12
                 )
 
 
