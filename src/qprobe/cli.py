@@ -29,7 +29,7 @@ from .dynamics import (
     ModelVariant,
     NoiseConfig,
     integrate_master,
-    initial_joint,
+    initial_joint_from_pair,
     sigma_z_stack,
 )
 from .measures import (
@@ -79,9 +79,13 @@ class DataShapeError(Exception):
     """Input data does not have the shape a command requires."""
 
 
+#: every float the CLI writes: 12 significant digits, locale independent
+FLOAT_FORMAT = "%.12g"
+
+
 def fmt(v: float) -> str:
-    """Serialize a float with 12 significant digits, locale independent."""
-    return f"{float(v):.12g}"
+    """Serialize a float with FLOAT_FORMAT."""
+    return FLOAT_FORMAT % float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +213,15 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A header line, then one line per row: floats through ``fmt``, the rest as text."""
+    """A header line, then one line per row: floats as ``fmt`` writes them, the rest as text.
+
+    Each row is formatted by one ``%`` operation.
+    """
     lines = [",".join(header)]
-    lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
+    for row in rows:
+        row = tuple(row)
+        lines.append(",".join(FLOAT_FORMAT if isinstance(v, float) else "%s" for v in row)
+                     % row)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -302,7 +311,8 @@ def cmd_evolve(opts: dict) -> int:
     if n_samples > MAX_EVOLVE_SAMPLES:
         raise ValueError(f"samples exceed {MAX_EVOLVE_SAMPLES}")
 
-    joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
+    pair = one_param_density(x)
+    joint0 = initial_joint_from_pair(pair, cfg, ProbePrep.GROUND)
     times = np.linspace(0.0, t_end, n_samples)
     res = integrate_master(joint0, cfg, noise, t_end, sample_times=times)
     # every sample at once, as (n, 4, 4) pair and (n, 2, 2) probe stacks
@@ -313,7 +323,7 @@ def cmd_evolve(opts: dict) -> int:
         mutual_information_stack(ab),
         sigma_z_stack(pc),
         pc[:, 0, 0].real,
-        trace_distance_stack(ab, one_param_density(x).mat),
+        trace_distance_stack(ab, pair.mat),
     )
     _write_csv(opts["out"], ["t", "concurrence", "mutual_info", "sigma_z", "p_excited",
                              "dist_to_initial"], zip(*columns))

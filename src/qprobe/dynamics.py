@@ -336,8 +336,10 @@ class EvolutionResult:
     reachable entries (``reachable_entries``) of ``integrate_master``
     or of the noiseless probe cycle; every other entry is exactly zero.
     Construction checks every sample at once with DensityMatrix's
-    checks and tolerances, on the matrices restricted to the basis
-    states the codes touch (the rows and columns outside are zero).
+    checks and tolerances (positivity by one Cholesky factorization of
+    the whole stack, see ``qcore.check_density_stack``), on the matrices
+    restricted to the basis states the codes touch (the rows and columns
+    outside are zero).
     ``reduced_stack`` reduces all samples in one call, ``readout`` gives
     the pair and probe stacks, and ``joint_states`` is built on first use.
     """
@@ -626,13 +628,14 @@ def integrate_master(
     call with the same gap (the next row of a sweep) forms no
     exponential and gives bit-identical states.  The cache holds at most
     GAP_MAPS k^2 16 B for k entries, whatever the schedule's length.
-    The state is re-Hermitized at every sample, and the samples are
-    returned as the (n, k) stack of those entries (see
-    ``EvolutionResult``), never as d x d matrices.  Trace drift beyond
-    TRACE_DRIFT_LIMIT (``qcore.TRACE_TOL``, the bound of the samples'
-    state check) at any sample, or a non-finite trace, aborts the run:
-    that is how a rate too large to propagate in double precision (or
-    one that overflows) fails.  A non-finite t_end, one above
+    The sample loop only propagates and re-Hermitizes the state in
+    place, and the samples are returned as the (n, k) stack of those
+    entries (see ``EvolutionResult``), never as d x d matrices.  The
+    trace is checked over every sample once propagation ends: trace
+    drift beyond TRACE_DRIFT_LIMIT (``qcore.TRACE_TOL``, the bound of
+    the samples' state check) at any sample, or a non-finite trace,
+    fails the run.  That is how a rate too large to propagate in double
+    precision (or one that overflows) fails.  A non-finite t_end, one above
     MAX_T_END, sample times closer than MIN_SAMPLE_GAP (a repeated one
     too; only a first sample at 0 may sit closer to 0) and more than
     MAX_REACHABLE reachable entries are rejected before any
@@ -673,12 +676,13 @@ def integrate_master(
         for s, gap in enumerate(gaps):
             if gap:
                 vec = plan.gap_map(gap) @ vec
-                vec = 0.5 * (vec + vec[plan.adj].conj())
-                if not abs(vec[plan.diag].sum().real - 1.0) <= TRACE_DRIFT_LIMIT:
-                    raise ValueError(
-                        "trace drift exceeded tolerance: decay rate too large "
-                        "to propagate")
+                vec += vec[plan.adj].conj()
+                vec *= 0.5
             entries[s] = vec
+        drift = np.abs(entries[:, plan.diag].sum(axis=1).real - 1.0)
+        if not (drift <= TRACE_DRIFT_LIMIT).all():
+            raise ValueError(
+                "trace drift exceeded tolerance: decay rate too large to propagate")
 
     return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)
 

@@ -10,9 +10,11 @@ dataclasses holding read-only arrays, so a state checked once at
 construction cannot be changed afterwards through an alias of its
 matrix.  qcore never writes to an input, so the read-only operators a
 ``dynamics.ModelConfig`` caches for its lifetime pass through it as
-they are.  The only state it keeps between calls is the bounded cache
-of ``reduced_entry_stack``'s index plans, read-only arrays that depend
-on the entries' positions, never on their values.
+they are.  The only state it keeps between calls is two bounded
+caches of read-only arrays that never depend on a value passed in:
+``reduced_entry_stack``'s index plans, which depend on the entries'
+positions, and ``check_density_stack``'s shifted identity per
+dimension.
 
 Conventions:
     hbar = 1; the coupling g = 1 is the fixed energy unit and times
@@ -89,12 +91,29 @@ class HilbertSpace:
         )
 
 
+#: dimensions whose shifted identity ``check_density_stack`` keeps
+SHIFTS = 16
+
+
+@functools.lru_cache(maxsize=SHIFTS)
+def _floor_shift(m: int) -> Array:
+    """The read-only m x m identity times -EIG_FLOOR."""
+    shift = -EIG_FLOOR * np.eye(m)
+    shift.setflags(write=False)
+    return shift
+
+
 def check_density_stack(mats: Array) -> None:
     """Raise ValueError unless every matrix of an (n, m, m) stack is a state.
 
     The checks run on the whole stack at once, in this order: finite
     entries, Hermiticity (1e-10), unit trace (1e-10) and smallest
-    eigenvalue >= -1e-8.
+    eigenvalue >= -1e-8.  Positivity is decided without an eigensolve:
+    a Hermitian matrix has every eigenvalue above -1e-8 exactly when it
+    plus 1e-8 times the identity is positive definite, which is when its
+    Cholesky factorization exists (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. (2002), ch. 10).  The two tests differ
+    only at equality, within rounding.
     """
     if not np.isfinite(mats).all():
         raise ValueError("non-finite entries")
@@ -103,8 +122,10 @@ def check_density_stack(mats: Array) -> None:
     tr = np.trace(mats, axis1=-2, axis2=-1)
     if np.maximum(abs(tr.real - 1.0), abs(tr.imag)).max(initial=0.0) > TRACE_TOL:
         raise ValueError("trace differs from one")
-    if np.linalg.eigvalsh(mats)[..., 0].min(initial=0.0) < EIG_FLOOR:
-        raise ValueError("not positive semidefinite")
+    try:
+        np.linalg.cholesky(mats + _floor_shift(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("not positive semidefinite") from None
 
 
 @dataclass(frozen=True)
@@ -112,8 +133,8 @@ class DensityMatrix:
     """Positive, unit-trace operator on a declared tensor-factor space.
 
     Construction validates Hermiticity (1e-10), trace (1e-10) and
-    positivity (smallest eigenvalue >= -1e-8) with check_density_stack;
-    invalid states raise.
+    positivity (smallest eigenvalue >= -1e-8, decided by one Cholesky
+    factorization) with check_density_stack; invalid states raise.
     """
 
     space: HilbertSpace

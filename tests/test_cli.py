@@ -23,6 +23,7 @@ from qprobe.cli import (
     MAX_SWEEP_POINTS,
     _sweep_grid,
     _sweep_row,
+    _write_csv,
     fmt,
     main,
 )
@@ -350,6 +351,32 @@ class TestEvolveCommand:
             assert row == [fmt(v) for v in expect]
             # Wootters' square-root route loses up to 5.3e-9 at rank-deficient states
             assert float(row[1]) == pytest.approx(_wootters_concurrence(ab.mat), abs=1e-8)
+
+    def test_family_state_built_once(self, tmp_path, monkeypatch, capsys):
+        # the pair of the initial joint state is the reference of dist_to_initial
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return one_param_density(x)
+
+        monkeypatch.setattr(qprobe.cli, "one_param_density", counted)
+        monkeypatch.setattr(qprobe.dynamics, "one_param_density", counted)
+        assert run(["evolve", "--x", "0.75", "--model", "secii-boson", "--gamma", "0.1",
+                    "--samples", "3", "--out", tmp_path / "e.csv"]) == 0
+        assert calls == [0.75]
+
+
+class TestWriteCsv:
+    def test_cells_as_fmt_and_str_write_them(self, tmp_path):
+        rows = [(0.1, np.float64(1 / 3), 2, "ground", True),
+                (-0.0, float("nan"), np.int64(-5), "x%sy", np.float64(1e-300)),
+                (float("inf"), 12345678901234.5, 0, "", None)]
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["a", "b", "c", "d", "e"], rows)
+        expect = ["a,b,c,d,e"] + [",".join(fmt(v) if isinstance(v, float) else str(v)
+                                           for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(expect) + "\n").encode()
 
 
 class TestProbeCommand:

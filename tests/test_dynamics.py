@@ -337,6 +337,23 @@ class TestIntegrateMaster:
         # there is no step to shorten, so the message names the rate
         assert "decay rate too large" in str(exc.value)
 
+    def test_drift_at_one_middle_sample_rejected(self, monkeypatch):
+        # the trace is checked over every sample once propagation ends:
+        # a map scaled past the bound for the middle gap only, and scaled
+        # back by the next gap's map, still fails the run
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
+        noise = NoiseConfig(gamma=0.1)
+        times = [0.25, 0.5, 1.0, 1.75, 2.0]  # gaps 0.25, 0.25, 0.5, 0.75, 0.25
+        integrate_master(rho0, cfg, noise, 2.0, sample_times=times)
+        plan = cfg._plan
+        gap_map, scale = plan.gap_map, {0.5: 1.0 + 2e-10, 0.75: 1.0 / (1.0 + 2e-10)}
+        monkeypatch.setattr(plan, "gap_map", lambda gap: gap_map(gap) * scale.get(gap, 1.0))
+        res = integrate_master(rho0, cfg, noise, 1.0, sample_times=times[:2])
+        assert cfg._plan is plan and len(res.times) == 2
+        with pytest.raises(ValueError, match="trace drift"):
+            integrate_master(rho0, cfg, noise, 2.0, sample_times=times)
+
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValueError):
             integrate_master(

@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qprobe.qcore import (
+    EIG_FLOOR,
     REDUCTION_PLANS,
     DensityMatrix,
     HilbertSpace,
     SpectralPropagator,
+    check_density_stack,
     entropy_bits,
     entropy_of_spectrum,
     fidelity,
@@ -24,6 +26,7 @@ from qprobe.qcore import (
     reduced_entry_stack,
     trace_distance,
     trace_distance_stack,
+    _floor_shift,
     _reduction_plan,
 )
 from qprobe.states import one_param_density
@@ -76,6 +79,76 @@ class TestDensityMatrix:
         r = dm(np.diag([0.5, 0.5]))
         with pytest.raises(ValueError):
             r.mat[0, 0] = 1.0
+
+
+def state_with_lowest(rng, dim, lowest):
+    """A Hermitian unit-trace dim x dim matrix whose smallest eigenvalue is ``lowest``.
+
+    The other eigenvalues share 1 - lowest, each at least a tenth of the
+    largest, in a random eigenbasis; a 1 x 1 matrix is [[1]].
+    """
+    if dim == 1:
+        return np.ones((1, 1), dtype=complex)
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    values = np.concatenate([[lowest], (1.0 - lowest) * rest / rest.sum()])
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    m = (q * values) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def check_message(mats):
+    """The error check_density_stack raises on ``mats``, or None if it accepts them."""
+    try:
+        check_density_stack(mats)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckDensityStack:
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 18), offset=st.floats(1e-11, 1e-6),
+           below=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_positivity_verdict_matches_smallest_eigenvalue(self, dim, offset, below, seed):
+        # the Cholesky factorization of the shifted matrix decides exactly
+        # what the smallest eigenvalue against the floor decides
+        lowest = EIG_FLOOR + (-offset if below else offset)
+        mat = state_with_lowest(np.random.default_rng(seed), dim, lowest)
+        accepted = np.linalg.eigvalsh(mat)[0] >= EIG_FLOOR
+        if dim > 1:
+            assert accepted == (not below)
+        assert check_message(mat[None]) == (None if accepted else "not positive semidefinite")
+
+    @pytest.mark.parametrize("row", [None, 0, 100, 200], ids=["single", "row0", "row100",
+                                                               "last-row"])
+    @pytest.mark.parametrize("lowest, corrupt, message", [
+        (-0.9e-8, False, None),
+        (-1.1e-8, False, "not positive semidefinite"),
+        # a non-finite entry is reported before the asymmetry and the negative eigenvalue
+        (-1.1e-8, True, "non-finite entries"),
+    ], ids=["inside-floor", "below-floor", "nan-first"])
+    def test_floor_on_a_single_matrix_and_in_a_stack(self, row, lowest, corrupt, message):
+        rng = np.random.default_rng(7)
+        bad = state_with_lowest(rng, 9, lowest)
+        if corrupt:
+            bad[0, 1] = np.nan
+        if row is None:
+            assert check_message(bad[None]) == message
+            if message is None:
+                dm(bad)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    dm(bad)
+            return
+        stack = np.stack([state_with_lowest(rng, 9, 0.01) for _ in range(201)])
+        assert check_message(stack) is None
+        stack[row] = bad
+        assert check_message(stack) == message
+
+    def test_shift_is_cached_and_read_only(self):
+        shift = _floor_shift(4)
+        assert _floor_shift(4) is shift and not shift.flags.writeable
+        assert np.array_equal(shift, -EIG_FLOOR * np.eye(4))
 
 
 class TestKron:
