@@ -1,16 +1,18 @@
-"""Correlation quantifiers for two-qubit states.
+"""Correlation quantifiers for two-qubit X states.
 
-Implements the concurrence (closed form on X states, Wootters' formula
-on any other state), quantum mutual information, the
-conditional entropy under a projective measurement of the second qubit,
-the classical correlation (as a definitional optimization over
-measurement bases), quantum discord and the closed-form classical
-correlation for symmetric X-states.
+An X state has zero entries off its diagonal and anti-diagonal (the X);
+every state the models produce is one.  The measures take X states
+only, and one guard, ``_x_states``, decides which states those are: it
+requires a two-qubit state, drops entries off the X of modulus up to
+``XSTATE_PATTERN_TOL`` (rounding, which propagation leaves), since every
+formula reads the X alone, and raises ``ValueError`` naming the first
+larger one.  The conditional entropy of a given measurement is the one
+measure that takes any two-qubit state.
 
-The optimizer takes one of two paths, chosen from the state itself.  An
-X state, whose entries off the diagonal and the anti-diagonal are all
-exactly zero, leaves the first qubit in 2x2 states whose diagonals do
-not depend on the azimuth phi and whose coherence has modulus
+On X states the concurrence is closed form (Yu & Eberly, Quantum Inf.
+Comput. 7, 459 (2007)), and so is the mutual information.  The first
+qubit is left in 2x2 states whose diagonals do not depend on the
+azimuth phi and whose coherence has modulus
 cos sin |e^{-i phi} r23 + e^{i phi} r14|; so phi* = (arg r23 - arg r14)/2
 maximizes it at every theta (Chen et al., PRA 84, 042313 (2011)), and the
 conditional entropy is symmetric under theta -> pi - theta.  The minimum
@@ -18,16 +20,12 @@ is then a 65-point grid over theta in [0, pi/2] at phi*, refined by
 Brent's bounded method (parabolic steps with a golden-section fallback)
 on the cells around its best point, on a closed form in ``math`` of
 r11 .. r44 and |r23| + |r14|, and S(A) is the entropy of the
-marginal's two populations.  Every state the models produce is an X
-state (with r14 = 0), and ``correlation_report`` takes its other
-columns from the same few entries, in ``math`` too.  Any other state
-(one non-zero entry off the X suffices) goes through the 2-D search
-over (theta, phi), which is also the reference the 1-D path is tested
-against.  Both searches are numpy only and evaluate one batched
-kernel: measuring the second qubit along |v> leaves the first in the
-unnormalised 2x2 state (I (x) <v|) rho (I (x) |v>), whose trace and
-eigenvalues are closed form, so no eigensolver runs and no small
-outcome is clipped.
+marginal's two populations.  ``correlation_report`` takes its other
+columns from the same few entries, in ``math`` too.  The grid evaluates
+one batched numpy kernel: measuring the second qubit along |v> leaves
+the first in the unnormalised 2x2 state (I (x) <v|) rho (I (x) |v>),
+whose trace and eigenvalues are closed form, so no eigensolver runs and
+no small outcome is clipped.
 
 The definitional optimizer is the authority for discord; the closed
 form is exposed separately because its first branch disagrees with the
@@ -44,25 +42,10 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import (
-    ENTROPY_CLIP,
-    DensityMatrix,
-    entropy_bits,
-    entropy_of_spectra,
-    kron,
-    partial_trace,
-    psd_sqrt_mat,
-)
-from .states import SIGMA_Y, XState, extract_xstate, xstate_from_entries
+from .qcore import ENTROPY_CLIP, DensityMatrix, entropy_of_spectra
+from .states import XSTATE_PATTERN_TOL, XState, xstate_from_entries
 
-# Optimizer schedule for general states: coarse grid scan over the
-# measurement 2-torus, then simplex refinement from the best cells.  The
-# objective has at most a few extrema, so a handful of starts guards
-# against local minima.
-GRID_THETA = 32
-GRID_PHI = 64
-REFINE_STARTS = 4
-REFINE_MAXITER = 200
+#: stopping width of the polar refinement, in radians
 REFINE_TOL = 1e-10
 
 #: polar grid on [0, pi/2] (both ends included) for X states
@@ -73,8 +56,6 @@ _POLAR_THETAS.setflags(write=False)
 
 #: entries of a two-qubit matrix off its diagonal and anti-diagonal (the X)
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-#: the same entries as flat positions 4 i + j
-_OFF_X_FLAT = tuple(np.flatnonzero(_OFF_X).tolist())
 
 _LN2 = math.log(2.0)
 
@@ -97,64 +78,56 @@ class MeasurementBasis:
         if not 0.0 <= self.theta <= np.pi:
             raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ValueError("phi must lie in [0,  2 pi)")
+            raise ValueError("phi must lie in [0, 2 pi)")
 
 
-def _normalized_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Map arbitrary angles onto theta in [0, pi], phi in [0, 2 pi)."""
-    theta = float(theta) % (2.0 * np.pi)
-    if theta > np.pi:
-        theta = 2.0 * np.pi - theta
-        phi = phi + np.pi
-    phi = float(phi) % (2.0 * np.pi)
-    # guard against 2*pi landing exactly on the open boundary
-    if phi >= 2.0 * np.pi:
-        phi = 0.0
-    return theta, phi
+def _pair_matrix(rho: DensityMatrix) -> np.ndarray:
+    """The matrix of ``rho``, which must be a two-qubit state."""
+    if rho.space.dims != (2, 2):
+        raise ValueError("two-qubit state required")
+    return rho.mat
 
 
-def _wootters_concurrence(mat: np.ndarray) -> float:
-    """Wootters concurrence of one two-qubit matrix.
+def _x_states(mats: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) stack ``mats`` as two-qubit X states: every measure's one check.
 
-    The spectrum of rho * rho_tilde is obtained from the Hermitian form
-    sqrt(rho) rho_tilde sqrt(rho), which has the same eigenvalues with
-    strictly better numerical behavior than a general complex solver.
+    An entry off the X of modulus up to XSTATE_PATTERN_TOL is rounding;
+    every formula reads the X alone, so such entries are dropped (in a
+    copy; a stack of exact X states comes back as it is).  A larger
+    entry raises ValueError naming the first.
     """
-    yy = kron(SIGMA_Y, SIGMA_Y)
-    tilde = yy @ mat.conj() @ yy
-    root = psd_sqrt_mat(mat)
-    herm = root @ tilde @ root
-    vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))
-    lam = np.sqrt(np.clip(vals, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+        raise ValueError("two-qubit state required")
+    off = mats[:, _OFF_X]
+    if not np.count_nonzero(off):
+        return mats
+    over = np.argwhere(np.abs(off) > XSTATE_PATTERN_TOL)
+    if over.size:
+        s, k = over[0]
+        i, j = np.argwhere(_OFF_X)[k]
+        raise ValueError(f"not an X state: entry ({i}, {j}) of state {s}, off the X, is "
+                         f"{complex(mats[s, i, j]):.3g} (rounding is at most "
+                         f"{XSTATE_PATTERN_TOL:g})")
+    return np.where(_OFF_X, 0.0, mats)
 
 
 def concurrence_stack(mats: np.ndarray) -> np.ndarray:
-    """Concurrence of every two-qubit state of an (n, 4, 4) stack.
+    """Concurrence of every X state of an (n, 4, 4) stack.
 
-    An X state, whose entries off the diagonal and the anti-diagonal
-    are all exactly zero (every state the models produce), has the
-    closed form 2 max(0, |r23| - sqrt(r11 r44), |r14| - sqrt(r22 r33))
-    (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)); any other state
-    takes Wootters' formula.
+    The closed form 2 max(0, |r23| - sqrt(r11 r44), |r14| - sqrt(r22 r33))
+    (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).
     """
-    if mats.shape[-2:] != (4, 4):
-        raise ValueError("two-qubit state required")
+    mats = _x_states(mats)
     pops = mats.diagonal(axis1=1, axis2=2).real
-    out = 2.0 * np.maximum(0.0, np.maximum(
+    return 2.0 * np.maximum(0.0, np.maximum(
         np.abs(mats[:, 1, 2]) - np.sqrt(np.clip(pops[:, 0] * pops[:, 3], 0.0, None)),
         np.abs(mats[:, 0, 3]) - np.sqrt(np.clip(pops[:, 1] * pops[:, 2], 0.0, None)),
     ))
-    for s in np.flatnonzero(np.any(mats[:, _OFF_X], axis=1)):
-        out[s] = _wootters_concurrence(mats[s])
-    return out
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Concurrence of a two-qubit state (see ``concurrence_stack``)."""
-    if rho.dim != 4:
-        raise ValueError("two-qubit state required")
-    return float(concurrence_stack(rho.mat[None])[0])
+    """Concurrence of a two-qubit X state (see ``concurrence_stack``)."""
+    return float(concurrence_stack(_pair_matrix(rho)[None])[0])
 
 
 def concurrence_time_formula(x: float, gt: float) -> float:
@@ -164,13 +137,15 @@ def concurrence_time_formula(x: float, gt: float) -> float:
     return max(0.0, abs(2.0 - 3.0 * x) - (1.0 - x) * abs(np.sin(2.0 * gt)))
 
 
-def _x_mutual_information(mats: np.ndarray) -> np.ndarray:
-    """Mutual information of (n, 4, 4) X states without a diagonalization.
+def mutual_information_stack(mats: np.ndarray) -> np.ndarray:
+    """S(A) + S(B) - S(AB) in bits for every X state of an (n, 4, 4) stack.
 
     An X state is block diagonal on {|00>, |11>} and {|01>, |10>}; a
     block [[a, c], [c*, d]] has eigenvalues (a + d)/2 -+ |((a - d)/2, c)|.
-    Both marginals are diagonal, with the summed populations.
+    Both marginals are diagonal, with the summed populations.  No
+    diagonalization runs.
     """
+    mats = _x_states(mats)
     pops = mats.diagonal(axis1=1, axis2=2).real
     n = len(mats)
     # rows S(A), S(B), S(AB); the marginal rows are padded with zeros
@@ -187,36 +162,9 @@ def _x_mutual_information(mats: np.ndarray) -> np.ndarray:
     return s[:, 0] + s[:, 1] - s[:, 2]
 
 
-def _mutual_information_eigvalsh(mats: np.ndarray, dims) -> np.ndarray:
-    da, db = dims
-    split = mats.reshape(-1, da, db, da, db)
-    s_a = entropy_of_spectra(np.linalg.eigvalsh(np.trace(split, axis1=2, axis2=4)))
-    s_b = entropy_of_spectra(np.linalg.eigvalsh(np.trace(split, axis1=1, axis2=3)))
-    return s_a + s_b - entropy_of_spectra(np.linalg.eigvalsh(mats))
-
-
-def mutual_information_stack(mats: np.ndarray, dims=(2, 2)) -> np.ndarray:
-    """S(A) + S(B) - S(AB) in bits for every state of an (n, d, d) stack.
-
-    ``dims`` are the dimensions of the two factors, d = dims[0] * dims[1].
-    A two-qubit X state (routed as in ``concurrence_stack``) takes the
-    closed form of ``_x_mutual_information``; any other state takes
-    ``eigvalsh`` of the marginals and of the joint matrix.
-    """
-    if tuple(dims) != (2, 2):
-        return _mutual_information_eigvalsh(mats, dims)
-    out = _x_mutual_information(mats)
-    general = np.flatnonzero(np.any(mats[:, _OFF_X], axis=1))
-    if general.size:
-        out[general] = _mutual_information_eigvalsh(mats[general], dims)
-    return out
-
-
 def mutual_information(rho: DensityMatrix) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) in bits."""
-    if rho.space.nfactors != 2:
-        raise ValueError("bipartite state required")
-    return float(mutual_information_stack(rho.mat[None], rho.space.dims)[0])
+    """Quantum mutual information S(A) + S(B) - S(AB) in bits of a two-qubit X state."""
+    return float(mutual_information_stack(_pair_matrix(rho)[None])[0])
 
 
 def _conditional_entropy_batch(
@@ -255,10 +203,11 @@ def _conditional_entropy_angles(mat: np.ndarray, theta: float, phi: float) -> fl
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
-    """sum_k p_k S(rho_k) for a projective measurement on the second qubit."""
-    if rho.dim != 4:
-        raise ValueError("two-qubit state required")
-    return _conditional_entropy_angles(rho.mat, basis.theta, basis.phi)
+    """sum_k p_k S(rho_k) for a projective measurement on the second qubit.
+
+    Unlike the other measures this takes any two-qubit state.
+    """
+    return _conditional_entropy_angles(_pair_matrix(rho), basis.theta, basis.phi)
 
 
 def _xlog2_scalar(w: float) -> float:
@@ -407,83 +356,23 @@ def _min_conditional_entropy_polar(mat: np.ndarray, phi: float = 0.0) -> tuple[f
     return min((float(values[k]), float(thetas[k])), (value, fold(theta)))
 
 
-def _min_conditional_entropy_sphere(mat: np.ndarray) -> tuple[float, float, float]:
-    """Minimum over all measurement directions (theta, phi), and its angles.
-
-    Grid scan (32 theta x 64 phi), then Nelder-Mead (scipy's initial
-    simplex and coefficients) from the REFINE_STARTS best cells, ties
-    toward smaller theta, then smaller phi.  All starts step together:
-    one batch evaluates every point a step may need, and each start
-    takes the one its rule picks, until its simplex spans at most
-    REFINE_TOL in angles and values or REFINE_MAXITER rounds have run.
-    The angles stay unfolded; only the winner is mapped back.
-    """
-    thetas = np.linspace(0.0, np.pi, GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    values = _conditional_entropy_batch(mat, tt, pp)
-    starts = np.lexsort((pp, tt, values))[:REFINE_STARTS]
-
-    # sim[start, vertex]; vertex k + 1 scales angle k by 1.05 (0 -> 0.00025)
-    x0 = np.stack([tt[starts], pp[starts]], axis=1)
-    sim = np.repeat(x0[:, None, :], 3, axis=1)
-    sim[:, [1, 2], [0, 1]] = np.where(x0 != 0.0, 1.05 * x0, 0.00025)
-    fsim = _conditional_entropy_batch(mat, sim[..., 0], sim[..., 1])
-    running = np.ones(starts.size, dtype=bool)
-    for _ in range(REFINE_MAXITER - 1):
-        order = np.argsort(fsim, axis=1, kind="stable")
-        sim = np.take_along_axis(sim, order[..., None], axis=1)
-        fsim = np.take_along_axis(fsim, order, axis=1)
-        running &= ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > REFINE_TOL)
-                    | (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) > REFINE_TOL))
-        if not running.any():
-            break
-        # reflection, expansion, outside and inside contraction, shrunk vertices
-        best, mid = sim[:, :1], 0.5 * (sim[:, :1] + sim[:, 1:2])
-        moves = np.array([1.0, 2.0, 0.5, -0.5])[:, None] * (mid - sim[:, 2:])
-        trial = np.concatenate([mid + moves, best + 0.5 * (sim[:, 1:] - best)], axis=1)
-        ftrial = _conditional_entropy_batch(mat, trial[..., 0], trial[..., 1])
-        fr, fe, fout, fin = ftrial[:, :4].T
-        pick = np.select(
-            [fr < fsim[:, 0], fr < fsim[:, 1], (fr < fsim[:, 2]) & (fout <= fr),
-             (fr >= fsim[:, 2]) & (fin < fsim[:, 2])],
-            [np.where(fe < fr, 1, 0), 0, 2, 3], default=-1)
-        one = np.flatnonzero(running & (pick >= 0))
-        sim[one, 2], fsim[one, 2] = trial[one, pick[one]], ftrial[one, pick[one]]
-        shrink = np.flatnonzero(running & (pick < 0))
-        sim[shrink, 1:], fsim[shrink, 1:] = trial[shrink, 4:], ftrial[shrink, 4:]
-    s, v = np.unravel_index(np.argmin(fsim), fsim.shape)
-    return (float(fsim[s, v]), *_normalized_angles(*sim[s, v]))
-
-
 def classical_correlation_optimized(
     rho: DensityMatrix,
 ) -> tuple[float, MeasurementBasis]:
-    """Classical correlation S(A) - min_B S(A|{B}) and the minimizing basis.
+    """Classical correlation S(A) - min_B S(A|{B}) of an X state, and the minimizing basis.
 
-    An X state (entries off the diagonal and the anti-diagonal all
-    exactly zero; every state the models produce) is minimized by a
-    1-D search over theta in [0, pi/2] at the azimuth
+    A deterministic 1-D search over theta in [0, pi/2] at the azimuth
     phi* = (arg r23 - arg r14) / 2 mod pi (0 when either coherence is
-    exactly 0), and S(A) is the entropy of its marginal's two
-    populations.  Any other state takes the 2-D search over
-    (theta, phi).  Both paths are deterministic.
+    exactly 0); S(A) is the entropy of the marginal's two populations.
     """
-    if rho.dim != 4:
-        raise ValueError("two-qubit state required")
-    mat = rho.mat
-    if np.any(mat[_OFF_X]):
-        s_a = entropy_bits(partial_trace(rho, {0}).mat)
-        ce_min, theta, phi = _min_conditional_entropy_sphere(mat)
-    else:
-        r23, r14 = complex(mat[1, 2]), complex(mat[0, 3])
-        phi = 0.0
-        if r23 and r14:
-            phi = float(np.angle(r23) - np.angle(r14)) / 2.0 % math.pi
-        ce_min, theta = _min_conditional_entropy_polar(mat, phi)
-        r11, r22, r33, r44 = mat.diagonal().real.tolist()
-        s_a = _entropy_of_values(r11 + r22, r33 + r44)
-    return s_a - ce_min, MeasurementBasis(theta, phi)
+    mat = _x_states(_pair_matrix(rho)[None])[0]
+    r23, r14 = complex(mat[1, 2]), complex(mat[0, 3])
+    phi = 0.0
+    if r23 and r14:
+        phi = float(np.angle(r23) - np.angle(r14)) / 2.0 % math.pi
+    ce_min, theta = _min_conditional_entropy_polar(mat, phi)
+    r11, r22, r33, r44 = mat.diagonal().real.tolist()
+    return _entropy_of_values(r11 + r22, r33 + r44) - ce_min, MeasurementBasis(theta, phi)
 
 
 def classical_correlation_closed_form(xs: XState) -> float:
@@ -537,15 +426,17 @@ class CorrelationReport:
             raise ValueError("classical correlation exceeds mutual information")
 
 
-def _x_state_columns(flat: list) -> tuple[float, float, Optional[float]]:
-    """Concurrence, mutual information and closed form of one two-qubit X state.
+def correlation_report(rho: DensityMatrix) -> CorrelationReport:
+    """Every quantifier of an X state, from a single optimizer run.
 
-    ``flat`` lists the 16 entries of the matrix in row order.  These are
-    the formulas of ``concurrence_stack``, ``_x_mutual_information`` and
-    ``classical_correlation_closed_form`` (None where ``extract_xstate``
-    or the closed form refuses the state), on r11 .. r44, |r23| and
-    |r14| as floats, in ``math``.
+    The other columns come from one read of r11 .. r44, |r23| and |r14|
+    as floats, in ``math``: the formulas of ``concurrence_stack``,
+    ``mutual_information_stack`` and ``classical_correlation_closed_form``
+    (None where ``xstate_from_entries`` or the closed form refuses the
+    state).
     """
+    classical, basis = classical_correlation_optimized(rho)
+    flat = _x_states(_pair_matrix(rho)[None])[0].ravel().tolist()
     r11, r22, r33, r44 = flat[0].real, flat[5].real, flat[10].real, flat[15].real
     a14, a23 = abs(flat[3]), abs(flat[6])
     conc = 2.0 * max(0.0, a23 - math.sqrt(max(r11 * r44, 0.0)),
@@ -561,29 +452,6 @@ def _x_state_columns(flat: list) -> tuple[float, float, Optional[float]]:
         closed = classical_correlation_closed_form(xstate_from_entries(flat))
     except ValueError:
         closed = None
-    return conc, mi, closed
-
-
-def correlation_report(rho: DensityMatrix) -> CorrelationReport:
-    """Evaluate every quantifier once (a single optimizer run is shared).
-
-    A two-qubit X state (routed as in ``concurrence_stack``; every state
-    the models produce) has its other columns from one read of its
-    entries (``_x_state_columns``); any other state takes
-    ``mutual_information``, ``extract_xstate`` and ``concurrence``.
-    """
-    classical, basis = classical_correlation_optimized(rho)
-    flat = rho.mat.ravel().tolist()
-    closed: Optional[float]
-    if rho.space.dims == (2, 2) and not any(flat[k] for k in _OFF_X_FLAT):
-        conc, mi, closed = _x_state_columns(flat)
-    else:
-        mi = mutual_information(rho)
-        try:
-            closed = classical_correlation_closed_form(extract_xstate(rho))
-        except ValueError:
-            closed = None
-        conc = concurrence(rho)
     return CorrelationReport(
         concurrence=conc,
         mutual_info=mi,

@@ -20,7 +20,8 @@ from .qcore import Array, DensityMatrix, HilbertSpace, kron
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
-#: zero-pattern tolerance accepted by extract_xstate
+#: largest entry modulus that extract_xstate and the X-state guard of
+#: ``measures`` take for an exact zero (rounding)
 XSTATE_PATTERN_TOL = 1e-8
 
 #: flat positions 4 i + j of the two-qubit entries an XState holds at

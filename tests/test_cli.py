@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qprobe
+from qprobe import measures
 from qprobe.cli import (
     _COMMANDS,
     MAX_EVOLVE_SAMPLES,
@@ -39,7 +40,7 @@ from qprobe.dynamics import (
     reachable_entries,
     sigma_z_stack,
 )
-from qprobe.measures import _wootters_concurrence, concurrence, mutual_information
+from qprobe.measures import concurrence, mutual_information
 from qprobe.protocols import (
     MAX_HALF_PERIODS,
     MAX_QND_CYCLES,
@@ -49,6 +50,7 @@ from qprobe.protocols import (
 )
 from qprobe.qcore import partial_trace, trace_distance
 from qprobe.states import ProbePrep, one_param_density
+from test_measures import wootters_concurrence
 
 
 def run(args):
@@ -350,7 +352,7 @@ class TestEvolveCommand:
                       trace_distance(ab.mat, rho0.mat))
             assert row == [fmt(v) for v in expect]
             # Wootters' square-root route loses up to 5.3e-9 at rank-deficient states
-            assert float(row[1]) == pytest.approx(_wootters_concurrence(ab.mat), abs=1e-8)
+            assert float(row[1]) == pytest.approx(wootters_concurrence(ab.mat), abs=1e-8)
 
     def test_family_state_built_once(self, tmp_path, monkeypatch, capsys):
         # the pair of the initial joint state is the reference of dist_to_initial
@@ -790,22 +792,23 @@ ONE_PATH_COMMANDS = [
 
 @pytest.mark.parametrize("args", ONE_PATH_COMMANDS, ids=" ".join)
 def test_every_report_takes_the_x_state_path(args, tmp_path, monkeypatch, capsys):
-    # every state a CLI job reports on is an exact X state: the 2-D
-    # search, Wootters' formula, the eigvalsh mutual information and
-    # extract_xstate serve library input only
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("a CLI report left the X-state path")
+    # every state a CLI job reports on is an exact X state: the guard
+    # drops rounding off the X, and none may reach it
+    guard, seen = measures._x_states, []
 
-    for name in ("_min_conditional_entropy_sphere", "_wootters_concurrence",
-                 "_mutual_information_eigvalsh", "extract_xstate"):
-        monkeypatch.setattr(f"qprobe.measures.{name}", refuse)
+    def spy(mats):
+        seen.append(float(np.abs(mats[:, measures._OFF_X]).max()))
+        return guard(mats)
+
+    monkeypatch.setattr(measures, "_x_states", spy)
     monkeypatch.chdir(tmp_path)
     assert main(args) == 0, capsys.readouterr().err
+    assert seen and max(seen) == 0.0
 
 
 def test_runtime_needs_no_scipy(tmp_path):
-    # scipy is test-only: with it blocked, the sphere-search fallback, the
-    # report on a state that takes it and a noisy sweep all still run
+    # scipy is test-only: with it blocked, a noisy sweep still runs, and
+    # the measures refuse a state off the X instead of searching it
     src = os.path.dirname(os.path.dirname(qprobe.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = """
@@ -820,16 +823,20 @@ family = one_param_density(0.75)
 mat = 0.9 * family.mat + 0.025 * np.eye(4)
 mat[0, 1] = mat[1, 0] = 0.01  # |00><01| joins excitation sectors
 rho = DensityMatrix(family.space, mat)
-value, basis = classical_correlation_optimized(rho)
-report = correlation_report(rho)
-assert abs(report.classical - value) == 0.0
+for measure in (classical_correlation_optimized, correlation_report):
+    try:
+        measure(rho)
+    except ValueError as err:
+        assert "entry (0, 1)" in str(err), err
+    else:
+        raise AssertionError(f"{measure.__name__} took a state off the X")
 assert main(["sweep", "--gamma", "0.1", "--x-step", "0.25", "--out", "s.csv"]) == 0
-print("ok", value)
+print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("ok ")
+    assert proc.stdout.splitlines()[-1] == "ok"
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 4
 
 

@@ -5,20 +5,13 @@ from hypothesis import strategies as st
 
 from qprobe import measures, protocols
 from qprobe.measures import (
-    GRID_PHI,
-    GRID_THETA,
     GRID_THETA_POLAR,
-    REFINE_MAXITER,
-    REFINE_STARTS,
     REFINE_TOL,
     CorrelationReport,
     MeasurementBasis,
     _conditional_entropy_angles,
     _conditional_entropy_batch,
     _min_conditional_entropy_polar,
-    _min_conditional_entropy_sphere,
-    _normalized_angles,
-    _wootters_concurrence,
     classical_correlation_closed_form,
     classical_correlation_optimized,
     concurrence,
@@ -30,8 +23,11 @@ from qprobe.measures import (
     mutual_information,
     mutual_information_stack,
 )
-from qprobe.qcore import DensityMatrix, HilbertSpace, kron, entropy_bits, partial_trace
+from qprobe.qcore import (
+    DensityMatrix, HilbertSpace, entropy_bits, kron, partial_trace, psd_sqrt_mat)
 from qprobe.states import (
+    SIGMA_Y,
+    XSTATE_PATTERN_TOL,
     XState,
     corner_swap,
     extract_xstate,
@@ -66,12 +62,6 @@ def random_symmetric_xstate(rng):
     return XState(pops[0], r22, r22, pops[2], c)
 
 
-def random_qubit_unitary(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def product_state(rng):
     def qubit():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -79,6 +69,25 @@ def product_state(rng):
         return m / np.trace(m).real
 
     return DensityMatrix(SPACE, kron(qubit(), qubit()))
+
+
+def diagonal_product_state(rng):
+    """A product of two qubit states diagonal in the z basis: an X state."""
+    a, b = rng.uniform(0.0, 1.0, 2)
+    return DensityMatrix(SPACE, np.diag(np.kron([a, 1.0 - a], [b, 1.0 - b])).astype(complex))
+
+
+def wootters_concurrence(mat):
+    """Wootters' concurrence of a two-qubit matrix, the reference for the closed form.
+
+    The spectrum of rho * rho_tilde comes from the Hermitian form
+    sqrt(rho) rho_tilde sqrt(rho), which has the same eigenvalues.
+    """
+    yy = kron(SIGMA_Y, SIGMA_Y)
+    root = psd_sqrt_mat(mat)
+    herm = root @ yy @ mat.conj() @ yy @ root
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (herm + herm.conj().T)), 0.0, None))[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 class TestConcurrence:
@@ -126,24 +135,46 @@ class TestConcurrence:
             mat[np.ix_([i, j], [i, j])] = u @ np.diag([a, b]) @ u.conj().T
         rho = DensityMatrix(SPACE, mat)
         assert np.linalg.eigvalsh(rho.mat)[0] >= 1e-3 - 1e-12
-        assert concurrence(rho) == pytest.approx(_wootters_concurrence(rho.mat), abs=1e-12)
+        assert concurrence(rho) == pytest.approx(wootters_concurrence(rho.mat), abs=1e-12)
 
-    def test_one_entry_off_the_x_takes_wootters(self, monkeypatch):
-        calls = []
 
-        def spy(mat):
-            calls.append(mat)
-            return _wootters_concurrence(mat)
+#: every public measure that takes X states only
+X_STATE_MEASURES = (concurrence, mutual_information, classical_correlation_optimized,
+                    discord, correlation_report)
 
-        monkeypatch.setattr(measures, "_wootters_concurrence", spy)
+
+class TestXStateGuard:
+    @pytest.mark.parametrize("dims", [(4,), (1, 4)])
+    def test_every_measure_requires_two_qubits(self, dims):
+        rho = DensityMatrix(HilbertSpace(dims, ("P", "Q")[-len(dims):]),
+                            one_param_density(0.75).mat)
+        z_basis = MeasurementBasis(0.0, 0.0)
+        for measure in (*X_STATE_MEASURES, lambda r: conditional_entropy(r, z_basis)):
+            with pytest.raises(ValueError, match="^two-qubit state required$"):
+                measure(rho)
+
+    def test_rounding_off_the_x_is_dropped_and_more_raises(self):
         x_state = 0.8 * one_param_density(0.9).mat + 0.05 * np.eye(4)
-        off_x = x_state.copy()
-        off_x[0, 1] = off_x[1, 0] = 1e-3
-        mats = np.array([x_state, off_x, x_state])
-        values = concurrence_stack(mats)
-        assert len(calls) == 1 and np.array_equal(calls[0], off_x)
-        assert values[1] == _wootters_concurrence(off_x)
-        assert values[0] == values[2] == pytest.approx(_wootters_concurrence(x_state), abs=1e-12)
+        swapped = corner_swap(DensityMatrix(SPACE, x_state)).mat
+        for size in (6.7e-17, 0.5 * XSTATE_PATTERN_TOL):
+            near = x_state.copy()
+            near[0, 1] = near[1, 0] = near[2, 3] = near[3, 2] = size
+            assert correlation_report(DensityMatrix(SPACE, near)) == correlation_report(
+                DensityMatrix(SPACE, x_state))
+            # each row of a stack is the single-state value of its X projection
+            mats = np.array([swapped, near, x_state])
+            for stack, single in ((concurrence_stack, concurrence),
+                                  (mutual_information_stack, mutual_information)):
+                assert stack(mats).tolist() == [
+                    single(DensityMatrix(SPACE, m)) for m in (swapped, x_state, x_state)]
+        for size in (1e-6, 2.0 * XSTATE_PATTERN_TOL):
+            off_x = x_state.copy()
+            off_x[0, 1] = off_x[1, 0] = size
+            for measure in X_STATE_MEASURES:
+                with pytest.raises(ValueError, match=r"entry \(0, 1\) of state 0, off the X"):
+                    measure(DensityMatrix(SPACE, off_x))
+            with pytest.raises(ValueError, match=r"entry \(0, 1\) of state 1, off the X"):
+                concurrence_stack(np.array([x_state, off_x]))
 
 
 class TestConcurrenceTimeFormula:
@@ -169,7 +200,7 @@ class TestMutualInformation:
     def test_product_states(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            assert mutual_information(product_state(rng)) == pytest.approx(0.0, abs=1e-10)
+            assert mutual_information(diagonal_product_state(rng)) == pytest.approx(0.0, abs=1e-10)
 
     def test_diagonal_point(self):
         assert mutual_information(one_param_density(2.0 / 3.0)) == pytest.approx(
@@ -180,13 +211,6 @@ class TestMutualInformation:
         joint = join_with_probe(one_param_density(0.75), ProbePrep.GROUND)
         with pytest.raises(ValueError):
             mutual_information(joint)
-
-    def test_stack_rows_match(self):
-        rng = np.random.default_rng(5)
-        states = [product_state(rng), one_param_density(0.6), one_param_density(1.0),
-                  corner_swap(one_param_density(0.9))]
-        got = mutual_information_stack(np.array([r.mat for r in states]))
-        assert got.tolist() == [mutual_information(r) for r in states]
 
 
 class TestConditionalEntropy:
@@ -224,7 +248,7 @@ class TestClassicalCorrelationOptimized:
 
     def test_product_state_zero(self):
         rng = np.random.default_rng(8)
-        value, _ = classical_correlation_optimized(product_state(rng))
+        value, _ = classical_correlation_optimized(diagonal_product_state(rng))
         assert abs(value) < 1e-9
 
     def test_against_brute_force_oracle(self):
@@ -330,15 +354,16 @@ class TestDiscord:
 
     def test_product(self):
         rng = np.random.default_rng(23)
-        assert discord(product_state(rng)) == pytest.approx(0.0, abs=1e-9)
+        assert discord(diagonal_product_state(rng)) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLocalUnitaryInvariance:
     def test_random_local_rotations(self):
+        # local z rotations keep the X form
         rng = np.random.default_rng(29)
         for _ in range(20):
             rho = random_xstate(rng).to_density()
-            u = kron(random_qubit_unitary(rng), random_qubit_unitary(rng))
+            u = kron(*(_z_rotation(a) for a in rng.uniform(0.0, 2.0 * np.pi, 2)))
             rotated = DensityMatrix(rho.space, u @ rho.mat @ u.conj().T)
             rep_a = correlation_report(rho)
             rep_b = correlation_report(rotated)
@@ -406,7 +431,7 @@ class TestCorrelationReport:
 
     def test_closed_form_none_outside_family(self):
         rng = np.random.default_rng(37)
-        rep = correlation_report(product_state(rng))
+        rep = correlation_report(diagonal_product_state(rng))
         assert rep.classical_closed_form is None
 
 
@@ -477,6 +502,27 @@ def excitation_block_states(draw):
     return DensityMatrix(SPACE, mat)
 
 
+def scipy_sphere_oracle(mat):
+    """Minimum conditional entropy over every measurement direction, on scipy.optimize.
+
+    The search over (theta, phi) that the optimizer ran on any two-qubit
+    state before it took X states only: a grid of 32 theta x 64 phi,
+    then Nelder-Mead from the four best cells (ties toward smaller
+    theta, then smaller phi).
+    """
+    from scipy.optimize import minimize
+
+    tt, pp = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, np.pi, 32), np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
+        indexing="ij"))
+    values = _conditional_entropy_batch(mat, tt, pp)
+    refined = (minimize(lambda ang: _conditional_entropy_angles(mat, ang[0], ang[1]),
+                        x0=[tt[k], pp[k]], method="Nelder-Mead",
+                        options={"maxiter": 200, "xatol": REFINE_TOL, "fatol": REFINE_TOL}).fun
+               for k in np.lexsort((pp, tt, values))[:4])
+    return float(min(values.min(), *refined))
+
+
 def _pure_middle_state():
     v = np.array([0.0, np.sqrt(0.3), 1j * np.sqrt(0.7), 0.0])
     return DensityMatrix(SPACE, np.outer(v, v.conj()))
@@ -499,8 +545,7 @@ class TestPolarSearchProperties:
     def test_matches_sphere_search(self, rho):
         value, basis = classical_correlation_optimized(rho)
         s_a = entropy_bits(partial_trace(rho, {0}).mat)
-        ce_sphere, _, _ = _min_conditional_entropy_sphere(rho.mat)
-        assert value == pytest.approx(s_a - ce_sphere, abs=1e-12)
+        assert value == pytest.approx(s_a - scipy_sphere_oracle(rho.mat), abs=1e-12)
         assert basis.phi == 0.0 and basis.theta <= np.pi / 2
         assert conditional_entropy(rho, basis) == pytest.approx(s_a - value, abs=1e-12)
 
@@ -583,8 +628,7 @@ class TestXStatePolarSearch:
         # cs (|r23| + |r14|), where the polar search measures
         value, basis = classical_correlation_optimized(rho)
         s_a = entropy_bits(partial_trace(rho, {0}).mat)
-        ce_sphere, _, _ = _min_conditional_entropy_sphere(rho.mat)
-        assert value == pytest.approx(s_a - ce_sphere, abs=1e-12)
+        assert value == pytest.approx(s_a - scipy_sphere_oracle(rho.mat), abs=1e-12)
         assert conditional_entropy(rho, basis) == pytest.approx(s_a - value, abs=1e-12)
         if rho.mat[1, 2] == 0 or rho.mat[0, 3] == 0:
             assert basis.phi == 0.0
@@ -627,7 +671,7 @@ class TestPolarZoom:
         assert thetas[np.argmin(grid)] == end
         assert 0.0 < abs(theta - end) < thetas[1]
         assert value < grid.min() - 5e-11
-        assert value == pytest.approx(_min_conditional_entropy_sphere(mat)[0], abs=1e-12)
+        assert value == pytest.approx(scipy_sphere_oracle(mat), abs=1e-12)
 
 
 class TestBatchOutcomeEntropy:
@@ -759,150 +803,3 @@ class TestScalarReport:
         except ValueError:
             closed = None
         assert rep.classical_closed_form == closed
-
-    def test_other_states_keep_the_general_path(self):
-        rho = product_state(np.random.default_rng(41))
-        rep = correlation_report(rho)
-        assert rep.concurrence == concurrence(rho)
-        assert rep.mutual_info == mutual_information(rho)
-        assert rep.classical_closed_form is None
-
-
-# ---------------------------------------------------------------------------
-# general states: the batched numpy Nelder-Mead against scipy's
-
-
-def scipy_sphere_oracle(mat):
-    """The 2-D search as it ran on scipy.optimize, kept as the oracle.
-
-    Grid scan (64 phi x 32 theta) followed by Nelder-Mead refinement
-    from the best cells; ties break toward smaller theta then smaller
-    phi.
-    """
-    from scipy.optimize import minimize
-
-    thetas = np.linspace(0.0, np.pi, GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.ravel()
-    pp = pp.ravel()
-    values = _conditional_entropy_batch(mat, tt, pp)
-    order = np.lexsort((pp, tt, values))
-    candidates: list[tuple[float, float, float]] = []
-    best = order[0]
-    candidates.append((float(values[best]), float(tt[best]), float(pp[best])))
-    for idx in order[:REFINE_STARTS]:
-        res = minimize(
-            lambda ang: _conditional_entropy_angles(mat, ang[0], ang[1]),
-            x0=[float(tt[idx]), float(pp[idx])],
-            method="Nelder-Mead",
-            options={
-                "maxiter": REFINE_MAXITER,
-                "xatol": REFINE_TOL,
-                "fatol": REFINE_TOL,
-            },
-        )
-        th, ph = _normalized_angles(res.x[0], res.x[1])
-        candidates.append((float(res.fun), th, ph))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    return candidates[0]
-
-
-def _rotate_second(mat, tilt, azimuth):
-    """``mat`` with qubit B turned by R_z(azimuth) R_y(tilt)."""
-    ry = np.array([[np.cos(tilt / 2), -np.sin(tilt / 2)], [np.sin(tilt / 2), np.cos(tilt / 2)]])
-    u = kron(np.eye(2), _z_rotation(azimuth) @ ry)
-    return u @ mat @ u.conj().T
-
-
-@st.composite
-def general_states(draw):
-    """Random 4x4 states of rank 1 to 4: A A+ / tr for a 4 x rank A."""
-    rank = draw(st.integers(1, 4))
-    amp = st.floats(-1.0, 1.0)
-    a = np.array([[complex(draw(amp), draw(amp)) for _ in range(rank)] for _ in range(4)])
-    mat = a @ a.conj().T
-    assume(np.trace(mat).real > 1e-3)
-    return mat / np.trace(mat).real
-
-
-@st.composite
-def near_x_states(draw):
-    """X states with a |00><11| coherence of 1e-8 to 1e-2, B turned by any angle.
-
-    Untilted, the minimum sits at a pole or on the equator; a small or
-    large tilt moves it near a pole or onto a tilted ring whose values
-    differ by about the coherence only.
-    """
-    unit = st.floats(0.0, 1.0)
-    pops = np.array([draw(unit) for _ in range(4)])
-    assume(pops.sum() > 1e-3)
-    pops /= pops.sum()
-    coherence = draw(st.floats(-0.95, 0.95)) * np.sqrt(pops[1] * pops[2])
-    mat = XState(*pops, coherence).to_density().mat.copy()
-    corner = min(10.0 ** draw(st.floats(-8.0, -2.0)), 0.95 * np.sqrt(pops[0] * pops[3]))
-    mat[0, 3] = corner * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
-    mat[3, 0] = np.conj(mat[0, 3])
-    tilt = draw(st.one_of(st.just(0.0), st.floats(0.0, np.pi)))
-    return _rotate_second(mat, tilt, draw(st.floats(0.0, 2.0 * np.pi)))
-
-
-def _corner_coherence_state():
-    mat = XState(0.2, 0.3, 0.3, 0.2, 0.25).to_density().mat.copy()
-    mat[0, 3] = mat[3, 0] = -1e-6
-    return mat
-
-
-#: the best grid cell lies in a basin 6.7e-6 above the minimum; another start finds it
-_TWO_BASIN_STATE = _rotate_second(
-    XState(0.009, 0.295, 0.295, 0.401, -0.097).to_density().mat, 1.43, 0.03)
-#: a minimum 1e-3 off the pole theta = pi, where phi barely moves the direction
-_NEAR_POLE_STATE = _rotate_second(
-    XState(0.125, 0.188, 0.188, 0.499, -0.032).to_density().mat, np.pi - 1e-3, 2.0)
-
-
-def _tilted_ring_state():
-    # a ring of minima tilted by 0.3 against the grid rows, whose values
-    # a 1e-6 |00><11| coherence splits
-    mat = XState(0.06, 0.2, 0.2, 0.54, 0.15).to_density().mat.copy()
-    mat[0, 3] = mat[3, 0] = 1e-6
-    return _rotate_second(mat, 0.3, 1.0)
-
-
-class TestSphereSearch:
-    @PROPERTIES
-    @given(mat=st.one_of(general_states(), near_x_states()))
-    @example(mat=np.eye(4, dtype=complex) / 4.0)
-    # a product state: every direction gives the same value
-    @example(mat=kron(np.array([[0.7, 0.2], [0.2, 0.3]]), np.array([[0.6, 0.1j], [-0.1j, 0.4]])))
-    @example(mat=_corner_coherence_state())
-    @example(mat=_TWO_BASIN_STATE)
-    @example(mat=_NEAR_POLE_STATE)
-    @example(mat=_tilted_ring_state())
-    def test_matches_scipy_oracle(self, mat):
-        value, theta, phi = _min_conditional_entropy_sphere(mat)
-        assert value == pytest.approx(scipy_sphere_oracle(mat)[0], abs=1e-12)
-        thetas = np.linspace(0.0, np.pi, GRID_THETA)
-        phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        assert value <= _conditional_entropy_batch(mat, tt.ravel(), pp.ravel()).min()
-        basis = MeasurementBasis(theta, phi)
-        assert conditional_entropy(DensityMatrix(SPACE, mat), basis) == pytest.approx(
-            value, abs=1e-12)
-
-    @pytest.mark.parametrize("mat", [
-        np.eye(4, dtype=complex) / 4.0,
-        kron(np.diag([0.7, 0.3]), np.array([[0.6, 0.1j], [-0.1j, 0.4]])),
-    ], ids=["maximally-mixed", "product"])
-    def test_plateau_stops_by_tolerance(self, mat, monkeypatch):
-        # every direction ties: only strict improvements may move a
-        # vertex, so each start shrinks its simplex below REFINE_TOL
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _conditional_entropy_batch(*args)
-
-        monkeypatch.setattr(measures, "_conditional_entropy_batch", counting)
-        _min_conditional_entropy_sphere(mat)
-        assert len(calls) < REFINE_MAXITER // 2
