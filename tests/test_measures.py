@@ -137,6 +137,21 @@ class TestConcurrence:
         assert np.linalg.eigvalsh(rho.mat)[0] >= 1e-3 - 1e-12
         assert concurrence(rho) == pytest.approx(wootters_concurrence(rho.mat), abs=1e-12)
 
+    def test_one_entry_off_the_x_takes_wootters(self):
+        # one entry off the X: rounding gives Wootters' value of the X
+        # projection, a larger entry raises instead of leaving the X
+        x_state = 0.8 * one_param_density(0.9).mat + 0.05 * np.eye(4)
+        near = x_state.copy()
+        near[0, 1] = near[1, 0] = 0.5 * XSTATE_PATTERN_TOL
+        values = concurrence_stack(np.array([x_state, near, x_state]))
+        assert values[0] == values[1] == values[2]
+        assert values[1] == pytest.approx(wootters_concurrence(x_state), abs=1e-12)
+        assert values[1] == pytest.approx(wootters_concurrence(near), abs=1e-12)
+        off_x = x_state.copy()
+        off_x[0, 1] = off_x[1, 0] = 1e-3
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) of state 1, off the X"):
+            concurrence_stack(np.array([x_state, off_x, x_state]))
+
 
 #: every public measure that takes X states only
 X_STATE_MEASURES = (concurrence, mutual_information, classical_correlation_optimized,
@@ -211,6 +226,13 @@ class TestMutualInformation:
         joint = join_with_probe(one_param_density(0.75), ProbePrep.GROUND)
         with pytest.raises(ValueError):
             mutual_information(joint)
+
+    def test_stack_rows_match(self):
+        rng = np.random.default_rng(5)
+        states = [diagonal_product_state(rng), one_param_density(0.6), one_param_density(1.0),
+                  corner_swap(one_param_density(0.9))]
+        got = mutual_information_stack(np.array([r.mat for r in states]))
+        assert got.tolist() == [mutual_information(r) for r in states]
 
 
 class TestConditionalEntropy:
@@ -803,3 +825,13 @@ class TestScalarReport:
         except ValueError:
             closed = None
         assert rep.classical_closed_form == closed
+
+    def test_other_states_keep_the_general_path(self):
+        # X states outside the one-parameter family: every column is the
+        # single measure's value, and no closed form
+        rng = np.random.default_rng(41)
+        for rho in (diagonal_product_state(rng), random_xstate(rng).to_density()):
+            rep = correlation_report(rho)
+            assert rep.concurrence == concurrence(rho)
+            assert rep.mutual_info == mutual_information(rho)
+            assert rep.classical_closed_form is None
