@@ -33,10 +33,12 @@ the density-matrix entries the dynamics can reach from the initial
 state.  Every Hamiltonian here conserves excitation number and the
 probe's sigma^- lowers ket and bra together, so that set is small (at
 most 170 entries under probe decay).  The generator G does not depend
-on time, so each gap g between sample times is the matrix exp(G g) on
-that set, formed by scaling and squaring and kept in an LRU cache of
+on time, so a gap g between sample times is the matrix exp(G g) on that
+set, formed by scaling and squaring and kept in an LRU cache of
 GAP_MAPS maps: memory stays bounded, and a gap that recurs soon after
-its last use is formed once.
+its last use is formed once.  A uniform schedule (``np.linspace``) is
+one run with one map, whose samples after the first BLOCK are
+propagated BLOCK at a time by one matrix product each.
 
 A ``ModelConfig`` caches what depends on it alone, for as long as the
 config object lives: its Hilbert space, its Hamiltonian and the probe's
@@ -549,13 +551,27 @@ class _Expm:
 
 
 #: gap maps exp(G g) each propagation plan keeps, least recently used
-#: out first.  Rounding gives an ``np.linspace`` schedule up to about 14
-#: distinct gaps, but only a few alternate at any one point: on every
-#: such schedule tried (201 to 10001 samples) an LRU of 3 already formed
-#: each distinct gap once.  8 leaves room to spare and for the next
-#: call's gap (the readout time of the next sweep row), and holds at
-#: most 8 k^2 16 B: 3.7 MB at the models' largest set (k = 170).
+#: out first.  A uniform schedule takes one map (see ``_uniform_runs``),
+#: an irregular one a map per distinct gap; 8 leaves room for gaps that
+#: alternate and for the next call's gap (the readout time of the next
+#: sweep row), and holds at most 8 k^2 16 B: 3.7 MB at the models'
+#: largest set (k = 170).
 GAP_MAPS = 8
+#: samples of a uniform run propagated by one product with M^BLOCK.  A
+#: (BLOCK, k) @ (k, k) product runs on one thread as long as OpenBLAS
+#: keeps it below its threading threshold: at k = 35 (``secii-boson``)
+#: 16 and 32 rows ran single-threaded and 64 or 100 rows on both cores
+#: of a 2-CPU machine, which cost more CPU time than the wall time it
+#: saved.  16 rows take 11 us there against 50 us for 16 mat-vecs.
+BLOCK = 16
+#: relative rounding of sample times that one arithmetic progression
+#: absorbs.  ``np.linspace`` rounds its step, the step's multiple and the
+#: sum, each to within half an ulp of the largest time, and the run's first
+#: time carries its own rounding; 8 ulps of max(t, 1) bound all of it
+#: with room to spare (times computed from values of order 1 round at
+#: that order, however small they are).  A run's times may then sit
+#: 2 * 8 ulps off its progression, a time error of the times' own order.
+SCHEDULE_ROUNDING = 8 * np.finfo(float).eps
 
 
 class _PropagationPlan:
@@ -603,6 +619,41 @@ def _propagation_plan(
     return plan
 
 
+def _uniform_runs(points: Array, tol: float):
+    """Split a time schedule into runs on arithmetic progressions.
+
+    Yields ``(first, m)``: the run takes the m times after ``points[first]``
+    (the time of a state already known), the most that all lie within
+    ``tol`` of one progression points[first] + j h, j = 1 .. m.  Each
+    time is measured against the run's first time, not against its
+    neighbour, so a schedule whose gaps drift slowly cannot pass as one
+    run: time j admits the steps (d_j - tol) / j <= h <= (d_j + tol) / j,
+    d_j = points[first + j] - points[first], and the run ends before the
+    first time whose steps miss those of all earlier times.  The gaps of
+    a run lie within 2 tol of its step, so where two neighbouring gaps
+    differ by more than 4 tol a run ends; those ends are found in one
+    pass, and an irregular schedule, a chain of runs of one time each,
+    costs no per-run array work.
+    """
+    ends = []
+    if len(points) > 2:  # one gap is one run
+        gaps = points[1:] - points[:-1]
+        ends = (np.nonzero(np.abs(gaps[1:] - gaps[:-1]) > 4 * tol)[0] + 1).tolist()
+    ends.append(len(points) - 1)
+    first = 0
+    for end in ends:
+        while first < end:
+            m = end - first
+            if m > 1:
+                d = points[first + 1:end + 1] - points[first]
+                j = np.arange(1.0, m + 1)
+                missed = np.maximum.accumulate((d - tol) / j) > np.minimum.accumulate((d + tol) / j)
+                # time 1 always fits (tol > 0), so argmax 0 means no time missed
+                m = int(np.argmax(missed)) or m
+            yield first, m
+            first += m
+
+
 def integrate_master(
     rho0: DensityMatrix,
     cfg: ModelConfig,
@@ -621,25 +672,30 @@ def integrate_master(
     dispersive model).  The set and the generator G restricted to it
     are ``cfg``'s propagation plan (see ``_propagation_plan``): built
     once and reused by later calls with the same collapse operators and
-    initial nonzero pattern.  G does not depend on time, so the gap g
-    between consecutive sample times is the linear map exp(G g), which
-    the plan forms once and keeps in its LRU cache of GAP_MAPS maps (see
-    ``_PropagationPlan``): every sample costs one mat-vec, and a later
-    call with the same gap (the next row of a sweep) forms no
-    exponential and gives bit-identical states.  The cache holds at most
-    GAP_MAPS k^2 16 B for k entries, whatever the schedule's length.
-    The sample loop only propagates and re-Hermitizes the state in
-    place, and the samples are returned as the (n, k) stack of those
-    entries (see ``EvolutionResult``), never as d x d matrices.  The
-    trace is checked over every sample once propagation ends: trace
-    drift beyond TRACE_DRIFT_LIMIT (``qcore.TRACE_TOL``, the bound of
-    the samples' state check) at any sample, or a non-finite trace,
-    fails the run.  That is how a rate too large to propagate in double
-    precision (or one that overflows) fails.  A non-finite t_end, one above
-    MAX_T_END, sample times closer than MIN_SAMPLE_GAP (a repeated one
-    too; only a first sample at 0 may sit closer to 0) and more than
-    MAX_REACHABLE reachable entries are rejected before any
-    propagation.
+    initial nonzero pattern.  G does not depend on time, so the gap h
+    between sample times is the linear map M = exp(G h), which the plan
+    forms once and keeps in its LRU cache of GAP_MAPS maps (see
+    ``_PropagationPlan``); a later call with the same gap (the next row
+    of a sweep) forms no exponential and gives bit-identical states.
+    The schedule is split into runs whose times lie on one arithmetic
+    progression to within their rounding (``_uniform_runs``,
+    SCHEDULE_ROUNDING): an ``np.linspace`` schedule is one run, an
+    irregular one a chain of runs of one sample.  Each run forms one M,
+    at its mean gap; its first BLOCK samples take one mat-vec each, and
+    every later BLOCK samples one (BLOCK, k) @ (k, k) product with
+    M^BLOCK, written in place into the (n, k) stack of samples.  The
+    cache holds at most GAP_MAPS k^2 16 B for k entries, whatever the
+    schedule's length.  The stack is re-Hermitized once propagation
+    ends, and the samples are returned as that stack (see
+    ``EvolutionResult``), never as d x d matrices.  The trace is then
+    checked over every sample: trace drift beyond TRACE_DRIFT_LIMIT
+    (``qcore.TRACE_TOL``, the bound of the samples' state check) at any
+    sample, or a non-finite trace, fails the run.  That is how a rate
+    too large to propagate in double precision (or one that overflows)
+    fails.  A non-finite t_end, one above MAX_T_END, sample times closer
+    than MIN_SAMPLE_GAP (a repeated one too; only a first sample at 0
+    may sit closer to 0) and more than MAX_REACHABLE reachable entries
+    are rejected before any propagation.
 
     There is no step: ``dt`` accepts DEFAULT_DT only and raises on any
     other value.  It stays in the signature because the benchmark's
@@ -657,7 +713,7 @@ def integrate_master(
     if sample_times is None:
         sample_times = (float(t_end),)
     sample_times = sorted(float(t) for t in sample_times)
-    if any(t < 0 or t > t_end + 1e-12 for t in sample_times):
+    if not all(0.0 <= t <= t_end + 1e-12 for t in sample_times):  # NaN fails too
         raise ValueError("sample times must lie in [0, t_end]")
     gaps = [b - a for a, b in zip([0.0, *sample_times], sample_times)]
     # the first sample may sit at 0; a later one may not repeat a time
@@ -671,14 +727,24 @@ def integrate_master(
     with np.errstate(over="ignore", invalid="ignore"):
         plan = _propagation_plan(cfg, ops, rho0.mat)
         codes = plan.codes
-        vec = np.array(rho0.mat, dtype=complex).ravel()[codes]
-        entries = np.empty((len(sample_times), codes.size), dtype=complex)
-        for s, gap in enumerate(gaps):
-            if gap:
-                vec = plan.gap_map(gap) @ vec
-                vec += vec[plan.adj].conj()
-                vec *= 0.5
-            entries[s] = vec
+        # row 0 holds rho0: the first sample if that sits at 0, else a lead row
+        lead = int(sample_times[0] > 0.0)
+        points = np.array([0.0] * lead + sample_times)
+        stack = np.empty((points.size, codes.size), dtype=complex)
+        stack[0] = np.asarray(rho0.mat, dtype=complex).ravel()[codes]
+        for first, m in _uniform_runs(points, SCHEDULE_ROUNDING * max(points[-1], 1.0)):
+            step = plan.gap_map((points[first + m] - points[first]) / m)
+            run = stack[first:first + m + 1]
+            for s in range(1, min(m, BLOCK) + 1):
+                np.matmul(step, run[s - 1], out=run[s])
+            if m > BLOCK:
+                jump = np.linalg.matrix_power(step, BLOCK).T
+                for s in range(BLOCK + 1, m + 1, BLOCK):
+                    end = min(s + BLOCK, m + 1)
+                    np.matmul(run[s - BLOCK:end - BLOCK], jump, out=run[s:end])
+        entries = stack[lead:]
+        entries += entries.take(plan.adj, axis=1).conj()
+        entries *= 0.5
         drift = np.abs(entries[:, plan.diag].sum(axis=1).real - 1.0)
         if not (drift <= TRACE_DRIFT_LIMIT).all():
             raise ValueError(

@@ -654,6 +654,18 @@ class TestInputValidation:
         assert "trace drift" in captured.err and "Warning" not in captured.err
         assert captured.out == ""
 
+    # evolve's 201 samples are one uniform run: block products, then the drift check
+    @pytest.mark.parametrize("gamma", ["1e200", "1.7e308", "1e6"])
+    def test_evolve_overflowing_rate_fails_drift_check(self, gamma, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--x", "0.75", "--gamma", gamma, "--t-end", "1",
+                        "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "trace drift" in captured.err and "Warning" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("model", ["secii-qubit", "secii-boson"])
     def test_probe_half_periods_bounded(self, model, capsys):
         # far beyond the bound the readout once printed x_hat = 0.86 at x = 0.75

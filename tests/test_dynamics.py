@@ -27,6 +27,7 @@ from qprobe.dynamics import (
     _PropagationPlan,
     _embed,
     _restricted_generator,
+    _uniform_runs,
     boson_lower,
     build_hamiltonian,
     dispersive_deviation,
@@ -315,6 +316,20 @@ class TestIntegrateMaster:
                 sample_times=sample_times,
             )
 
+    @pytest.mark.parametrize("sample_times", [
+        [-0.5, 1.0], [0.5, 1.5], [float("nan")], [0.5, float("nan")], [0.2, float("nan"), 0.7],
+    ], ids=["negative", "past-t_end", "nan", "nan-last", "nan-between"])
+    def test_sample_times_outside_the_run_rejected(self, sample_times):
+        # a NaN time must not pass as time 0 or break the schedule's order
+        with pytest.raises(ValueError, match=re.escape("sample times must lie in [0, t_end]")):
+            integrate_master(
+                initial_joint(0.75, QUBIT, ProbePrep.GROUND),
+                QUBIT,
+                NoiseConfig(gamma=0.1),
+                1.0,
+                sample_times=sample_times,
+            )
+
     @pytest.mark.parametrize("gamma, sample_times, message", [
         (1e200, None, "trace drift"),
         (1.7e308, None, "trace drift"),
@@ -455,14 +470,38 @@ class TestIntegratorOracle:
         # uneven gaps, some of them far shorter than the rest
         (QUBIT, NoiseConfig(gamma=0.1), 1.3, [0.0, 0.0123, 0.5, 0.5004, 1.3], 1e-13),
         (FULL, NoiseConfig(gamma=0.1), 0.5, [0.0007, 0.25, 0.3333, 0.5], 1e-13),
+        # uniform runs of 1, 15, 16 (BLOCK mat-vecs) and 32 (one block product) gaps
+        (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 2), 1e-13),
+        (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 16), 1e-13),
+        (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 17), 1e-13),
+        (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 33), 1e-13),
+        # a lead gap of 0.3, then a run of 34: BLOCK mat-vecs, a block, a part block
+        (BOSON, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.3, 3.0, 35), 1e-13),
+        # a uniform run of 20 gaps, then an irregular tail
+        (QUBIT, NoiseConfig(gamma=0.1), 2.0,
+         [*np.linspace(0.0, 1.0, 21), 1.013, 1.5, 1.52, 2.0], 1e-13),
     ], ids=["secii-qubit", "secii-boson", "seciii-full", "two-collapse-ops",
             "complex-collapse-op", "secii-boson-evolve-schedule", "secii-qubit-uneven",
-            "seciii-full-uneven"])
+            "seciii-full-uneven", "uniform-2", "uniform-16", "uniform-17", "uniform-33",
+            "uniform-after-lead-gap", "uniform-then-irregular"])
     def test_matches_dense_rk4(self, cfg, noise, t_end, sample_times, bound):
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         res = integrate_master(rho0, cfg, noise, t_end, sample_times=sample_times)
         ref = expm_reference(rho0, cfg, noise, t_end, sample_times=sample_times)
         assert largest_deviation(res, ref) < bound
+
+    def test_longest_cli_schedule_at_block_edges(self):
+        # evolve's longest schedule: one run of 10000 gaps of exactly 1.0
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
+        noise = NoiseConfig(gamma=0.1)
+        times = np.linspace(0.0, MAX_T_END, 10001)
+        res = integrate_master(rho0, QUBIT, noise, MAX_T_END, sample_times=times)
+        picked = [1, 16, 17, 32, 33, 5000, 10000]
+        ref = expm_reference(rho0, QUBIT, noise, MAX_T_END, sample_times=times[picked])
+        d = QUBIT.space.dim
+        got = np.zeros((len(picked), d * d), dtype=complex)
+        got[:, res.codes] = res.entries[picked]
+        assert np.max(np.abs(got.reshape(-1, d, d) - np.array(ref))) < 1e-12
 
     @pytest.mark.parametrize("gamma", [500.0, 1e4])
     def test_stiff_rate_matches_expm(self, gamma):
@@ -485,22 +524,42 @@ class TestIntegratorOracle:
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(cfg))
         assert largest_deviation(res, [prop.apply_mat(rho0.mat, t) for t in times]) < 1e-10
 
-    @pytest.mark.parametrize("t_end, sample_times", [
-        # the evolve-boson schedule: gaps of 0.05 that differ in their last bits
-        (10.0, np.linspace(0.0, 10.0, 201)),
+    @pytest.mark.parametrize("t_end, sample_times, uniform_gap", [
+        # the evolve-boson schedule: its 200 gaps of 0.05 take 9 distinct
+        # values in their last bits, but its times lie on one progression
+        (10.0, np.linspace(0.0, 10.0, 201), 0.05),
+        # evolve's longest schedule
+        (MAX_T_END, np.linspace(0.0, MAX_T_END, 10001), 1.0),
         # three distinct gaps, two of them repeated out of order
-        (1.25, [0.125, 0.375, 0.5, 0.75, 0.875, 1.25]),
-    ], ids=["linspace", "alternating"])
-    def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times):
+        (1.25, [0.125, 0.375, 0.5, 0.75, 0.875, 1.25], None),
+    ], ids=["linspace", "longest", "alternating"])
+    def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times, uniform_gap):
         formed = []
         call = _Expm.__call__
         monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
-        gaps = list(np.diff([0.0, *sample_times]))
-        # one exponential per distinct gap, kept as a matrix for its later uses
-        assert formed == [gap for gap in dict.fromkeys(gaps) if gap]
+        if uniform_gap is not None:
+            # one uniform run: one exponential, at the run's mean gap
+            assert formed == [uniform_gap]
+        else:
+            gaps = list(np.diff([0.0, *sample_times]))
+            # one exponential per distinct gap, kept as a matrix for its later uses
+            assert formed == [gap for gap in dict.fromkeys(gaps) if gap]
+
+    def test_runs_measured_against_their_first_time(self):
+        # each gap 0.4 tol longer than the last: neighbours agree within
+        # tol, but the times leave any one progression after a few gaps
+        tol = 1e-12
+        points = np.concatenate([[0.0], np.cumsum(0.05 + 0.4 * tol * np.arange(200))])
+        runs = list(_uniform_runs(points, tol))
+        starts = [first for first, _ in runs]
+        assert starts == [0, *np.cumsum([m for _, m in runs])[:-1]]
+        assert sum(m for _, m in runs) == 200 and len(runs) > 20
+        for first, m in runs:
+            line = points[first] + np.arange(m + 1) * (points[first + m] - points[first]) / m
+            assert np.max(np.abs(points[first:first + m + 1] - line)) <= 2 * tol
 
     def test_no_dense_liouvillian(self):
         # a dense d^2 x d^2 generator at d = 72 would take 430 MB
