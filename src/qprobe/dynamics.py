@@ -208,6 +208,8 @@ def probe_lowering(cfg: ModelConfig) -> Array:
 #: modes; used through ``np.ix_`` to embed a two-qubit matrix into a
 #: pair of bosonic modes and to project it back
 TWO_LEVEL_INDEX = (0, 1, 3, 4)
+#: ``np.ix_`` of TWO_LEVEL_INDEX with itself, formed once (read-only)
+_TWO_LEVEL_BLOCK = tuple(_read_only(i) for i in np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX))
 
 
 def boson_pair_to_qubits_stack(blocks: Array) -> Array:
@@ -242,25 +244,37 @@ def initial_joint_from_pair(
     """
     if pair.space.dims != (2, 2):
         raise ValueError("two-qubit pair state required")
-    rho_ab = pair.mat
-    dims = cfg.space.dims
+    return DensityMatrix(cfg.space, initial_joint_matrices(pair.mat[None], cfg, prep)[0])
 
+
+def initial_joint_matrices(pairs: Array, cfg: ModelConfig, prep: ProbePrep) -> Array:
+    """The (n, d, d) matrices of ``initial_joint_from_pair`` for an (n, 4, 4) pair stack.
+
+    The pairs (embedded on ``TWO_LEVEL_INDEX`` of two bosonic modes) are
+    stacked row-wise into one (n m, m) operand, so each Kronecker product
+    with the probe and the vacuum cavities runs once for the whole stack:
+    row block s of the result is the product of pair s, bit for bit.
+    The matrices are not checked.
+    """
+    dims = cfg.space.dims
     if cfg.variant is ModelVariant.RESONANT_BOSON:
         if prep is ProbePrep.EXCITED:
             raise ValueError(
                 "an excited probe on the bosonic resonant model needs a third "
                 "photon per mode; only the ground probe is supported"
             )
-        big = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-        big[np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)] = rho_ab
-        rho_ab = big
+        big = np.zeros((len(pairs),) + (dims[0] * dims[1],) * 2, dtype=complex)
+        big[(slice(None), *_TWO_LEVEL_BLOCK)] = pairs
+        pairs = big
 
-    parts = [rho_ab, prep.matrix]
+    n, m = pairs.shape[:2]
+    parts = [pairs.reshape(n * m, m), prep.matrix]
     if cfg.variant is ModelVariant.DISPERSIVE_FULL:
         vac = np.zeros((dims[3], dims[3]), dtype=complex)
         vac[0, 0] = 1.0
         parts += [vac, vac]
-    return DensityMatrix(cfg.space, kron_all(*parts))
+    d = cfg.space.dim
+    return kron_all(*parts).reshape(n, d, d)
 
 
 def resonant_closed_form(x: float, gt: float) -> tuple[DensityMatrix, DensityMatrix]:
@@ -654,6 +668,22 @@ def _uniform_runs(points: Array, tol: float):
             first += m
 
 
+def _run_gap(run: Array, tol: float) -> float:
+    """The gap whose map steps a run of times ``run`` (its first is known).
+
+    The run's first gap, when every time lies within ``tol`` of
+    run[0] + j * that gap, else its mean gap.  The gaps of an irregular
+    schedule then recur bit for bit and keep their cached maps, where
+    each short run's mean gap would differ in its last bits; on an
+    ``np.linspace`` schedule from 0 the first gap is the mean gap.
+    """
+    gap = run[1] - run[0]
+    m = len(run) - 1
+    if m > 1 and np.abs(run[1:] - run[0] - gap * np.arange(1.0, m + 1)).max() > tol:
+        return (run[-1] - run[0]) / m
+    return gap
+
+
 def integrate_master(
     rho0: DensityMatrix,
     cfg: ModelConfig,
@@ -680,8 +710,9 @@ def integrate_master(
     The schedule is split into runs whose times lie on one arithmetic
     progression to within their rounding (``_uniform_runs``,
     SCHEDULE_ROUNDING): an ``np.linspace`` schedule is one run, an
-    irregular one a chain of runs of one sample.  Each run forms one M,
-    at its mean gap; its first BLOCK samples take one mat-vec each, and
+    irregular one a chain of short runs.  Each run forms one M, at the
+    gap ``_run_gap`` picks (its first gap, unless its times stray from
+    that progression); its first BLOCK samples take one mat-vec each, and
     every later BLOCK samples one (BLOCK, k) @ (k, k) product with
     M^BLOCK, written in place into the (n, k) stack of samples.  The
     cache holds at most GAP_MAPS k^2 16 B for k entries, whatever the
@@ -732,8 +763,9 @@ def integrate_master(
         points = np.array([0.0] * lead + sample_times)
         stack = np.empty((points.size, codes.size), dtype=complex)
         stack[0] = np.asarray(rho0.mat, dtype=complex).ravel()[codes]
-        for first, m in _uniform_runs(points, SCHEDULE_ROUNDING * max(points[-1], 1.0)):
-            step = plan.gap_map((points[first + m] - points[first]) / m)
+        tol = SCHEDULE_ROUNDING * max(points[-1], 1.0)
+        for first, m in _uniform_runs(points, tol):
+            step = plan.gap_map(_run_gap(points[first:first + m + 1], tol))
             run = stack[first:first + m + 1]
             for s in range(1, min(m, BLOCK) + 1):
                 np.matmul(step, run[s - 1], out=run[s])

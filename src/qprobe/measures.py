@@ -15,17 +15,20 @@ qubit is left in 2x2 states whose diagonals do not depend on the
 azimuth phi and whose coherence has modulus
 cos sin |e^{-i phi} r23 + e^{i phi} r14|; so phi* = (arg r23 - arg r14)/2
 maximizes it at every theta (Chen et al., PRA 84, 042313 (2011)), and the
-conditional entropy is symmetric under theta -> pi - theta.  The minimum
-is then a 65-point grid over theta in [0, pi/2] at phi*, refined by
-Brent's bounded method (parabolic steps with a golden-section fallback)
-on the cells around its best point, on a closed form in ``math`` of
-r11 .. r44 and |r23| + |r14|, and S(A) is the entropy of the
-marginal's two populations.  ``correlation_report`` takes its other
-columns from the same few entries, in ``math`` too.  The grid evaluates
-one batched numpy kernel: measuring the second qubit along |v> leaves
-the first in the unnormalised 2x2 state (I (x) <v|) rho (I (x) |v>),
-whose trace and eigenvalues are closed form, so no eigensolver runs and
-no small outcome is clipped.
+conditional entropy is symmetric under theta -> pi - theta.  At phi* it
+is a closed form of theta, r11 .. r44 and |r23| + |r14| (Ali, Rau &
+Alber, PRA 81, 042105 (2010)).  The minimum is that closed form on a
+65-point grid over theta in [0, pi/2], one numpy expression over both
+outcomes and every angle, refined by Brent's bounded method (parabolic
+steps with a golden-section fallback) on the cells around its best
+point, in ``math``; S(A) is the entropy of the marginal's two
+populations.  ``correlation_report`` takes its other columns from the
+same few entries, in ``math`` too.  The conditional entropy of any
+two-qubit state and measurement is one batched numpy kernel: measuring
+the second qubit along |v> leaves the first in the unnormalised 2x2
+state (I (x) <v|) rho (I (x) |v>).  Every outcome's trace and
+eigenvalues are closed form, so no eigensolver runs and no small
+outcome is clipped.
 
 The definitional optimizer is the authority for discord; the closed
 form is exposed separately because its first branch disagrees with the
@@ -53,6 +56,26 @@ GRID_THETA_POLAR = 65
 #: that grid, built once; read-only, since every search shares it
 _POLAR_THETAS = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
 _POLAR_THETAS.setflags(write=False)
+
+
+def _polar_grid_weights() -> tuple[np.ndarray, np.ndarray]:
+    """The angle weights of ``_polar_grid_entropies``, read-only.
+
+    With c = cos(theta/2) and s = sin(theta/2) at each grid angle: the
+    (2, 2, 65) weights (c^2, s^2) of outcome 0 and (s^2, c^2) of outcome
+    1, which ``_x_conditional_entropy`` gives r11 and r22 in an
+    outcome's top entry and r33 and r44 in its bottom one, and the (65,)
+    weights 2 c s of the coherence in its off-diagonal.
+    """
+    c, s = np.cos(0.5 * _POLAR_THETAS), np.sin(0.5 * _POLAR_THETAS)
+    c2, s2 = c * c, s * s
+    pops, off = np.array([[c2, s2], [s2, c2]]), 2.0 * c * s
+    pops.setflags(write=False)
+    off.setflags(write=False)
+    return pops, off
+
+
+_POLAR_POPS, _POLAR_OFF = _polar_grid_weights()
 
 #: entries of a two-qubit matrix off its diagonal and anti-diagonal (the X)
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -184,8 +207,17 @@ def _conditional_entropy_batch(
     vecs = np.array([[cos, sin], [-sin.conj(), cos]])
     # rho[2a + b, 2a' + b'] read as rho[a, b, a', b']
     cond = np.einsum("kb...,abcd,kd...->k...ac", vecs.conj(), mat.reshape(2, 2, 2, 2), vecs)
-    top, bottom = cond[..., 0, 0].real, cond[..., 1, 1].real
-    off = 2.0 * np.abs(cond[..., 0, 1])
+    return _outcome_entropies(cond[..., 0, 0].real, cond[..., 1, 1].real,
+                              2.0 * np.abs(cond[..., 0, 1]))
+
+
+def _outcome_entropies(top: np.ndarray, bottom: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of ``_outcome_entropy(top, bottom, off)``, as arrays.
+
+    Each outcome adds p S(M / p) for its 2x2 state M = [[top, off / 2],
+    [., bottom]], with the smaller eigenvalue from the determinant and
+    the larger one's term from log1p, as ``_outcome_entropy`` forms it.
+    """
     p, det = top + bottom, 4.0 * top * bottom - off * off
     # det = 4 det M; a pure or empty outcome adds 0, and its lanes get
     # values that keep the logs finite
@@ -262,6 +294,19 @@ def _x_conditional_entropy(
             + _outcome_entropy(s2 * r11 + c2 * r22, s2 * r33 + c2 * r44, off))
 
 
+def _polar_grid_entropies(r11: float, r22: float, r33: float, r44: float,
+                          coherence: float) -> np.ndarray:
+    """``_x_conditional_entropy`` at every angle of the polar grid, as one array.
+
+    Both outcomes' top and bottom entries are (2, 65) arrays of the
+    populations weighted by ``_POLAR_POPS``; ``_outcome_entropies`` sums
+    them.
+    """
+    top = _POLAR_POPS[:, 0] * r11 + _POLAR_POPS[:, 1] * r22
+    bottom = _POLAR_POPS[:, 0] * r33 + _POLAR_POPS[:, 1] * r44
+    return _outcome_entropies(top, bottom, _POLAR_OFF * coherence)
+
+
 #: share of a bracket a golden-section step moves into, (3 - sqrt 5) / 2
 _GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -324,26 +369,28 @@ def _brent_minimize(f, lo: float, hi: float) -> tuple[float, float]:
                 v, fv = u, fu
 
 
-def _min_conditional_entropy_polar(mat: np.ndarray, phi: float = 0.0) -> tuple[float, float]:
-    """Minimum over theta in [0, pi/2] at azimuth ``phi``, and its theta.
+def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
+    """Minimum over theta in [0, pi/2] of an X state's conditional entropy, and its theta.
 
-    Valid for X states measured at the azimuth that aligns their two
-    coherences (see ``classical_correlation_optimized``).  A 65-point
-    grid that holds both ends exactly picks the two cells around its
-    best point; Brent's bounded method (``_brent_minimize``) on the
-    closed form ``_x_conditional_entropy`` refines it to REFINE_TOL.
-    The objective is even about 0 and about pi/2, so when the best point
-    is an end the bracket spans both cells beside it, the one outside
-    [0, pi/2] mirrored, and every angle is folded back into [0, pi/2]
-    before it is evaluated; an optimum at the end is then interior to
-    the bracket.  The best grid point stays a candidate, so the result
-    is never worse than the grid.  Ties break toward smaller theta.
+    The state is measured at the azimuth that aligns its two coherences
+    (see ``classical_correlation_optimized``), where the conditional
+    entropy is the closed form ``_x_conditional_entropy``.  That closed
+    form on a 65-point grid that holds both ends exactly
+    (``_polar_grid_entropies``) picks the two cells around its best
+    point; Brent's bounded method (``_brent_minimize``) on it refines
+    that to REFINE_TOL.  The objective is even about 0 and about pi/2,
+    so when the best point is an end the bracket spans both cells beside
+    it, the one outside [0, pi/2] mirrored, and every angle is folded
+    back into [0, pi/2] before it is evaluated; an optimum at the end is
+    then interior to the bracket.  The best grid point stays a
+    candidate, so the result is never worse than the grid.  Ties break
+    toward smaller theta.
     """
     thetas = _POLAR_THETAS
-    values = _conditional_entropy_batch(mat, thetas, np.full(thetas.size, phi))
-    k = int(np.argmin(values))
     pops = mat.diagonal().real.tolist()
     coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
+    values = _polar_grid_entropies(*pops, coherence)
+    k = int(np.argmin(values))
     top, h = float(thetas[-1]), float(thetas[1])
 
     def fold(theta: float) -> float:
@@ -370,7 +417,7 @@ def classical_correlation_optimized(
     phi = 0.0
     if r23 and r14:
         phi = float(np.angle(r23) - np.angle(r14)) / 2.0 % math.pi
-    ce_min, theta = _min_conditional_entropy_polar(mat, phi)
+    ce_min, theta = _min_conditional_entropy_polar(mat)
     r11, r22, r33, r44 = mat.diagonal().real.tolist()
     return _entropy_of_values(r11 + r22, r33 + r44) - ce_min, MeasurementBasis(theta, phi)
 
@@ -436,7 +483,9 @@ def correlation_report(rho: DensityMatrix) -> CorrelationReport:
     state).
     """
     classical, basis = classical_correlation_optimized(rho)
-    flat = _x_states(_pair_matrix(rho)[None])[0].ravel().tolist()
+    # the optimizer has run the X-state guard on rho; the entries read
+    # here are on the X, which the guard leaves as they are
+    flat = _pair_matrix(rho).ravel().tolist()
     r11, r22, r33, r44 = flat[0].real, flat[5].real, flat[10].real, flat[15].real
     a14, a23 = abs(flat[3]), abs(flat[6])
     conc = 2.0 * max(0.0, a23 - math.sqrt(max(r11 * r44, 0.0)),

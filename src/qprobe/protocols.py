@@ -31,14 +31,16 @@ from .measures import CorrelationReport, correlation_report
 from .qcore import (
     DensityMatrix,
     SpectralPropagator,
+    density_matrices,
     fidelity,
     partial_trace,
     partial_trace_mat,
-    trace_distance,
+    trace_distance_stack,
 )
 from .states import (
     ProbePrep,
     corner_swap,
+    family_matrices,
     join_with_probe,
     one_param_density,
     two_qubit_space,
@@ -52,7 +54,7 @@ from .dynamics import (
     ModelVariant,
     NoiseConfig,
     boson_pair_to_qubits_stack,
-    initial_joint_from_pair,
+    initial_joint_matrices,
     integrate_master,
     reachable_entries,
     sigma_z_stack,
@@ -339,16 +341,36 @@ def run_probe_cycle(
 ) -> ProbeCycleReport:
     """Attach a ground probe, evolve to t = n pi/2, read sigma_z.
 
-    n must be odd (at even multiples the probe returns to its ground
-    state and carries no information), at most MAX_HALF_PERIODS and,
-    with noise, at most MAX_T_END / (pi/2).  The one sample at t_read
-    is an ``EvolutionResult`` of the entries the dynamics reach: the
-    spectral propagator's state on those H reaches without noise (the
-    rest hold only its rounding), ``dynamics.integrate_master``'s with
-    noise.  Its ``readout`` gives the pair left behind, an exact X
+    The one-x case of ``run_probe_cycles``.
+    """
+    return run_probe_cycles([x], cfg, n_half_periods, noise)[0]
+
+
+def run_probe_cycles(
+    xs: Sequence[float],
+    cfg: ModelConfig,
+    n_half_periods: int = 1,
+    noise: Optional[NoiseConfig] = None,
+) -> list[ProbeCycleReport]:
+    """One ground-probe readout cycle per family parameter of ``xs``, in order.
+
+    Each cycle attaches a ground probe, evolves to t = n pi/2 and reads
+    sigma_z.  n must be odd (at even multiples the probe returns to its
+    ground state and carries no information), at most MAX_HALF_PERIODS
+    and, with noise, at most MAX_T_END / (pi/2).  The one sample at
+    t_read is an ``EvolutionResult`` of the entries the dynamics reach:
+    the spectral propagator's state on those H reaches without noise
+    (the rest hold only its rounding), ``dynamics.integrate_master``'s
+    with noise.  Its ``readout`` gives the pair left behind, an exact X
     state (on bosonic carriers, conditioned on their {0, 1}-photon
-    block), and the probe.  Without noise the pair lands exactly on
-    the corner swap of the family state, every measure preserved.
+    block), and the probe.  Without noise the pair lands exactly on the
+    corner swap of the family state, every measure preserved.
+
+    Every stage but the evolution runs once over the stack of all
+    cycles: the family states (each x domain-checked), the initial
+    joint states and the post states are each checked by one
+    ``density_matrices`` call, and the distances and the readouts are
+    one ``trace_distance_stack`` and one ``sigma_z_stack``.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -358,31 +380,44 @@ def run_probe_cycle(
     if n > MAX_HALF_PERIODS:
         raise ValueError(f"n exceeds {MAX_HALF_PERIODS} half periods")
     noise = noise or NoiseConfig()
-    rho0 = one_param_density(x)
-    joint0 = initial_joint_from_pair(rho0, cfg, ProbePrep.GROUND)
+    family = family_matrices(xs)
+    rho0s = density_matrices(two_qubit_space(), family)
+    joints = density_matrices(
+        cfg.space, initial_joint_matrices(family, cfg, ProbePrep.GROUND))
     t_read = n * np.pi / 2.0
 
-    if noise.gamma == 0.0 and noise.collapse_ops is None:
-        codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
-        joint = SpectralPropagator.from_hamiltonian(cfg.hamiltonian).apply_mat(joint0.mat, t_read)
-        result = EvolutionResult((t_read,), cfg.space, codes, joint.ravel()[codes][None])
+    noiseless = noise.gamma == 0.0 and noise.collapse_ops is None
+    if noiseless:
+        prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
     elif t_read > MAX_T_END:
         raise ValueError(f"with noise n may not exceed {int(MAX_T_END * 2 / np.pi)} half periods")
-    else:
-        result = integrate_master(joint0, cfg, noise, t_read)
-    pair, probe = result.readout()
-    post = DensityMatrix(two_qubit_space(), pair[-1])
-
-    distance = trace_distance(post.mat, rho0.mat)
-    return ProbeCycleReport(
-        t_read=t_read,
-        mean_sigma_z=float(sigma_z_stack(probe)[-1]),
-        post_state=post,
-        post_distance_to_initial=distance,
-        state_restored=distance <= RESTORED_TOL,
-        measures_before=correlation_report(rho0),
-        measures_after=correlation_report(post),
-    )
+    pairs, probes = [], []
+    for joint0 in joints:
+        if noiseless:
+            codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
+            joint = prop.apply_mat(joint0.mat, t_read)
+            result = EvolutionResult((t_read,), cfg.space, codes, joint.ravel()[codes][None])
+        else:
+            result = integrate_master(joint0, cfg, noise, t_read)
+        pair, probe = result.readout()
+        pairs.append(pair[-1])
+        probes.append(probe[-1])
+    pairs = np.reshape(pairs, (-1, 4, 4))
+    posts = density_matrices(two_qubit_space(), pairs)
+    distances = trace_distance_stack(pairs, family).tolist()
+    sigma_z = sigma_z_stack(np.reshape(probes, (-1, 2, 2))).tolist()
+    return [
+        ProbeCycleReport(
+            t_read=t_read,
+            mean_sigma_z=sz,
+            post_state=post,
+            post_distance_to_initial=distance,
+            state_restored=distance <= RESTORED_TOL,
+            measures_before=correlation_report(rho0),
+            measures_after=correlation_report(post),
+        )
+        for rho0, post, distance, sz in zip(rho0s, posts, distances, sigma_z)
+    ]
 
 
 def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:

@@ -6,9 +6,12 @@ integrator produces are never formed as d x d matrices there, but
 kept as stacks of the few entries the dynamics reach, and validated
 and reduced on the basis states those entries touch (at most 18 of 72
 from the models' initial states).  All containers are frozen
-dataclasses holding read-only arrays, so a state checked once at
-construction cannot be changed afterwards through an alias of its
-matrix.  qcore never writes to an input, so the read-only operators a
+dataclasses holding read-only arrays, so a state checked once cannot
+be changed afterwards through an alias of its matrix.  A state is
+checked at its construction, or as a row of a stack that
+``density_matrices`` checked at once: no ``DensityMatrix`` holds a
+matrix that ``check_density_stack`` has not accepted.  qcore never
+writes to an input, so the read-only operators a
 ``dynamics.ModelConfig`` caches for its lifetime pass through it as
 they are.  The only state it keeps between calls is two bounded
 caches of read-only arrays that never depend on a value passed in:
@@ -117,13 +120,18 @@ def check_density_stack(mats: Array) -> None:
     """
     if not np.isfinite(mats).all():
         raise ValueError("non-finite entries")
-    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITICITY_TOL:
+    # one stack-sized buffer, at least float, serves the Hermiticity
+    # difference and then the shifted stack: two fewer temporaries of the
+    # stack's size per call
+    work = np.conjugate(mats, dtype=np.result_type(mats, 1.0)).swapaxes(-1, -2)
+    work -= mats
+    if np.abs(work).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("not Hermitian")
     tr = np.trace(mats, axis1=-2, axis2=-1)
     if np.maximum(abs(tr.real - 1.0), abs(tr.imag)).max(initial=0.0) > TRACE_TOL:
         raise ValueError("trace differs from one")
     try:
-        np.linalg.cholesky(mats + _floor_shift(mats.shape[-1]))
+        np.linalg.cholesky(np.add(mats, _floor_shift(mats.shape[-1]), out=work))
     except np.linalg.LinAlgError:
         raise ValueError("not positive semidefinite") from None
 
@@ -132,9 +140,11 @@ def check_density_stack(mats: Array) -> None:
 class DensityMatrix:
     """Positive, unit-trace operator on a declared tensor-factor space.
 
-    Construction validates Hermiticity (1e-10), trace (1e-10) and
-    positivity (smallest eigenvalue >= -1e-8, decided by one Cholesky
-    factorization) with check_density_stack; invalid states raise.
+    Hermiticity (1e-10), trace (1e-10) and positivity (smallest
+    eigenvalue >= -1e-8, decided by one Cholesky factorization) are
+    validated by check_density_stack, at construction or, for the rows
+    of a stack, once for the whole stack by ``density_matrices``;
+    invalid states raise.
     """
 
     space: HilbertSpace
@@ -152,6 +162,29 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+
+def density_matrices(space: HilbertSpace, mats) -> tuple[DensityMatrix, ...]:
+    """Every matrix of an (n, d, d) stack as a state on ``space``, checked at once.
+
+    One check_density_stack call validates the whole stack, with the
+    checks, order, tolerances and messages of DensityMatrix; state s
+    then holds row s of a read-only copy of the stack, without a second
+    check of its own.
+    """
+    m = np.array(mats, dtype=complex)
+    d = space.dim
+    if m.ndim != 3 or m.shape[1:] != (d, d):
+        raise ValueError(f"stack shape {m.shape} does not match space dim {d}")
+    check_density_stack(m)
+    m.setflags(write=False)
+    states = []
+    for row in m:
+        state = object.__new__(DensityMatrix)
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "mat", row)
+        states.append(state)
+    return tuple(states)
 
 
 def kron(a, b) -> Array:

@@ -47,28 +47,35 @@ def two_qubit_space(a: str = "A", b: str = "B") -> HilbertSpace:
     return HilbertSpace((2, 2), (a, b))
 
 
-def one_param_density(x: float) -> DensityMatrix:
-    """Density matrix of the family at parameter x in [1/2, 1].
+#: the family's matrix is _FAMILY_OFFSET + x _FAMILY_SLOPE; each entry is
+#: one product and one sum, x/2, 1 - 3x/2 and 1 - x each rounded once
+_FAMILY_OFFSET = np.zeros((4, 4), dtype=complex)
+_FAMILY_OFFSET[[1, 2, 3], [2, 1, 3]] = 1.0
+_FAMILY_SLOPE = np.zeros((4, 4), dtype=complex)
+_FAMILY_SLOPE[[1, 2, 1, 2, 3], [1, 2, 2, 1, 3]] = (0.5, 0.5, -1.5, -1.5, -1.0)
+_FAMILY_OFFSET.setflags(write=False)
+_FAMILY_SLOPE.setflags(write=False)
+
+
+def family_matrices(xs) -> Array:
+    """The (n, 4, 4) matrices of the family at the parameters ``xs``, unchecked.
 
     Diagonal (0, x/2, x/2, 1-x) with real coherence 1-3x/2 between
     |01> and |10>.  In the Bell-diagonal picture this is weight 1-x on
     (|01>+|10>)/sqrt2, weight 2x-1 on (|01>-|10>)/sqrt2 and weight 1-x
-    on |11>.
+    on |11>.  Every x must lie in [1/2, 1].
     """
-    x = float(x)
-    if not 0.5 <= x <= 1.0:
+    xs = np.array(xs, dtype=float)
+    if not all(0.5 <= x <= 1.0 for x in xs.tolist()):  # NaN fails too
         raise ValueError("x out of family domain")
-    c = 1.0 - 1.5 * x
-    mat = np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, x / 2.0, c, 0.0],
-            [0.0, c, x / 2.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0 - x],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(two_qubit_space(), mat)
+    mats = xs[:, None, None] * _FAMILY_SLOPE
+    mats += _FAMILY_OFFSET
+    return mats
+
+
+def one_param_density(x: float) -> DensityMatrix:
+    """Density matrix of the family at parameter x in [1/2, 1] (see ``family_matrices``)."""
+    return DensityMatrix(two_qubit_space(), family_matrices([x])[0])
 
 
 def corner_swap(rho: DensityMatrix) -> DensityMatrix:

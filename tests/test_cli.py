@@ -23,7 +23,7 @@ from qprobe.cli import (
     MAX_EVOLVE_SAMPLES,
     MAX_SWEEP_POINTS,
     _sweep_grid,
-    _sweep_row,
+    _sweep_rows,
     _write_csv,
     fmt,
     main,
@@ -165,7 +165,7 @@ class TestSweepCommand:
             raise AssertionError("a row was computed")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("qprobe.cli._sweep_row", no_row)
+        monkeypatch.setattr("qprobe.cli._sweep_rows", no_row)
         assert run(["sweep", "--x-step", "0.25", "--out", "s.svg", "--emit-svg"]) == 2
         captured = capsys.readouterr()
         assert "--emit-svg would overwrite" in captured.err and captured.out == ""
@@ -745,6 +745,27 @@ class TestNoisySweepRow:
         assert row == [fmt(v) for v in expected]
 
 
+    def test_eleven_rows_check_three_stacks_and_eleven_evolutions(self, tmp_path,
+                                                                  monkeypatch):
+        # the family, joint and post states are each checked once as a
+        # stack; only the sampled evolution of each row is checked alone
+        check, shapes = qprobe.qcore.check_density_stack, []
+
+        def counted(mats):
+            shapes.append(mats.shape)
+            return check(mats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qprobe") and getattr(module, "check_density_stack",
+                                                      None) is check:
+                monkeypatch.setattr(module, "check_density_stack", counted)
+        assert run(["sweep", "--gamma", "0.1", "--x-start", "0.5", "--x-stop", "0.95",
+                    "--x-step", "0.045", "--out", tmp_path / "s.csv"]) == 0
+        assert len(shapes) == 14
+        assert sorted(shapes[:2]) == [(11, 4, 4), (11, 8, 8)] and shapes[-1] == (11, 4, 4)
+        assert all(n == 1 for n, _, _ in shapes[2:-1])
+
+
 #: a grid through x = 2/3, which zeroes the family's coherence, ending on
 #: x = 1, which zeroes its |11> population: the initial pattern changes
 #: at both
@@ -761,9 +782,17 @@ class TestSweepSharesOneModel:
         noise = NoiseConfig(gamma=0.1)
         shared = ModelConfig(variant)
         # twice over, so the grid's last pattern meets its first again
-        rows = [_sweep_row(x, shared, noise) for x in grid + grid]
-        fresh = [_sweep_row(x, ModelConfig(variant), noise) for x in grid]
+        rows = _sweep_rows(grid + grid, shared, noise)
+        fresh = [_sweep_rows([x], ModelConfig(variant), noise)[0] for x in grid]
         assert rows == fresh + fresh
+
+    @pytest.mark.parametrize("gamma", ["0", "0.1"])
+    def test_batches_leave_the_rows_as_they_are(self, tmp_path, monkeypatch, gamma):
+        args = ["sweep", "--gamma", gamma, *PATTERN_GRID, "--out"]
+        assert run([*args, tmp_path / "one.csv"]) == 0
+        monkeypatch.setattr(qprobe.cli, "SWEEP_BATCH", 2)
+        assert run([*args, tmp_path / "batched.csv"]) == 0
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "batched.csv").read_bytes()
 
     def test_noisy_sweep_builds_the_model_once(self, tmp_path, monkeypatch):
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)

@@ -17,6 +17,7 @@ from qprobe.dynamics import (
     MAX_REACHABLE,
     MAX_T_END,
     MIN_SAMPLE_GAP,
+    SCHEDULE_ROUNDING,
     PROBE_SIGMA_Z,
     TWO_LEVEL_INDEX,
     EvolutionResult,
@@ -27,12 +28,14 @@ from qprobe.dynamics import (
     _PropagationPlan,
     _embed,
     _restricted_generator,
+    _run_gap,
     _uniform_runs,
     boson_lower,
     build_hamiltonian,
     dispersive_deviation,
     initial_joint,
     initial_joint_from_pair,
+    initial_joint_matrices,
     integrate_master,
     probe_lowering,
     reachable_entries,
@@ -548,6 +551,38 @@ class TestIntegratorOracle:
             # one exponential per distinct gap, kept as a matrix for its later uses
             assert formed == [gap for gap in dict.fromkeys(gaps) if gap]
 
+    def test_irregular_schedule_keeps_its_raw_gaps(self, monkeypatch):
+        # gaps of 0.1, 0.2 and 0.3 (over 3) in random order: a run of equal
+        # gaps steps by its first gap, which recurs bit for bit, so at most
+        # one map forms per distinct raw gap (34), not one per run (800)
+        times = np.cumsum(np.random.default_rng(0).choice([0.1, 0.2, 0.3], 10000)) / 3
+        raw = set(np.diff(np.concatenate([[0.0], times])).tolist())
+        assert len(raw) == 34
+        formed = []
+        call = _Expm.__call__
+        monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        integrate_master(initial_joint(0.75, cfg, ProbePrep.GROUND), cfg, NoiseConfig(0.1),
+                         times[-1], sample_times=times)
+        assert len(formed) <= 34 and set(formed) <= raw
+
+    @pytest.mark.parametrize("t_end", [0.3, 1.0, 7.77, 10.0, 123.456, MAX_T_END])
+    @pytest.mark.parametrize("samples", [2, 3, 201, 10001])
+    def test_linspace_steps_by_its_mean_gap(self, t_end, samples):
+        # evolve's schedule: its first gap is its mean gap, bit for bit, so
+        # taking the first gap leaves every evolve output as it was
+        points = np.linspace(0.0, t_end, samples)
+        mean = (points[-1] - points[0]) / (samples - 1)
+        assert points[1] - points[0] == mean
+        assert _run_gap(points, SCHEDULE_ROUNDING * max(t_end, 1.0)) == mean
+
+    def test_stray_run_steps_by_its_mean_gap(self):
+        tol = 1e-12
+        # time 3 strays 1.2 tol from the progression through the first gap
+        run = np.array([0.0, 1.0 - 0.4 * tol, 2.0, 3.0])
+        assert _run_gap(run[:3], tol) == run[1]
+        assert _run_gap(run, tol) == run[-1] / 3
+
     def test_runs_measured_against_their_first_time(self):
         # each gap 0.4 tol longer than the last: neighbours agree within
         # tol, but the times leave any one progression after a few gaps
@@ -885,6 +920,16 @@ class TestInitialJointFromPair:
             joint = initial_joint_from_pair(one_param_density(x), cfg, prep)
             assert joint.space == cfg.space
             assert np.array_equal(joint.mat, initial_joint(x, cfg, prep).mat)
+
+    @pytest.mark.parametrize("cfg, prep", [
+        (QUBIT, ProbePrep.GROUND), (QUBIT, ProbePrep.EXCITED), (BOSON, ProbePrep.GROUND),
+        (FULL, ProbePrep.EXCITED), (EXCHANGE, ProbePrep.GROUND)])
+    def test_stack_matches_one_pair_at_a_time(self, cfg, prep):
+        pairs = [one_param_density(x) for x in (0.5, 2.0 / 3.0, 0.75, 1.0)]
+        stack = initial_joint_matrices(np.array([p.mat for p in pairs]), cfg, prep)
+        assert stack.shape == (len(pairs), cfg.space.dim, cfg.space.dim)
+        for mat, pair in zip(stack, pairs):
+            assert np.array_equal(mat, initial_joint_from_pair(pair, cfg, prep).mat)
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="two-qubit pair state required"):

@@ -675,8 +675,9 @@ class TestPolarZoom:
     @example(rho=one_param_density(1.0))
     @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.1012).to_density())
     def test_never_worse_than_first_grid(self, rho):
-        thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
-        grid = _conditional_entropy_batch(rho.mat, thetas, np.zeros(thetas.size))
+        # the grid the search starts from: the closed form at every angle
+        grid = measures._polar_grid_entropies(*rho.mat.diagonal().real.tolist(),
+                                              abs(rho.mat[1, 2]) + abs(rho.mat[0, 3]))
         value, theta = _min_conditional_entropy_polar(rho.mat)
         assert value <= grid.min()
         assert 0.0 <= theta <= np.pi / 2.0
@@ -712,6 +713,35 @@ class TestBatchOutcomeEntropy:
             closed = [measures._x_conditional_entropy(t, *pops, abs(mat[1, 2]))
                       for t in thetas]
             assert np.max(np.abs(grid - closed)) <= 5e-16
+
+
+    def test_polar_grid_matches_the_batch_kernel(self):
+        # the search's grid, the closed form at every angle, against the
+        # general kernel at the aligned azimuth: seeded X states with one
+        # population zeroed in four of five (pure outcomes at theta = 0)
+        # and complex coherences inside their bounds, and the family,
+        # pure at x = 1
+        rng = np.random.default_rng(23)
+        mats = [one_param_density(x).mat for x in (0.5, 2.0 / 3.0, 0.75, 1.0)]
+        for i in range(300):
+            pops = rng.dirichlet(np.ones(4))
+            if i % 5:
+                pops[i % 4] = 0.0
+                pops /= pops.sum()
+            mat = np.diag(pops).astype(complex)
+            for (r, c), bound in (((1, 2), pops[1] * pops[2]), ((0, 3), pops[0] * pops[3])):
+                mat[r, c] = rng.uniform() * np.sqrt(bound) * np.exp(2j * np.pi * rng.uniform())
+                mat[c, r] = np.conj(mat[r, c])
+            mats.append(mat)
+        thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
+        for mat in mats:
+            r23, r14 = complex(mat[1, 2]), complex(mat[0, 3])
+            batch = _conditional_entropy_batch(mat, thetas, np.full(thetas.size,
+                                                                    _aligned_phi(mat)))
+            grid = measures._polar_grid_entropies(*mat.diagonal().real.tolist(),
+                                                  abs(r23) + abs(r14))
+            assert np.max(np.abs(grid - batch)) <= 1e-15
+            assert np.argmin(grid) == np.argmin(batch)
 
 
 def _golden_section(f, lo, hi):
@@ -766,7 +796,7 @@ class TestBrentRefinement:
     @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.107216).to_density())
     def test_never_above_golden_section(self, rho):
         phi = _aligned_phi(rho.mat)
-        value, theta = _min_conditional_entropy_polar(rho.mat, phi)
+        value, theta = _min_conditional_entropy_polar(rho.mat)
         assert value <= _golden_polar(rho.mat, phi)[0] + 1e-15
         assert 0.0 <= theta <= np.pi / 2.0
         basis = MeasurementBasis(theta, phi)

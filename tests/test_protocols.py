@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qprobe import dynamics, protocols, states
+from qprobe import protocols, states
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
     TWO_LEVEL_INDEX,
@@ -33,6 +33,7 @@ from qprobe.protocols import (
     estimate_from_counts,
     find_transfer_time,
     run_probe_cycle,
+    run_probe_cycles,
     run_qnd_sequence,
     sample_shots,
     transfer_time_report,
@@ -338,16 +339,17 @@ class TestProbeCycle:
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_family_state_built_once(self, monkeypatch, gamma):
         # one construction serves the initial joint state and the report before
-        built = []
+        built, family_matrices = [], states.family_matrices
 
-        def counted(x):
-            built.append(x)
-            return states.one_param_density(x)
+        def counted(xs):
+            built.append(list(xs))
+            return family_matrices(xs)
 
-        monkeypatch.setattr(protocols, "one_param_density", counted)
-        monkeypatch.setattr(dynamics, "one_param_density", counted)
+        # one_param_density builds through states.family_matrices too
+        monkeypatch.setattr(protocols, "family_matrices", counted)
+        monkeypatch.setattr(states, "family_matrices", counted)
         run_probe_cycle(0.75, QUBIT, 1, NoiseConfig(gamma))
-        assert built == [0.75]
+        assert built == [[0.75]]
 
     def test_half_periods_bounded(self, monkeypatch):
         # rejected before any propagator is built
@@ -406,6 +408,33 @@ class TestProbeCycle:
             rep = run_probe_cycle(x, cfg, n, NoiseConfig(gamma))
             assert rep.mean_sigma_z == float(sigma_z_stack(probe[None])[0])
             assert np.array_equal(rep.post_state.mat, pair)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_QUBIT,
+                                         ModelVariant.RESONANT_BOSON],
+                             ids=["secii-qubit", "secii-boson"])
+    def test_cycles_over_a_grid_equal_one_cycle_per_x(self, variant, gamma, n):
+        # the stacked pass is the one-x cycle for every x, field by field;
+        # the grid passes 2/3 and ends on 1, where the family's pattern changes
+        xs = [0.5, 0.6, 2.0 / 3.0, 0.75, 0.9, 1.0]
+        cfg = ModelConfig(variant)
+        stacked = run_probe_cycles(xs, cfg, n, NoiseConfig(gamma))
+        single = [run_probe_cycle(x, ModelConfig(variant), n, NoiseConfig(gamma)) for x in xs]
+        assert len(stacked) == len(single)
+        for a, b in zip(stacked, single):
+            assert a.post_state.space == b.post_state.space
+            assert np.array_equal(a.post_state.mat, b.post_state.mat)
+            assert not a.post_state.mat.flags.writeable
+            for field in ("t_read", "mean_sigma_z", "post_distance_to_initial",
+                          "state_restored", "measures_before", "measures_after"):
+                assert getattr(a, field) == getattr(b, field), field
+            assert type(a.state_restored) is bool
+
+    def test_cycles_check_every_x_first(self):
+        with pytest.raises(ValueError, match="x out of family domain"):
+            run_probe_cycles([0.75, 1.5], QUBIT, 1, NoiseConfig(0.1))
+        assert run_probe_cycles([], QUBIT, 1, NoiseConfig(0.1)) == []
 
     def test_non_disturbance_over_grid(self):
         # measures before vs after agree over the whole family without noise

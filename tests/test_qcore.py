@@ -12,6 +12,7 @@ from qprobe.qcore import (
     HilbertSpace,
     SpectralPropagator,
     check_density_stack,
+    density_matrices,
     entropy_bits,
     entropy_of_spectrum,
     fidelity,
@@ -79,6 +80,48 @@ class TestDensityMatrix:
         r = dm(np.diag([0.5, 0.5]))
         with pytest.raises(ValueError):
             r.mat[0, 0] = 1.0
+
+
+class TestDensityMatrices:
+    SPACE = HilbertSpace((2, 2), ("A", "B"))
+
+    def stack(self):
+        rng = np.random.default_rng(5)
+        return np.array([random_psd(rng, 4) for _ in range(5)])
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.1, 0, 0], [0.3, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+         "not Hermitian"),
+        (np.diag([1.2, -0.2, 0.0, 0.0]), "not positive semidefinite"),
+    ], ids=["non-hermitian", "non-positive"])
+    def test_one_bad_matrix_fails_the_stack_as_it_fails_alone(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(self.SPACE, bad)
+        mats = self.stack()
+        mats[3] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            density_matrices(self.SPACE, mats)
+
+    def test_rows_are_read_only_states_of_the_stack(self):
+        mats = self.stack()
+        states = density_matrices(self.SPACE, mats)
+        assert len(states) == len(mats)
+        for state, mat in zip(states, mats):
+            assert isinstance(state, DensityMatrix) and state.space == self.SPACE
+            assert np.array_equal(state.mat, mat)
+            with pytest.raises(ValueError):
+                state.mat[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                state.mat.setflags(write=True)
+        # a copy: writing to the input does not reach the states
+        mats[0, 0, 0] = 7.0
+        assert states[0].mat[0, 0] != 7.0
+
+    def test_stack_shape_must_match_the_space(self):
+        with pytest.raises(ValueError, match="does not match space dim 4"):
+            density_matrices(self.SPACE, np.eye(4)[None, :2])
+        with pytest.raises(ValueError, match="does not match space dim 4"):
+            density_matrices(self.SPACE, 0.25 * np.eye(4))
 
 
 def state_with_lowest(rng, dim, lowest):
@@ -149,6 +192,19 @@ class TestCheckDensityStack:
         shift = _floor_shift(4)
         assert _floor_shift(4) is shift and not shift.flags.writeable
         assert np.array_equal(shift, -EIG_FLOOR * np.eye(4))
+
+    def test_integer_float32_and_read_only_stacks(self):
+        # the check computes in its own buffer, at least float, and never
+        # writes to its input
+        cases = [(np.array([[[1, 0], [0, 0]]]), None),
+                 (np.full((1, 2, 2), 0.5, dtype=np.float32), None),
+                 (np.array([[[1, 1], [0, 0]]]), "not Hermitian"),
+                 (np.array([[[2, 0], [0, -1]]]), "not positive semidefinite")]
+        for mats, message in cases:
+            mats.setflags(write=False)
+            before = mats.copy()
+            assert check_message(mats) == message
+            assert np.array_equal(mats, before)
 
 
 class TestKron:
