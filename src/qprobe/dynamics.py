@@ -638,16 +638,18 @@ def _uniform_runs(points: Array, tol: float):
 
     Yields ``(first, m)``: the run takes the m times after ``points[first]``
     (the time of a state already known), the most that all lie within
-    ``tol`` of one progression points[first] + j h, j = 1 .. m.  Each
-    time is measured against the run's first time, not against its
+    ``tol`` of the progression points[first] + j h, j = 1 .. m, whose
+    step h is the run's first gap; the run steps by that gap.  Each time
+    is measured against the run's first time, not against its
     neighbour, so a schedule whose gaps drift slowly cannot pass as one
-    run: time j admits the steps (d_j - tol) / j <= h <= (d_j + tol) / j,
-    d_j = points[first + j] - points[first], and the run ends before the
-    first time whose steps miss those of all earlier times.  The gaps of
-    a run lie within 2 tol of its step, so where two neighbouring gaps
-    differ by more than 4 tol a run ends; those ends are found in one
-    pass, and an irregular schedule, a chain of runs of one time each,
-    costs no per-run array work.
+    run.  The step is a raw gap of the schedule, so the gaps of an
+    irregular one recur bit for bit and keep their cached maps; an
+    ``np.linspace`` schedule from 0 is one run, whose first gap is its
+    mean gap bit for bit.  The gaps of a run lie
+    within 2 tol of its step, so where two neighbouring gaps differ by
+    more than 4 tol a run ends; those ends are found in one pass, and an
+    irregular schedule, a chain of runs of one time each, costs no
+    per-run array work.
     """
     ends = []
     if len(points) > 2:  # one gap is one run
@@ -660,28 +662,11 @@ def _uniform_runs(points: Array, tol: float):
             m = end - first
             if m > 1:
                 d = points[first + 1:end + 1] - points[first]
-                j = np.arange(1.0, m + 1)
-                missed = np.maximum.accumulate((d - tol) / j) > np.minimum.accumulate((d + tol) / j)
-                # time 1 always fits (tol > 0), so argmax 0 means no time missed
+                missed = np.abs(d - d[0] * np.arange(1.0, m + 1)) > tol
+                # time 1 always fits, so argmax 0 means no time missed
                 m = int(np.argmax(missed)) or m
             yield first, m
             first += m
-
-
-def _run_gap(run: Array, tol: float) -> float:
-    """The gap whose map steps a run of times ``run`` (its first is known).
-
-    The run's first gap, when every time lies within ``tol`` of
-    run[0] + j * that gap, else its mean gap.  The gaps of an irregular
-    schedule then recur bit for bit and keep their cached maps, where
-    each short run's mean gap would differ in its last bits; on an
-    ``np.linspace`` schedule from 0 the first gap is the mean gap.
-    """
-    gap = run[1] - run[0]
-    m = len(run) - 1
-    if m > 1 and np.abs(run[1:] - run[0] - gap * np.arange(1.0, m + 1)).max() > tol:
-        return (run[-1] - run[0]) / m
-    return gap
 
 
 def integrate_master(
@@ -710,9 +695,8 @@ def integrate_master(
     The schedule is split into runs whose times lie on one arithmetic
     progression to within their rounding (``_uniform_runs``,
     SCHEDULE_ROUNDING): an ``np.linspace`` schedule is one run, an
-    irregular one a chain of short runs.  Each run forms one M, at the
-    gap ``_run_gap`` picks (its first gap, unless its times stray from
-    that progression); its first BLOCK samples take one mat-vec each, and
+    irregular one a chain of short runs.  Each run forms one M, at its
+    first gap; its first BLOCK samples take one mat-vec each, and
     every later BLOCK samples one (BLOCK, k) @ (k, k) product with
     M^BLOCK, written in place into the (n, k) stack of samples.  The
     cache holds at most GAP_MAPS k^2 16 B for k entries, whatever the
@@ -763,9 +747,8 @@ def integrate_master(
         points = np.array([0.0] * lead + sample_times)
         stack = np.empty((points.size, codes.size), dtype=complex)
         stack[0] = np.asarray(rho0.mat, dtype=complex).ravel()[codes]
-        tol = SCHEDULE_ROUNDING * max(points[-1], 1.0)
-        for first, m in _uniform_runs(points, tol):
-            step = plan.gap_map(_run_gap(points[first:first + m + 1], tol))
+        for first, m in _uniform_runs(points, SCHEDULE_ROUNDING * max(points[-1], 1.0)):
+            step = plan.gap_map(points[first + 1] - points[first])
             run = stack[first:first + m + 1]
             for s in range(1, min(m, BLOCK) + 1):
                 np.matmul(step, run[s - 1], out=run[s])

@@ -120,10 +120,10 @@ def check_density_stack(mats: Array) -> None:
     """
     if not np.isfinite(mats).all():
         raise ValueError("non-finite entries")
-    # one stack-sized buffer, at least float, serves the Hermiticity
-    # difference and then the shifted stack: two fewer temporaries of the
-    # stack's size per call
-    work = np.conjugate(mats, dtype=np.result_type(mats, 1.0)).swapaxes(-1, -2)
+    # one stack-sized buffer, at least double precision, serves the
+    # Hermiticity difference and then the shifted stack: two fewer
+    # temporaries of the stack's size per call
+    work = np.conjugate(mats, dtype=np.promote_types(mats.dtype, np.float64)).swapaxes(-1, -2)
     work -= mats
     if np.abs(work).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("not Hermitian")
@@ -143,7 +143,8 @@ class DensityMatrix:
     Hermiticity (1e-10), trace (1e-10) and positivity (smallest
     eigenvalue >= -1e-8, decided by one Cholesky factorization) are
     validated by check_density_stack, at construction or, for the rows
-    of a stack, once for the whole stack by ``density_matrices``;
+    of a stack, once for the whole stack by ``from_stack`` (also
+    ``qcore.density_matrices``); both go through ``_checked``, and
     invalid states raise.
     """
 
@@ -151,40 +152,47 @@ class DensityMatrix:
     mat: Array
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
-        d = self.space.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match space dim {d}")
-        check_density_stack(m[None])
+        object.__setattr__(self, "mat", self._checked(self.space, self.mat, "matrix"))
+
+    @staticmethod
+    def _checked(space: HilbertSpace, mats, kind: str) -> Array:
+        """A read-only complex copy of one matrix or an (n, d, d) stack, every state checked.
+
+        The one validation of a state: the shape against ``space``, then
+        one check_density_stack call over all the matrices.
+        """
+        m = np.array(mats, dtype=complex)
+        d = space.dim
+        if m.shape[-2:] != (d, d) or m.ndim != (2 if kind == "matrix" else 3):
+            raise ValueError(f"{kind} shape {m.shape} does not match space dim {d}")
+        check_density_stack(m.reshape(-1, d, d))
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        return m
+
+    @classmethod
+    def from_stack(cls, space: HilbertSpace, mats) -> tuple[DensityMatrix, ...]:
+        """Every matrix of an (n, d, d) stack as a state on ``space``, checked at once.
+
+        ``_checked`` validates the whole stack in one check_density_stack
+        call, with the checks, order, tolerances and messages of a single
+        state; state s then holds row s of its read-only copy, without
+        running ``__init__`` and so without a second check of its own.
+        """
+        states = []
+        for row in cls._checked(space, mats, "stack"):
+            state = cls.__new__(cls)
+            object.__setattr__(state, "space", space)
+            object.__setattr__(state, "mat", row)
+            states.append(state)
+        return tuple(states)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
 
-def density_matrices(space: HilbertSpace, mats) -> tuple[DensityMatrix, ...]:
-    """Every matrix of an (n, d, d) stack as a state on ``space``, checked at once.
-
-    One check_density_stack call validates the whole stack, with the
-    checks, order, tolerances and messages of DensityMatrix; state s
-    then holds row s of a read-only copy of the stack, without a second
-    check of its own.
-    """
-    m = np.array(mats, dtype=complex)
-    d = space.dim
-    if m.ndim != 3 or m.shape[1:] != (d, d):
-        raise ValueError(f"stack shape {m.shape} does not match space dim {d}")
-    check_density_stack(m)
-    m.setflags(write=False)
-    states = []
-    for row in m:
-        state = object.__new__(DensityMatrix)
-        object.__setattr__(state, "space", space)
-        object.__setattr__(state, "mat", row)
-        states.append(state)
-    return tuple(states)
+#: the rows of a stack as states, checked at once (``DensityMatrix.from_stack``)
+density_matrices = DensityMatrix.from_stack
 
 
 def kron(a, b) -> Array:

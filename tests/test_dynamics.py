@@ -28,7 +28,6 @@ from qprobe.dynamics import (
     _PropagationPlan,
     _embed,
     _restricted_generator,
-    _run_gap,
     _uniform_runs,
     boson_lower,
     build_hamiltonian,
@@ -544,7 +543,7 @@ class TestIntegratorOracle:
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
         if uniform_gap is not None:
-            # one uniform run: one exponential, at the run's mean gap
+            # one uniform run: one exponential, at its first gap
             assert formed == [uniform_gap]
         else:
             gaps = list(np.diff([0.0, *sample_times]))
@@ -569,19 +568,21 @@ class TestIntegratorOracle:
     @pytest.mark.parametrize("t_end", [0.3, 1.0, 7.77, 10.0, 123.456, MAX_T_END])
     @pytest.mark.parametrize("samples", [2, 3, 201, 10001])
     def test_linspace_steps_by_its_mean_gap(self, t_end, samples):
-        # evolve's schedule: its first gap is its mean gap, bit for bit, so
-        # taking the first gap leaves every evolve output as it was
+        # evolve's schedule is one run, and its first gap, the step, is its
+        # mean gap bit for bit, so every evolve output stays as it was
         points = np.linspace(0.0, t_end, samples)
         mean = (points[-1] - points[0]) / (samples - 1)
         assert points[1] - points[0] == mean
-        assert _run_gap(points, SCHEDULE_ROUNDING * max(t_end, 1.0)) == mean
+        assert list(_uniform_runs(points, SCHEDULE_ROUNDING * max(t_end, 1.0))) == [
+            (0, samples - 1)]
 
-    def test_stray_run_steps_by_its_mean_gap(self):
+    def test_run_ends_where_a_time_leaves_its_first_gap(self):
         tol = 1e-12
-        # time 3 strays 1.2 tol from the progression through the first gap
+        # time 3 strays 1.2 tol from the progression through the first gap,
+        # though all three lie within tol of the one through the mean gap
         run = np.array([0.0, 1.0 - 0.4 * tol, 2.0, 3.0])
-        assert _run_gap(run[:3], tol) == run[1]
-        assert _run_gap(run, tol) == run[-1] / 3
+        assert list(_uniform_runs(run[:3], tol)) == [(0, 2)]
+        assert list(_uniform_runs(run, tol)) == [(0, 2), (2, 1)]
 
     def test_runs_measured_against_their_first_time(self):
         # each gap 0.4 tol longer than the last: neighbours agree within

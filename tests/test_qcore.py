@@ -194,10 +194,16 @@ class TestCheckDensityStack:
         assert np.array_equal(shift, -EIG_FLOOR * np.eye(4))
 
     def test_integer_float32_and_read_only_stacks(self):
-        # the check computes in its own buffer, at least float, and never
-        # writes to its input
+        # the check computes in its own buffer, at least double precision,
+        # and never writes to its input
+        below = np.nextafter(np.float32(0.5), np.float32(0.0))
+        # smallest eigenvalue -5.0e-9, above the floor only in double
+        # precision: in float32 the shift of 1e-8 is lost on entries near 0.5
+        near_floor = np.array([[[0.50018656, below], [below, 0.49981344]]], dtype=np.float32)
+        assert -1e-8 < np.linalg.eigvalsh(near_floor.astype(float))[0, 0] < 0.0
         cases = [(np.array([[[1, 0], [0, 0]]]), None),
                  (np.full((1, 2, 2), 0.5, dtype=np.float32), None),
+                 (near_floor, None),
                  (np.array([[[1, 1], [0, 0]]]), "not Hermitian"),
                  (np.array([[[2, 0], [0, -1]]]), "not positive semidefinite")]
         for mats, message in cases:
