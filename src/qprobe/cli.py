@@ -35,7 +35,7 @@ from .dynamics import (
 from .measures import (
     CorrelationReport,
     concurrence_stack,
-    correlation_report,
+    correlation_reports,
     mutual_information_stack,
 )
 from .protocols import (
@@ -48,8 +48,8 @@ from .protocols import (
     sample_shots,
     transfer_time_report,
 )
-from .qcore import trace_distance, trace_distance_stack
-from .states import ProbePrep, one_param_density
+from .qcore import density_matrices, trace_distance, trace_distance_stack
+from .states import ProbePrep, family_matrices, one_param_density, two_qubit_space
 
 MODEL_CHOICES = {
     "secii-qubit": ModelVariant.RESONANT_QUBIT,
@@ -270,12 +270,14 @@ def _sweep_rows(grid: Sequence[float], cfg: Optional[ModelConfig],
                 noise: NoiseConfig) -> list[list[float]]:
     """Noiseless measures and sigma_z per x; with noise, also one noisy probe cycle on ``cfg``.
 
-    The noisy probe cycles of the whole grid come from one call.
+    The whole grid takes one call: without noise, ``correlation_reports``
+    of its family states, checked as one stack; with noise, ``run_probe_cycles``.
     """
     sigma_z = [2.0 * RESONANT_READOUT.probability(x) - 1.0 for x in grid]
     if noise.gamma == 0.0:
-        return [[x, *_report_values(correlation_report(one_param_density(x))), sz]
-                for x, sz in zip(grid, sigma_z)]
+        reports = correlation_reports(density_matrices(two_qubit_space(),
+                                                       family_matrices(grid)))
+        return [[x, *_report_values(rep), sz] for x, rep, sz in zip(grid, reports, sigma_z)]
     return [[x, *_report_values(cycle.measures_before), sz,
              *_report_values(cycle.measures_after), cycle.mean_sigma_z]
             for x, cycle, sz in zip(grid, run_probe_cycles(grid, cfg, 1, noise), sigma_z)]

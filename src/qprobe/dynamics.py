@@ -42,12 +42,12 @@ propagated BLOCK at a time by one matrix product each.
 
 A ``ModelConfig`` caches what depends on it alone, for as long as the
 config object lives: its Hilbert space, its Hamiltonian and the probe's
-sigma^- (read-only arrays), and the latest propagation plan of
-``integrate_master`` (the reachable set, the restricted generator, the
-powers of it formed so far and the cache of gap maps), rebuilt when the
-collapse operators or the initial nonzero pattern change.  The rows of one sweep share one config
-and so one plan; every CLI call builds its own config.  The module
-needs numpy only.
+sigma^- (read-only arrays), the Hamiltonian's spectral propagator, and
+the latest propagation plan of ``integrate_master`` (the reachable set,
+the restricted generator, the powers of it formed so far and the cache
+of gap maps), rebuilt when the collapse operators or the initial nonzero
+pattern change.  The rows of one sweep share one config and so one plan;
+every CLI call builds its own config.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ class ModelConfig:
 
     A config also owns what is derived from it alone, built on first
     use and kept as long as the config object: ``space``,
-    ``hamiltonian`` and ``probe_sigma_minus`` (read-only arrays), and
-    ``integrate_master``'s latest propagation plan (see
-    ``_propagation_plan``).  None of them is a field, so equality,
+    ``hamiltonian`` and ``probe_sigma_minus`` (read-only arrays),
+    ``propagator`` and ``integrate_master``'s latest propagation plan
+    (see ``_propagation_plan``).  None of them is a field, so equality,
     hashing and ``repr`` see the two fields only.
     """
 
@@ -146,6 +146,11 @@ class ModelConfig:
     def hamiltonian(self) -> Array:
         """``build_hamiltonian(self)``, built on first use; read-only."""
         return _read_only(build_hamiltonian(self))
+
+    @functools.cached_property
+    def propagator(self) -> SpectralPropagator:
+        """The spectral propagator of ``hamiltonian``, built on first use."""
+        return SpectralPropagator.from_hamiltonian(self.hamiltonian)
 
     @functools.cached_property
     def probe_sigma_minus(self) -> Array:
@@ -705,12 +710,13 @@ def integrate_master(
     ``EvolutionResult``), never as d x d matrices.  The trace is then
     checked over every sample: trace drift beyond TRACE_DRIFT_LIMIT
     (``qcore.TRACE_TOL``, the bound of the samples' state check) at any
-    sample, or a non-finite trace, fails the run.  That is how a rate
-    too large to propagate in double precision (or one that overflows)
-    fails.  A non-finite t_end, one above MAX_T_END, sample times closer
-    than MIN_SAMPLE_GAP (a repeated one too; only a first sample at 0
-    may sit closer to 0) and more than MAX_REACHABLE reachable entries
-    are rejected before any propagation.
+    sample, or a non-finite trace, fails the run.  That is how a
+    generator too large to propagate in double precision fails: a decay
+    rate, or a Hamiltonian term such as a large detuning.  A non-finite
+    t_end, one above MAX_T_END, sample times closer than MIN_SAMPLE_GAP
+    (a repeated one too; only a first sample at 0 may sit closer to 0)
+    and more than MAX_REACHABLE reachable entries are rejected before
+    any propagation.
 
     There is no step: ``dt`` accepts DEFAULT_DT only and raises on any
     other value.  It stays in the signature because the benchmark's
@@ -763,7 +769,8 @@ def integrate_master(
         drift = np.abs(entries[:, plan.diag].sum(axis=1).real - 1.0)
         if not (drift <= TRACE_DRIFT_LIMIT).all():
             raise ValueError(
-                "trace drift exceeded tolerance: decay rate too large to propagate")
+                "trace drift exceeded tolerance: generator too large to propagate "
+                "(a decay rate or a Hamiltonian term such as the detuning)")
 
     return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)
 
@@ -812,14 +819,13 @@ def dispersive_deviation(x: float, delta_over_g: float) -> float:
     t_end = float(np.pi / (2.0 * np.sqrt(2.0) * eff_cfg.j_exchange))
     times = np.linspace(0.0, t_end, 201)
 
-    eff_prop = SpectralPropagator.from_hamiltonian(eff_cfg.hamiltonian)
     eff0 = initial_joint(x, eff_cfg, ProbePrep.EXCITED).mat
     cfg = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=delta_over_g)
-    prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
     full0 = initial_joint(x, cfg, ProbePrep.EXCITED).mat
     worst = 0.0
     for t in times:
-        full_abc = partial_trace_mat(prop.apply_mat(full0, t), cfg.space.dims, {0, 1, 2})
-        eff_abc = eff_prop.apply_mat(eff0, t)
+        full = cfg.propagator.apply_mat(full0, t)
+        full_abc = partial_trace_mat(full, cfg.space.dims, {0, 1, 2})
+        eff_abc = eff_cfg.propagator.apply_mat(eff0, t)
         worst = max(worst, trace_distance(_phase_twirl(full_abc), _phase_twirl(eff_abc)))
     return worst

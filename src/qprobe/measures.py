@@ -22,8 +22,9 @@ Alber, PRA 81, 042105 (2010)).  The minimum is that closed form on a
 outcomes and every angle, refined by Brent's bounded method (parabolic
 steps with a golden-section fallback) on the cells around its best
 point, in ``math``; S(A) is the entropy of the marginal's two
-populations.  ``correlation_report`` takes its other columns from the
-same few entries, in ``math`` too.  The conditional entropy of any
+populations.  ``correlation_reports`` takes the concurrence and the
+mutual information of all its states from one call of each stack kernel,
+the only implementation of either.  The conditional entropy of any
 two-qubit state and measurement is one batched numpy kernel: measuring
 the second qubit along |v> leaves the first in the unnormalised 2x2
 state (I (x) <v|) rho (I (x) |v>).  Every outcome's trace and
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -444,9 +445,8 @@ def classical_correlation_closed_form(xs: XState) -> float:
 
 
 def discord(rho: DensityMatrix) -> float:
-    """Quantum discord: mutual information minus classical correlation."""
-    classical, _ = classical_correlation_optimized(rho)
-    return mutual_information(rho) - classical
+    """Quantum discord: mutual information minus classical correlation, as reported."""
+    return correlation_report(rho).discord
 
 
 @dataclass(frozen=True)
@@ -473,39 +473,34 @@ class CorrelationReport:
             raise ValueError("classical correlation exceeds mutual information")
 
 
-def correlation_report(rho: DensityMatrix) -> CorrelationReport:
-    """Every quantifier of an X state, from a single optimizer run.
+def correlation_reports(states: Sequence[DensityMatrix]) -> list[CorrelationReport]:
+    """Every quantifier of each X state of ``states``, in order.
 
-    The other columns come from one read of r11 .. r44, |r23| and |r14|
-    as floats, in ``math``: the formulas of ``concurrence_stack``,
-    ``mutual_information_stack`` and ``classical_correlation_closed_form``
-    (None where ``xstate_from_entries`` or the closed form refuses the
-    state).
+    One ``concurrence_stack`` and one ``mutual_information_stack`` call
+    serve every state; the optimizer (called through its module name)
+    and ``classical_correlation_closed_form`` run per state, the latter
+    on the raw entries (None where it or ``xstate_from_entries`` refuses).
     """
-    classical, basis = classical_correlation_optimized(rho)
-    # the optimizer has run the X-state guard on rho; the entries read
-    # here are on the X, which the guard leaves as they are
-    flat = _pair_matrix(rho).ravel().tolist()
-    r11, r22, r33, r44 = flat[0].real, flat[5].real, flat[10].real, flat[15].real
-    a14, a23 = abs(flat[3]), abs(flat[6])
-    conc = 2.0 * max(0.0, a23 - math.sqrt(max(r11 * r44, 0.0)),
-                     a14 - math.sqrt(max(r22 * r33, 0.0)))
-    # the blocks on {|00>, |11>} and {|01>, |10>}: mean -+ radius
-    outer, inner = 0.5 * (r11 + r44), 0.5 * (r22 + r33)
-    r_outer, r_inner = math.hypot(0.5 * (r11 - r44), a14), math.hypot(0.5 * (r22 - r33), a23)
-    mi = (_entropy_of_values(r11 + r22, r33 + r44) + _entropy_of_values(r11 + r33, r22 + r44)
-          - _entropy_of_values(outer - r_outer, inner - r_inner,
-                               outer + r_outer, inner + r_inner))
-    closed: Optional[float]
-    try:
-        closed = classical_correlation_closed_form(xstate_from_entries(flat))
-    except ValueError:
-        closed = None
-    return CorrelationReport(
-        concurrence=conc,
-        mutual_info=mi,
-        classical=classical,
-        discord=mi - classical,
-        classical_closed_form=closed,
-        optimizer_basis=basis,
-    )
+    mats = np.reshape([_pair_matrix(rho) for rho in states], (-1, 4, 4))
+    reports = []
+    for rho, mat, conc, mi in zip(states, mats, concurrence_stack(mats).tolist(),
+                                  mutual_information_stack(mats).tolist()):
+        classical, basis = classical_correlation_optimized(rho)
+        try:
+            closed = classical_correlation_closed_form(xstate_from_entries(mat.ravel().tolist()))
+        except ValueError:
+            closed = None
+        reports.append(CorrelationReport(
+            concurrence=conc,
+            mutual_info=mi,
+            classical=classical,
+            discord=mi - classical,
+            classical_closed_form=closed,
+            optimizer_basis=basis,
+        ))
+    return reports
+
+
+def correlation_report(rho: DensityMatrix) -> CorrelationReport:
+    """Every quantifier of one X state: ``correlation_reports([rho])[0]``."""
+    return correlation_reports([rho])[0]

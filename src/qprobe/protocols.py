@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import CorrelationReport, correlation_report
+from .measures import CorrelationReport, correlation_report, correlation_reports
 from .qcore import (
     DensityMatrix,
     SpectralPropagator,
@@ -369,8 +369,9 @@ def run_probe_cycles(
     Every stage but the evolution runs once over the stack of all
     cycles: the family states (each x domain-checked), the initial
     joint states and the post states are each checked by one
-    ``density_matrices`` call, and the distances and the readouts are
-    one ``trace_distance_stack`` and one ``sigma_z_stack``.
+    ``density_matrices`` call, the distances and the readouts are one
+    ``trace_distance_stack`` and one ``sigma_z_stack``, and the reports
+    before and after are one ``correlation_reports`` call.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -387,15 +388,13 @@ def run_probe_cycles(
     t_read = n * np.pi / 2.0
 
     noiseless = noise.gamma == 0.0 and noise.collapse_ops is None
-    if noiseless:
-        prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
-    elif t_read > MAX_T_END:
+    if not noiseless and t_read > MAX_T_END:
         raise ValueError(f"with noise n may not exceed {int(MAX_T_END * 2 / np.pi)} half periods")
     pairs, probes = [], []
     for joint0 in joints:
         if noiseless:
             codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
-            joint = prop.apply_mat(joint0.mat, t_read)
+            joint = cfg.propagator.apply_mat(joint0.mat, t_read)
             result = EvolutionResult((t_read,), cfg.space, codes, joint.ravel()[codes][None])
         else:
             result = integrate_master(joint0, cfg, noise, t_read)
@@ -406,6 +405,7 @@ def run_probe_cycles(
     posts = density_matrices(two_qubit_space(), pairs)
     distances = trace_distance_stack(pairs, family).tolist()
     sigma_z = sigma_z_stack(np.reshape(probes, (-1, 2, 2))).tolist()
+    reports = correlation_reports([*rho0s, *posts])
     return [
         ProbeCycleReport(
             t_read=t_read,
@@ -413,10 +413,11 @@ def run_probe_cycles(
             post_state=post,
             post_distance_to_initial=distance,
             state_restored=distance <= RESTORED_TOL,
-            measures_before=correlation_report(rho0),
-            measures_after=correlation_report(post),
+            measures_before=before,
+            measures_after=after,
         )
-        for rho0, post, distance, sz in zip(rho0s, posts, distances, sigma_z)
+        for post, distance, sz, before, after in zip(
+            posts, distances, sigma_z, reports[:len(posts)], reports[len(posts):])
     ]
 
 
@@ -436,11 +437,6 @@ def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
 # transfer timing for the exchange model
 
 _FIDELITY_X_GRID = (0.6, 0.75, 0.9)
-
-
-def _exchange_propagator(j: float) -> SpectralPropagator:
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=1.0 / (2.0 * j))
-    return SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
 
 
 def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
@@ -463,7 +459,8 @@ def _checked_transfer(j: float) -> tuple[SpectralPropagator, float, float]:
     """
     if j <= 0:
         raise ValueError("exchange strength must be positive")
-    prop = _exchange_propagator(j)  # its config rejects a non-finite period
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=1.0 / (2.0 * j))
+    prop = cfg.propagator  # the config rejects a non-finite period
     t_star = float(np.pi / (2.0 * np.sqrt(2.0) * j))
     fid = _swap_fidelity(prop, t_star)
     if fid < 1.0 - 1e-9:
@@ -580,14 +577,13 @@ def run_qnd_sequence(
     if 2 * n_cycles * shots_per_stage > MAX_SHOTS:
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg.j_exchange)
-    prop = SpectralPropagator.from_hamiltonian(cfg.hamiltonian)
 
     state = one_param_density(x)
     stages: list[QndStageResult] = []
     stage_index = 0
     for _ in range(int(n_cycles)):
         for prep in (ProbePrep.EXCITED, ProbePrep.GROUND):
-            joint = prop.apply(join_with_probe(state, prep), t_star)
+            joint = cfg.propagator.apply(join_with_probe(state, prep), t_star)
             probe = partial_trace(joint, {2})
             p_e = min(1.0, max(0.0, float(probe.mat[0, 0].real)))
             record = sample_shots(p_e, shots_per_stage, derive_seed(seed, stage_index))

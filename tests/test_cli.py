@@ -123,6 +123,21 @@ class TestSweepCommand:
         assert run(["sweep", "--x-step", "0.1", "--gamma", "0.1", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_noiseless_grid_checks_one_family_stack(self, tmp_path, monkeypatch, capsys):
+        # the 51 family states are checked as one stack, not one by one
+        check, shapes = qprobe.qcore.check_density_stack, []
+
+        def counted(mats):
+            shapes.append(mats.shape)
+            return check(mats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qprobe") and getattr(module, "check_density_stack",
+                                                      None) is check:
+                monkeypatch.setattr(module, "check_density_stack", counted)
+        assert run(["sweep", "--out", tmp_path / "s.csv"]) == 0
+        assert shapes == [(51, 4, 4)]
+
     def test_grid_validation(self, capsys):
         assert run(["sweep", "--x-step", "0"]) == 2
         assert run(["sweep", "--x-start", "0.4"]) == 2

@@ -332,27 +332,32 @@ class TestIntegrateMaster:
                 sample_times=sample_times,
             )
 
-    @pytest.mark.parametrize("gamma, sample_times, message", [
-        (1e200, None, "trace drift"),
-        (1.7e308, None, "trace drift"),
+    @pytest.mark.parametrize("cfg, gamma, sample_times", [
+        (QUBIT, 1e200, None),
+        (QUBIT, 1.7e308, None),
         # a short first gap fails the same way as a long one
-        (1e200, [1e-4, 1.0], "trace drift"),
+        (QUBIT, 1e200, [1e-4, 1.0]),
         # finite throughout, but the trace drifts past the state check's bound
-        (1e6, None, "trace drift"),
-    ], ids=["1e200", "1.7e308", "before-checked-step", "1e6"])
-    def test_overflowing_rate_rejected_without_warning(self, gamma, sample_times, message):
+        (QUBIT, 1e6, None),
+        # no noise: the detuning alone is too large to propagate
+        (ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=1e9), 0.0, None),
+    ], ids=["1e200", "1.7e308", "before-checked-step", "1e6", "seciii-full-delta-1e9"])
+    def test_overflowing_rate_rejected_without_warning(self, cfg, gamma, sample_times):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message) as exc:
+            with pytest.raises(ValueError) as exc:
                 integrate_master(
-                    initial_joint(0.75, QUBIT, ProbePrep.GROUND),
-                    QUBIT,
+                    initial_joint(0.75, cfg, ProbePrep.GROUND),
+                    cfg,
                     NoiseConfig(gamma=gamma),
                     1.0,
                     sample_times=sample_times,
                 )
-        # there is no step to shorten, so the message names the rate
-        assert "decay rate too large" in str(exc.value)
+        # there is no step to shorten, so the message names the generator:
+        # a decay rate, or a Hamiltonian term such as a large detuning
+        assert str(exc.value) == (
+            "trace drift exceeded tolerance: generator too large to propagate "
+            "(a decay rate or a Hamiltonian term such as the detuning)")
 
     def test_drift_at_one_middle_sample_rejected(self, monkeypatch):
         # the trace is checked over every sample once propagation ends:

@@ -19,6 +19,7 @@ from qprobe.measures import (
     concurrence_time_formula,
     conditional_entropy,
     correlation_report,
+    correlation_reports,
     discord,
     mutual_information,
     mutual_information_stack,
@@ -455,6 +456,69 @@ class TestCorrelationReport:
         rng = np.random.default_rng(37)
         rep = correlation_report(diagonal_product_state(rng))
         assert rep.classical_closed_form is None
+
+
+def seeded_x_states(seed: int, count: int) -> list[DensityMatrix]:
+    """X states with complex coherences, a third with rounding off the X.
+
+    In turn: general states, states with a zero population (the
+    coherence of its block then 0) and states with a pure block (its
+    coherence at the positivity bound); every third state also carries
+    Hermitian entries off the X of modulus at most XSTATE_PATTERN_TOL.
+    """
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in range(count):
+        pops = rng.dirichlet(np.ones(4))
+        if k % 3 == 1:
+            pops[rng.integers(4)] = 0.0
+            pops /= pops.sum()
+        mat = np.diag(pops).astype(complex)
+        for (i, j) in ((1, 2), (0, 3)):
+            size = 1.0 if k % 3 == 2 else rng.uniform()
+            mat[i, j] = size * np.sqrt(pops[i] * pops[j]) * np.exp(2j * np.pi * rng.uniform())
+            mat[j, i] = np.conj(mat[i, j])
+        if k % 3 == 0:
+            i, j = (0, 1) if k % 2 else (1, 3)
+            mat[i, j] = XSTATE_PATTERN_TOL * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            mat[j, i] = np.conj(mat[i, j])
+        states.append(DensityMatrix(SPACE, mat))
+    return states
+
+
+#: seeded X states shared by the one-implementation tests
+SEEDED_X_STATES = seeded_x_states(1, 1200)
+
+
+class TestOneImplementationPerMeasure:
+    def test_report_columns_are_the_stack_kernels(self):
+        # a report's concurrence and mutual information are the stack
+        # kernels' values bit for bit: there is no second formula
+        for rho in SEEDED_X_STATES:
+            rep = correlation_report(rho)
+            assert rep.concurrence == concurrence_stack(rho.mat[None])[0]
+            assert rep.mutual_info == mutual_information_stack(rho.mat[None])[0]
+
+    def test_discord_is_the_report_discord(self):
+        for rho in SEEDED_X_STATES[::3]:
+            assert discord(rho) == correlation_report(rho).discord
+
+    def test_reports_of_a_sequence_are_the_single_reports(self):
+        states = SEEDED_X_STATES[:150]
+        reports = correlation_reports(states)
+        assert reports == [correlation_report(rho) for rho in states]
+        # a state's report depends neither on its place nor on the stack's size
+        assert correlation_reports(states[::-1]) == reports[::-1]
+        assert sum((correlation_reports(states[k:k + 7]) for k in range(0, 150, 7)),
+                   []) == reports
+        assert correlation_reports([]) == []
+
+    def test_kernels_do_not_depend_on_the_stack(self):
+        mats = np.array([rho.mat for rho in SEEDED_X_STATES])
+        for stack in (concurrence_stack, mutual_information_stack):
+            whole = stack(mats).tolist()
+            assert stack(mats[::-1]).tolist() == whole[::-1]
+            assert [stack(m[None])[0] for m in mats] == whole
 
 
 class TestInferFromSigmaZ:

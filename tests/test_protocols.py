@@ -431,6 +431,33 @@ class TestProbeCycle:
                 assert getattr(a, field) == getattr(b, field), field
             assert type(a.state_restored) is bool
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_reports_of_a_grid_take_one_call(self, monkeypatch, gamma):
+        # the reports before and after every cycle come from one stacked call
+        calls, reports = [], protocols.correlation_reports
+
+        def counted(states):
+            calls.append(len(states))
+            return reports(states)
+
+        monkeypatch.setattr(protocols, "correlation_reports", counted)
+        cycles = run_probe_cycles([0.5, 0.75, 1.0], QUBIT, 1, NoiseConfig(gamma))
+        assert calls == [6] and len(cycles) == 3
+
+    def test_noiseless_cycles_share_the_config_propagator(self, monkeypatch):
+        builds, build = [], SpectralPropagator.from_hamiltonian.__func__
+
+        def counted_build(cls, h):
+            builds.append(h)
+            return build(cls, h)
+
+        monkeypatch.setattr(SpectralPropagator, "from_hamiltonian", classmethod(counted_build))
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+        run_probe_cycle(0.75, cfg, 1)
+        run_probe_cycles([0.6, 0.9], cfg, 3)
+        assert cfg.propagator is cfg.propagator
+        assert len(builds) == 1 and builds[0] is cfg.hamiltonian
+
     def test_cycles_check_every_x_first(self):
         with pytest.raises(ValueError, match="x out of family domain"):
             run_probe_cycles([0.75, 1.5], QUBIT, 1, NoiseConfig(0.1))
