@@ -143,9 +143,11 @@ def concurrence_stack(mats: np.ndarray) -> np.ndarray:
     """
     mats = _x_states(mats)
     pops = mats.diagonal(axis1=1, axis2=2).real
+    # np.maximum(a, 0.0) is what np.clip(a, 0.0, None) calls, without its
+    # Python-level set-up, which is most of the cost on a one-state stack
     return 2.0 * np.maximum(0.0, np.maximum(
-        np.abs(mats[:, 1, 2]) - np.sqrt(np.clip(pops[:, 0] * pops[:, 3], 0.0, None)),
-        np.abs(mats[:, 0, 3]) - np.sqrt(np.clip(pops[:, 1] * pops[:, 2], 0.0, None)),
+        np.abs(mats[:, 1, 2]) - np.sqrt(np.maximum(pops[:, 0] * pops[:, 3], 0.0)),
+        np.abs(mats[:, 0, 3]) - np.sqrt(np.maximum(pops[:, 1] * pops[:, 2], 0.0)),
     ))
 
 
@@ -171,17 +173,17 @@ def mutual_information_stack(mats: np.ndarray) -> np.ndarray:
     """
     mats = _x_states(mats)
     pops = mats.diagonal(axis1=1, axis2=2).real
-    n = len(mats)
     # rows S(A), S(B), S(AB); the marginal rows are padded with zeros
-    spectra = np.zeros((n, 3, 4))
-    grid = pops.reshape(n, 2, 2)
-    spectra[:, 0, :2] = grid.sum(axis=2)
-    spectra[:, 1, :2] = grid.sum(axis=1)
-    top, bottom = pops[:, [0, 1]], pops[:, [3, 2]]
+    spectra = np.zeros((len(mats), 3, 4))
+    np.add(pops[:, 0::2], pops[:, 1::2], out=spectra[:, 0, :2])  # p00 + p01, p10 + p11
+    np.add(pops[:, :2], pops[:, 2:], out=spectra[:, 1, :2])  # p00 + p10, p01 + p11
+    # the blocks' diagonals (r11, r44) and (r22, r33), coherences r14 and r23
+    top, bottom = pops[:, :2], pops[:, :1:-1]
+    coherences = mats[:, :2, ::-1].diagonal(axis1=1, axis2=2)
     mean = 0.5 * (top + bottom)
-    radius = np.hypot(0.5 * (top - bottom), np.abs(mats[:, [0, 1], [3, 2]]))
-    spectra[:, 2, :2] = mean - radius
-    spectra[:, 2, 2:] = mean + radius
+    radius = np.hypot(0.5 * (top - bottom), np.abs(coherences))
+    np.subtract(mean, radius, out=spectra[:, 2, :2])
+    np.add(mean, radius, out=spectra[:, 2, 2:])
     s = entropy_of_spectra(spectra)
     return s[:, 0] + s[:, 1] - s[:, 2]
 

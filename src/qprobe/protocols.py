@@ -30,19 +30,20 @@ import numpy as np
 from .measures import CorrelationReport, correlation_report, correlation_reports
 from .qcore import (
     DensityMatrix,
+    HilbertSpace,
     SpectralPropagator,
     density_matrices,
     fidelity,
-    partial_trace,
+    kron,
     partial_trace_mat,
     trace_distance_stack,
 )
 from .states import (
     ProbePrep,
-    corner_swap,
+    corner_swap_matrices,
     family_matrices,
-    join_with_probe,
     one_param_density,
+    probe_space,
     two_qubit_space,
 )
 from .dynamics import (
@@ -117,6 +118,20 @@ def _excited_cutoff(p: float) -> int:
     return lo
 
 
+@functools.cache
+def _block_products() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only block offsets 0 .. SHOT_BLOCK - 1 and their products with MIX1.
+
+    Formed on the first draw rather than at import, so a process that
+    never samples never holds them.
+    """
+    offsets = np.arange(SHOT_BLOCK, dtype=np.uint64)
+    mixed = offsets * np.uint64(_MIX1)
+    offsets.setflags(write=False)
+    mixed.setflags(write=False)
+    return offsets, mixed
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Binomial measurement record of one stage."""
@@ -156,10 +171,11 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
       (k ^ K_low) for offsets k < 2^15, and k -> k ^ K_low only permutes
       the offsets.  The block thus holds the words of the counters
       (c ^ K_high) + k, whose first product is offsets * MIX1 (formed
-      once per call) plus one constant: a single addition.  Only the
-      partial blocks before the first multiple of 2^15 and after the
-      last one hash their counters in order.  Counters wrap at 2^64, a
-      multiple of 2^15, so no block contains the wrap.
+      once per process, ``_block_products``) plus one constant: a single
+      addition.  Only the partial blocks before the first multiple of
+      2^15 and after the last one hash their counters in order.
+      Counters wrap at 2^64, a multiple of 2^15, so no block contains
+      the wrap.
     * Top bits decide the last round.  w = y ^ (y >> 31) has the top 31
       bits of y.  With lo the cutoff with its low 33 bits cleared,
       y < lo gives w < lo <= cutoff and y >= lo + 2^33 gives w > cutoff,
@@ -186,8 +202,7 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     head = min(shots, -counter % SHOT_BLOCK)
     whole, tail = divmod(shots - head, SHOT_BLOCK)
     size = min(shots, SHOT_BLOCK)
-    offsets = np.arange(size, dtype=np.uint64)
-    mixed = offsets * mix1 if whole else None
+    offsets, mixed = _block_products()
     z = np.empty(size, dtype=np.uint64)
     t = np.empty(size, dtype=np.uint64)
     mask = np.empty(size, dtype=bool)
@@ -440,13 +455,24 @@ _FIDELITY_X_GRID = (0.6, 0.75, 0.9)
 
 
 def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
+    """Mean fidelity of the excited-probe stage at t with the corner swap, over the grid.
+
+    The family states, their excited joints and their corner swaps are
+    three stacks, each checked by one ``density_matrices`` call; one
+    unitary serves every x.
+    """
+    pair_space = two_qubit_space()
+    family = family_matrices(_FIDELITY_X_GRID)
+    density_matrices(pair_space, family)
+    excited = ProbePrep.EXCITED.matrix
+    joints = density_matrices(probe_space(pair_space), [kron(m, excited) for m in family])
+    swaps = density_matrices(pair_space, corner_swap_matrices(family))
+    u = prop.unitary(t)
+    u_dag = u.conj().T
     total = 0.0
-    for x in _FIDELITY_X_GRID:
-        rho0 = one_param_density(x)
-        joint = join_with_probe(rho0, ProbePrep.EXCITED)
-        evolved = prop.apply_mat(joint.mat, t)
-        ab = partial_trace_mat(evolved, (2, 2, 2), {0, 1})
-        total += fidelity(ab, corner_swap(rho0).mat)
+    for joint, swap in zip(joints, swaps):
+        ab = partial_trace_mat(u @ joint.mat @ u_dag, (2, 2, 2), {0, 1})
+        total += fidelity(ab, swap.mat)
     return total / len(_FIDELITY_X_GRID)
 
 
@@ -514,6 +540,9 @@ def transfer_time_report(j: float) -> TransferTimeReport:
 
 #: most cycles in one sequence; every stage is kept in the result
 MAX_QND_CYCLES = 10_000
+#: cycles whose stage states ``run_qnd_sequence`` checks as one stack;
+#: bounds what a long sequence holds besides its records
+QND_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -544,6 +573,29 @@ class QndRunResult:
     estimate: XEstimate
 
 
+def _checked_stages(space: HilbertSpace, joints0: list, joints: list, probes: list,
+                    pairs: list) -> DensityMatrix:
+    """Check the states of consecutive stages as four stacks; return the last pair.
+
+    The joints before and after the evolution (on ``space``), the probes
+    and the pairs are each checked by one ``density_matrices`` call.  If
+    one stack fails, the stages are checked again one at a time, each in
+    the order joint, evolved joint, probe, pair, so the error raised is
+    that of the first state a stage-by-stage run would refuse.
+    """
+    pair_space = space.subspace({0, 1})
+    spaces = (space, space, space.subspace({2}), pair_space)
+    try:
+        for sub, mats in zip(spaces, (joints0, joints, probes)):
+            density_matrices(sub, mats)
+        return density_matrices(pair_space, pairs)[-1]
+    except ValueError:
+        for stage in zip(joints0, joints, probes, pairs):
+            for sub, mat in zip(spaces, stage):
+                DensityMatrix(sub, mat)
+        raise
+
+
 def run_qnd_sequence(
     x: float,
     cfg: Optional[ModelConfig] = None,
@@ -561,6 +613,12 @@ def run_qnd_sequence(
     correctness from sampling noise.  The exchange model is the
     dispersive limit of the cavity model, so detunings below
     MIN_DISPERSIVE_DELTA are rejected.
+
+    The stages run on raw matrices with one unitary at t*: each joins
+    the probe, evolves and reduces to the probe and the pair in turn.
+    The states of up to QND_BATCH cycles are then checked as four stacks
+    (``_checked_stages``) before any of those stages draws its shots,
+    each from its own substream ``derive_seed(seed, stage index)``.
     """
     cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
@@ -577,21 +635,32 @@ def run_qnd_sequence(
     if 2 * n_cycles * shots_per_stage > MAX_SHOTS:
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg.j_exchange)
-
+    u = cfg.propagator.unitary(t_star)
+    u_dag = u.conj().T
+    preps = (ProbePrep.EXCITED, ProbePrep.GROUND)
+    prep_mats = [prep.matrix for prep in preps]
     state = one_param_density(x)
+    pair = state.mat
     stages: list[QndStageResult] = []
-    stage_index = 0
-    for _ in range(int(n_cycles)):
-        for prep in (ProbePrep.EXCITED, ProbePrep.GROUND):
-            joint = cfg.propagator.apply(join_with_probe(state, prep), t_star)
-            probe = partial_trace(joint, {2})
-            p_e = min(1.0, max(0.0, float(probe.mat[0, 0].real)))
-            record = sample_shots(p_e, shots_per_stage, derive_seed(seed, stage_index))
-            stages.append(
-                QndStageResult(QndStage(prep, t_star, p_e), record)
-            )
-            state = partial_trace(joint, {0, 1})
-            stage_index += 1
+    n_stages = 2 * int(n_cycles)
+    for first in range(0, n_stages, 2 * QND_BATCH):
+        batch = range(first, min(first + 2 * QND_BATCH, n_stages))
+        joints0, joints, probes, pairs = [], [], [], []
+        # a stage-by-stage run stops at the first state it refuses; here the
+        # batch's later stages are formed first and refused by the checks,
+        # so a unitary far from unitary overflows there without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in batch:
+                joints0.append(kron(pair, prep_mats[i % 2]))
+                joints.append(u @ joints0[-1] @ u_dag)
+                probes.append(partial_trace_mat(joints[-1], (2, 2, 2), {2}))
+                pair = partial_trace_mat(joints[-1], (2, 2, 2), {0, 1})
+                pairs.append(pair)
+        state = _checked_stages(cfg.space, joints0, joints, probes, pairs)
+        for i, probe in zip(batch, probes):
+            p_e = min(1.0, max(0.0, float(probe[0, 0].real)))
+            record = sample_shots(p_e, shots_per_stage, derive_seed(seed, i))
+            stages.append(QndStageResult(QndStage(preps[i % 2], t_star, p_e), record))
 
     groups = {ProbePrep.EXCITED: EXCHANGE_E_READOUT, ProbePrep.GROUND: EXCHANGE_G_READOUT}
     if shots_per_stage == 0:

@@ -419,7 +419,7 @@ def entropy_of_spectra(values) -> Array:
     v = np.asarray(values, dtype=float)
     kept = v > ENTROPY_CLIP
     terms = np.where(kept, v * np.log2(np.where(kept, v, 1.0)), 0.0)
-    return -np.sum(terms, axis=-1)
+    return -np.add.reduce(terms, axis=-1)
 
 
 def entropy_of_spectrum(values) -> float:

@@ -87,20 +87,29 @@ def corner_swap(rho: DensityMatrix) -> DensityMatrix:
     """
     if rho.dim != 4:
         raise ValueError("two-qubit state required")
+    return DensityMatrix(rho.space, corner_swap_matrices(rho.mat))
+
+
+def corner_swap_matrices(mats) -> Array:
+    """One 4x4 matrix or an (n, 4, 4) stack conjugated by sigma_x (x) sigma_x, unchecked."""
     xx = kron(SIGMA_X, SIGMA_X)
-    return DensityMatrix(rho.space, xx @ rho.mat @ xx)
+    return xx @ mats @ xx
 
 
-def join_with_probe(rho_ab: DensityMatrix, prep: ProbePrep) -> DensityMatrix:
-    """Attach a freshly prepared probe qubit as the last tensor factor."""
-    labels = rho_ab.space.labels
+def probe_space(space: HilbertSpace) -> HilbertSpace:
+    """``space`` with a probe qubit appended as the last factor, labelled C (C2, ... if taken)."""
+    labels = space.labels
     probe_label = "C"
     k = 2
     while probe_label in labels:
         probe_label = f"C{k}"
         k += 1
-    space = HilbertSpace(rho_ab.space.dims + (2,), labels + (probe_label,))
-    return DensityMatrix(space, kron(rho_ab.mat, prep.matrix))
+    return HilbertSpace(space.dims + (2,), labels + (probe_label,))
+
+
+def join_with_probe(rho_ab: DensityMatrix, prep: ProbePrep) -> DensityMatrix:
+    """Attach a freshly prepared probe qubit as the last tensor factor."""
+    return DensityMatrix(probe_space(rho_ab.space), kron(rho_ab.mat, prep.matrix))
 
 
 @dataclass(frozen=True)

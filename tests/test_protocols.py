@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qprobe.qcore
 from qprobe import protocols, states
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
@@ -24,6 +27,7 @@ from qprobe.protocols import (
     MAX_HALF_PERIODS,
     MAX_QND_CYCLES,
     MAX_SHOTS,
+    QND_BATCH,
     RESONANT_READOUT,
     SHOT_BLOCK,
     ShotRecord,
@@ -623,6 +627,148 @@ class TestQndSequence:
         # each stage alone is under the cap; the two stages together are not
         with pytest.raises(ValueError, match=str(MAX_SHOTS)):
             run_qnd_sequence(0.75, EXCHANGE, 1, shots_per_stage=MAX_SHOTS // 2 + 1)
+
+
+def stage_by_stage(x, cfg, n_cycles, shots_per_stage=0, seed=0):
+    """The sequence one state object per stage: ((p_excited, count), ...), final state, estimate.
+
+    Each stage joins a probe, applies the config's propagator, reduces to
+    the probe and to the pair (every state checked on construction) and
+    draws its shots before the next stage starts.
+    """
+    t_star = find_transfer_time(cfg.j_exchange)
+    state = one_param_density(x)
+    outcomes = []
+    for i in range(2 * n_cycles):
+        prep = (ProbePrep.EXCITED, ProbePrep.GROUND)[i % 2]
+        joint = cfg.propagator.apply(join_with_probe(state, prep), t_star)
+        probe = partial_trace(joint, {2})
+        p_e = min(1.0, max(0.0, float(probe.mat[0, 0].real)))
+        outcomes.append((p_e, sample_shots(p_e, shots_per_stage, derive_seed(seed, i))))
+        state = partial_trace(joint, {0, 1})
+    models = (EXCHANGE_E_READOUT, EXCHANGE_G_READOUT)
+    if shots_per_stage == 0:
+        estimate = estimate_exact([(models[i % 2], p) for i, (p, _) in enumerate(outcomes)])
+    else:
+        pooled = [ShotRecord(n_cycles * shots_per_stage,
+                             sum(rec.count_excited for _, rec in outcomes[k::2]), seed)
+                  for k in (0, 1)]
+        estimate = estimate_from_counts(list(zip(models, pooled)))
+    return tuple((p, rec.count_excited) for p, rec in outcomes), state, estimate
+
+
+def corrupted(prop, fault):
+    """``prop`` with ``fault`` applied to every unitary it forms."""
+    class Corrupted(SpectralPropagator):
+        def unitary(self, t):
+            return fault(SpectralPropagator.unitary(self, t))
+
+    return Corrupted(prop.eigenvalues, prop.eigenvectors)
+
+
+def with_propagator(prop):
+    """A fresh exchange config at delta 10 whose cached propagator is ``prop``."""
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
+    cfg.__dict__["propagator"] = prop  # where the cached property keeps it
+    return cfg
+
+
+class TestQndStageChain:
+    """The stage chain on raw matrices, checked as stacks, against one state per stage."""
+
+    @pytest.mark.parametrize("x", [0.5, 2 / 3, 0.75, 1.0])
+    @pytest.mark.parametrize("n_cycles", [1, 3, QND_BATCH + 1])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_bit_equal_to_stage_by_stage(self, x, n_cycles, shots):
+        result = run_qnd_sequence(x, EXCHANGE, n_cycles, shots, seed=5)
+        outcomes, state, estimate = stage_by_stage(x, EXCHANGE, n_cycles, shots, seed=5)
+        assert tuple((s.stage.outcome_p_excited, s.shots.count_excited)
+                     for s in result.stages) == outcomes
+        assert result.final_state.mat.tobytes() == state.mat.tobytes()
+        assert result.final_state.space == state.space
+        assert result.estimate == estimate
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        """Shapes of every stack check_density_stack sees, through every module's binding."""
+        check, shapes = qprobe.qcore.check_density_stack, []
+
+        def counted(mats):
+            shapes.append(mats.shape)
+            return check(mats)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qprobe") and getattr(module, "check_density_stack",
+                                                      None) is check:
+                monkeypatch.setattr(module, "check_density_stack", counted)
+        return shapes
+
+    def test_three_cycles_take_four_stack_checks(self, monkeypatch):
+        find_transfer_time(EXCHANGE.j_exchange)  # its check is cached
+        shapes = self.counted_checks(monkeypatch)
+        run_qnd_sequence(0.75, EXCHANGE, 3)
+        # the family state, the four stage stacks, the estimate's family state
+        assert shapes == [(1, 4, 4), (6, 8, 8), (6, 8, 8), (6, 2, 2), (6, 4, 4), (1, 4, 4)]
+
+    def test_batches_bound_the_stacks(self, monkeypatch):
+        whole = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
+        monkeypatch.setattr(protocols, "QND_BATCH", 2)
+        shapes = self.counted_checks(monkeypatch)
+        batched = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
+        assert batched.stages == whole.stages and batched.estimate == whole.estimate
+        assert batched.final_state.mat.tobytes() == whole.final_state.mat.tobytes()
+        # ten stages in batches of four: four stacks per batch, none larger
+        stage_stacks = [n for n, d, _ in shapes if (n, d) != (1, 4)]
+        assert stage_stacks == [4] * 8 + [2] * 4
+
+    @pytest.mark.parametrize("batch", [QND_BATCH, 1])
+    @pytest.mark.parametrize("fault,n_cycles,message", [
+        (lambda u: 1.001 * u, 5, "trace differs from one"),
+        # the trace drifts past 1e-10 only after a few stages
+        (lambda u: (1.0 + 1e-11) * u, 5, "trace differs from one"),
+        (lambda u: np.where(np.eye(8, dtype=bool), np.nan, u), 5, "non-finite entries"),
+        # the trace grows 100-fold per stage and overflows within the batch:
+        # the joints' stack holds inf, but the first refusal is a trace
+        (lambda u: 10.0 * u, QND_BATCH, "trace differs from one"),
+    ], ids=["scaled", "drifting", "nan", "overflowing"])
+    def test_corrupted_unitary_raises_as_stage_by_stage(self, monkeypatch, batch, fault,
+                                                        n_cycles, message):
+        monkeypatch.setattr(protocols, "QND_BATCH", batch)
+        cfg = with_propagator(corrupted(EXCHANGE.propagator, fault))
+        with pytest.raises(ValueError) as per_stage:
+            stage_by_stage(0.75, cfg, n_cycles)
+        with pytest.raises(ValueError) as stacked:
+            run_qnd_sequence(0.75, cfg, n_cycles)
+        assert str(stacked.value) == str(per_stage.value) == message
+
+    def test_no_shot_is_drawn_before_its_stage_is_checked(self, monkeypatch):
+        drawn, sample = [], protocols.sample_shots
+
+        def counted_sample(p, shots, seed):
+            drawn.append(seed)
+            return sample(p, shots, seed)
+
+        monkeypatch.setattr(protocols, "sample_shots", counted_sample)
+        cfg = with_propagator(corrupted(EXCHANGE.propagator, lambda u: 1.001 * u))
+        with pytest.raises(ValueError, match="trace differs from one"):
+            run_qnd_sequence(0.75, cfg, 3, 1000)
+        assert drawn == []
+
+
+class TestBlockProducts:
+    def test_formed_once_and_read_only(self):
+        offsets, mixed = protocols._block_products()
+        assert protocols._block_products()[1] is mixed
+        assert offsets.shape == mixed.shape == (SHOT_BLOCK,)
+        assert not offsets.flags.writeable and not mixed.flags.writeable
+        assert mixed.tolist() == [k * 0xBF58476D1CE4E5B9 % 2 ** 64 for k in range(SHOT_BLOCK)]
+
+    def test_not_formed_at_import(self):
+        code = ("import qprobe.cli, qprobe.protocols as p; "
+                "assert p._block_products.cache_info().currsize == 0; "
+                "p.sample_shots(0.5, 10, 1); "
+                "assert p._block_products.cache_info().currsize == 1")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 class TestCoverage:
