@@ -348,6 +348,58 @@ class NoiseConfig:
         return [(self.gamma, cfg.probe_sigma_minus)]
 
 
+def readout_entries(space: HilbertSpace, codes: Array, entries: Array) -> tuple[Array, Array]:
+    """The (n, 4, 4) pair (A, B) and (n, 2, 2) probe (C) stacks of joint states on ``space``.
+
+    Row s of the (n, k) array ``entries`` holds joint state s at the flat
+    indices ``codes``, as in ``EvolutionResult``; the rows are states
+    already checked and are not checked again.  Each stack is one
+    ``reduced_entry_stack`` call over every row.  On bosonic modes
+    (``space.dims[:2] == (3, 3)``) the pair is their conditional state
+    on ``TWO_LEVEL_INDEX``, renormalized and checked as one stack by
+    ``boson_pair_to_qubits_stack``.  The one readout of ``EvolutionResult``
+    and of the probe cycles' rows.
+    """
+    dims = space.dims
+    if dims[:2] == (3, 3):
+        pair = boson_pair_to_qubits_stack(
+            reduced_entry_stack(codes, entries, dims, (0, 1), TWO_LEVEL_INDEX))
+    else:
+        pair = reduced_entry_stack(codes, entries, dims, (0, 1))
+    return pair, reduced_entry_stack(codes, entries, dims, (2,))
+
+
+#: (codes, d, basis states those codes touch) of the latest read-only codes
+#: that ``_touched_states`` saw; held by identity, so only results that
+#: share one codes array (the rows of one propagation plan) share it
+_LAST_TOUCHED: tuple = (None, 0, None)
+
+
+def _touched_states(codes: Array, d: int) -> Array:
+    """The sorted basis states, read-only, that the entries ``codes`` of a d x d matrix touch.
+
+    A read-only ``codes`` that is the one of the previous call gives that
+    call's array back: the rows of a sweep share their plan's codes, so
+    the set is formed once per plan and not once per row.
+    """
+    global _LAST_TOUCHED
+    last_codes, last_d, touched = _LAST_TOUCHED
+    if codes is not last_codes or d != last_d:
+        # the set is adjoint-closed, so its rows are the states it touches
+        touched = _read_only(np.unique(codes // d))
+        if not codes.flags.writeable:
+            _LAST_TOUCHED = (codes, d, touched)
+    return touched
+
+
+def _read_only_codes(codes) -> Array:
+    """``codes`` as a read-only int64 array: itself if it is one that owns its data, else a copy."""
+    if (isinstance(codes, np.ndarray) and codes.dtype == np.int64 and codes.base is None
+            and not codes.flags.writeable):
+        return codes
+    return _read_only(np.array(codes, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     """Sampled joint states, kept as the density-matrix entries they reach.
@@ -360,9 +412,13 @@ class EvolutionResult:
     checks and tolerances (positivity by one Cholesky factorization of
     the whole stack, see ``qcore.check_density_stack``), on the matrices
     restricted to the basis states the codes touch (the rows and columns
-    outside are zero).
+    outside are zero).  What depends on ``codes`` alone is not formed
+    again for results that share one read-only codes array, as the rows
+    of a sweep share their propagation plan's: the array is kept, not
+    copied, and the touched basis states are formed once.
     ``reduced_stack`` reduces all samples in one call, ``readout`` gives
-    the pair and probe stacks, and ``joint_states`` is built on first use.
+    the pair and probe stacks (``readout_entries``), and ``joint_states``
+    is built on first use.
     """
 
     times: tuple[float, ...]
@@ -373,18 +429,16 @@ class EvolutionResult:
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("sample times must be strictly increasing")
-        codes = np.array(self.codes, dtype=np.int64)
-        entries = np.array(self.entries, dtype=complex)
+        codes = _read_only_codes(self.codes)
+        entries = _read_only(np.array(self.entries, dtype=complex))
         if entries.shape != (len(self.times), codes.size):
             raise ValueError(
                 f"entries of shape {entries.shape} do not match "
                 f"{len(self.times)} times and {codes.size} codes"
             )
-        for a in (codes, entries):
-            a.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "entries", entries)
-        touched = np.unique(codes // self.space.dim)
+        touched = _touched_states(codes, self.space.dim)
         check_density_stack(self.reduced_stack(range(self.space.nfactors), touched))
 
     def reduced_stack(self, keep, index=None) -> Array:
@@ -396,18 +450,13 @@ class EvolutionResult:
         return reduced_entry_stack(self.codes, self.entries, self.space.dims, keep, index)
 
     def readout(self) -> tuple[Array, Array]:
-        """The (n, 4, 4) pair (A, B) and (n, 2, 2) probe (C) stacks.
+        """The (n, 4, 4) pair (A, B) and (n, 2, 2) probe (C) stacks: ``readout_entries``.
 
-        On bosonic modes (``space.dims[:2] == (3, 3)``) the pair is their
-        conditional state on ``TWO_LEVEL_INDEX``, renormalized and checked
-        by ``boson_pair_to_qubits_stack``; the other stacks are reductions
-        of the checked samples and are not checked again.
+        On bosonic modes the pair is checked by ``boson_pair_to_qubits_stack``;
+        the other stacks are reductions of the checked samples and are
+        not checked again.
         """
-        if self.space.dims[:2] == (3, 3):
-            pair = boson_pair_to_qubits_stack(self.reduced_stack({0, 1}, TWO_LEVEL_INDEX))
-        else:
-            pair = self.reduced_stack({0, 1})
-        return pair, self.reduced_stack({2})
+        return readout_entries(self.space, self.codes, self.entries)
 
     @functools.cached_property
     def joint_states(self) -> tuple[DensityMatrix, ...]:

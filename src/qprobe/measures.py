@@ -62,21 +62,25 @@ _POLAR_THETAS.setflags(write=False)
 def _polar_grid_weights() -> tuple[np.ndarray, np.ndarray]:
     """The angle weights of ``_polar_grid_entropies``, read-only.
 
-    With c = cos(theta/2) and s = sin(theta/2) at each grid angle: the
-    (2, 2, 65) weights (c^2, s^2) of outcome 0 and (s^2, c^2) of outcome
-    1, which ``_x_conditional_entropy`` gives r11 and r22 in an
-    outcome's top entry and r33 and r44 in its bottom one, and the (65,)
-    weights 2 c s of the coherence in its off-diagonal.
+    With c = cos(theta/2) and s = sin(theta/2) at each grid angle,
+    ``_x_conditional_entropy`` weights r11 and r33 by c^2 in outcome 0
+    and s^2 in outcome 1 (r11 in an outcome's top entry, r33 in its
+    bottom one), and r22 and r44 the other way round.  Returns the
+    (4, 2, 65) weights of r11, r33, r22 and r44 over (outcome, angle),
+    and the (65,) weights 2 c s of the coherence in the off-diagonal.
     """
     c, s = np.cos(0.5 * _POLAR_THETAS), np.sin(0.5 * _POLAR_THETAS)
     c2, s2 = c * c, s * s
-    pops, off = np.array([[c2, s2], [s2, c2]]), 2.0 * c * s
+    first, second = [c2, s2], [s2, c2]
+    pops, off = np.array([first, first, second, second]), 2.0 * c * s
     pops.setflags(write=False)
     off.setflags(write=False)
     return pops, off
 
 
 _POLAR_POPS, _POLAR_OFF = _polar_grid_weights()
+#: the end of the polar grid, pi/2 as the grid holds it
+_POLAR_TOP = float(_POLAR_THETAS[-1])
 
 #: entries of a two-qubit matrix off its diagonal and anti-diagonal (the X)
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -115,13 +119,20 @@ def _pair_matrix(rho: DensityMatrix) -> np.ndarray:
 def _x_states(mats: np.ndarray) -> np.ndarray:
     """The (n, 4, 4) stack ``mats`` as two-qubit X states: every measure's one check.
 
-    An entry off the X of modulus up to XSTATE_PATTERN_TOL is rounding;
+    A non-finite entry raises ValueError naming the first, before any
+    formula can turn it into a number.  An entry off the X of modulus up
+    to XSTATE_PATTERN_TOL is rounding;
     every formula reads the X alone, so such entries are dropped (in a
     copy; a stack of exact X states comes back as it is).  A larger
     entry raises ValueError naming the first.
     """
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise ValueError("two-qubit state required")
+    finite = np.isfinite(mats)
+    if not finite.all():
+        s, i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"not a state: entry ({i}, {j}) of state {s} is "
+                         f"{complex(mats[s, i, j])}")
     off = mats[:, _OFF_X]
     if not np.count_nonzero(off):
         return mats
@@ -223,13 +234,16 @@ def _outcome_entropies(top: np.ndarray, bottom: np.ndarray, off: np.ndarray) -> 
     """
     p, det = top + bottom, 4.0 * top * bottom - off * off
     # det = 4 det M; a pure or empty outcome adds 0, and its lanes get
-    # values that keep the logs finite
+    # values that keep the logs finite.  Where every lane is mixed the
+    # guards would change nothing, so they are not formed.
     mixed = (det > 0.0) & (p > 0.0)
-    p, det = np.where(mixed, p, 1.0), np.where(mixed, det, 0.5)
+    every = np.count_nonzero(mixed) == mixed.size
+    if not every:
+        p, det = np.where(mixed, p, 1.0), np.where(mixed, det, 0.5)
     lo = det / (2.0 * (p + np.hypot(top - bottom, off)))
     ratio = lo / p
     terms = (p - lo) * np.log1p(-ratio) / _LN2 + lo * np.log2(ratio)
-    return -np.where(mixed, terms, 0.0).sum(axis=0)
+    return -(terms if every else np.where(mixed, terms, 0.0)).sum(axis=0)
 
 
 def _conditional_entropy_angles(mat: np.ndarray, theta: float, phi: float) -> float:
@@ -279,34 +293,50 @@ def _outcome_entropy(top: float, bottom: float, off: float) -> float:
     return -((p - lo) * math.log1p(-lo / p) / _LN2 + lo * math.log2(lo / p))
 
 
+def _polar_objective(r11: float, r22: float, r33: float, r44: float, coherence: float):
+    """The polar search's objective for one X state: theta -> its conditional entropy.
+
+    The closed form of ``_x_conditional_entropy`` as one closure per
+    state: an evaluation is this call and its two ``_outcome_entropy``
+    terms.  theta above pi/2 is first mirrored about it and theta below
+    0 about 0 (the closed form is even about both).
+    """
+    def objective(theta: float) -> float:
+        theta = 2.0 * _POLAR_TOP - theta if theta > _POLAR_TOP else abs(theta)
+        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        c2, s2, off = c * c, s * s, 2.0 * c * s * coherence
+        return (_outcome_entropy(c2 * r11 + s2 * r22, c2 * r33 + s2 * r44, off)
+                + _outcome_entropy(s2 * r11 + c2 * r22, s2 * r33 + c2 * r44, off))
+
+    return objective
+
+
 def _x_conditional_entropy(
     theta: float, r11: float, r22: float, r33: float, r44: float, coherence: float
 ) -> float:
-    """Conditional entropy of an X state measured at polar angle theta, in closed form.
+    """Conditional entropy of an X state measured at polar angle theta in [0, pi/2], in closed form.
 
     With c = cos(theta/2), s = sin(theta/2) and a = ``coherence`` =
     |r23| + |r14| (the largest |M01| / (c s) over phi), the two outcomes
     leave A in [[c^2 r11 + s^2 r22, c s a], [., c^2 r33 + s^2 r44]] and
     in the same matrix with c and s swapped.  The sum over outcomes is
     the one ``_conditional_entropy_batch`` forms, in scalar ``math``,
-    with each outcome's term as ``_outcome_entropy`` forms it.
+    with each outcome's term as ``_outcome_entropy`` forms it; it is
+    evaluated by the search's objective, ``_polar_objective``.
     """
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    c2, s2, off = c * c, s * s, 2.0 * c * s * coherence
-    return (_outcome_entropy(c2 * r11 + s2 * r22, c2 * r33 + s2 * r44, off)
-            + _outcome_entropy(s2 * r11 + c2 * r22, s2 * r33 + c2 * r44, off))
+    return _polar_objective(r11, r22, r33, r44, coherence)(theta)
 
 
 def _polar_grid_entropies(r11: float, r22: float, r33: float, r44: float,
                           coherence: float) -> np.ndarray:
     """``_x_conditional_entropy`` at every angle of the polar grid, as one array.
 
-    Both outcomes' top and bottom entries are (2, 65) arrays of the
-    populations weighted by ``_POLAR_POPS``; ``_outcome_entropies`` sums
-    them.
+    Both outcomes' top and bottom entries, the populations weighted by
+    ``_POLAR_POPS``, are formed as one (2, 2, 65) stack from one product;
+    ``_outcome_entropies`` sums them.
     """
-    top = _POLAR_POPS[:, 0] * r11 + _POLAR_POPS[:, 1] * r22
-    bottom = _POLAR_POPS[:, 0] * r33 + _POLAR_POPS[:, 1] * r44
+    weighted = _POLAR_POPS * np.array([r11, r33, r22, r44])[:, None, None]
+    top, bottom = weighted[:2] + weighted[2:]
     return _outcome_entropies(top, bottom, _POLAR_OFF * coherence)
 
 
@@ -380,12 +410,13 @@ def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
     entropy is the closed form ``_x_conditional_entropy``.  That closed
     form on a 65-point grid that holds both ends exactly
     (``_polar_grid_entropies``) picks the two cells around its best
-    point; Brent's bounded method (``_brent_minimize``) on it refines
-    that to REFINE_TOL.  The objective is even about 0 and about pi/2,
-    so when the best point is an end the bracket spans both cells beside
-    it, the one outside [0, pi/2] mirrored, and every angle is folded
-    back into [0, pi/2] before it is evaluated; an optimum at the end is
-    then interior to the bracket.  The best grid point stays a
+    point; Brent's bounded method (``_brent_minimize``) on it, as the
+    one closure ``_polar_objective``, refines that to REFINE_TOL.  The
+    objective is even about 0 and about pi/2, so when the best point is
+    an end the bracket spans both cells beside it, the one outside
+    [0, pi/2] mirrored, and the objective folds every angle back into
+    [0, pi/2] before it evaluates it; an optimum at the end is then
+    interior to the bracket.  The best grid point stays a
     candidate, so the result is never worse than the grid.  Ties break
     toward smaller theta.
     """
@@ -394,16 +425,12 @@ def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
     coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
     values = _polar_grid_entropies(*pops, coherence)
     k = int(np.argmin(values))
-    top, h = float(thetas[-1]), float(thetas[1])
-
-    def fold(theta: float) -> float:
-        return 2.0 * top - theta if theta > top else abs(theta)
-
+    top, h = _POLAR_TOP, float(thetas[1])
     lo = float(thetas[k - 1]) if k else -h
     hi = float(thetas[k + 1]) if k < thetas.size - 1 else top + h
-    value, theta = _brent_minimize(
-        lambda t: _x_conditional_entropy(fold(t), *pops, coherence), lo, hi)
-    return min((float(values[k]), float(thetas[k])), (value, fold(theta)))
+    value, theta = _brent_minimize(_polar_objective(*pops, coherence), lo, hi)
+    return min((float(values[k]), float(thetas[k])),
+               (value, 2.0 * top - theta if theta > top else abs(theta)))
 
 
 def classical_correlation_optimized(
@@ -485,11 +512,12 @@ def correlation_reports(states: Sequence[DensityMatrix]) -> list[CorrelationRepo
     """
     mats = np.reshape([_pair_matrix(rho) for rho in states], (-1, 4, 4))
     reports = []
-    for rho, mat, conc, mi in zip(states, mats, concurrence_stack(mats).tolist(),
-                                  mutual_information_stack(mats).tolist()):
+    for rho, flat, conc, mi in zip(states, mats.reshape(-1, 16).tolist(),
+                                   concurrence_stack(mats).tolist(),
+                                   mutual_information_stack(mats).tolist()):
         classical, basis = classical_correlation_optimized(rho)
         try:
-            closed = classical_correlation_closed_form(xstate_from_entries(mat.ravel().tolist()))
+            closed = classical_correlation_closed_form(xstate_from_entries(flat))
         except ValueError:
             closed = None
         reports.append(CorrelationReport(

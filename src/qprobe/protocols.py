@@ -29,6 +29,7 @@ import numpy as np
 
 from .measures import CorrelationReport, correlation_report, correlation_reports
 from .qcore import (
+    Array,
     DensityMatrix,
     HilbertSpace,
     SpectralPropagator,
@@ -58,6 +59,7 @@ from .dynamics import (
     initial_joint_matrices,
     integrate_master,
     reachable_entries,
+    readout_entries,
     sigma_z_stack,
 )
 
@@ -386,7 +388,12 @@ def run_probe_cycles(
     joint states and the post states are each checked by one
     ``density_matrices`` call, the distances and the readouts are one
     ``trace_distance_stack`` and one ``sigma_z_stack``, and the reports
-    before and after are one ``correlation_reports`` call.
+    before and after are one ``correlation_reports`` call.  The
+    evolution runs once per cycle, and each result is checked as it is
+    built; the pairs and probes are then read out once per set of codes
+    (``_read_rows``).  Every x < 1 gives one set and x = 1 another: the
+    family's zero pattern also changes at x = 2/3, but the dynamics
+    reach the coherence that vanishes there.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -405,21 +412,19 @@ def run_probe_cycles(
     noiseless = noise.gamma == 0.0 and noise.collapse_ops is None
     if not noiseless and t_read > MAX_T_END:
         raise ValueError(f"with noise n may not exceed {int(MAX_T_END * 2 / np.pi)} half periods")
-    pairs, probes = [], []
+    results = []
     for joint0 in joints:
         if noiseless:
             codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
             joint = cfg.propagator.apply_mat(joint0.mat, t_read)
-            result = EvolutionResult((t_read,), cfg.space, codes, joint.ravel()[codes][None])
+            results.append(
+                EvolutionResult((t_read,), cfg.space, codes, joint.ravel()[codes][None]))
         else:
-            result = integrate_master(joint0, cfg, noise, t_read)
-        pair, probe = result.readout()
-        pairs.append(pair[-1])
-        probes.append(probe[-1])
-    pairs = np.reshape(pairs, (-1, 4, 4))
+            results.append(integrate_master(joint0, cfg, noise, t_read))
+    pairs, probes = _read_rows(cfg.space, results)
     posts = density_matrices(two_qubit_space(), pairs)
     distances = trace_distance_stack(pairs, family).tolist()
-    sigma_z = sigma_z_stack(np.reshape(probes, (-1, 2, 2))).tolist()
+    sigma_z = sigma_z_stack(probes).tolist()
     reports = correlation_reports([*rho0s, *posts])
     return [
         ProbeCycleReport(
@@ -434,6 +439,34 @@ def run_probe_cycles(
         for post, distance, sz, before, after in zip(
             posts, distances, sigma_z, reports[:len(posts)], reports[len(posts):])
     ]
+
+
+def _read_rows(space: HilbertSpace, results: Sequence[EvolutionResult]) -> tuple[Array, Array]:
+    """The (n, 4, 4) pair and (n, 2, 2) probe of the one-sample ``results``, in row order.
+
+    The rows of equal codes are stacked and read out by one
+    ``readout_entries`` call, each set of codes in the order of its
+    first row, so every row's values are those of its own ``readout``,
+    bit for bit.  The rows were checked when their results were built
+    and are not checked again; on bosonic modes each stack's pair is
+    checked as one.  If that check fails, the rows are read out again
+    one at a time in row order, so the error raised is that of the
+    first row a row-by-row readout would refuse.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for i, result in enumerate(results):
+        groups.setdefault(result.codes.tobytes(), []).append(i)
+    pairs = np.empty((len(results), 4, 4), dtype=complex)
+    probes = np.empty((len(results), 2, 2), dtype=complex)
+    try:
+        for rows in groups.values():
+            entries = np.concatenate([results[i].entries for i in rows])
+            pairs[rows], probes[rows] = readout_entries(space, results[rows[0]].codes, entries)
+    except ValueError:
+        for result in results:
+            result.readout()
+        raise
+    return pairs, probes
 
 
 def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:

@@ -127,8 +127,10 @@ def check_density_stack(mats: Array) -> None:
     work -= mats
     if np.abs(work).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("not Hermitian")
-    tr = np.trace(mats, axis1=-2, axis2=-1)
-    if np.maximum(abs(tr.real - 1.0), abs(tr.imag)).max(initial=0.0) > TRACE_TOL:
+    # the traces less one, viewed as (real, imaginary) float pairs: the
+    # largest modulus of either part is the test
+    tr = (mats.trace(axis1=-2, axis2=-1) - 1.0).astype(np.complex128, copy=False)
+    if np.abs(tr.view(np.float64)).max(initial=0.0) > TRACE_TOL:
         raise ValueError("trace differs from one")
     try:
         np.linalg.cholesky(np.add(mats, _floor_shift(mats.shape[-1]), out=work))

@@ -11,6 +11,7 @@ Basis conventions (fixed globally):
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ XSTATE_PATTERN_TOL = 1e-8
 #: flat positions 4 i + j of the two-qubit entries an XState holds at
 #: zero: all but the diagonal and the |01>, |10> coherence pair
 _XSTATE_ZEROS = tuple(k for k in range(16) if k % 5 and k not in (6, 9))
+#: those entries of a flat list, in that order
+_xstate_zeros_of = operator.itemgetter(*_XSTATE_ZEROS)
 
 
 class ProbePrep(enum.Enum):
@@ -157,7 +160,7 @@ def extract_xstate(rho: DensityMatrix) -> XState:
 
 def xstate_from_entries(flat: list) -> XState:
     """``extract_xstate`` of the 4x4 matrix whose 16 entries ``flat`` lists in row order."""
-    if (max(abs(flat[k]) for k in _XSTATE_ZEROS) > XSTATE_PATTERN_TOL
+    if (max(map(abs, _xstate_zeros_of(flat))) > XSTATE_PATTERN_TOL
             or abs(flat[6].imag) > XSTATE_PATTERN_TOL):
         raise ValueError("not an X-state of the required form")
     return XState(

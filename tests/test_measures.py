@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -191,6 +193,43 @@ class TestXStateGuard:
                     measure(DensityMatrix(SPACE, off_x))
             with pytest.raises(ValueError, match=r"entry \(0, 1\) of state 1, off the X"):
                 concurrence_stack(np.array([x_state, off_x]))
+
+
+def _unchecked_state(mat):
+    """A two-qubit DensityMatrix holding ``mat`` without its construction check.
+
+    Stands for a state whose matrix went non-finite after it was checked,
+    so the measures' own guard is what must refuse it.
+    """
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "space", SPACE)
+    object.__setattr__(rho, "mat", np.asarray(mat, dtype=complex))
+    return rho
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("i, j, value", [
+        (3, 3, np.nan),  # a population: mutual information once read 0 here
+        (1, 2, np.inf),  # a coherence on the X
+        (0, 1, np.nan),  # off the X, where rounding is dropped
+    ], ids=["nan-population", "inf-coherence", "nan-off-the-x"])
+    def test_every_measure_refuses_the_state(self, i, j, value):
+        mat = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        mat[i, j] = value
+        message = rf"entry \({i}, {j}\) of state 0 is"
+        for kernel in (concurrence_stack, mutual_information_stack):
+            with pytest.raises(ValueError, match=message):
+                kernel(mat[None])
+        for measure in (classical_correlation_optimized, lambda rho: correlation_reports([rho])):
+            with pytest.raises(ValueError, match=message):
+                measure(_unchecked_state(mat))
+
+    def test_the_first_non_finite_entry_is_named(self):
+        good = one_param_density(0.75).mat
+        bad = good.copy()
+        bad[2, 1] = bad[3, 3] = np.nan
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) of state 1 is \(nan"):
+            mutual_information_stack(np.array([good, bad]))
 
 
 class TestConcurrenceTimeFormula:
@@ -867,6 +906,28 @@ def _golden_polar(mat, phi=0.0):
     return min((float(values[k]), float(thetas[k])), refined)
 
 
+def _closed_form_reference(theta, r11, r22, r33, r44, coherence):
+    """The polar closed form written out apart from the module: two scalar outcomes.
+
+    Each outcome adds p S(M / p) with the smaller eigenvalue from the
+    determinant and the larger one's term from log1p; a pure or empty
+    outcome adds 0.
+    """
+    def outcome(top, bottom, off):
+        p = top + bottom
+        if not p > 0.0:
+            return 0.0
+        lo = (4.0 * top * bottom - off * off) / (2.0 * (p + math.hypot(top - bottom, off)))
+        if not lo > 0.0:
+            return 0.0
+        return -((p - lo) * math.log1p(-lo / p) / math.log(2.0) + lo * math.log2(lo / p))
+
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    c2, s2, off = c * c, s * s, 2.0 * c * s * coherence
+    return (outcome(c2 * r11 + s2 * r22, c2 * r33 + s2 * r44, off)
+            + outcome(s2 * r11 + c2 * r22, s2 * r33 + c2 * r44, off))
+
+
 def _aligned_phi(mat):
     """The azimuth classical_correlation_optimized measures an X state at."""
     r23, r14 = complex(mat[1, 2]), complex(mat[0, 3])
@@ -890,27 +951,63 @@ class TestBrentRefinement:
         basis = MeasurementBasis(theta, phi)
         assert conditional_entropy(rho, basis) == pytest.approx(value, abs=1e-12)
 
-    def test_half_the_evaluations_on_noisy_sweep_states(self, monkeypatch):
+    @staticmethod
+    def noisy_sweep_states():
         cfgs = (ModelConfig(ModelVariant.RESONANT_QUBIT), ModelConfig(ModelVariant.RESONANT_BOSON))
-        mats = [protocols.run_probe_cycle(float(x), cfg, 1, NoiseConfig(0.1)).post_state.mat
+        return [protocols.run_probe_cycle(float(x), cfg, 1, NoiseConfig(0.1)).post_state.mat
                 for cfg in cfgs for x in np.linspace(0.5, 1.0, 26)]
-        objective, calls = measures._x_conditional_entropy, []
 
-        def counted(*args):
-            calls.append(args[0])
-            return objective(*args)
+    def test_half_the_evaluations_on_noisy_sweep_states(self, monkeypatch):
+        # both searches evaluate the closed form through _polar_objective:
+        # the golden section per angle, Brent's search as one closure
+        mats = self.noisy_sweep_states()
+        objective, calls = measures._polar_objective, []
 
-        monkeypatch.setattr(measures, "_x_conditional_entropy", counted)
+        def counted(*state):
+            f = objective(*state)
+
+            def evaluate(theta):
+                calls.append(theta)
+                return f(theta)
+
+            return evaluate
+
+        monkeypatch.setattr(measures, "_polar_objective", counted)
         mean = {}
         for search in (_min_conditional_entropy_polar, _golden_polar):
             calls.clear()
             for mat in mats:
                 search(mat)
             mean[search] = len(calls) / len(mats)
+            # the searches stay within one grid cell of [0, pi/2]
+            h = np.pi / 2.0 / (GRID_THETA_POLAR - 1)
+            assert all(-h <= theta <= np.pi / 2.0 + h for theta in calls)
         assert mean[_golden_polar] > 40
-        assert mean[_min_conditional_entropy_polar] <= 0.5 * mean[_golden_polar]
-        # every angle the objective sees is folded into [0, pi/2]
-        assert all(0.0 <= theta <= np.pi / 2.0 for theta in calls)
+        assert 0 < mean[_min_conditional_entropy_polar] <= 0.5 * mean[_golden_polar]
+
+    def test_objective_is_the_closed_form_at_the_folded_angle(self, monkeypatch):
+        # bit for bit, at every angle Brent's search evaluates on the noisy
+        # sweep states and the family, and on both sides of each end
+        mats = self.noisy_sweep_states() + [one_param_density(x).mat
+                                            for x in (0.5, 2.0 / 3.0, 0.75, 1.0)]
+        seen = []
+        brent = measures._brent_minimize
+
+        def recording(f, lo, hi):
+            seen.append((f, lo, hi))
+            return brent(f, lo, hi)
+
+        monkeypatch.setattr(measures, "_brent_minimize", recording)
+        h = np.pi / 2.0 / (GRID_THETA_POLAR - 1)
+        for mat in mats:
+            seen.clear()
+            _min_conditional_entropy_polar(mat)
+            (f, lo, hi), = seen
+            pops = mat.diagonal().real.tolist()
+            coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
+            for theta in np.linspace(lo, hi, 9).tolist() + [-h, -1e-9, np.pi / 2 + 1e-9]:
+                folded = np.pi - theta if theta > np.pi / 2.0 else abs(theta)
+                assert f(theta) == _closed_form_reference(folded, *pops, coherence), theta
 
 
 @st.composite

@@ -8,13 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qprobe.qcore
-from qprobe import protocols, states
+from qprobe import dynamics, protocols, states
 from qprobe.dynamics import (
     MIN_DISPERSIVE_DELTA,
     TWO_LEVEL_INDEX,
+    EvolutionResult,
     ModelConfig,
     ModelVariant,
     NoiseConfig,
+    boson_pair_to_qubits_stack,
     build_hamiltonian,
     initial_joint,
     integrate_master,
@@ -42,7 +44,15 @@ from qprobe.protocols import (
     sample_shots,
     transfer_time_report,
 )
-from qprobe.qcore import SpectralPropagator, partial_trace, partial_trace_mat, trace_distance
+from qprobe.measures import correlation_report
+from qprobe.qcore import (
+    DensityMatrix,
+    SpectralPropagator,
+    partial_trace,
+    partial_trace_mat,
+    trace_distance,
+    trace_distance_stack,
+)
 from qprobe.states import ProbePrep, corner_swap, join_with_probe, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
@@ -489,6 +499,118 @@ class TestProbeCycle:
                 assert getattr(rep.measures_after, name) == pytest.approx(
                     getattr(rep.measures_before, name), abs=1e-12
                 )
+
+
+#: the runtime-only CI grid: starts on x = 2/3 and ends on x = 1, the two
+#: points where the family's zero pattern changes.  The dynamics reach the
+#: coherence that vanishes at x = 2/3, so its rows hold two sets of codes:
+#: those of x < 1 and those of x = 1
+CI_GRID = [0.6666666666666666 + i * 0.0833333333333334 for i in range(4)] + [1.0]
+
+
+def row_by_row(xs, cfg, gamma, n=1):
+    """Each x's cycle read out on its own: post pair, <sigma_z>, distance and reports."""
+    t = n * np.pi / 2
+    out = []
+    for x in xs:
+        joint0 = initial_joint(x, cfg, ProbePrep.GROUND)
+        if gamma:
+            result = integrate_master(joint0, cfg, NoiseConfig(gamma), t)
+        else:
+            codes = reachable_entries(joint0.mat, cfg.hamiltonian, ())
+            dense = SpectralPropagator.from_hamiltonian(cfg.hamiltonian).apply_mat(joint0.mat, t)
+            result = EvolutionResult((t,), cfg.space, codes, dense.ravel()[codes][None])
+        pair, probe = result.readout()
+        family = one_param_density(x)
+        out.append((pair[-1], float(sigma_z_stack(probe)[-1]),
+                    float(trace_distance_stack(pair[-1:], family.mat)[0]),
+                    correlation_report(family),
+                    correlation_report(DensityMatrix(family.space, pair[-1]))))
+    return out
+
+
+class TestRowStack:
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_QUBIT,
+                                         ModelVariant.RESONANT_BOSON],
+                             ids=["secii-qubit", "secii-boson"])
+    @pytest.mark.parametrize("xs", [CI_GRID, [0.5, 0.6, 2.0 / 3.0, 0.75, 1.0, 0.9]],
+                             ids=["ci-grid", "sets-interleaved"])
+    def test_bit_identical_to_row_by_row_readout(self, xs, variant, gamma):
+        cfg = ModelConfig(variant)
+        cycles = run_probe_cycles(xs, cfg, 1, NoiseConfig(gamma))
+        for cycle, (pair, sz, distance, before, after) in zip(
+                cycles, row_by_row(xs, ModelConfig(variant), gamma), strict=True):
+            assert np.array_equal(cycle.post_state.mat, pair)
+            assert cycle.mean_sigma_z == sz
+            assert cycle.post_distance_to_initial == distance
+            assert cycle.measures_before == before
+            assert cycle.measures_after == after
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("variant", [ModelVariant.RESONANT_QUBIT,
+                                         ModelVariant.RESONANT_BOSON],
+                             ids=["secii-qubit", "secii-boson"])
+    def test_one_readout_per_set_of_codes(self, monkeypatch, variant, gamma):
+        # the CI grid's rows hold two sets of codes: a pair and a probe
+        # reduction each, and one evolution per row with noise
+        reductions, evolutions = [], []
+        reduce, evolve = dynamics.reduced_entry_stack, protocols.integrate_master
+
+        def counted_reduce(codes, entries, dims, keep, index=None):
+            if set(keep) in ({0, 1}, {2}):
+                reductions.append(len(entries))
+            return reduce(codes, entries, dims, keep, index)
+
+        def counted_evolve(*args, **kwargs):
+            evolutions.append(args[0])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "reduced_entry_stack", counted_reduce)
+        monkeypatch.setattr(protocols, "integrate_master", counted_evolve)
+        cycles = run_probe_cycles(CI_GRID, ModelConfig(variant), 1, NoiseConfig(gamma))
+        assert len(cycles) == 5
+        # rows of x = 2/3 .. 11/12, then the row of x = 1, each set read out once
+        assert reductions == [4, 4, 1, 1]
+        assert len(evolutions) == (5 if gamma else 0)
+
+    def test_a_failing_conditional_raises_the_row_by_row_error(self, monkeypatch):
+        # row 1's conditional pair is not positive and row 3's not
+        # Hermitian, both from joint states inside their tolerances; the
+        # stacked check would name row 3's fault (Hermiticity is checked
+        # first), a row-by-row readout names row 1's
+        cfg = ModelConfig(ModelVariant.RESONANT_BOSON)
+        d, eps = cfg.space.dim, 1e-6
+        # basis states (cavity A, cavity B, probe) with the probe ground
+        g00, g01, g20 = 1, 3, 13
+
+        def joint(kind):
+            mat = np.zeros((d, d), dtype=complex)
+            mat[g20, g20] = 1.0 - eps
+            if kind == "negative":
+                mat[g00, g00], mat[g01, g01] = eps + 5e-9, -5e-9
+            else:
+                mat[g00, g00] = mat[g01, g01] = eps / 2
+                mat[g00, g01] = 5e-11
+            return mat
+
+        evolve, calls = protocols.integrate_master, []
+
+        def faulty(joint0, cfg, noise, t):
+            calls.append(t)
+            kind = {2: "negative", 4: "non-Hermitian"}.get(len(calls))
+            if kind is None:
+                return evolve(joint0, cfg, noise, t)
+            return EvolutionResult((t,), cfg.space, np.arange(d * d), joint(kind).ravel()[None])
+
+        monkeypatch.setattr(protocols, "integrate_master", faulty)
+        with pytest.raises(ValueError, match="^not positive semidefinite$"):
+            run_probe_cycles([0.6, 0.7, 0.8, 0.9, 0.95], cfg, 1, NoiseConfig(0.1))
+        assert len(calls) == 5
+        blocks = np.array([partial_trace_mat(joint(kind), cfg.space.dims, {0, 1})[
+            np.ix_(TWO_LEVEL_INDEX, TWO_LEVEL_INDEX)] for kind in ("negative", "non-Hermitian")])
+        with pytest.raises(ValueError, match="^not Hermitian$"):
+            boson_pair_to_qubits_stack(blocks)
 
 
 class TestTransferTime:
