@@ -40,14 +40,16 @@ its last use is formed once.  A uniform schedule (``np.linspace``) is
 one run with one map, whose samples after the first BLOCK are
 propagated BLOCK at a time by one matrix product each.
 
-A ``ModelConfig`` caches what depends on it alone, for as long as the
-config object lives: its Hilbert space, its Hamiltonian and the probe's
-sigma^- (read-only arrays), the Hamiltonian's spectral propagator, and
-the latest propagation plan of ``integrate_master`` (the reachable set,
-the restricted generator, the powers of it formed so far and the cache
-of gap maps), rebuilt when the collapse operators or the initial nonzero
-pattern change.  The rows of one sweep share one config and so one plan;
-every CLI call builds its own config.  The module needs numpy only.
+What depends on a ``ModelConfig`` alone is kept once per config value
+for the whole process, in two LRU tables: the Hamiltonian, the probe's
+sigma^- (read-only arrays) and the spectral propagator of MODELS config
+values, and the PLANS latest propagation plans of ``integrate_master``
+(the reachable set, the restricted generator, the powers of it formed so
+far and the cache of gap maps), keyed by the config, the collapse
+operators and the initial nonzero pattern.  So every call made with an
+equal config, from the same config object or a new one, skips that
+set-up and gets bit-identical numbers; ``clear_model_store`` empties
+both tables.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -100,12 +102,13 @@ _DISPERSIVE = (ModelVariant.DISPERSIVE_FULL, ModelVariant.DISPERSIVE_EFFECTIVE)
 class ModelConfig:
     """Which Hamiltonian to build, plus its detuning (dispersive variants only).
 
-    A config also owns what is derived from it alone, built on first
-    use and kept as long as the config object: ``space``,
-    ``hamiltonian`` and ``probe_sigma_minus`` (read-only arrays),
-    ``propagator`` and ``integrate_master``'s latest propagation plan
-    (see ``_propagation_plan``).  None of them is a field, so equality,
-    hashing and ``repr`` see the two fields only.
+    A config is a value: equality and hashing see ``variant`` and
+    ``delta`` only.  What is derived from it alone, ``hamiltonian`` and
+    ``probe_sigma_minus`` (read-only arrays) and ``propagator``, is built
+    on first use and kept by value in the process's model store (MODELS
+    configs, least recently used out first; ``integrate_master``'s plans
+    are kept beside them, see ``_propagation_plan``), so equal configs
+    share it and none of it is stored on the object.
     """
 
     variant: ModelVariant
@@ -132,30 +135,59 @@ class ModelConfig:
             raise ValueError("exchange strength only defined with a detuning")
         return 1.0 / (2.0 * self.delta)
 
-    @functools.cached_property
+    @property
     def space(self) -> HilbertSpace:
-        if self.variant is ModelVariant.RESONANT_QUBIT:
-            return HilbertSpace((2, 2, 2), ("A", "B", "C"))
-        if self.variant is ModelVariant.RESONANT_BOSON:
-            return HilbertSpace((3, 3, 2), ("A", "B", "C"))
-        if self.variant is ModelVariant.DISPERSIVE_FULL:
-            return HilbertSpace((2, 2, 2, 3, 3), ("A", "B", "C", "cav1", "cav2"))
-        return HilbertSpace((2, 2, 2), ("A", "B", "C"))
+        return _SPACES[self.variant]
+
+    @property
+    def hamiltonian(self) -> Array:
+        """``build_hamiltonian(self)``, built once per config value; read-only."""
+        return _model(self).hamiltonian
+
+    @property
+    def propagator(self) -> SpectralPropagator:
+        """The spectral propagator of ``hamiltonian``, built once per config value."""
+        return _model(self).propagator
+
+    @property
+    def probe_sigma_minus(self) -> Array:
+        """``probe_lowering(self)``, built once per config value; read-only."""
+        return _model(self).probe_sigma_minus
+
+
+_SPACES = {
+    ModelVariant.RESONANT_QUBIT: HilbertSpace((2, 2, 2), ("A", "B", "C")),
+    ModelVariant.RESONANT_BOSON: HilbertSpace((3, 3, 2), ("A", "B", "C")),
+    ModelVariant.DISPERSIVE_FULL: HilbertSpace((2, 2, 2, 3, 3), ("A", "B", "C", "cav1", "cav2")),
+    ModelVariant.DISPERSIVE_EFFECTIVE: HilbertSpace((2, 2, 2), ("A", "B", "C")),
+}
+
+#: config values whose model the process keeps, least recently used out
+#: first: a Hamiltonian, sigma^- and propagator hold 3 d^2 16 B, 250 kB at
+#: the largest model (d = 72), so the table holds at most 2.0 MB
+MODELS = 8
+
+
+class _Model:
+    """What one config value determines, each part built on first use."""
+
+    def __init__(self, cfg: ModelConfig):
+        self.cfg = cfg
 
     @functools.cached_property
     def hamiltonian(self) -> Array:
-        """``build_hamiltonian(self)``, built on first use; read-only."""
-        return _read_only(build_hamiltonian(self))
+        return _read_only(build_hamiltonian(self.cfg))
 
     @functools.cached_property
     def propagator(self) -> SpectralPropagator:
-        """The spectral propagator of ``hamiltonian``, built on first use."""
         return SpectralPropagator.from_hamiltonian(self.hamiltonian)
 
     @functools.cached_property
     def probe_sigma_minus(self) -> Array:
-        """``probe_lowering(self)``, built on first use; read-only."""
-        return _read_only(probe_lowering(self))
+        return _read_only(probe_lowering(self.cfg))
+
+
+_model = functools.lru_cache(maxsize=MODELS)(_Model)
 
 
 def _read_only(a: Array) -> Array:
@@ -222,9 +254,15 @@ def boson_pair_to_qubits_stack(blocks: Array) -> Array:
 
     ``blocks`` holds each pair state restricted to ``TWO_LEVEL_INDEX``;
     every block is renormalized to unit trace and checked as
-    DensityMatrix checks a state.
+    DensityMatrix checks a state.  A block of zero or non-finite trace
+    (no population in the block) is refused before the division.
     """
-    out = blocks / np.trace(blocks, axis1=1, axis2=2).real[:, None, None]
+    traces = np.trace(blocks, axis1=1, axis2=2).real
+    if not (np.isfinite(traces).all() and traces.all()):
+        s = int(np.flatnonzero(~np.isfinite(traces) | (traces == 0.0))[0])
+        raise ValueError(f"pair block {s} has trace {float(traces[s])!r}: "
+                         "no conditional state to renormalize")
+    out = blocks / traces[:, None, None]
     check_density_stack(out)
     return out
 
@@ -371,7 +409,7 @@ def readout_entries(space: HilbertSpace, codes: Array, entries: Array) -> tuple[
 
 #: (codes, d, basis states those codes touch) of the latest read-only codes
 #: that ``_touched_states`` saw; held by identity, so only results that
-#: share one codes array (the rows of one propagation plan) share it
+#: share one codes array (those of one kept propagation plan) share it
 _LAST_TOUCHED: tuple = (None, 0, None)
 
 
@@ -379,8 +417,9 @@ def _touched_states(codes: Array, d: int) -> Array:
     """The sorted basis states, read-only, that the entries ``codes`` of a d x d matrix touch.
 
     A read-only ``codes`` that is the one of the previous call gives that
-    call's array back: the rows of a sweep share their plan's codes, so
-    the set is formed once per plan and not once per row.
+    call's array back: the rows of a sweep, and later calls with an equal
+    config, share their kept plan's codes, so the set is formed once per
+    run of calls on one plan and not once per row or job.
     """
     global _LAST_TOUCHED
     last_codes, last_d, touched = _LAST_TOUCHED
@@ -619,11 +658,11 @@ class _Expm:
 
 
 #: gap maps exp(G g) each propagation plan keeps, least recently used
-#: out first.  A uniform schedule takes one map (see ``_uniform_runs``),
-#: an irregular one a map per distinct gap; 8 leaves room for gaps that
-#: alternate and for the next call's gap (the readout time of the next
-#: sweep row), and holds at most 8 k^2 16 B: 3.7 MB at the models'
-#: largest set (k = 170).
+#: out first, and as many of their BLOCK-th powers.  A uniform schedule
+#: takes one map (see ``_uniform_runs``), an irregular one a map per
+#: distinct gap; 8 leaves room for gaps that alternate and for the next
+#: call's gap (the readout time of the next sweep row), and holds at most
+#: 8 k^2 16 B per cache: 3.7 MB at the models' largest set (k = 170).
 GAP_MAPS = 8
 #: samples of a uniform run propagated by one product with M^BLOCK.  A
 #: (BLOCK, k) @ (k, k) product runs on one thread as long as OpenBLAS
@@ -642,19 +681,29 @@ BLOCK = 16
 SCHEDULE_ROUNDING = 8 * np.finfo(float).eps
 
 
+#: propagation plans the process keeps, least recently used out first.  A
+#: plan holds its generator, at most 14 powers of it (``_Expm``), GAP_MAPS
+#: maps and GAP_MAPS of their BLOCK-th powers: at most 31 k^2 16 B, 14.3 MB
+#: at the models' largest set (k = 170) and 0.6 MB at ``secii-boson``'s
+#: (k = 35), so the table holds at most 57 MB.  4 keeps a sweep's plans
+#: for x < 1, x = 2/3 and x = 1 and one more.
+PLANS = 4
+
+
 class _PropagationPlan:
     """The model-only work of ``integrate_master`` for one key.
 
     It holds the reachable entries ``codes`` of the initial pattern,
     the positions of their adjoints and of the diagonal, and the
-    restricted generator ``gen``, all read-only, and ``gap_map``: the
-    read-only matrix exp(G g) of a gap g, formed by ``_Expm`` and kept
-    in an LRU cache of GAP_MAPS maps, so a gap that recurs, within a
-    call or in the next call (the next row of a sweep), is formed once.
+    restricted generator ``gen``, all read-only; ``gap_map``: the
+    read-only matrix M = exp(G g) of a gap g, formed by ``_Expm``; and
+    ``block_map``: M^BLOCK for that gap, read-only.  Each is kept in an
+    LRU cache of GAP_MAPS entries, so a gap that recurs, within a call or
+    in a later one (the next row of a sweep, the next job), is formed
+    once.
     """
 
-    def __init__(self, key: tuple, h: Array, ops, rho0: Array):
-        self.key = key
+    def __init__(self, h: Array, ops, rho0: Array):
         codes = reachable_entries(rho0, h, ops)
         d = h.shape[0]
         rows, cols = np.divmod(codes, d)
@@ -662,29 +711,43 @@ class _PropagationPlan:
         self.adj = _read_only(np.searchsorted(codes, cols * d + rows))
         self.diag = _read_only(np.flatnonzero(rows == cols))
         self.gen = _read_only(_restricted_generator(h, ops, codes))
-        self.gap_map = functools.lru_cache(maxsize=GAP_MAPS)(_Expm(self.gen).__call__)
+        self.gap_map = gap_map = functools.lru_cache(maxsize=GAP_MAPS)(_Expm(self.gen).__call__)
+        self.block_map = functools.lru_cache(maxsize=GAP_MAPS)(
+            lambda gap: _read_only(np.linalg.matrix_power(gap_map(gap), BLOCK)))
+
+
+@functools.lru_cache(maxsize=PLANS)
+def _stored_plan(cfg: ModelConfig, pattern: bytes, rates: bytes, *ops: bytes) -> _PropagationPlan:
+    """The plan of ``_propagation_plan``'s key, rebuilt from the key's bytes."""
+    shape = (cfg.space.dim,) * 2
+    mats = [np.frombuffer(op, dtype=complex).reshape(shape) for op in ops]
+    return _PropagationPlan(cfg.hamiltonian, list(zip(np.frombuffer(rates).tolist(), mats)),
+                            np.frombuffer(pattern, dtype=bool).reshape(shape))
 
 
 def _propagation_plan(
     cfg: ModelConfig, ops: Sequence[tuple[float, Array]], rho0: Array
 ) -> _PropagationPlan:
-    """``cfg``'s plan for these collapse operators and initial pattern.
+    """The plan for ``cfg``, these collapse operators and this initial pattern.
 
-    The config keeps one plan, the latest, and builds a new one when the
-    key changes: the rates and operator entries as bytes, and the
-    nonzero pattern of ``rho0``.  Default and explicit collapse
-    operators of equal values therefore share a plan.  The plan is kept
-    as long as the config object, so every call made with one config
-    (the rows of a sweep) shares it and separate configs never do.
+    Plans are kept in the process's model store, one LRU table of PLANS
+    plans keyed by the config's value, the rates and operator entries as
+    bytes, and the nonzero pattern of ``rho0``.  Default and explicit
+    collapse operators of equal values therefore share a plan, and so do
+    every call with an equal config: the rows of a sweep, and later jobs
+    or ``ModelConfig(...)`` built anew per call in one process.  A grid
+    through x = 2/3 keeps the plan of the other x < 1 while it builds the
+    one of 2/3, so it builds each plan once.
     """
-    key = ((rho0 != 0).tobytes(), np.array([r for r, _ in ops]).tobytes(),
-           *(op.tobytes() for _, op in ops))
-    plan = cfg.__dict__.get("_plan")
-    if plan is None or plan.key != key:
-        plan = _PropagationPlan(key, cfg.hamiltonian, ops, rho0)
-        # a frozen dataclass: stored beside the cached operators, not as a field
-        object.__setattr__(cfg, "_plan", plan)
-    return plan
+    return _stored_plan(cfg, (rho0 != 0).tobytes(),
+                        np.array([r for r, _ in ops], dtype=float).tobytes(),
+                        *(op.tobytes() for _, op in ops))
+
+
+def clear_model_store() -> None:
+    """Drop every model and propagation plan the process keeps; later calls build them anew."""
+    _model.cache_clear()
+    _stored_plan.cache_clear()
 
 
 def _uniform_runs(points: Array, tol: float):
@@ -739,22 +802,24 @@ def integrate_master(
     ``reachable_entries``; under probe decay 19 of 64 for the resonant
     qubit model with a ground probe and at most 170 for the full
     dispersive model).  The set and the generator G restricted to it
-    are ``cfg``'s propagation plan (see ``_propagation_plan``): built
-    once and reused by later calls with the same collapse operators and
+    are a propagation plan that the process keeps by the config's value
+    (see ``_propagation_plan``): built once and reused by every later
+    call with an equal config, the same collapse operators and the same
     initial nonzero pattern.  G does not depend on time, so the gap h
     between sample times is the linear map M = exp(G h), which the plan
     forms once and keeps in its LRU cache of GAP_MAPS maps (see
     ``_PropagationPlan``); a later call with the same gap (the next row
-    of a sweep) forms no exponential and gives bit-identical states.
-    The schedule is split into runs whose times lie on one arithmetic
-    progression to within their rounding (``_uniform_runs``,
-    SCHEDULE_ROUNDING): an ``np.linspace`` schedule is one run, an
-    irregular one a chain of short runs.  Each run forms one M, at its
-    first gap; its first BLOCK samples take one mat-vec each, and
-    every later BLOCK samples one (BLOCK, k) @ (k, k) product with
-    M^BLOCK, written in place into the (n, k) stack of samples.  The
-    cache holds at most GAP_MAPS k^2 16 B for k entries, whatever the
-    schedule's length.  The stack is re-Hermitized once propagation
+    of a sweep, the next job) forms no exponential and gives
+    bit-identical states.  The schedule is split into runs whose times
+    lie on one arithmetic progression to within their rounding
+    (``_uniform_runs``, SCHEDULE_ROUNDING): an ``np.linspace`` schedule
+    is one run, an irregular one a chain of short runs.  Each run takes
+    one M, at its first gap; its first BLOCK samples take one mat-vec
+    each, and every later BLOCK samples one (BLOCK, k) @ (k, k) product
+    with M^BLOCK (``matrix_power``, kept beside M), written in place
+    into the (n, k) stack of samples.  The caches hold at most
+    2 GAP_MAPS k^2 16 B for k entries, whatever the schedule's length.
+    The stack is re-Hermitized once propagation
     ends, and the samples are returned as that stack (see
     ``EvolutionResult``), never as d x d matrices.  The trace is then
     checked over every sample: trace drift beyond TRACE_DRIFT_LIMIT
@@ -803,12 +868,13 @@ def integrate_master(
         stack = np.empty((points.size, codes.size), dtype=complex)
         stack[0] = np.asarray(rho0.mat, dtype=complex).ravel()[codes]
         for first, m in _uniform_runs(points, SCHEDULE_ROUNDING * max(points[-1], 1.0)):
-            step = plan.gap_map(points[first + 1] - points[first])
+            gap = points[first + 1] - points[first]
+            step = plan.gap_map(gap)
             run = stack[first:first + m + 1]
             for s in range(1, min(m, BLOCK) + 1):
                 np.matmul(step, run[s - 1], out=run[s])
             if m > BLOCK:
-                jump = np.linalg.matrix_power(step, BLOCK).T
+                jump = plan.block_map(gap).T
                 for s in range(BLOCK + 1, m + 1, BLOCK):
                     end = min(s + BLOCK, m + 1)
                     np.matmul(run[s - BLOCK:end - BLOCK], jump, out=run[s:end])

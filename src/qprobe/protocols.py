@@ -393,7 +393,10 @@ def run_probe_cycles(
     built; the pairs and probes are then read out once per set of codes
     (``_read_rows``).  Every x < 1 gives one set and x = 1 another: the
     family's zero pattern also changes at x = 2/3, but the dynamics
-    reach the coherence that vanishes there.
+    reach the coherence that vanishes there.  The Hamiltonian, the
+    propagator and the propagation plans are those the process keeps
+    for ``cfg``'s value (``dynamics.ModelConfig``), so the rows share
+    them, and so does a later call with an equal config.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")

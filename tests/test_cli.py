@@ -35,6 +35,7 @@ from qprobe.dynamics import (
     ModelVariant,
     NoiseConfig,
     build_hamiltonian,
+    clear_model_store,
     initial_joint,
     integrate_master,
     reachable_entries,
@@ -809,12 +810,12 @@ class TestSweepSharesOneModel:
         assert run([*args, tmp_path / "batched.csv"]) == 0
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "batched.csv").read_bytes()
 
-    def test_noisy_sweep_builds_the_model_once(self, tmp_path, monkeypatch):
+    def test_noisy_sweep_builds_the_model_once(self, tmp_path, monkeypatch, cold_store):
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         patterns = [(initial_joint(x, cfg, ProbePrep.GROUND).mat != 0).tobytes()
                     for x in _sweep_grid(0.5, 1.0, float(PATTERN_GRID[-1]))]
         changes = 1 + sum(a != b for a, b in zip(patterns, patterns[1:]))
-        assert changes == 4
+        assert changes == 4 and len(set(patterns)) == 3
         calls = {"build_hamiltonian": 0, "reachable_entries": 0}
 
         def counted(fn):
@@ -827,7 +828,59 @@ class TestSweepSharesOneModel:
         monkeypatch.setattr("qprobe.dynamics.reachable_entries", counted(reachable_entries))
         assert run(["sweep", "--gamma", "0.1", *PATTERN_GRID,
                     "--out", tmp_path / "s.csv"]) == 0
-        assert calls == {"build_hamiltonian": 1, "reachable_entries": changes}
+        # one plan per distinct pattern: the plan of x < 2/3 is kept past x = 2/3
+        assert calls == {"build_hamiltonian": 1, "reachable_entries": 3}
+        # a later call in the process builds nothing
+        assert run(["sweep", "--gamma", "0.1", *PATTERN_GRID,
+                    "--out", tmp_path / "again.csv"]) == 0
+        assert calls == {"build_hamiltonian": 1, "reachable_entries": 3}
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
+
+
+#: jobs that keep models and plans in the process's store: both noisy
+#: evolve models (block products included), a noisy sweep through x = 2/3
+#: and x = 1, noisy probe shots and the qnd report; then jobs that differ
+#: from earlier ones in one part of a key only: the gap (one plan), the
+#: rate (one config) and the detuning (the qnd's exchange model)
+WARM_SEQUENCE = [
+    ["evolve", "--x", "0.75", "--model", "secii-boson", "--gamma", "0.1", "--t-end", "10",
+     "--samples", "201", "--out", "e.csv"],
+    ["evolve", "--x", "0.75", "--model", "seciii-full", "--delta", "10", "--gamma", "0.1",
+     "--t-end", "1", "--samples", "41", "--out", "e.csv"],
+    ["sweep", "--gamma", "0.1", *PATTERN_GRID, "--emit-svg", "--out", "s.csv"],
+    ["probe", "--x", "0.75", "--gamma", "0.1", "--shots", "1000", "--seed", "3"],
+    ["qnd", "--x", "0.75", "--cycles", "3", "--shots", "10000", "--seed", "5", "--report-tm",
+     "--out", "q.csv"],
+    ["evolve", "--x", "0.75", "--model", "secii-boson", "--gamma", "0.1", "--t-end", "5",
+     "--samples", "201", "--out", "e.csv"],
+    ["evolve", "--x", "0.75", "--model", "seciii-full", "--delta", "10", "--gamma", "0.2",
+     "--t-end", "1", "--samples", "41", "--out", "e.csv"],
+    ["evolve", "--x", "0.75", "--model", "seciii-eff", "--delta", "12", "--gamma", "0.1",
+     "--t-end", "1", "--samples", "41", "--out", "e.csv"],
+]
+
+
+def test_warm_store_changes_no_output(tmp_path, monkeypatch, capsys):
+    def outputs(args):
+        """The job's stdout and every file it wrote, from an empty directory."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(work)
+        assert run(args) == 0
+        return capsys.readouterr().out, {f.name: f.read_bytes() for f in work.iterdir()}
+
+    cold = []
+    for args in WARM_SEQUENCE:
+        clear_model_store()
+        cold.append(outputs(args))
+    clear_model_store()
+    first = [outputs(args) for args in WARM_SEQUENCE]
+    built = []
+    monkeypatch.setattr("qprobe.dynamics.build_hamiltonian",
+                        lambda cfg: built.append(cfg) or build_hamiltonian(cfg))
+    second = [outputs(args) for args in WARM_SEQUENCE]
+    assert built == []  # the second pass runs on kept models
+    for args, want, got_first, got_second in zip(WARM_SEQUENCE, cold, first, second):
+        assert want != ("", {}) and got_first == want and got_second == want, args
 
 
 ONE_PATH_COMMANDS = [

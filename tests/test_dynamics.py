@@ -17,6 +17,7 @@ from qprobe.dynamics import (
     MAX_REACHABLE,
     MAX_T_END,
     MIN_SAMPLE_GAP,
+    PLANS,
     SCHEDULE_ROUNDING,
     PROBE_SIGMA_Z,
     TWO_LEVEL_INDEX,
@@ -28,9 +29,11 @@ from qprobe.dynamics import (
     _PropagationPlan,
     _embed,
     _restricted_generator,
+    _stored_plan,
     _uniform_runs,
     boson_lower,
     build_hamiltonian,
+    clear_model_store,
     dispersive_deviation,
     initial_joint,
     initial_joint_from_pair,
@@ -359,7 +362,7 @@ class TestIntegrateMaster:
             "trace drift exceeded tolerance: generator too large to propagate "
             "(a decay rate or a Hamiltonian term such as the detuning)")
 
-    def test_drift_at_one_middle_sample_rejected(self, monkeypatch):
+    def test_drift_at_one_middle_sample_rejected(self, monkeypatch, built_plans):
         # the trace is checked over every sample once propagation ends:
         # a map scaled past the bound for the middle gap only, and scaled
         # back by the next gap's map, still fails the run
@@ -368,11 +371,13 @@ class TestIntegrateMaster:
         noise = NoiseConfig(gamma=0.1)
         times = [0.25, 0.5, 1.0, 1.75, 2.0]  # gaps 0.25, 0.25, 0.5, 0.75, 0.25
         integrate_master(rho0, cfg, noise, 2.0, sample_times=times)
-        plan = cfg._plan
+        [plan] = built_plans
         gap_map, scale = plan.gap_map, {0.5: 1.0 + 2e-10, 0.75: 1.0 / (1.0 + 2e-10)}
         monkeypatch.setattr(plan, "gap_map", lambda gap: gap_map(gap) * scale.get(gap, 1.0))
+        # an equal config takes the same kept plan
+        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         res = integrate_master(rho0, cfg, noise, 1.0, sample_times=times[:2])
-        assert cfg._plan is plan and len(res.times) == 2
+        assert built_plans == [plan] and len(res.times) == 2
         with pytest.raises(ValueError, match="trace drift"):
             integrate_master(rho0, cfg, noise, 2.0, sample_times=times)
 
@@ -540,7 +545,8 @@ class TestIntegratorOracle:
         # three distinct gaps, two of them repeated out of order
         (1.25, [0.125, 0.375, 0.5, 0.75, 0.875, 1.25], None),
     ], ids=["linspace", "longest", "alternating"])
-    def test_one_map_per_distinct_gap(self, monkeypatch, t_end, sample_times, uniform_gap):
+    def test_one_map_per_distinct_gap(self, monkeypatch, cold_store, t_end, sample_times,
+                                      uniform_gap):
         formed = []
         call = _Expm.__call__
         monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
@@ -555,7 +561,7 @@ class TestIntegratorOracle:
             # one exponential per distinct gap, kept as a matrix for its later uses
             assert formed == [gap for gap in dict.fromkeys(gaps) if gap]
 
-    def test_irregular_schedule_keeps_its_raw_gaps(self, monkeypatch):
+    def test_irregular_schedule_keeps_its_raw_gaps(self, monkeypatch, cold_store):
         # gaps of 0.1, 0.2 and 0.3 (over 3) in random order: a run of equal
         # gaps steps by its first gap, which recurs bit for bit, so at most
         # one map forms per distinct raw gap (34), not one per run (800)
@@ -615,8 +621,23 @@ class TestIntegratorOracle:
         assert peak < 16 * d ** 4 / 10
 
 
-def plans_of(cfg):
-    return [v for v in vars(cfg).values() if isinstance(v, _PropagationPlan)]
+@pytest.fixture
+def built_plans(monkeypatch, cold_store):
+    """Every propagation plan built from an empty model store on, in order."""
+    built, init = [], _PropagationPlan.__init__
+
+    def counted(plan, *args):
+        built.append(plan)
+        init(plan, *args)
+
+    monkeypatch.setattr(_PropagationPlan, "__init__", counted)
+    return built
+
+
+def cold_entries(rho0, cfg, noise, t_end, **kwargs):
+    """``integrate_master``'s entries from an empty model store: every plan and map built anew."""
+    clear_model_store()
+    return integrate_master(rho0, cfg, noise, t_end, **kwargs).entries
 
 
 class TestPropagationPlan:
@@ -626,43 +647,66 @@ class TestPropagationPlan:
         rho0 = initial_joint(0.75, FULL, ProbePrep.EXCITED)
         noise = NoiseConfig(gamma=0.1)
         shared = ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)
+        fresh = cold_entries(rho0, ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0),
+                             noise, 1.0, sample_times=times)
+        clear_model_store()
         integrate_master(rho0, shared, noise, 1.0, sample_times=times[:10])
         first = integrate_master(rho0, shared, noise, 1.0, sample_times=times)
-        fresh = integrate_master(rho0, ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0),
-                                 noise, 1.0, sample_times=times)
-        assert np.array_equal(first.entries, fresh.entries)
+        assert np.array_equal(first.entries, fresh)
 
-    def test_equal_explicit_operators_share_the_plan(self):
+    def test_equal_explicit_operators_share_the_plan(self, built_plans):
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         rho0 = initial_joint(0.8, cfg, ProbePrep.GROUND)
         default = integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), 1.0)
-        [plan] = plans_of(cfg)
+        [plan] = built_plans
         for _ in range(2):
             # equal values in new arrays, one of them real
             op = np.array(probe_lowering(cfg).real)
             explicit = integrate_master(
                 rho0, cfg, NoiseConfig(collapse_ops=((0.1, op),)), 1.0)
-            assert plans_of(cfg) == [plan]
+            assert built_plans == [plan]
             assert np.array_equal(explicit.entries, default.entries)
             assert np.array_equal(explicit.codes, default.codes)
 
-    def test_one_plan_after_many_rates(self):
-        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
-        rho0 = initial_joint(0.8, cfg, ProbePrep.GROUND)
-        for gamma in np.linspace(0.0, 0.5, 12):
-            res = integrate_master(rho0, cfg, NoiseConfig(gamma=gamma), 1.0)
-            [plan] = plans_of(cfg)
-            fresh = integrate_master(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT),
-                                     NoiseConfig(gamma=gamma), 1.0)
-            assert np.array_equal(res.entries, fresh.entries)
-        assert plan.key == plans_of(cfg)[0].key
+    def test_store_keeps_the_latest_plans(self, built_plans):
+        # one plan per rate; past PLANS rates the store holds PLANS plans,
+        # least recently used out first, and every result is a cold one
+        rho0 = initial_joint(0.8, QUBIT, ProbePrep.GROUND)
+        gammas = np.linspace(0.0, 0.5, 12)
+        fresh = [cold_entries(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT),
+                              NoiseConfig(gamma=gamma), 1.0) for gamma in gammas]
+        clear_model_store()
+        built_plans.clear()
+
+        def run(k):
+            # a new config per call, as a library loop builds them
+            res = integrate_master(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT),
+                                   NoiseConfig(gamma=gammas[k]), 1.0)
+            assert np.array_equal(res.entries, fresh[k])
+
+        for k in range(len(gammas)):
+            run(k)
+        assert len(built_plans) == len(gammas)
+        assert _stored_plan.cache_info().currsize == PLANS
+        # the last PLANS rates are kept: the oldest of them is used again,
+        # so the next new rate drops the second oldest
+        kept = list(range(len(gammas) - PLANS, len(gammas)))
+        for k in kept:
+            run(k)
+        run(kept[0])
+        run(0)
+        assert len(built_plans) == len(gammas) + 1
+        run(kept[0])
+        run(kept[1])
+        assert len(built_plans) == len(gammas) + 2
+        assert _stored_plan.cache_info().currsize == PLANS
 
     def test_pattern_is_part_of_the_key(self, monkeypatch):
         noise = NoiseConfig(gamma=0.1)
         # x = 2/3 zeroes the family's coherence and x = 1 its |11> population
         runs = [initial_joint(x, QUBIT, ProbePrep.GROUND)
                 for x in [0.75, 0.6, 2 / 3, 1.0, 1.0, 0.75]]
-        fresh = [integrate_master(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), noise, 0.5)
+        fresh = [cold_entries(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), noise, 0.5)
                  for rho0 in runs]
         built = []
 
@@ -671,31 +715,39 @@ class TestPropagationPlan:
             return reachable_entries(rho0, h, ops)
 
         monkeypatch.setattr("qprobe.dynamics.reachable_entries", counted)
+        clear_model_store()
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         for rho0, ref in zip(runs, fresh):
             res = integrate_master(rho0, cfg, noise, 0.5)
-            assert np.array_equal(res.entries, ref.entries)
-        # one build per change of initial pattern (nonzero count)
-        assert built == [5, 3, 4, 5]
+            assert np.array_equal(res.entries, ref)
+        # one build per distinct initial pattern (nonzero count): the plan
+        # of x = 0.75 is kept past x = 2/3 and x = 1
+        assert built == [5, 3, 4]
+        for rho0, ref in zip(runs, fresh):
+            res = integrate_master(rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), noise, 0.5)
+            assert np.array_equal(res.entries, ref)
+        assert built == [5, 3, 4]
 
-    def test_map_kept_for_the_next_call(self, monkeypatch):
+    def test_map_kept_for_the_next_call(self, monkeypatch, built_plans):
         # sweep rows: one gap per call, on one config
         noise = NoiseConfig(gamma=0.1)
         runs = [(0.75, np.pi / 2), (0.8, np.pi / 2), (0.6, np.pi / 2), (0.75, 1.0),
                 (0.8, np.pi / 2)]
-        fresh = [integrate_master(initial_joint(x, QUBIT, ProbePrep.GROUND),
-                                  ModelConfig(ModelVariant.RESONANT_QUBIT), noise, t_end)
+        fresh = [cold_entries(initial_joint(x, QUBIT, ProbePrep.GROUND),
+                              ModelConfig(ModelVariant.RESONANT_QUBIT), noise, t_end)
                  for x, t_end in runs]
+        clear_model_store()
+        built_plans.clear()
         formed = []
         call = _Expm.__call__
         monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         for (x, t_end), ref in zip(runs, fresh):
             res = integrate_master(initial_joint(x, cfg, ProbePrep.GROUND), cfg, noise, t_end)
-            assert np.array_equal(res.entries, ref.entries)
+            assert np.array_equal(res.entries, ref)
         # a gap seen before forms no new exponential, even after another gap
         assert formed == [np.pi / 2, 1.0]
-        assert len(plans_of(cfg)) == 1
+        assert len(built_plans) == 1
 
     def test_map_cache_bounds_memory(self):
         # 100 distinct gaps, the whole schedule taken twice; the gaps are
@@ -724,9 +776,8 @@ class TestPropagationPlan:
         expected = {}
         for x, gamma, t_end in cases:
             rho0 = initial_joint(x, QUBIT, ProbePrep.GROUND)
-            expected[x, gamma, t_end] = integrate_master(
-                rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), NoiseConfig(gamma=gamma),
-                t_end).entries
+            expected[x, gamma, t_end] = cold_entries(
+                rho0, ModelConfig(ModelVariant.RESONANT_QUBIT), NoiseConfig(gamma=gamma), t_end)
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         failures = []
 
@@ -760,6 +811,9 @@ class TestConfigOperators:
                             ("probe_sigma_minus", probe_lowering)):
             op = getattr(cfg, name)
             assert getattr(cfg, name) is op
+            # kept by the config's value, not on the object
+            assert getattr(ModelConfig(cfg.variant, cfg.delta), name) is op
+            assert set(vars(cfg)) == {"variant", "delta"}
             assert np.array_equal(op, build(cfg))
             assert not op.flags.writeable
             with pytest.raises(ValueError):

@@ -458,7 +458,7 @@ class TestProbeCycle:
         cycles = run_probe_cycles([0.5, 0.75, 1.0], QUBIT, 1, NoiseConfig(gamma))
         assert calls == [6] and len(cycles) == 3
 
-    def test_noiseless_cycles_share_the_config_propagator(self, monkeypatch):
+    def test_noiseless_cycles_share_the_config_propagator(self, monkeypatch, cold_store):
         builds, build = [], SpectralPropagator.from_hamiltonian.__func__
 
         def counted_build(cls, h):
@@ -471,6 +471,9 @@ class TestProbeCycle:
         run_probe_cycles([0.6, 0.9], cfg, 3)
         assert cfg.propagator is cfg.propagator
         assert len(builds) == 1 and builds[0] is cfg.hamiltonian
+        # an equal config, built anew, takes the kept propagator
+        run_probe_cycles([0.6, 0.9], ModelConfig(ModelVariant.RESONANT_QUBIT), 3)
+        assert len(builds) == 1
 
     def test_cycles_check_every_x_first(self):
         with pytest.raises(ValueError, match="x out of family domain"):
@@ -612,6 +615,39 @@ class TestRowStack:
         with pytest.raises(ValueError, match="^not Hermitian$"):
             boson_pair_to_qubits_stack(blocks)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("blocks, message", [
+        (np.zeros((1, 4, 4)), "pair block 0 has trace 0.0"),
+        (np.stack([np.eye(4) / 4, np.diag([np.inf, 0.0, 0.0, 0.0])]),
+         "pair block 1 has trace inf"),
+        (np.stack([np.eye(4) / 4, np.full((4, 4), np.nan)]), "pair block 1 has trace nan"),
+    ], ids=["zero", "inf", "nan"])
+    def test_a_block_without_a_finite_trace_is_refused(self, blocks, message):
+        # refused before the division, whose RuntimeWarning the row-by-row
+        # fallback of run_probe_cycles would not catch
+        with pytest.raises(ValueError, match=f"^{message}: no conditional state"):
+            boson_pair_to_qubits_stack(blocks)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_row_without_conditional_population_raises_its_error(self, monkeypatch):
+        # row 1 holds two photons in cavity A and none in the block: the
+        # stacked readout refuses it and the row-by-row readout names it
+        cfg = ModelConfig(ModelVariant.RESONANT_BOSON)
+        d, g20 = cfg.space.dim, 13
+        evolve, calls = protocols.integrate_master, []
+
+        def faulty(joint0, cfg, noise, t):
+            calls.append(t)
+            if len(calls) == 1:
+                return evolve(joint0, cfg, noise, t)
+            mat = np.zeros((d, d), dtype=complex)
+            mat[g20, g20] = 1.0
+            return EvolutionResult((t,), cfg.space, np.arange(d * d), mat.ravel()[None])
+
+        monkeypatch.setattr(protocols, "integrate_master", faulty)
+        with pytest.raises(ValueError, match="^pair block 0 has trace 0.0: "):
+            run_probe_cycles([0.6, 0.7], cfg, 1, NoiseConfig(0.1))
+
 
 class TestTransferTime:
     def test_matches_collective_rabi_value(self):
@@ -641,7 +677,7 @@ class TestTransferTime:
         )
         assert transfer_time_report(j).best_fidelity >= 1.0 - 1e-12
 
-    def test_sequence_and_report_check_the_strength_once(self, monkeypatch):
+    def test_sequence_and_report_check_the_strength_once(self, monkeypatch, cold_store):
         protocols._checked_transfer.cache_clear()
         builds, times = [], []
         build = SpectralPropagator.from_hamiltonian.__func__
@@ -789,10 +825,15 @@ def corrupted(prop, fault):
 
 
 def with_propagator(prop):
-    """A fresh exchange config at delta 10 whose cached propagator is ``prop``."""
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
-    cfg.__dict__["propagator"] = prop  # where the cached property keeps it
-    return cfg
+    """An exchange config at delta 10 whose propagator is ``prop``.
+
+    Its class differs from ``ModelConfig``, so it equals no config, and
+    the model store, which keys by value, never hands ``prop`` to another.
+    """
+    class Injected(ModelConfig):
+        propagator = prop
+
+    return Injected(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
 
 
 class TestQndStageChain:
