@@ -402,7 +402,7 @@ def cmd_qnd(opts: dict) -> int:
     print(f"derived_discord = {fmt(est.derived.discord)}")
     print(f"derived_classical = {fmt(est.derived.classical)}")
     if opts["report_tm"]:
-        rep = transfer_time_report(cfg.j_exchange)
+        rep = transfer_time_report(cfg)
         print(f"transfer_time = {fmt(rep.best_time)}")
         print(f"transfer_fidelity = {fmt(rep.best_fidelity)}")
         print(f"candidate_time_dpig2 = {fmt(rep.candidate_time)}")

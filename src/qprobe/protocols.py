@@ -22,6 +22,7 @@ so the words are compared as integers and never converted.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -134,6 +135,25 @@ def _block_products() -> tuple[np.ndarray, np.ndarray]:
     return offsets, mixed
 
 
+_work = threading.local()
+
+
+def _work_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's writable block buffers ``z``, ``t`` and ``mask`` (0.56 MB).
+
+    Formed on the thread's first draw and reused by its later draws, so
+    a draw allocates nothing of its block size and no page of them
+    faults in again; a thread's buffers go with the thread, and no two
+    threads share one.
+    """
+    buffers = getattr(_work, "buffers", None)
+    if buffers is None:
+        buffers = _work.buffers = (np.empty(SHOT_BLOCK, dtype=np.uint64),
+                                   np.empty(SHOT_BLOCK, dtype=np.uint64),
+                                   np.empty(SHOT_BLOCK, dtype=bool))
+    return buffers
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Binomial measurement record of one stage."""
@@ -163,7 +183,9 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     are compared with the integer cutoff of p instead of being converted:
     u_i < p exactly when z_i is below it.  Counters are hashed in place,
     in blocks of at most SHOT_BLOCK that never cross a multiple of
-    SHOT_BLOCK, so memory does not grow with the shot count.
+    SHOT_BLOCK, in the calling thread's work buffers (``_work_buffers``),
+    so memory does not grow with the shot count and a draw after the
+    thread's first allocates none of its block size.
 
     Only the count is kept, and two shortcuts leave it unchanged:
 
@@ -203,11 +225,8 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     counter = (_splitmix64(seed & _MASK64) + _GAMMA64) & _MASK64
     head = min(shots, -counter % SHOT_BLOCK)
     whole, tail = divmod(shots - head, SHOT_BLOCK)
-    size = min(shots, SHOT_BLOCK)
     offsets, mixed = _block_products()
-    z = np.empty(size, dtype=np.uint64)
-    t = np.empty(size, dtype=np.uint64)
-    mask = np.empty(size, dtype=bool)
+    z, t, mask = _work_buffers()
 
     def finish(n: int) -> int:
         # rounds two and three on z[:n], which holds round one's product
@@ -512,33 +531,52 @@ def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
     return total / len(_FIDELITY_X_GRID)
 
 
-@functools.lru_cache(maxsize=16)
-def _checked_transfer(j: float) -> tuple[SpectralPropagator, float, float]:
-    """Exchange propagator for J, the transfer time and its swap fidelity.
+#: exchange detunings whose transfer check and candidate fidelity the
+#: process keeps (two floats each), least recently used out first
+TRANSFERS = 16
 
-    Raises ValueError unless the fidelity reaches 1 - 1e-9.  Cached, so
-    a sequence and its report check each J once.
+
+@functools.lru_cache(maxsize=TRANSFERS)
+def _checked_transfer(delta: float) -> tuple[float, float]:
+    """Transfer time of the exchange model at detuning ``delta`` and its swap fidelity.
+
+    Raises ValueError unless the fidelity reaches 1 - 1e-9.  The
+    propagator is the model store's for the exchange config of
+    ``delta``, the caller's own, and the check is kept per detuning, so
+    a sequence and its report check each detuning once.
     """
-    if j <= 0:
-        raise ValueError("exchange strength must be positive")
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=1.0 / (2.0 * j))
-    prop = cfg.propagator  # the config rejects a non-finite period
-    t_star = float(np.pi / (2.0 * np.sqrt(2.0) * j))
-    fid = _swap_fidelity(prop, t_star)
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=delta)
+    t_star = float(np.pi / (2.0 * np.sqrt(2.0) * cfg.j_exchange))
+    fid = _swap_fidelity(cfg.propagator, t_star)
     if fid < 1.0 - 1e-9:
         raise ValueError("no clean transfer")
-    return prop, t_star, fid
+    return t_star, fid
 
 
-def find_transfer_time(j: float) -> float:
+@functools.lru_cache(maxsize=TRANSFERS)
+def _candidate_fidelity(delta: float) -> float:
+    """Swap fidelity of the exchange model at ``delta`` at the delta*pi/g^2 time pi/(2J).
+
+    Kept per detuning like ``_checked_transfer``, but only
+    ``transfer_time_report`` asks for it, so a sequence never computes it.
+    """
+    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=delta)
+    return _swap_fidelity(cfg.propagator, np.pi / (2.0 * cfg.j_exchange))
+
+
+def find_transfer_time(cfg: ModelConfig) -> float:
     """Time of the first complete corner-swap transfer, pi / (2 sqrt(2) J).
 
-    The probe exchanges its excitation with the symmetric mode of the
-    pair, whose collective coupling is sqrt(2) J, so the swap completes
-    in closed form when sqrt(2) J t = pi / 2.  The time is checked
-    against the swap fidelity, which must reach 1 - 1e-9.
+    ``cfg`` is the exchange model (``DISPERSIVE_EFFECTIVE``), J = 1 /
+    (2 delta).  The probe exchanges its excitation with the symmetric
+    mode of the pair, whose collective coupling is sqrt(2) J, so the
+    swap completes in closed form when sqrt(2) J t = pi / 2.  The time
+    is checked against the swap fidelity, which must reach 1 - 1e-9,
+    once per detuning in a process (``_checked_transfer``).
     """
-    return _checked_transfer(j)[1]
+    if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
+        raise ValueError("transfer time is defined on the exchange model")
+    return _checked_transfer(cfg.delta)[0]
 
 
 @dataclass(frozen=True)
@@ -551,23 +589,22 @@ class TransferTimeReport:
     candidate_fidelity: float
 
 
-def transfer_time_report(j: float) -> TransferTimeReport:
-    """Evaluate both transfer-time candidates for the exchange model.
+def transfer_time_report(cfg: ModelConfig) -> TransferTimeReport:
+    """Evaluate both transfer-time candidates for the exchange model ``cfg``.
 
     The delta*pi/g^2 rule equals pi/(2J); the collective coupling of
     the symmetric mode is sqrt(2) J, so the actual full swap happens a
     factor sqrt(2) earlier.  Both fidelities are reported so the
-    shortfall is documented rather than silently corrected.
+    shortfall is documented rather than silently corrected.  Both are
+    kept per detuning (``_checked_transfer``, ``_candidate_fidelity``),
+    so a later report at an equal detuning computes no fidelity.
     """
-    best = find_transfer_time(j)
-    # the check behind find_transfer_time is cached: no second build or check
-    prop, _, best_fidelity = _checked_transfer(j)
-    candidate = np.pi / (2.0 * j)
+    best = find_transfer_time(cfg)
     return TransferTimeReport(
         best_time=best,
-        best_fidelity=best_fidelity,
-        candidate_time=float(candidate),
-        candidate_fidelity=_swap_fidelity(prop, candidate),
+        best_fidelity=_checked_transfer(cfg.delta)[1],
+        candidate_time=float(np.pi / (2.0 * cfg.j_exchange)),
+        candidate_fidelity=_candidate_fidelity(cfg.delta),
     )
 
 
@@ -670,7 +707,7 @@ def run_qnd_sequence(
         raise ValueError(f"cycles exceed {MAX_QND_CYCLES}")
     if 2 * n_cycles * shots_per_stage > MAX_SHOTS:
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
-    t_star = find_transfer_time(cfg.j_exchange)
+    t_star = find_transfer_time(cfg)
     u = cfg.propagator.unitary(t_star)
     u_dag = u.conj().T
     preps = (ProbePrep.EXCITED, ProbePrep.GROUND)

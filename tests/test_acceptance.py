@@ -261,7 +261,7 @@ def test_c10_dispersive_validity():
 
 
 def test_c11_qnd_protocol():
-    t_star = find_transfer_time(EXCHANGE.j_exchange)
+    t_star = find_transfer_time(EXCHANGE)
     prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(EXCHANGE))
     worst_swap = 0.0
     for x in X11:
@@ -280,7 +280,7 @@ def test_c11_qnd_protocol():
         )
     assert worst_restore <= 1e-9
 
-    rep = transfer_time_report(EXCHANGE.j_exchange)
+    rep = transfer_time_report(EXCHANGE)
     assert rep.best_fidelity >= 1 - 1e-9
     assert rep.candidate_fidelity < 1 - 1e-3
     print(

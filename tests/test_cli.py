@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qprobe
-from qprobe import measures
+from qprobe import measures, protocols
 from qprobe.cli import (
     _COMMANDS,
     MAX_EVOLVE_SAMPLES,
@@ -35,7 +35,6 @@ from qprobe.dynamics import (
     ModelVariant,
     NoiseConfig,
     build_hamiltonian,
-    clear_model_store,
     initial_joint,
     integrate_master,
     reachable_entries,
@@ -860,7 +859,7 @@ WARM_SEQUENCE = [
 ]
 
 
-def test_warm_store_changes_no_output(tmp_path, monkeypatch, capsys):
+def test_warm_store_changes_no_output(tmp_path, monkeypatch, capsys, cold_store):
     def outputs(args):
         """The job's stdout and every file it wrote, from an empty directory."""
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -870,15 +869,19 @@ def test_warm_store_changes_no_output(tmp_path, monkeypatch, capsys):
 
     cold = []
     for args in WARM_SEQUENCE:
-        clear_model_store()
+        cold_store()
         cold.append(outputs(args))
-    clear_model_store()
+    cold_store()
     first = [outputs(args) for args in WARM_SEQUENCE]
-    built = []
+    built, fidelities = [], []
     monkeypatch.setattr("qprobe.dynamics.build_hamiltonian",
                         lambda cfg: built.append(cfg) or build_hamiltonian(cfg))
+    swap_fidelity = protocols._swap_fidelity
+    monkeypatch.setattr(protocols, "_swap_fidelity",
+                        lambda prop, t: fidelities.append(t) or swap_fidelity(prop, t))
     second = [outputs(args) for args in WARM_SEQUENCE]
-    assert built == []  # the second pass runs on kept models
+    # the second pass runs on kept models, and its qnd report on kept fidelities
+    assert built == [] and fidelities == []
     for args, want, got_first, got_second in zip(WARM_SEQUENCE, cold, first, second):
         assert want != ("", {}) and got_first == want and got_second == want, args
 

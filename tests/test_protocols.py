@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -649,36 +651,48 @@ class TestRowStack:
             run_probe_cycles([0.6, 0.7], cfg, 1, NoiseConfig(0.1))
 
 
+def exchange_at(j):
+    """The exchange config of strength ``j``: J = 1 / (2 delta)."""
+    return ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=1.0 / (2.0 * j))
+
+
 class TestTransferTime:
     def test_matches_collective_rabi_value(self):
-        t = find_transfer_time(0.05)
+        t = find_transfer_time(exchange_at(0.05))
         assert t == pytest.approx(np.pi / (2 * np.sqrt(2) * 0.05), abs=1e-5)
 
     def test_scaling(self):
-        assert find_transfer_time(0.1) == pytest.approx(
-            find_transfer_time(0.05) / 2.0, rel=1e-6
+        assert find_transfer_time(exchange_at(0.1)) == pytest.approx(
+            find_transfer_time(exchange_at(0.05)) / 2.0, rel=1e-6
         )
 
     def test_fidelity_thresholds(self):
-        rep = transfer_time_report(0.05)
+        rep = transfer_time_report(exchange_at(0.05))
         assert rep.best_fidelity >= 1.0 - 1e-9
         # the delta*pi/g^2 rule misses the swap by a factor sqrt(2)
         assert rep.candidate_time == pytest.approx(np.pi / 0.1)
         assert rep.candidate_fidelity < 1.0 - 1e-3
 
     def test_bad_strength(self):
-        with pytest.raises(ValueError):
-            find_transfer_time(0.0)
+        # a strength that is not positive has no exchange config
+        with pytest.raises(ValueError, match="positive detuning"):
+            find_transfer_time(exchange_at(-0.05))
+
+    @pytest.mark.parametrize("cfg", [QUBIT, ModelConfig(ModelVariant.DISPERSIVE_FULL, delta=10.0)],
+                             ids=["resonant", "dispersive-full"])
+    def test_other_models_refused(self, cfg):
+        for locate in (find_transfer_time, transfer_time_report):
+            with pytest.raises(ValueError, match="defined on the exchange model"):
+                locate(cfg)
 
     @pytest.mark.parametrize("j", [0.01, 0.05, 0.1, 1.0])
     def test_closed_form(self, j):
-        assert find_transfer_time(j) == pytest.approx(
+        assert find_transfer_time(exchange_at(j)) == pytest.approx(
             np.pi / (2 * np.sqrt(2) * j), rel=1e-12
         )
-        assert transfer_time_report(j).best_fidelity >= 1.0 - 1e-12
+        assert transfer_time_report(exchange_at(j)).best_fidelity >= 1.0 - 1e-12
 
     def test_sequence_and_report_check_the_strength_once(self, monkeypatch, cold_store):
-        protocols._checked_transfer.cache_clear()
         builds, times = [], []
         build = SpectralPropagator.from_hamiltonian.__func__
         swap_fidelity = protocols._swap_fidelity
@@ -693,20 +707,22 @@ class TestTransferTime:
 
         monkeypatch.setattr(SpectralPropagator, "from_hamiltonian", classmethod(counted_build))
         monkeypatch.setattr(protocols, "_swap_fidelity", counted_fidelity)
+        # 1 / (2 J) is not 7.3 bit for bit, so a check keyed by J would build twice
         cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=7.3)
+        assert 1.0 / (2.0 * cfg.j_exchange) != cfg.delta
         run_qnd_sequence(0.75, cfg, 1)
-        rep = transfer_time_report(cfg.j_exchange)
-        # the check's propagator and the sequence's own; t* once, the candidate once
-        assert len(builds) == 2
-        assert times == [rep.best_time, rep.candidate_time]
-        assert rep.best_time == find_transfer_time(cfg.j_exchange)
-        assert len(builds) == 2 and len(times) == 2
+        assert len(builds) == 1 and times == [find_transfer_time(cfg)]
+        # the sequence's propagator serves the check; t* once, the candidate once
+        reports = [transfer_time_report(cfg) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert times == [reports[0].best_time, reports[0].candidate_time]
+        assert len(builds) == 1
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(log_j=st.floats(-6.0, 6.0))
     def test_fidelity_over_log_uniform_strength(self, log_j):
         # the report locates the time through find_transfer_time
-        assert transfer_time_report(10.0 ** log_j).best_fidelity >= 1.0 - 1e-9
+        assert transfer_time_report(exchange_at(10.0 ** log_j)).best_fidelity >= 1.0 - 1e-9
 
 
 class TestQndSequence:
@@ -722,7 +738,7 @@ class TestQndSequence:
 
     def test_excited_stage_is_corner_swap(self):
         # the excited-probe stage realizes the corner-swap map exactly
-        t_star = find_transfer_time(EXCHANGE.j_exchange)
+        t_star = find_transfer_time(EXCHANGE)
         prop = SpectralPropagator.from_hamiltonian(build_hamiltonian(EXCHANGE))
         for x in (0.5, 0.75, 1.0):
             rho = one_param_density(x)
@@ -794,7 +810,7 @@ def stage_by_stage(x, cfg, n_cycles, shots_per_stage=0, seed=0):
     the probe and to the pair (every state checked on construction) and
     draws its shots before the next stage starts.
     """
-    t_star = find_transfer_time(cfg.j_exchange)
+    t_star = find_transfer_time(cfg)
     state = one_param_density(x)
     outcomes = []
     for i in range(2 * n_cycles):
@@ -867,7 +883,7 @@ class TestQndStageChain:
         return shapes
 
     def test_three_cycles_take_four_stack_checks(self, monkeypatch):
-        find_transfer_time(EXCHANGE.j_exchange)  # its check is cached
+        find_transfer_time(EXCHANGE)  # its check is kept
         shapes = self.counted_checks(monkeypatch)
         run_qnd_sequence(0.75, EXCHANGE, 3)
         # the family state, the four stage stacks, the estimate's family state
@@ -929,9 +945,70 @@ class TestBlockProducts:
     def test_not_formed_at_import(self):
         code = ("import qprobe.cli, qprobe.protocols as p; "
                 "assert p._block_products.cache_info().currsize == 0; "
+                "assert not hasattr(p._work, 'buffers'); "
                 "p.sample_shots(0.5, 10, 1); "
-                "assert p._block_products.cache_info().currsize == 1")
+                "assert p._block_products.cache_info().currsize == 1; "
+                "assert hasattr(p._work, 'buffers')")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+class TestWorkBuffers:
+    """Each thread draws into its own buffers, formed on its first draw."""
+
+    #: head, whole and tail blocks: the counters start ``head`` before a multiple of SHOT_BLOCK
+    SHOTS = 3 * SHOT_BLOCK + 5
+    SEEDS = [seed_with_counter(0, TestSamplerShortcuts.ALIGNED - head)
+             for head in (6, 1000, SHOT_BLOCK // 2, SHOT_BLOCK - 1)]
+    PS = (1e-7, 0.3, 0.5, 1.0 - 1e-9)
+
+    def test_concurrent_draws_equal_sequential_draws(self):
+        draws = [(p, seed) for p in self.PS for seed in self.SEEDS]
+        for seed in self.SEEDS:
+            head = -counter_of(seed, 0) % SHOT_BLOCK
+            assert 5 < head and divmod(self.SHOTS - head, SHOT_BLOCK)[0] == 2
+        want = {draw: sample_shots(draw[0], self.SHOTS, draw[1]).count_excited
+                for draw in draws}
+        n_threads, rounds = 4, 3
+        start = threading.Barrier(n_threads, timeout=60)
+        got = [[] for _ in range(n_threads)]
+        buffers = [None] * n_threads
+
+        def worker(k):
+            start.wait()
+            for r in range(rounds):
+                # each thread walks the draws from its own offset
+                for i in range(len(draws)):
+                    p, seed = draws[(i + k + r) % len(draws)]
+                    got[k].append(((p, seed), sample_shots(p, self.SHOTS, seed).count_excited))
+            buffers[k] = protocols._work_buffers()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(counts) == rounds * len(draws) for counts in got)
+        assert all(count == want[draw] for counts in got for draw, count in counts)
+        # four threads, four sets of buffers, none of them this thread's
+        arrays = [a for bufs in [*buffers, protocols._work_buffers()] for a in bufs]
+        assert len({id(a) for a in arrays}) == 3 * (n_threads + 1)
+
+    def test_a_warm_draw_allocates_under_64_kb(self):
+        sample_shots(0.3, 10 ** 6, 1)  # forms this thread's buffers
+        tracemalloc.start()
+        try:
+            rec = sample_shots(0.3, 10 ** 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.count_excited == one_shot_count(0.3, 10 ** 6, 2)
+        assert peak < 64 * 1024
 
 
 class TestCoverage:
