@@ -45,11 +45,11 @@ for the whole process, in two LRU tables: the Hamiltonian, the probe's
 sigma^- (read-only arrays) and the spectral propagator of MODELS config
 values, and the PLANS latest propagation plans of ``integrate_master``
 (the reachable set, the restricted generator, the powers of it formed so
-far and the cache of gap maps), keyed by the config, the collapse
-operators and the initial nonzero pattern.  So every call made with an
-equal config, from the same config object or a new one, skips that
-set-up and gets bit-identical numbers; ``clear_model_store`` empties
-both tables.  The module needs numpy only.
+far and the cache of gap maps), keyed by the config, the decay rate and
+the initial nonzero pattern.  Every key is a plain value, so every call
+made with an equal config, from the same config object or a new one,
+skips that set-up and gets bit-identical numbers; ``clear_model_store``
+empties both tables.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -352,38 +352,26 @@ def sigma_z_stack(mats: Array) -> Array:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Spontaneous-emission rate and optional explicit collapse operators.
+    """Spontaneous-emission rate ``gamma`` of the probe atom, the one dissipator.
 
-    When ``collapse_ops`` is None the single default operator
-    (gamma, sigma^- on the probe atom) is built for the model at hand.
-    Rates multiply the 2 L rho L^dag - L^dag L rho - rho L^dag L form
-    directly.
+    Its collapse operator is sigma^- on the probe atom of the model at
+    hand; the rate multiplies the 2 L rho L^dag - L^dag L rho - rho L^dag L
+    form directly.  A config is a value: equal rates give equal, equally
+    hashed configs.
     """
 
     gamma: float = 0.0
-    collapse_ops: Optional[tuple[tuple[float, Array], ...]] = None
+    #: not a field: the benchmark's tracer (``bench/tracing.py``) reads it
+    #: to count collapse operators; it goes once the tracer drops that read
+    collapse_ops = None
 
     def __post_init__(self):
-        rates = [self.gamma]
-        if self.collapse_ops is not None:
-            rates += [rate for rate, _ in self.collapse_ops]
-        if any(not math.isfinite(rate) or rate < 0 for rate in rates):
+        if not math.isfinite(self.gamma) or self.gamma < 0:
             raise ValueError("rates must be nonnegative and finite")
 
     def resolved_ops(self, cfg: ModelConfig) -> list[tuple[float, Array]]:
-        if self.collapse_ops is not None:
-            dim = cfg.space.dim
-            ops = [(float(r), np.asarray(op, dtype=complex)) for r, op in self.collapse_ops]
-            for k, (_, op) in enumerate(ops):
-                if op.shape != (dim, dim):
-                    raise ValueError(
-                        f"collapse operator {k} has shape {op.shape}; the "
-                        f"{cfg.variant.value} model needs ({dim}, {dim})"
-                    )
-            return ops
-        if self.gamma == 0.0:
-            return []
-        return [(self.gamma, cfg.probe_sigma_minus)]
+        """The (rate, operator) pairs of ``cfg``'s master equation: probe decay, if any."""
+        return [(self.gamma, cfg.probe_sigma_minus)] if self.gamma else []
 
 
 def readout_entries(space: HilbertSpace, codes: Array, entries: Array) -> tuple[Array, Array]:
@@ -407,38 +395,6 @@ def readout_entries(space: HilbertSpace, codes: Array, entries: Array) -> tuple[
     return pair, reduced_entry_stack(codes, entries, dims, (2,))
 
 
-#: (codes, d, basis states those codes touch) of the latest read-only codes
-#: that ``_touched_states`` saw; held by identity, so only results that
-#: share one codes array (those of one kept propagation plan) share it
-_LAST_TOUCHED: tuple = (None, 0, None)
-
-
-def _touched_states(codes: Array, d: int) -> Array:
-    """The sorted basis states, read-only, that the entries ``codes`` of a d x d matrix touch.
-
-    A read-only ``codes`` that is the one of the previous call gives that
-    call's array back: the rows of a sweep, and later calls with an equal
-    config, share their kept plan's codes, so the set is formed once per
-    run of calls on one plan and not once per row or job.
-    """
-    global _LAST_TOUCHED
-    last_codes, last_d, touched = _LAST_TOUCHED
-    if codes is not last_codes or d != last_d:
-        # the set is adjoint-closed, so its rows are the states it touches
-        touched = _read_only(np.unique(codes // d))
-        if not codes.flags.writeable:
-            _LAST_TOUCHED = (codes, d, touched)
-    return touched
-
-
-def _read_only_codes(codes) -> Array:
-    """``codes`` as a read-only int64 array: itself if it is one that owns its data, else a copy."""
-    if (isinstance(codes, np.ndarray) and codes.dtype == np.int64 and codes.base is None
-            and not codes.flags.writeable):
-        return codes
-    return _read_only(np.array(codes, dtype=np.int64))
-
-
 @dataclass(frozen=True)
 class EvolutionResult:
     """Sampled joint states, kept as the density-matrix entries they reach.
@@ -451,13 +407,10 @@ class EvolutionResult:
     checks and tolerances (positivity by one Cholesky factorization of
     the whole stack, see ``qcore.check_density_stack``), on the matrices
     restricted to the basis states the codes touch (the rows and columns
-    outside are zero).  What depends on ``codes`` alone is not formed
-    again for results that share one read-only codes array, as the rows
-    of a sweep share their propagation plan's: the array is kept, not
-    copied, and the touched basis states are formed once.
-    ``reduced_stack`` reduces all samples in one call, ``readout`` gives
-    the pair and probe stacks (``readout_entries``), and ``joint_states``
-    is built on first use.
+    outside are zero).  ``codes`` and ``entries`` are kept as read-only
+    copies.  ``reduced_stack`` reduces all samples in one call,
+    ``readout`` gives the pair and probe stacks (``readout_entries``),
+    and ``joint_states`` is built on first use.
     """
 
     times: tuple[float, ...]
@@ -468,7 +421,7 @@ class EvolutionResult:
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("sample times must be strictly increasing")
-        codes = _read_only_codes(self.codes)
+        codes = _read_only(np.array(self.codes, dtype=np.int64))
         entries = _read_only(np.array(self.entries, dtype=complex))
         if entries.shape != (len(self.times), codes.size):
             raise ValueError(
@@ -477,7 +430,8 @@ class EvolutionResult:
             )
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "entries", entries)
-        touched = _touched_states(codes, self.space.dim)
+        # the set is adjoint-closed, so its rows are the basis states it touches
+        touched = np.unique(codes // self.space.dim)
         check_density_stack(self.reduced_stack(range(self.space.nfactors), touched))
 
     def reduced_stack(self, keep, index=None) -> Array:
@@ -717,37 +671,25 @@ class _PropagationPlan:
 
 
 @functools.lru_cache(maxsize=PLANS)
-def _stored_plan(cfg: ModelConfig, pattern: bytes, rates: bytes, *ops: bytes) -> _PropagationPlan:
-    """The plan of ``_propagation_plan``'s key, rebuilt from the key's bytes."""
-    shape = (cfg.space.dim,) * 2
-    mats = [np.frombuffer(op, dtype=complex).reshape(shape) for op in ops]
-    return _PropagationPlan(cfg.hamiltonian, list(zip(np.frombuffer(rates).tolist(), mats)),
-                            np.frombuffer(pattern, dtype=bool).reshape(shape))
+def _propagation_plan(cfg: ModelConfig, gamma: float, pattern: bytes) -> _PropagationPlan:
+    """The plan for ``cfg``, probe decay at rate ``gamma`` and the initial pattern ``pattern``.
 
-
-def _propagation_plan(
-    cfg: ModelConfig, ops: Sequence[tuple[float, Array]], rho0: Array
-) -> _PropagationPlan:
-    """The plan for ``cfg``, these collapse operators and this initial pattern.
-
+    ``pattern`` is ``(rho0 != 0).tobytes()`` of the initial d x d state.
     Plans are kept in the process's model store, one LRU table of PLANS
-    plans keyed by the config's value, the rates and operator entries as
-    bytes, and the nonzero pattern of ``rho0``.  Default and explicit
-    collapse operators of equal values therefore share a plan, and so do
-    every call with an equal config: the rows of a sweep, and later jobs
-    or ``ModelConfig(...)`` built anew per call in one process.  A grid
+    plans keyed by these plain values, so every call with an equal
+    config and rate shares one: the rows of a sweep, and later jobs or
+    ``ModelConfig(...)`` built anew per call in one process.  A grid
     through x = 2/3 keeps the plan of the other x < 1 while it builds the
     one of 2/3, so it builds each plan once.
     """
-    return _stored_plan(cfg, (rho0 != 0).tobytes(),
-                        np.array([r for r, _ in ops], dtype=float).tobytes(),
-                        *(op.tobytes() for _, op in ops))
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape((cfg.space.dim,) * 2)
+    return _PropagationPlan(cfg.hamiltonian, NoiseConfig(gamma).resolved_ops(cfg), nonzero)
 
 
 def clear_model_store() -> None:
     """Drop every model and propagation plan the process keeps; later calls build them anew."""
     _model.cache_clear()
-    _stored_plan.cache_clear()
+    _propagation_plan.cache_clear()
 
 
 def _uniform_runs(points: Array, tol: float):
@@ -796,7 +738,7 @@ def integrate_master(
 ) -> EvolutionResult:
     """Exact propagation of the master equation to each sample time.
 
-    d rho/dt = -i [H, rho] + sum_k gamma_k (2 L rho L+ - L+L rho - rho L+L)
+    d rho/dt = -i [H, rho] + gamma (2 L rho L+ - L+L rho - rho L+L),  L = sigma^- on the probe
 
     The state is evolved on the entries it can reach from rho0 (see
     ``reachable_entries``; under probe decay 19 of 64 for the resonant
@@ -804,8 +746,8 @@ def integrate_master(
     dispersive model).  The set and the generator G restricted to it
     are a propagation plan that the process keeps by the config's value
     (see ``_propagation_plan``): built once and reused by every later
-    call with an equal config, the same collapse operators and the same
-    initial nonzero pattern.  G does not depend on time, so the gap h
+    call with an equal config, an equal rate and the same initial
+    nonzero pattern.  G does not depend on time, so the gap h
     between sample times is the linear map M = exp(G h), which the plan
     forms once and keeps in its LRU cache of GAP_MAPS maps (see
     ``_PropagationPlan``); a later call with the same gap (the next row
@@ -856,11 +798,9 @@ def integrate_master(
         raise ValueError(
             f"sample times must lie {MIN_SAMPLE_GAP} or more apart and from 0"
         )
-    ops = noise.resolved_ops(cfg)
-
     # a huge rate overflows to a non-finite state, which the trace check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = _propagation_plan(cfg, ops, rho0.mat)
+        plan = _propagation_plan(cfg, noise.gamma, (rho0.mat != 0).tobytes())
         codes = plan.codes
         # row 0 holds rho0: the first sample if that sits at 0, else a lead row
         lead = int(sample_times[0] > 0.0)

@@ -62,10 +62,10 @@ _POLAR_THETAS.setflags(write=False)
 def _polar_grid_weights() -> tuple[np.ndarray, np.ndarray]:
     """The angle weights of ``_polar_grid_entropies``, read-only.
 
-    With c = cos(theta/2) and s = sin(theta/2) at each grid angle,
-    ``_x_conditional_entropy`` weights r11 and r33 by c^2 in outcome 0
-    and s^2 in outcome 1 (r11 in an outcome's top entry, r33 in its
-    bottom one), and r22 and r44 the other way round.  Returns the
+    With c = cos(theta/2) and s = sin(theta/2) at each grid angle, the
+    closed form of ``_polar_objective`` weights r11 and r33 by c^2 in
+    outcome 0 and s^2 in outcome 1 (r11 in an outcome's top entry, r33
+    in its bottom one), and r22 and r44 the other way round.  Returns the
     (4, 2, 65) weights of r11, r33, r22 and r44 over (outcome, angle),
     and the (65,) weights 2 c s of the coherence in the off-diagonal.
     """
@@ -296,7 +296,14 @@ def _outcome_entropy(top: float, bottom: float, off: float) -> float:
 def _polar_objective(r11: float, r22: float, r33: float, r44: float, coherence: float):
     """The polar search's objective for one X state: theta -> its conditional entropy.
 
-    The closed form of ``_x_conditional_entropy`` as one closure per
+    The closed form of the conditional entropy of an X state measured
+    at polar angle theta in [0, pi/2].  With c = cos(theta/2),
+    s = sin(theta/2) and a = ``coherence`` = |r23| + |r14| (the largest
+    |M01| / (c s) over phi), the two outcomes leave A in
+    [[c^2 r11 + s^2 r22, c s a], [., c^2 r33 + s^2 r44]] and in the same
+    matrix with c and s swapped.  The sum over outcomes is the one
+    ``_conditional_entropy_batch`` forms, in scalar ``math``, with each
+    outcome's term as ``_outcome_entropy`` forms it, as one closure per
     state: an evaluation is this call and its two ``_outcome_entropy``
     terms.  theta above pi/2 is first mirrored about it and theta below
     0 about 0 (the closed form is even about both).
@@ -311,25 +318,9 @@ def _polar_objective(r11: float, r22: float, r33: float, r44: float, coherence: 
     return objective
 
 
-def _x_conditional_entropy(
-    theta: float, r11: float, r22: float, r33: float, r44: float, coherence: float
-) -> float:
-    """Conditional entropy of an X state measured at polar angle theta in [0, pi/2], in closed form.
-
-    With c = cos(theta/2), s = sin(theta/2) and a = ``coherence`` =
-    |r23| + |r14| (the largest |M01| / (c s) over phi), the two outcomes
-    leave A in [[c^2 r11 + s^2 r22, c s a], [., c^2 r33 + s^2 r44]] and
-    in the same matrix with c and s swapped.  The sum over outcomes is
-    the one ``_conditional_entropy_batch`` forms, in scalar ``math``,
-    with each outcome's term as ``_outcome_entropy`` forms it; it is
-    evaluated by the search's objective, ``_polar_objective``.
-    """
-    return _polar_objective(r11, r22, r33, r44, coherence)(theta)
-
-
 def _polar_grid_entropies(r11: float, r22: float, r33: float, r44: float,
                           coherence: float) -> np.ndarray:
-    """``_x_conditional_entropy`` at every angle of the polar grid, as one array.
+    """The closed form of ``_polar_objective`` at every angle of the polar grid, as one array.
 
     Both outcomes' top and bottom entries, the populations weighted by
     ``_POLAR_POPS``, are formed as one (2, 2, 65) stack from one product;
@@ -407,7 +398,7 @@ def _min_conditional_entropy_polar(mat: np.ndarray) -> tuple[float, float]:
 
     The state is measured at the azimuth that aligns its two coherences
     (see ``classical_correlation_optimized``), where the conditional
-    entropy is the closed form ``_x_conditional_entropy``.  That closed
+    entropy is the closed form of ``_polar_objective``.  That closed
     form on a 65-point grid that holds both ends exactly
     (``_polar_grid_entropies``) picks the two cells around its best
     point; Brent's bounded method (``_brent_minimize``) on it, as the

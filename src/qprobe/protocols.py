@@ -431,7 +431,7 @@ def run_probe_cycles(
         cfg.space, initial_joint_matrices(family, cfg, ProbePrep.GROUND))
     t_read = n * np.pi / 2.0
 
-    noiseless = noise.gamma == 0.0 and noise.collapse_ops is None
+    noiseless = noise.gamma == 0.0
     if not noiseless and t_read > MAX_T_END:
         raise ValueError(f"with noise n may not exceed {int(MAX_T_END * 2 / np.pi)} half periods")
     results = []
@@ -531,37 +531,22 @@ def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
     return total / len(_FIDELITY_X_GRID)
 
 
-#: exchange detunings whose transfer check and candidate fidelity the
-#: process keeps (two floats each), least recently used out first
-TRANSFERS = 16
+#: (detuning, time) pairs whose exchange-model swap fidelity the process
+#: keeps (one float each), least recently used out first; a report takes
+#: two per detuning, so this keeps the reports of 16 detunings
+TRANSFERS = 32
 
 
 @functools.lru_cache(maxsize=TRANSFERS)
-def _checked_transfer(delta: float) -> tuple[float, float]:
-    """Transfer time of the exchange model at detuning ``delta`` and its swap fidelity.
+def _exchange_swap_fidelity(delta: float, t: float) -> float:
+    """``_swap_fidelity`` of the exchange model at detuning ``delta`` at time ``t``, kept per pair.
 
-    Raises ValueError unless the fidelity reaches 1 - 1e-9.  The
-    propagator is the model store's for the exchange config of
-    ``delta``, the caller's own, and the check is kept per detuning, so
-    a sequence and its report check each detuning once.
+    The propagator is the model store's for the exchange config of
+    ``delta``, the caller's own, so a sequence and its report compute
+    each detuning's transfer fidelity once.
     """
     cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=delta)
-    t_star = float(np.pi / (2.0 * np.sqrt(2.0) * cfg.j_exchange))
-    fid = _swap_fidelity(cfg.propagator, t_star)
-    if fid < 1.0 - 1e-9:
-        raise ValueError("no clean transfer")
-    return t_star, fid
-
-
-@functools.lru_cache(maxsize=TRANSFERS)
-def _candidate_fidelity(delta: float) -> float:
-    """Swap fidelity of the exchange model at ``delta`` at the delta*pi/g^2 time pi/(2J).
-
-    Kept per detuning like ``_checked_transfer``, but only
-    ``transfer_time_report`` asks for it, so a sequence never computes it.
-    """
-    cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=delta)
-    return _swap_fidelity(cfg.propagator, np.pi / (2.0 * cfg.j_exchange))
+    return _swap_fidelity(cfg.propagator, t)
 
 
 def find_transfer_time(cfg: ModelConfig) -> float:
@@ -571,12 +556,16 @@ def find_transfer_time(cfg: ModelConfig) -> float:
     (2 delta).  The probe exchanges its excitation with the symmetric
     mode of the pair, whose collective coupling is sqrt(2) J, so the
     swap completes in closed form when sqrt(2) J t = pi / 2.  The time
-    is checked against the swap fidelity, which must reach 1 - 1e-9,
-    once per detuning in a process (``_checked_transfer``).
+    is checked on every call against the swap fidelity, which must
+    reach 1 - 1e-9; the fidelity is computed once per detuning in a
+    process (``_exchange_swap_fidelity``).
     """
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
         raise ValueError("transfer time is defined on the exchange model")
-    return _checked_transfer(cfg.delta)[0]
+    t_star = float(np.pi / (2.0 * np.sqrt(2.0) * cfg.j_exchange))
+    if _exchange_swap_fidelity(cfg.delta, t_star) < 1.0 - 1e-9:
+        raise ValueError("no clean transfer")
+    return t_star
 
 
 @dataclass(frozen=True)
@@ -596,15 +585,17 @@ def transfer_time_report(cfg: ModelConfig) -> TransferTimeReport:
     the symmetric mode is sqrt(2) J, so the actual full swap happens a
     factor sqrt(2) earlier.  Both fidelities are reported so the
     shortfall is documented rather than silently corrected.  Both are
-    kept per detuning (``_checked_transfer``, ``_candidate_fidelity``),
-    so a later report at an equal detuning computes no fidelity.
+    kept per detuning and time (``_exchange_swap_fidelity``), so a later
+    report at an equal detuning computes no fidelity, and a sequence,
+    which asks for the transfer time only, never computes the candidate's.
     """
     best = find_transfer_time(cfg)
+    candidate = float(np.pi / (2.0 * cfg.j_exchange))
     return TransferTimeReport(
         best_time=best,
-        best_fidelity=_checked_transfer(cfg.delta)[1],
-        candidate_time=float(np.pi / (2.0 * cfg.j_exchange)),
-        candidate_fidelity=_candidate_fidelity(cfg.delta),
+        best_fidelity=_exchange_swap_fidelity(cfg.delta, best),
+        candidate_time=candidate,
+        candidate_fidelity=_exchange_swap_fidelity(cfg.delta, candidate),
     )
 
 

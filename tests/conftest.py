@@ -5,10 +5,9 @@ from qprobe.dynamics import clear_model_store
 
 
 def clear_stores():
-    """Empty the model store and the transfer checks and fidelities kept per detuning."""
+    """Empty the model store and the swap fidelities kept per detuning and time."""
     clear_model_store()
-    protocols._checked_transfer.cache_clear()
-    protocols._candidate_fidelity.cache_clear()
+    protocols._exchange_swap_fidelity.cache_clear()
 
 
 @pytest.fixture

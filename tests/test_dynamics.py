@@ -27,9 +27,9 @@ from qprobe.dynamics import (
     NoiseConfig,
     _Expm,
     _PropagationPlan,
+    _propagation_plan,
     _embed,
     _restricted_generator,
-    _stored_plan,
     _uniform_runs,
     boson_lower,
     build_hamiltonian,
@@ -136,17 +136,21 @@ class TestModelConfig:
 class TestNoiseConfig:
     @pytest.mark.parametrize("rate", [-0.1, float("inf"), float("nan")])
     def test_bad_rates(self, rate):
-        op = probe_lowering(QUBIT)
         with pytest.raises(ValueError, match="rates"):
             NoiseConfig(gamma=rate)
-        with pytest.raises(ValueError, match="rates"):
-            NoiseConfig(collapse_ops=((rate, op),))
 
-    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (8,)])
-    def test_collapse_operator_shape_checked(self, shape):
-        noise = NoiseConfig(collapse_ops=((0.1, np.zeros(shape)),))
-        with pytest.raises(ValueError, match=r"collapse operator 0 has shape .*\(8, 8\)"):
-            noise.resolved_ops(QUBIT)
+    def test_probe_decay_is_the_one_dissipator(self):
+        with pytest.raises(TypeError):
+            NoiseConfig(collapse_ops=((0.1, probe_lowering(QUBIT)),))
+        [(rate, op)] = NoiseConfig(gamma=0.1).resolved_ops(QUBIT)
+        assert rate == 0.1 and op is QUBIT.probe_sigma_minus
+        assert NoiseConfig().resolved_ops(QUBIT) == []
+
+    def test_config_is_a_value(self):
+        a, b = NoiseConfig(gamma=0.1), NoiseConfig(gamma=float("0.1"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a: 1, b: 2}) == 1
+        assert a != NoiseConfig(gamma=0.2)
 
 
 class TestBuildHamiltonian:
@@ -402,36 +406,14 @@ class TestIntegrateMaster:
         clean = discord(one_param_density(x))
         assert noisy > clean
 
-    def test_explicit_collapse_operators(self):
-        # passing the default operator explicitly reproduces the default path
-        op = probe_lowering(QUBIT)
-        res_a = integrate_master(
-            initial_joint(0.8, QUBIT, ProbePrep.GROUND),
-            QUBIT,
-            NoiseConfig(gamma=0.1),
-            1.0,
-        )
-        res_b = integrate_master(
-            initial_joint(0.8, QUBIT, ProbePrep.GROUND),
-            QUBIT,
-            NoiseConfig(gamma=0.0, collapse_ops=((0.1, op),)),
-            1.0,
-        )
-        assert np.max(np.abs(res_a.joint_states[-1].mat - res_b.joint_states[-1].mat)) < 1e-12
 
+def dense_generator(h, ops, codes):
+    """The master equation's generator on the entries ``codes``, from the dense equation.
 
-def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
-    """exp(G t) applied to rho0 with scipy, G built from the dense master equation.
-
-    Column q of G is the right-hand side, seven d x d matrix products,
-    applied to the matrix unit at the reachable entry q; each column is
-    checked to stay on the reachable set, so the restriction is exact.
-    Each sample's image is scipy's ``expm_multiply`` (truncated Taylor
-    series, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), a
-    method independent of the Pade approximant under test.
+    Column q is the right-hand side, seven d x d matrix products per
+    collapse operator, applied to the matrix unit at the entry q; each
+    column is checked to stay on ``codes``, so the restriction is exact.
     """
-    h = build_hamiltonian(cfg)
-    ops = noise.resolved_ops(cfg)
     pairs = [(r, op, op.conj().T, op.conj().T @ op) for r, op in ops]
 
     def rhs(m):
@@ -441,7 +423,6 @@ def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
         return out
 
     d = h.shape[0]
-    codes = reachable_entries(rho0.mat, h, ops)
     columns = []
     for q in codes:
         unit = np.zeros(d * d, dtype=complex)
@@ -449,7 +430,22 @@ def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
         column = rhs(unit.reshape(d, d)).ravel()
         assert np.count_nonzero(column) == np.count_nonzero(column[codes])
         columns.append(column[codes])
-    gen = np.array(columns).T
+    return np.array(columns).T
+
+
+def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
+    """exp(G t) applied to rho0 with scipy, G built from the dense master equation.
+
+    G is ``dense_generator`` on the reachable entries.  Each sample's
+    image is scipy's ``expm_multiply`` (truncated Taylor series, Al-Mohy
+    & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), a method independent
+    of the Pade approximant under test.
+    """
+    h = build_hamiltonian(cfg)
+    ops = noise.resolved_ops(cfg)
+    d = h.shape[0]
+    codes = reachable_entries(rho0.mat, h, ops)
+    gen = dense_generator(h, ops, codes)
     vec0 = rho0.mat.ravel()[codes]
     samples = []
     for t in sorted(sample_times if sample_times is not None else (t_end,)):
@@ -457,6 +453,25 @@ def expm_reference(rho0, cfg, noise, t_end, sample_times=None):
         full[codes] = expm_multiply(t * gen, vec0)
         samples.append(full.reshape(d, d))
     return samples
+
+
+class TestRestrictedGenerator:
+    """``_restricted_generator`` takes any list of collapse operators; the package passes one."""
+
+    @pytest.mark.parametrize("ops", [
+        [(0.05, probe_lowering(QUBIT)), (0.02, np.kron(np.eye(4), PROBE_SIGMA_Z))],
+        # complex L with complex L+L: tells L from conj(L) and L+L from its transpose
+        [(0.03, np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]])))],
+    ], ids=["two-collapse-ops", "complex-collapse-op"])
+    def test_matches_dense_master_equation(self, ops):
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND).mat
+        h = build_hamiltonian(QUBIT)
+        codes = reachable_entries(rho0, h, ops)
+        gen = _restricted_generator(h, ops, codes)
+        dense = dense_generator(h, ops, codes)
+        assert np.max(np.abs(gen - dense)) < 1e-15
+        vec0 = rho0.ravel()[codes]
+        assert np.max(np.abs(_Expm(gen)(1.0) @ vec0 - expm_multiply(dense, vec0))) < 1e-13
 
 
 def largest_deviation(res, mats):
@@ -469,14 +484,6 @@ class TestIntegratorOracle:
         (QUBIT, NoiseConfig(gamma=0.1), np.pi / 2, None, 1e-13),
         (BOSON, NoiseConfig(gamma=0.1), 2.0, np.linspace(0.0, 2.0, 21), 1e-13),
         (FULL, NoiseConfig(gamma=0.1), 0.5, None, 1e-13),
-        (QUBIT, NoiseConfig(collapse_ops=(
-            (0.05, probe_lowering(QUBIT)),
-            (0.02, np.kron(np.eye(4), PROBE_SIGMA_Z)),
-        )), 1.0, None, 1e-13),
-        (QUBIT, NoiseConfig(collapse_ops=(
-            # complex L with complex L+L: tells L from conj(L) and L+L from its transpose
-            (0.03, np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]]))),
-        )), 1.0, None, 1e-13),
         # the evolve-boson schedule: 200 gaps of 0.05, some a few ulps off
         (BOSON, NoiseConfig(gamma=0.1), 10.0, np.linspace(0.0, 10.0, 201), 1e-12),
         # uneven gaps, some of them far shorter than the rest
@@ -492,10 +499,9 @@ class TestIntegratorOracle:
         # a uniform run of 20 gaps, then an irregular tail
         (QUBIT, NoiseConfig(gamma=0.1), 2.0,
          [*np.linspace(0.0, 1.0, 21), 1.013, 1.5, 1.52, 2.0], 1e-13),
-    ], ids=["secii-qubit", "secii-boson", "seciii-full", "two-collapse-ops",
-            "complex-collapse-op", "secii-boson-evolve-schedule", "secii-qubit-uneven",
-            "seciii-full-uneven", "uniform-2", "uniform-16", "uniform-17", "uniform-33",
-            "uniform-after-lead-gap", "uniform-then-irregular"])
+    ], ids=["secii-qubit", "secii-boson", "seciii-full", "secii-boson-evolve-schedule",
+            "secii-qubit-uneven", "seciii-full-uneven", "uniform-2", "uniform-16",
+            "uniform-17", "uniform-33", "uniform-after-lead-gap", "uniform-then-irregular"])
     def test_matches_dense_rk4(self, cfg, noise, t_end, sample_times, bound):
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         res = integrate_master(rho0, cfg, noise, t_end, sample_times=sample_times)
@@ -654,19 +660,18 @@ class TestPropagationPlan:
         first = integrate_master(rho0, shared, noise, 1.0, sample_times=times)
         assert np.array_equal(first.entries, fresh)
 
-    def test_equal_explicit_operators_share_the_plan(self, built_plans):
-        cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
-        rho0 = initial_joint(0.8, cfg, ProbePrep.GROUND)
-        default = integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), 1.0)
-        [plan] = built_plans
-        for _ in range(2):
-            # equal values in new arrays, one of them real
-            op = np.array(probe_lowering(cfg).real)
-            explicit = integrate_master(
-                rho0, cfg, NoiseConfig(collapse_ops=((0.1, op),)), 1.0)
-            assert built_plans == [plan]
-            assert np.array_equal(explicit.entries, default.entries)
-            assert np.array_equal(explicit.codes, default.codes)
+    def test_equal_configs_and_rates_share_the_plan(self, built_plans):
+        # every call builds its config, rate and initial state anew
+        results = []
+        for gamma in (0.1, float("0.1"), np.float64(0.1)):
+            cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
+            rho0 = initial_joint(0.8, cfg, ProbePrep.GROUND)
+            results.append(integrate_master(rho0, cfg, NoiseConfig(gamma=gamma), 1.0))
+        assert len(built_plans) == 1
+        assert _propagation_plan.cache_info().currsize == 1
+        for res in results[1:]:
+            assert np.array_equal(res.entries, results[0].entries)
+            assert np.array_equal(res.codes, results[0].codes)
 
     def test_store_keeps_the_latest_plans(self, built_plans):
         # one plan per rate; past PLANS rates the store holds PLANS plans,
@@ -687,7 +692,7 @@ class TestPropagationPlan:
         for k in range(len(gammas)):
             run(k)
         assert len(built_plans) == len(gammas)
-        assert _stored_plan.cache_info().currsize == PLANS
+        assert _propagation_plan.cache_info().currsize == PLANS
         # the last PLANS rates are kept: the oldest of them is used again,
         # so the next new rate drops the second oldest
         kept = list(range(len(gammas) - PLANS, len(gammas)))
@@ -699,7 +704,7 @@ class TestPropagationPlan:
         run(kept[0])
         run(kept[1])
         assert len(built_plans) == len(gammas) + 2
-        assert _stored_plan.cache_info().currsize == PLANS
+        assert _propagation_plan.cache_info().currsize == PLANS
 
     def test_pattern_is_part_of_the_key(self, monkeypatch):
         noise = NoiseConfig(gamma=0.1)
@@ -909,7 +914,8 @@ class TestReachableEntries:
 
     def test_sector_breaking_operator_enlarges_the_set(self):
         op = np.kron(np.eye(4), np.array([[1.0, 1j], [0.0, 0.0]]))
-        size = reachable_count(QUBIT, NoiseConfig(collapse_ops=((0.03, op),)))
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
+        size = reachable_entries(rho0.mat, build_hamiltonian(QUBIT), [(0.03, op)]).size
         assert 19 < size <= 64
 
     def test_largest_set_matches_dense_rk4(self):
@@ -922,11 +928,11 @@ class TestReachableEntries:
         ref = expm_reference(rho0, FULL, noise, 1.0, sample_times=times)
         assert largest_deviation(res, ref) < 1e-13
 
-    def test_dense_collapse_operator_rejected_before_any_generator(self):
+    def test_dense_initial_state_rejected_before_any_generator(self):
         # evolving all 5184 entries at d = 72 would need a 430 MB generator
-        op = np.full((FULL.space.dim,) * 2, 0.1 + 0.05j)
-        noise = NoiseConfig(collapse_ops=((0.1, op),))
-        rho0 = initial_joint(0.75, FULL, ProbePrep.GROUND)
+        psi = np.full(FULL.space.dim, FULL.space.dim ** -0.5, dtype=complex)
+        rho0 = DensityMatrix(FULL.space, np.outer(psi, psi.conj()))
+        noise = NoiseConfig(gamma=0.1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=str(MAX_REACHABLE)):

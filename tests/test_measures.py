@@ -828,8 +828,8 @@ class TestBatchOutcomeEntropy:
             mat = XState(r11, r22, r33, 1.0 - r11 - r22 - r33, r23).to_density().mat
             pops = mat.diagonal().real.tolist()
             grid = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
-            closed = [measures._x_conditional_entropy(t, *pops, abs(mat[1, 2]))
-                      for t in thetas]
+            objective = measures._polar_objective(*pops, abs(mat[1, 2]))
+            closed = [objective(t) for t in thetas]
             assert np.max(np.abs(grid - closed)) <= 5e-16
 
 
@@ -901,7 +901,7 @@ def _golden_polar(mat, phi=0.0):
     pops = mat.diagonal().real.tolist()
     coherence = abs(complex(mat[1, 2])) + abs(complex(mat[0, 3]))
     refined = _golden_section(
-        lambda theta: measures._x_conditional_entropy(theta, *pops, coherence),
+        measures._polar_objective(*pops, coherence),
         float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, thetas.size - 1)]))
     return min((float(values[k]), float(thetas[k])), refined)
 
