@@ -37,6 +37,7 @@ from .measures import (
     concurrence_stack,
     correlation_reports,
     mutual_information_stack,
+    trace_distance_x_stack,
 )
 from .protocols import (
     RESONANT_READOUT,
@@ -48,7 +49,7 @@ from .protocols import (
     sample_shots,
     transfer_time_report,
 )
-from .qcore import density_matrices, trace_distance, trace_distance_stack
+from .qcore import density_matrices
 from .states import ProbePrep, family_matrices, one_param_density, two_qubit_space
 
 MODEL_CHOICES = {
@@ -345,7 +346,7 @@ def cmd_evolve(opts: dict) -> int:
         mutual_information_stack(ab).tolist(),
         sigma_z_stack(pc).tolist(),
         pc[:, 0, 0].real.tolist(),
-        trace_distance_stack(ab, pair.mat).tolist(),
+        trace_distance_x_stack(ab, pair.mat[None]).tolist(),
     )
     _write_csv(opts["out"], ["t", "concurrence", "mutual_info", "sigma_z", "p_excited",
                              "dist_to_initial"], zip(*columns))
@@ -392,7 +393,8 @@ def cmd_qnd(opts: dict) -> int:
     x = _require_x(opts)
     cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=opts["delta"])
     result = run_qnd_sequence(x, cfg, opts["cycles"], opts["shots"], opts["seed"])
-    restoration = trace_distance(result.final_state.mat, one_param_density(x).mat)
+    restoration = trace_distance_x_stack(result.final_state.mat[None],
+                                         one_param_density(x).mat[None])[0]
     est = result.estimate
     print(f"x_hat = {fmt(est.x_hat)}")
     print(f"stderr = {fmt(est.stderr)}")

@@ -346,8 +346,12 @@ def resonant_closed_form(x: float, gt: float) -> tuple[DensityMatrix, DensityMat
 
 
 def sigma_z_stack(mats: Array) -> Array:
-    """<sigma_z> of every probe state of an (n, 2, 2) stack, (|e>, |g>) ordering."""
-    return np.real(np.trace(mats @ PROBE_SIGMA_Z, axis1=1, axis2=2))
+    """<sigma_z> of every probe state of an (n, 2, 2) stack, (|e>, |g>) ordering.
+
+    The two populations' difference, p_e - p_g: tr(rho PROBE_SIGMA_Z)
+    read off the diagonal, bit for bit.
+    """
+    return mats[:, 0, 0].real - mats[:, 1, 1].real
 
 
 @dataclass(frozen=True)
@@ -404,10 +408,10 @@ class EvolutionResult:
     reachable entries (``reachable_entries``) of ``integrate_master``
     or of the noiseless probe cycle; every other entry is exactly zero.
     Construction checks every sample at once with DensityMatrix's
-    checks and tolerances (positivity by one Cholesky factorization of
-    the whole stack, see ``qcore.check_density_stack``), on the matrices
-    restricted to the basis states the codes touch (the rows and columns
-    outside are zero).  ``codes`` and ``entries`` are kept as read-only
+    checks, tolerances and order (over bounded blocks of the stack, see
+    ``qcore.check_density_stack``), on the matrices restricted to the
+    basis states the codes touch (the rows and columns outside are
+    zero).  ``codes`` and ``entries`` are kept as read-only
     copies.  ``reduced_stack`` reduces all samples in one call,
     ``readout`` gives the pair and probe stacks (``readout_entries``),
     and ``joint_states`` is built on first use.
@@ -419,8 +423,10 @@ class EvolutionResult:
     entries: Array
 
     def __post_init__(self):
-        if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ValueError("sample times must be strictly increasing")
+        if len(self.times) > 1:
+            times = np.array(self.times, dtype=float)
+            if (times[1:] <= times[:-1]).any():
+                raise ValueError("sample times must be strictly increasing")
         codes = _read_only(np.array(self.codes, dtype=np.int64))
         entries = _read_only(np.array(self.entries, dtype=complex))
         if entries.shape != (len(self.times), codes.size):
@@ -789,12 +795,16 @@ def integrate_master(
         raise ValueError(f"t_end exceeds {MAX_T_END:g}")
     if sample_times is None:
         sample_times = (float(t_end),)
-    sample_times = sorted(float(t) for t in sample_times)
-    if not all(0.0 <= t <= t_end + 1e-12 for t in sample_times):  # NaN fails too
+    times = np.array(sample_times, dtype=float)
+    if times.ndim != 1:
+        raise TypeError("sample times must be a sequence of numbers")
+    times.sort()
+    # NaN sorts last, so it fails too
+    if not (0.0 <= times[0] and times[-1] <= t_end + 1e-12):
         raise ValueError("sample times must lie in [0, t_end]")
-    gaps = [b - a for a, b in zip([0.0, *sample_times], sample_times)]
     # the first sample may sit at 0; a later one may not repeat a time
-    if any(gap < MIN_SAMPLE_GAP and (k > 0 or gap > 0.0) for k, gap in enumerate(gaps)):
+    if 0.0 < times[0] < MIN_SAMPLE_GAP or (
+            len(times) > 1 and (times[1:] - times[:-1] < MIN_SAMPLE_GAP).any()):
         raise ValueError(
             f"sample times must lie {MIN_SAMPLE_GAP} or more apart and from 0"
         )
@@ -803,8 +813,8 @@ def integrate_master(
         plan = _propagation_plan(cfg, noise.gamma, (rho0.mat != 0).tobytes())
         codes = plan.codes
         # row 0 holds rho0: the first sample if that sits at 0, else a lead row
-        lead = int(sample_times[0] > 0.0)
-        points = np.array([0.0] * lead + sample_times)
+        lead = int(times[0] > 0.0)
+        points = np.concatenate(([0.0], times)) if lead else times
         stack = np.empty((points.size, codes.size), dtype=complex)
         stack[0] = np.asarray(rho0.mat, dtype=complex).ravel()[codes]
         for first, m in _uniform_runs(points, SCHEDULE_ROUNDING * max(points[-1], 1.0)):
@@ -827,7 +837,7 @@ def integrate_master(
                 "trace drift exceeded tolerance: generator too large to propagate "
                 "(a decay rate or a Hamiltonian term such as the detuning)")
 
-    return EvolutionResult(tuple(sample_times), cfg.space, codes, entries)
+    return EvolutionResult(tuple(times.tolist()), cfg.space, codes, entries)
 
 
 # ---------------------------------------------------------------------------

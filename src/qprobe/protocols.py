@@ -28,7 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import CorrelationReport, correlation_report, correlation_reports
+from .measures import (
+    CorrelationReport,
+    correlation_report,
+    correlation_reports,
+    trace_distance_x_stack,
+)
 from .qcore import (
     Array,
     DensityMatrix,
@@ -38,7 +43,6 @@ from .qcore import (
     fidelity,
     kron,
     partial_trace_mat,
-    trace_distance_stack,
 )
 from .states import (
     ProbePrep,
@@ -88,6 +92,12 @@ _FINAL_BAND = 2 ** 33
 #: most shots drawn per call (all stages together in a non-demolition
 #: sequence); sampling time grows linearly with the shot count
 MAX_SHOTS = 10 ** 9
+#: byte boundary the arrays a whole block reads and writes start on.
+#: malloc gives 16; the block passes run about 15% slower on arrays 16
+#: bytes off a 32-byte boundary, where every other vector load splits a
+#: cache line, so a draw's speed would otherwise hang on where the heap
+#: placed them
+ALIGN = 64
 
 
 def _splitmix64(z: int) -> int:
@@ -121,15 +131,24 @@ def _excited_cutoff(p: float) -> int:
     return lo
 
 
+def _aligned_empty(n: int, dtype) -> np.ndarray:
+    """An uninitialised 1-D array of n entries whose data starts on an ALIGN-byte boundary."""
+    size = n * np.dtype(dtype).itemsize
+    raw = np.empty(size + ALIGN, dtype=np.uint8)
+    start = -raw.__array_interface__["data"][0] % ALIGN
+    return raw[start:start + size].view(dtype)
+
+
 @functools.cache
 def _block_products() -> tuple[np.ndarray, np.ndarray]:
     """The read-only block offsets 0 .. SHOT_BLOCK - 1 and their products with MIX1.
 
     Formed on the first draw rather than at import, so a process that
-    never samples never holds them.
+    never samples never holds them.  The products, which every whole
+    block reads, start on an ALIGN-byte boundary.
     """
     offsets = np.arange(SHOT_BLOCK, dtype=np.uint64)
-    mixed = offsets * np.uint64(_MIX1)
+    mixed = np.multiply(offsets, np.uint64(_MIX1), out=_aligned_empty(SHOT_BLOCK, np.uint64))
     offsets.setflags(write=False)
     mixed.setflags(write=False)
     return offsets, mixed
@@ -144,13 +163,13 @@ def _work_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Formed on the thread's first draw and reused by its later draws, so
     a draw allocates nothing of its block size and no page of them
     faults in again; a thread's buffers go with the thread, and no two
-    threads share one.
+    threads share one.  Each starts on an ALIGN-byte boundary.
     """
     buffers = getattr(_work, "buffers", None)
     if buffers is None:
-        buffers = _work.buffers = (np.empty(SHOT_BLOCK, dtype=np.uint64),
-                                   np.empty(SHOT_BLOCK, dtype=np.uint64),
-                                   np.empty(SHOT_BLOCK, dtype=bool))
+        buffers = _work.buffers = (_aligned_empty(SHOT_BLOCK, np.uint64),
+                                   _aligned_empty(SHOT_BLOCK, np.uint64),
+                                   _aligned_empty(SHOT_BLOCK, bool))
     return buffers
 
 
@@ -406,7 +425,7 @@ def run_probe_cycles(
     cycles: the family states (each x domain-checked), the initial
     joint states and the post states are each checked by one
     ``density_matrices`` call, the distances and the readouts are one
-    ``trace_distance_stack`` and one ``sigma_z_stack``, and the reports
+    ``trace_distance_x_stack`` and one ``sigma_z_stack``, and the reports
     before and after are one ``correlation_reports`` call.  The
     evolution runs once per cycle, and each result is checked as it is
     built; the pairs and probes are then read out once per set of codes
@@ -445,7 +464,7 @@ def run_probe_cycles(
             results.append(integrate_master(joint0, cfg, noise, t_read))
     pairs, probes = _read_rows(cfg.space, results)
     posts = density_matrices(two_qubit_space(), pairs)
-    distances = trace_distance_stack(pairs, family).tolist()
+    distances = trace_distance_x_stack(pairs, family).tolist()
     sigma_z = sigma_z_stack(probes).tolist()
     reports = correlation_reports([*rho0s, *posts])
     return [

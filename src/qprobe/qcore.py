@@ -106,36 +106,65 @@ def _floor_shift(m: int) -> Array:
     return shift
 
 
+#: bytes of complex128 rows that one block of ``check_density_stack``
+#: covers; a block's temporaries take at most about twice this
+CHECK_BLOCK = 2 ** 16
+
+
 def check_density_stack(mats: Array) -> None:
     """Raise ValueError unless every matrix of an (n, m, m) stack is a state.
 
-    The checks run on the whole stack at once, in this order: finite
-    entries, Hermiticity (1e-10), unit trace (1e-10) and smallest
-    eigenvalue >= -1e-8.  Positivity is decided without an eigensolve:
-    a Hermitian matrix has every eigenvalue above -1e-8 exactly when it
-    plus 1e-8 times the identity is positive definite, which is when its
-    Cholesky factorization exists (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed. (2002), ch. 10).  The two tests differ
-    only at equality, within rounding.
+    The checks run in this order over the whole stack: finite entries,
+    Hermiticity (1e-10), unit trace (1e-10) and smallest eigenvalue
+    >= -1e-8, so a stack with several faults reports the first kind in
+    that order, wherever its rows lie.  Positivity is decided without an
+    eigensolve: a Hermitian matrix has every eigenvalue above -1e-8
+    exactly when it plus 1e-8 times the identity is positive definite,
+    which is when its Cholesky factorization exists (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed. (2002), ch. 10).  The
+    two tests differ only at equality, within rounding.
+
+    Each check is one pass over blocks of rows whose complex128 copy
+    takes at most CHECK_BLOCK bytes (one row, if a row is larger).  One
+    block-sized working buffer serves every block's Hermiticity
+    difference and shifted matrices, and a block's other temporaries
+    (the moduli of that difference, its Cholesky factor, its traces) are
+    at most as large.  So a check of any length allocates a bounded
+    amount beyond its input, small enough that the allocator keeps it
+    instead of returning its pages to the system after each call; a
+    stack of one block runs each check once, on the whole stack.
     """
-    if not np.isfinite(mats).all():
-        raise ValueError("non-finite entries")
-    # one stack-sized buffer, at least double precision, serves the
-    # Hermiticity difference and then the shifted stack: two fewer
-    # temporaries of the stack's size per call
-    work = np.conjugate(mats, dtype=np.promote_types(mats.dtype, np.float64)).swapaxes(-1, -2)
-    work -= mats
-    if np.abs(work).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError("not Hermitian")
-    # the traces less one, viewed as (real, imaginary) float pairs: the
-    # largest modulus of either part is the test
-    tr = (mats.trace(axis1=-2, axis2=-1) - 1.0).astype(np.complex128, copy=False)
-    if np.abs(tr.view(np.float64)).max(initial=0.0) > TRACE_TOL:
-        raise ValueError("trace differs from one")
-    try:
-        np.linalg.cholesky(np.add(mats, _floor_shift(mats.shape[-1]), out=work))
-    except np.linalg.LinAlgError:
-        raise ValueError("not positive semidefinite") from None
+    m = mats.shape[-1]
+    rows = max(1, CHECK_BLOCK // (16 * m * m))
+    starts = range(0, len(mats), rows)
+    for s in starts:
+        if not np.isfinite(mats[s:s + rows]).all():
+            raise ValueError("non-finite entries")
+    # one buffer of the largest block, at least double precision, serves
+    # each block's Hermiticity difference and then its shifted matrices
+    work = np.empty((min(len(mats), rows), m, m),
+                    dtype=np.promote_types(mats.dtype, np.float64))
+    for s in starts:
+        block = mats[s:s + rows]
+        # conj(m) - m^T: the transpose of the Hermiticity difference, entry
+        # for entry, formed from a contiguous read of the block
+        diff = np.conjugate(block, out=work[:len(block)])
+        diff -= block.swapaxes(-1, -2)
+        if np.abs(diff).max() > HERMITICITY_TOL:
+            raise ValueError("not Hermitian")
+    for s in starts:
+        # the traces less one, viewed as (real, imaginary) float pairs: the
+        # largest modulus of either part is the test
+        tr = mats[s:s + rows].trace(axis1=-2, axis2=-1) - 1.0
+        if np.abs(tr.astype(np.complex128, copy=False).view(np.float64)).max() > TRACE_TOL:
+            raise ValueError("trace differs from one")
+    shift = _floor_shift(m)
+    for s in starts:
+        block = mats[s:s + rows]
+        try:
+            np.linalg.cholesky(np.add(block, shift, out=work[:len(block)]))
+        except np.linalg.LinAlgError:
+            raise ValueError("not positive semidefinite") from None
 
 
 @dataclass(frozen=True)
@@ -143,7 +172,7 @@ class DensityMatrix:
     """Positive, unit-trace operator on a declared tensor-factor space.
 
     Hermiticity (1e-10), trace (1e-10) and positivity (smallest
-    eigenvalue >= -1e-8, decided by one Cholesky factorization) are
+    eigenvalue >= -1e-8, decided by Cholesky factorization) are
     validated by check_density_stack, at construction or, for the rows
     of a stack, once for the whole stack by ``from_stack`` (also
     ``qcore.density_matrices``); both go through ``_checked``, and

@@ -240,6 +240,29 @@ class TestUnitaryEvolution:
             assert sigma_z_stack(probe.mat[None])[0] == pytest.approx(3 - 4 * x, abs=1e-9)
 
 
+def test_sigma_z_is_the_trace_with_sigma_z_bit_for_bit():
+    # the population difference against tr(rho sigma_z) as a matrix product
+    # and a trace, on seeded probe states with zero (of either sign) and
+    # equal populations and rounding on the diagonal: equal values, and
+    # equal signs of zero
+    rng = np.random.default_rng(3)
+    n = 100_000
+    kind = rng.integers(6, size=n)
+    p_e = rng.uniform(size=n)
+    p_e = np.select([kind == 1, kind == 2, kind == 4], [0.0, 0.5, -0.0], p_e)
+    p_g = np.select([kind == 2, kind == 3, kind == 4], [0.5, 0.0, -0.0], 1.0 - p_e)
+    mats = np.zeros((n, 2, 2), dtype=complex)
+    mats[:, 0, 0] = p_e + 1j * np.where(kind == 5, rng.normal(scale=1e-17, size=n), 0.0)
+    mats[:, 1, 1] = p_g
+    mats[:, 0, 1] = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    mats[:, 1, 0] = mats[:, 0, 1].conj()
+    got = sigma_z_stack(mats)
+    want = np.real(np.trace(mats @ PROBE_SIGMA_Z, axis1=1, axis2=2))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.count_nonzero(got == 0.0) > n // 4
+
+
 class TestIntegrateMaster:
     def test_unitary_limit_matches_closed_form(self):
         res = integrate_master(
@@ -305,6 +328,22 @@ class TestIntegrateMaster:
             integrate_master(rho0, QUBIT, NoiseConfig(), np.nextafter(MAX_T_END, np.inf))
         res = integrate_master(rho0, QUBIT, NoiseConfig(gamma=0.1), MAX_T_END)
         assert res.times == (MAX_T_END,)
+
+    def test_sample_times_sorted_into_a_tuple_of_floats(self):
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
+        noise = NoiseConfig(gamma=0.1)
+        res = integrate_master(rho0, QUBIT, noise, 1.0, sample_times=[1, 0.25, 0.0, 0.5])
+        assert res.times == (0.0, 0.25, 0.5, 1.0)
+        assert all(type(t) is float for t in res.times)
+        ref = integrate_master(rho0, QUBIT, noise, 1.0,
+                               sample_times=np.array([0.0, 0.25, 0.5, 1.0]))
+        assert ref.times == res.times and np.array_equal(ref.entries, res.entries)
+
+    @pytest.mark.parametrize("sample_times", [0.5, [[0.5, 1.0]]], ids=["scalar", "nested"])
+    def test_sample_times_must_be_a_sequence_of_numbers(self, sample_times):
+        with pytest.raises(TypeError, match="sequence of numbers"):
+            integrate_master(initial_joint(0.75, QUBIT, ProbePrep.GROUND), QUBIT,
+                             NoiseConfig(gamma=0.1), 1.0, sample_times=sample_times)
 
     @pytest.mark.parametrize("t_end, sample_times", [
         (1e-13, None),
@@ -837,6 +876,14 @@ class TestEvolutionResult:
         return integrate_master(initial_joint(0.7, BOSON, ProbePrep.GROUND), BOSON,
                                 NoiseConfig(gamma=0.1), 1.0,
                                 sample_times=np.linspace(0.0, 1.0, 6))
+
+    @pytest.mark.parametrize("times", [(0.0, 0.2, 0.2, 0.6, 0.8, 1.0),
+                                       (0.0, 0.2, 0.4, 0.3, 0.8, 1.0)],
+                             ids=["repeated", "decreasing"])
+    def test_times_must_increase(self, times):
+        res = self.run()
+        with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
+            EvolutionResult(times, res.space, res.codes, res.entries)
 
     def test_views_match_the_stack(self):
         # the joint_states view and the readout stacks against a dense

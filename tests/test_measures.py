@@ -25,9 +25,11 @@ from qprobe.measures import (
     discord,
     mutual_information,
     mutual_information_stack,
+    trace_distance_x_stack,
 )
 from qprobe.qcore import (
-    DensityMatrix, HilbertSpace, entropy_bits, kron, partial_trace, psd_sqrt_mat)
+    DensityMatrix, HilbertSpace, entropy_bits, kron, partial_trace, psd_sqrt_mat,
+    trace_distance_stack)
 from qprobe.states import (
     SIGMA_Y,
     XSTATE_PATTERN_TOL,
@@ -769,6 +771,31 @@ class TestXStateMutualInformation:
         expected = (entropy_bits(partial_trace(rho, {0}).mat)
                     + entropy_bits(partial_trace(rho, {1}).mat) - entropy_bits(rho.mat))
         assert mutual_information(rho) == pytest.approx(expected, abs=1e-13)
+
+
+class TestXStateTraceDistance:
+    def test_matches_eigvalsh_on_the_x(self):
+        # against the eigenvalues of the 4x4 difference of the X parts (the
+        # kernel drops rounding off the X, as every measure does), paired
+        # with the next state and, broadcast, with the first
+        mats = np.array([rho.mat for rho in seeded_x_states(1, 3000)])
+        x_parts = measures._x_states(mats)
+        for a, b in ((mats, np.roll(mats, 1, axis=0)), (mats, mats[:1]), (mats[:1], mats)):
+            got = trace_distance_x_stack(a, b)
+            want = trace_distance_stack(measures._x_states(a), measures._x_states(b))
+            assert got.shape == (3000,)
+            assert np.abs(got - want).max() <= 1e-15
+        assert np.array_equal(trace_distance_x_stack(mats, x_parts), np.zeros(3000))
+
+    def test_refuses_a_state_off_the_x(self):
+        x_state = 0.8 * one_param_density(0.9).mat + 0.05 * np.eye(4)
+        off_x = x_state.copy()
+        off_x[0, 1] = off_x[1, 0] = 1e-6
+        for a, b in ((off_x, x_state), (x_state, off_x)):
+            with pytest.raises(ValueError, match=r"entry \(0, 1\) of state 0, off the X"):
+                trace_distance_x_stack(a[None], b[None])
+        with pytest.raises(ValueError, match="^two-qubit state required$"):
+            trace_distance_x_stack(np.eye(2)[None] / 2, np.eye(2)[None] / 2)
 
 
 #: how far the search's closed-form grid and ``_conditional_entropy_batch``

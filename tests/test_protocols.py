@@ -46,14 +46,13 @@ from qprobe.protocols import (
     sample_shots,
     transfer_time_report,
 )
-from qprobe.measures import correlation_report
+from qprobe.measures import correlation_report, trace_distance_x_stack
 from qprobe.qcore import (
     DensityMatrix,
     SpectralPropagator,
     partial_trace,
     partial_trace_mat,
     trace_distance,
-    trace_distance_stack,
 )
 from qprobe.states import ProbePrep, corner_swap, join_with_probe, one_param_density
 
@@ -335,7 +334,8 @@ class TestProbeCycle:
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_carried_distance_is_the_post_state_distance(self, gamma):
         rep = run_probe_cycle(0.75, QUBIT, 1, NoiseConfig(gamma))
-        dist = trace_distance(rep.post_state.mat, one_param_density(0.75).mat)
+        dist = float(trace_distance_x_stack(rep.post_state.mat[None],
+                                            one_param_density(0.75).mat[None])[0])
         assert rep.post_distance_to_initial == dist
         assert rep.state_restored == (dist <= protocols.RESTORED_TOL)
 
@@ -528,7 +528,7 @@ def row_by_row(xs, cfg, gamma, n=1):
         pair, probe = result.readout()
         family = one_param_density(x)
         out.append((pair[-1], float(sigma_z_stack(probe)[-1]),
-                    float(trace_distance_stack(pair[-1:], family.mat)[0]),
+                    float(trace_distance_x_stack(pair[-1:], family.mat[None])[0]),
                     correlation_report(family),
                     correlation_report(DensityMatrix(family.space, pair[-1]))))
     return out
@@ -941,6 +941,15 @@ class TestBlockProducts:
         assert offsets.shape == mixed.shape == (SHOT_BLOCK,)
         assert not offsets.flags.writeable and not mixed.flags.writeable
         assert mixed.tolist() == [k * 0xBF58476D1CE4E5B9 % 2 ** 64 for k in range(SHOT_BLOCK)]
+
+    def test_block_arrays_start_on_the_alignment(self):
+        # every whole block reads the products and the three work buffers
+        arrays = [*protocols._block_products(), *protocols._work_buffers()]
+        assert all(a.__array_interface__["data"][0] % protocols.ALIGN == 0 for a in arrays[1:])
+        assert [a.shape for a in arrays] == [(SHOT_BLOCK,)] * 5
+        # no two share memory
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
 
     def test_not_formed_at_import(self):
         code = ("import qprobe.cli, qprobe.protocols as p; "

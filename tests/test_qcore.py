@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qprobe.qcore import (
+    CHECK_BLOCK,
     EIG_FLOOR,
     REDUCTION_PLANS,
     DensityMatrix,
@@ -211,6 +213,79 @@ class TestCheckDensityStack:
             before = mats.copy()
             assert check_message(mats) == message
             assert np.array_equal(mats, before)
+
+
+#: rows of a (201, 9, 9) stack in one block of check_density_stack
+BLOCK_ROWS_9 = CHECK_BLOCK // (16 * 81)
+
+
+def with_fault(stack, row, fault):
+    """``stack`` with one fault of the given kind at ``row``, in a copy."""
+    stack = stack.copy()
+    if fault == "non-finite":
+        stack[row, 2, 2] = np.inf
+    elif fault == "asymmetry":
+        stack[row, 0, 1] += 1e-9
+    elif fault == "trace":
+        stack[row] *= 1.0 + 1e-9
+    else:  # a negative eigenvalue, trace and Hermiticity kept
+        stack[row] = state_with_lowest(np.random.default_rng(row), stack.shape[-1], -1e-6)
+    return stack
+
+
+class TestBlockedCheck:
+    """check_density_stack over several blocks: whole-stack order, bounded memory."""
+
+    @staticmethod
+    def stack(n=201):
+        rng = np.random.default_rng(3)
+        return np.stack([state_with_lowest(rng, 9, 0.01) for _ in range(n)])
+
+    def test_the_stack_spans_several_blocks(self):
+        # the cases below put faults in the first and the last block
+        assert 1 < BLOCK_ROWS_9 < 200 and 200 // BLOCK_ROWS_9 >= 2
+
+    @pytest.mark.parametrize("first, last, message", [
+        ("psd", "asymmetry", "not Hermitian"),
+        ("psd", "trace", "trace differs from one"),
+        ("asymmetry", "non-finite", "non-finite entries"),
+        ("trace", "non-finite", "non-finite entries"),
+        ("psd", "non-finite", "non-finite entries"),
+        ("trace", "asymmetry", "not Hermitian"),
+        ("asymmetry", "psd", "not Hermitian"),
+    ])
+    def test_faults_in_different_blocks_give_the_whole_stack_message(self, first, last,
+                                                                    message):
+        # the fault in block 0 would be found first by a block-by-block
+        # check; the whole-stack order names the kind checked first
+        stack = with_fault(with_fault(self.stack(), 0, first), 200, last)
+        assert check_message(stack) == message
+
+    @pytest.mark.parametrize("fault, message", [
+        ("non-finite", "non-finite entries"),
+        ("asymmetry", "not Hermitian"),
+        ("trace", "trace differs from one"),
+        ("psd", "not positive semidefinite"),
+    ])
+    @pytest.mark.parametrize("row", [0, BLOCK_ROWS_9 - 1, BLOCK_ROWS_9, 200])
+    def test_one_fault_in_any_block(self, row, fault, message):
+        stack = self.stack()
+        assert check_message(stack) is None
+        assert check_message(with_fault(stack, row, fault)) == message
+
+    def test_memory_bounded_by_the_block(self):
+        # a (2001, 18, 18) stack takes 10.4 MB; its check allocates one
+        # block's buffer and a block's temporaries, not the stack's
+        rng = np.random.default_rng(11)
+        stack = np.stack([state_with_lowest(rng, 18, 0.01) for _ in range(16)] * 126)[:2001]
+        assert stack.nbytes > 10_000_000
+        tracemalloc.start()
+        try:
+            check_density_stack(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * CHECK_BLOCK
 
 
 class TestKron:
