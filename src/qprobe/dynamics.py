@@ -437,7 +437,7 @@ class EvolutionResult:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "entries", entries)
         # the set is adjoint-closed, so its rows are the basis states it touches
-        touched = np.unique(codes // self.space.dim)
+        touched = np.flatnonzero(np.bincount(codes // self.space.dim, minlength=self.space.dim))
         check_density_stack(self.reduced_stack(range(self.space.nfactors), touched))
 
     def reduced_stack(self, keep, index=None) -> Array:
@@ -525,7 +525,8 @@ def _restricted_generator(
     """
     d = h.shape[0]
     rows, cols = np.divmod(codes, d)
-    touched = np.unique(rows)  # equals np.unique(cols): the set is adjoint-closed
+    # the sorted rows touched, which are its columns: the set is adjoint-closed
+    touched = np.flatnonzero(np.bincount(rows, minlength=d))
     damp = np.zeros((touched.size,) * 2, dtype=complex)
     for rate, op in ops:
         sub = op[:, touched]

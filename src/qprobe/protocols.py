@@ -4,7 +4,8 @@ non-demolition sequence with alternating probe preparations.
 A probe cycle attaches a ground probe, evolves to an odd half-period,
 reads sigma_z statistics and verifies that the correlation measures of
 the pair are untouched.  The non-demolition sequence alternates excited
-and ground probes under the exchange model: the excited stage maps the
+and ground probes under the exchange model, each stage one fixed 16 x 16
+map of the pair (the probe is discarded): the excited stage maps the
 family state onto its corner swap and the ground stage restores it
 exactly, so measurement statistics can be accumulated over many cycles.
 Every readout is an affine law P(excited) = offset + slope x
@@ -42,14 +43,12 @@ from .qcore import (
     density_matrices,
     fidelity,
     kron,
-    partial_trace_mat,
 )
 from .states import (
     ProbePrep,
     corner_swap_matrices,
     family_matrices,
     one_param_density,
-    probe_space,
     two_qubit_space,
 )
 from .dynamics import (
@@ -232,6 +231,8 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
         raise ValueError("shots must be nonnegative")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots exceed {MAX_SHOTS}")
+    if shots == 0:
+        return ShotRecord(0, 0, seed)
     # every constant is a Python int, wrapped in np.uint64 only to pass it:
     # numpy scalar arithmetic would warn on the wrap, and NumPy 1.x and 2.x
     # promote mixed scalars differently
@@ -528,26 +529,34 @@ def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
 _FIDELITY_X_GRID = (0.6, 0.75, 0.9)
 
 
+def _pair_maps(u: Array, prep: ProbePrep) -> tuple[Array, Array]:
+    """Pair map S and excitation functional P of the stage of unitary ``u`` and probe ``prep``.
+
+    The probe is measured and discarded, so the stage takes the pair rho
+    to sum_k K_k rho K_k^+ for the 4 x 4 Kraus operators K_k = (I x <k|)
+    U (I x |prep>) (Kraus, States, Effects and Operations, 1983).  On the
+    row-major vec of rho, S = sum_k K_k x conj(K_k) and p_e = P . vec(rho)
+    with P = vec((K_e^+ K_e)^T).  The probe's basis is (|e>, |g>), and
+    |prep> is one of its states.
+    """
+    kraus = u.reshape(4, 2, 4, 2).transpose(1, 3, 0, 2)[:, prep.matrix.diagonal().real.argmax()]
+    return sum(kron(k, k.conj()) for k in kraus), (kraus[0].T @ kraus[0].conj()).ravel()
+
+
 def _swap_fidelity(prop: SpectralPropagator, t: float) -> float:
     """Mean fidelity of the excited-probe stage at t with the corner swap, over the grid.
 
-    The family states, their excited joints and their corner swaps are
-    three stacks, each checked by one ``density_matrices`` call; one
-    unitary serves every x.
+    The family states and their corner swaps are two stacks, each
+    checked by one ``density_matrices`` call; the excited stage's pair
+    map (``_pair_maps``) at t takes every family state at once.
     """
     pair_space = two_qubit_space()
     family = family_matrices(_FIDELITY_X_GRID)
     density_matrices(pair_space, family)
-    excited = ProbePrep.EXCITED.matrix
-    joints = density_matrices(probe_space(pair_space), [kron(m, excited) for m in family])
     swaps = density_matrices(pair_space, corner_swap_matrices(family))
-    u = prop.unitary(t)
-    u_dag = u.conj().T
-    total = 0.0
-    for joint, swap in zip(joints, swaps):
-        ab = partial_trace_mat(u @ joint.mat @ u_dag, (2, 2, 2), {0, 1})
-        total += fidelity(ab, swap.mat)
-    return total / len(_FIDELITY_X_GRID)
+    pair_map, _ = _pair_maps(prop.unitary(t), ProbePrep.EXCITED)
+    pairs = (family.reshape(-1, 16) @ pair_map.T).reshape(-1, 4, 4)
+    return sum(fidelity(pair, swap.mat) for pair, swap in zip(pairs, swaps)) / len(pairs)
 
 
 #: (detuning, time) pairs whose exchange-model swap fidelity the process
@@ -623,8 +632,8 @@ def transfer_time_report(cfg: ModelConfig) -> TransferTimeReport:
 
 #: most cycles in one sequence; every stage is kept in the result
 MAX_QND_CYCLES = 10_000
-#: cycles whose stage states ``run_qnd_sequence`` checks as one stack;
-#: bounds what a long sequence holds besides its records
+#: cycles whose pairs ``run_qnd_sequence`` checks as one stack; bounds
+#: what a long sequence holds besides its records
 QND_BATCH = 128
 
 
@@ -656,29 +665,6 @@ class QndRunResult:
     estimate: XEstimate
 
 
-def _checked_stages(space: HilbertSpace, joints0: list, joints: list, probes: list,
-                    pairs: list) -> DensityMatrix:
-    """Check the states of consecutive stages as four stacks; return the last pair.
-
-    The joints before and after the evolution (on ``space``), the probes
-    and the pairs are each checked by one ``density_matrices`` call.  If
-    one stack fails, the stages are checked again one at a time, each in
-    the order joint, evolved joint, probe, pair, so the error raised is
-    that of the first state a stage-by-stage run would refuse.
-    """
-    pair_space = space.subspace({0, 1})
-    spaces = (space, space, space.subspace({2}), pair_space)
-    try:
-        for sub, mats in zip(spaces, (joints0, joints, probes)):
-            density_matrices(sub, mats)
-        return density_matrices(pair_space, pairs)[-1]
-    except ValueError:
-        for stage in zip(joints0, joints, probes, pairs):
-            for sub, mat in zip(spaces, stage):
-                DensityMatrix(sub, mat)
-        raise
-
-
 def run_qnd_sequence(
     x: float,
     cfg: Optional[ModelConfig] = None,
@@ -697,11 +683,13 @@ def run_qnd_sequence(
     dispersive limit of the cavity model, so detunings below
     MIN_DISPERSIVE_DELTA are rejected.
 
-    The stages run on raw matrices with one unitary at t*: each joins
-    the probe, evolves and reduces to the probe and the pair in turn.
-    The states of up to QND_BATCH cycles are then checked as four stacks
-    (``_checked_stages``) before any of those stages draws its shots,
-    each from its own substream ``derive_seed(seed, stage index)``.
+    As the probe is discarded, a stage is one linear map of the pair,
+    formed from the unitary at t* (``_pair_maps``): p_e = P . vec(pair),
+    then pair <- S vec(pair); no joint state is formed.  The pairs of up
+    to QND_BATCH cycles are checked as one stack (one at a time if it
+    fails, so the error raised is the first stage's) before any of those
+    stages draws its shots, each from its own substream
+    ``derive_seed(seed, stage index)``.
     """
     cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
@@ -719,29 +707,37 @@ def run_qnd_sequence(
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg)
     u = cfg.propagator.unitary(t_star)
-    u_dag = u.conj().T
     preps = (ProbePrep.EXCITED, ProbePrep.GROUND)
-    prep_mats = [prep.matrix for prep in preps]
+    (e_map, e_law), (g_map, g_law) = (_pair_maps(u, prep) for prep in preps)
+    laws = np.stack([e_law, g_law])
+    pair_space = cfg.space.subspace({0, 1})
     state = one_param_density(x)
-    pair = state.mat
+    vec = state.mat.ravel()
     stages: list[QndStageResult] = []
     n_stages = 2 * int(n_cycles)
     for first in range(0, n_stages, 2 * QND_BATCH):
         batch = range(first, min(first + 2 * QND_BATCH, n_stages))
-        joints0, joints, probes, pairs = [], [], [], []
-        # a stage-by-stage run stops at the first state it refuses; here the
-        # batch's later stages are formed first and refused by the checks,
+        # a stage-by-stage run stops at the first pair it refuses; here the
+        # batch's later stages are formed first and refused by the check,
         # so a unitary far from unitary overflows there without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in batch:
-                joints0.append(kron(pair, prep_mats[i % 2]))
-                joints.append(u @ joints0[-1] @ u_dag)
-                probes.append(partial_trace_mat(joints[-1], (2, 2, 2), {2}))
-                pair = partial_trace_mat(joints[-1], (2, 2, 2), {0, 1})
-                pairs.append(pair)
-        state = _checked_stages(cfg.space, joints0, joints, probes, pairs)
-        for i, probe in zip(batch, probes):
-            p_e = min(1.0, max(0.0, float(probe[0, 0].real)))
+            vecs = [vec]
+            for _ in range(len(batch) // 2):
+                vecs.append(e_map @ vecs[-1])
+                vecs.append(g_map @ vecs[-1])
+            vecs = np.array(vecs)
+            # each cycle's two incoming pairs against the two functionals
+            p_es = np.einsum("cpk,pk->cp", vecs[:-1].reshape(-1, 2, 16), laws).real.ravel()
+        vec = vecs[-1]
+        pairs = vecs[1:].reshape(-1, 4, 4)
+        try:
+            state = density_matrices(pair_space, pairs)[-1]
+        except ValueError:
+            for pair in pairs:
+                DensityMatrix(pair_space, pair)
+            raise
+        for i, p_e in zip(batch, p_es.tolist()):
+            p_e = min(1.0, max(0.0, p_e))
             record = sample_shots(p_e, shots_per_stage, derive_seed(seed, i))
             stages.append(QndStageResult(QndStage(preps[i % 2], t_star, p_e), record))
 

@@ -952,6 +952,25 @@ print("ok")
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("args", [["probe", "--x", "0.75"],
+                                  ["evolve", "--x", "0.75", "--out", "e.csv"],
+                                  ["sweep", "--gamma", "0.1", "--out", "s.csv"],
+                                  ["qnd", "--x", "0.75"]], ids=lambda a: a[0])
+def test_cold_command_leaves_numpy_ma_unloaded(args, tmp_path):
+    # importing numpy.ma costs a fresh process about 10 ms, and no job needs it
+    src = os.path.dirname(os.path.dirname(qprobe.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"""
+import sys
+from qprobe.cli import main
+assert main({args!r}) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma is loaded"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
     # every command of the README's CLI block, in order, in one directory
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

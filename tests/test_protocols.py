@@ -77,7 +77,7 @@ def one_shot_count(p_excited, shots, seed):
 
 
 class TestSampleShots:
-    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1,
+    @pytest.mark.parametrize("shots", [0, 1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1,
                                        2 * SHOT_BLOCK - 1, 2 * SHOT_BLOCK, 2 * SHOT_BLOCK + 1,
                                        10 ** 6])
     @pytest.mark.parametrize("p", [0.0, 1e-7, 0.3, 1.0])
@@ -106,6 +106,8 @@ class TestSampleShots:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_shots(1.4, 10, 0)
+        with pytest.raises(ValueError):
+            sample_shots(1.4, 0, 0)
         with pytest.raises(ValueError):
             sample_shots(0.5, -1, 0)
         with pytest.raises(ValueError):
@@ -853,19 +855,41 @@ def with_propagator(prop):
 
 
 class TestQndStageChain:
-    """The stage chain on raw matrices, checked as stacks, against one state per stage."""
+    """The stage maps, checked as stacks, against one state per stage."""
+
+    @pytest.mark.parametrize("x", [0.5, 2 / 3, 0.75, 1.0])
+    def test_twenty_stages_agree_with_stage_by_stage(self, x):
+        result = run_qnd_sequence(x, EXCHANGE, 10)
+        outcomes, state, _ = stage_by_stage(x, EXCHANGE, 10)
+        laws = [s.stage.outcome_p_excited for s in result.stages]
+        assert len(laws) == 20
+        np.testing.assert_allclose(laws, [p for p, _ in outcomes], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(result.final_state.mat, state.mat, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("x", [0.5, 2 / 3, 0.75, 1.0])
     @pytest.mark.parametrize("n_cycles", [1, 3, QND_BATCH + 1])
     @pytest.mark.parametrize("shots", [0, 1000])
-    def test_bit_equal_to_stage_by_stage(self, x, n_cycles, shots):
+    def test_seeded_runs_agree_with_stage_by_stage(self, x, n_cycles, shots):
         result = run_qnd_sequence(x, EXCHANGE, n_cycles, shots, seed=5)
         outcomes, state, estimate = stage_by_stage(x, EXCHANGE, n_cycles, shots, seed=5)
-        assert tuple((s.stage.outcome_p_excited, s.shots.count_excited)
-                     for s in result.stages) == outcomes
-        assert result.final_state.mat.tobytes() == state.mat.tobytes()
+        assert [s.shots.count_excited for s in result.stages] == [k for _, k in outcomes]
+        np.testing.assert_allclose([s.stage.outcome_p_excited for s in result.stages],
+                                   [p for p, _ in outcomes], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(result.final_state.mat, state.mat, rtol=0, atol=1e-13)
         assert result.final_state.space == state.space
-        assert result.estimate == estimate
+        if shots:
+            assert result.estimate == estimate
+        else:
+            assert result.estimate.x_hat == pytest.approx(estimate.x_hat, rel=0, abs=1e-13)
+
+    def test_longest_exact_sequence_restores_the_pair(self):
+        x = 0.75
+        result = run_qnd_sequence(x, EXCHANGE, MAX_QND_CYCLES)
+        assert MAX_QND_CYCLES == 10 ** 4 and len(result.stages) == 2 * MAX_QND_CYCLES
+        assert abs(result.estimate.x_hat - x) <= 1e-12
+        restoration = trace_distance_x_stack(result.final_state.mat[None],
+                                             one_param_density(x).mat[None])[0]
+        assert restoration <= 1e-8
 
     @staticmethod
     def counted_checks(monkeypatch):
@@ -882,12 +906,12 @@ class TestQndStageChain:
                 monkeypatch.setattr(module, "check_density_stack", counted)
         return shapes
 
-    def test_three_cycles_take_four_stack_checks(self, monkeypatch):
+    def test_three_cycles_take_one_stack_check(self, monkeypatch):
         find_transfer_time(EXCHANGE)  # its check is kept
         shapes = self.counted_checks(monkeypatch)
         run_qnd_sequence(0.75, EXCHANGE, 3)
-        # the family state, the four stage stacks, the estimate's family state
-        assert shapes == [(1, 4, 4), (6, 8, 8), (6, 8, 8), (6, 2, 2), (6, 4, 4), (1, 4, 4)]
+        # the family state, the six pairs, the estimate's family state
+        assert shapes == [(1, 4, 4), (6, 4, 4), (1, 4, 4)]
 
     def test_batches_bound_the_stacks(self, monkeypatch):
         whole = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
@@ -896,9 +920,9 @@ class TestQndStageChain:
         batched = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
         assert batched.stages == whole.stages and batched.estimate == whole.estimate
         assert batched.final_state.mat.tobytes() == whole.final_state.mat.tobytes()
-        # ten stages in batches of four: four stacks per batch, none larger
+        # ten stages in batches of four: one stack of pairs per batch
         stage_stacks = [n for n, d, _ in shapes if (n, d) != (1, 4)]
-        assert stage_stacks == [4] * 8 + [2] * 4
+        assert stage_stacks == [4, 4, 2]
 
     @pytest.mark.parametrize("batch", [QND_BATCH, 1])
     @pytest.mark.parametrize("fault,n_cycles,message", [
@@ -907,7 +931,7 @@ class TestQndStageChain:
         (lambda u: (1.0 + 1e-11) * u, 5, "trace differs from one"),
         (lambda u: np.where(np.eye(8, dtype=bool), np.nan, u), 5, "non-finite entries"),
         # the trace grows 100-fold per stage and overflows within the batch:
-        # the joints' stack holds inf, but the first refusal is a trace
+        # the pairs' stack holds inf, but the first refusal is a trace
         (lambda u: 10.0 * u, QND_BATCH, "trace differs from one"),
     ], ids=["scaled", "drifting", "nan", "overflowing"])
     def test_corrupted_unitary_raises_as_stage_by_stage(self, monkeypatch, batch, fault,
