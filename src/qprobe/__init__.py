@@ -17,9 +17,7 @@ from .qcore import (
 )
 from .states import (
     ProbePrep,
-    XState,
     corner_swap,
-    extract_xstate,
     join_with_probe,
     one_param_density,
 )

@@ -22,20 +22,22 @@ Alber, PRA 81, 042105 (2010)).  The minimum is that closed form on a
 outcomes and every angle, refined by Brent's bounded method (parabolic
 steps with a golden-section fallback) on the cells around its best
 point, in ``math``; S(A) is the entropy of the marginal's two
-populations.  ``correlation_reports`` takes the concurrence and the
-mutual information of all its states from one call of each stack kernel,
-the only implementation of either.  The conditional entropy of any
-two-qubit state and measurement is one batched numpy kernel: measuring
-the second qubit along |v> leaves the first in the unnormalised 2x2
-state (I (x) <v|) rho (I (x) |v>).  Every outcome's trace and
-eigenvalues are closed form, so no eigensolver runs and no small
-outcome is clipped.
+populations.  ``correlation_reports`` takes the concurrence, the mutual
+information and the closed-form classical correlation of all its states
+from one call of each stack kernel, the only implementation of each.
+The conditional entropy of any two-qubit state and measurement is one
+batched numpy kernel: measuring the second qubit along |v> leaves the
+first in the unnormalised 2x2 state (I (x) <v|) rho (I (x) |v>).  Every
+outcome's trace and eigenvalues are closed form, so no eigensolver runs
+and no small outcome is clipped.
 
 The definitional optimizer is the authority for discord; the closed
-form is exposed separately because its first branch disagrees with the
-optimum near the pure-state end of the family (it returns 0 where the
+form (eq. 20, for real X states with equal middle populations) is
+exposed separately because its first branch disagrees with the optimum
+near the pure-state end of the family (it returns 0 where the
 definition gives 1), so the two are reported side by side instead of
-being silently reconciled.
+being silently reconciled.  It reads its states through the same guard
+and is NaN (None in a report) where it does not apply.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qcore import ENTROPY_CLIP, DensityMatrix, entropy_of_spectra
-from .states import XSTATE_PATTERN_TOL, XState, xstate_from_entries
+
+#: largest entry modulus off the X that the X-state guard takes for an
+#: exact zero (rounding)
+XSTATE_PATTERN_TOL = 1e-8
 
 #: stopping width of the polar refinement, in radians
 REFINE_TOL = 1e-10
@@ -277,11 +282,6 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis) -> float:
     return _conditional_entropy_angles(_pair_matrix(rho), basis.theta, basis.phi)
 
 
-def _xlog2_scalar(w: float) -> float:
-    """w log2 w for one float, 0 where w <= 0."""
-    return w * math.log2(w) if w > 0.0 else 0.0
-
-
 def _entropy_of_values(*values: float) -> float:
     """``qcore.entropy_of_spectrum`` of a few floats, in ``math``, summed in order."""
     total = 0.0
@@ -461,25 +461,49 @@ def classical_correlation_optimized(
     return _entropy_of_values(r11 + r22, r33 + r44) - ce_min, MeasurementBasis(theta, phi)
 
 
-def classical_correlation_closed_form(xs: XState) -> float:
-    """Closed-form classical correlation for symmetric X-states.
+def classical_correlation_closed_form_stack(mats: np.ndarray) -> np.ndarray:
+    """Closed-form classical correlation (eq. 20) of every X state of an (n, 4, 4) stack.
 
-    The conditional-entropy minimum switches branch on the |11>
-    population at 0.4716 (an opaque threshold, used exactly as given).
-    Near the pure end of the family the first branch disagrees with the
-    definitional optimizer; callers compare both rather than trusting
-    either blindly.
+    The formula of Ali, Rau & Alber (PRA 81, 042105 (2010)) for real X
+    states with zero corner coherence and equal middle populations.  Its
+    conditional-entropy minimum switches branch on the |11> population
+    at CLOSED_FORM_BRANCH_R44 (an opaque threshold, used exactly as
+    given), and it fails in parts of its domain (Chen et al., PRA 84,
+    042313 (2011)): near the pure end of the family the first branch
+    disagrees with the definitional optimizer.  NaN where it does not
+    apply: |r14| or |Im r23| above XSTATE_PATTERN_TOL, |r22 - r33| above
+    1e-9, a trace more than 1e-10 from 1, a population below -1e-12 or
+    r23^2 above r22 r33 + 1e-12.
     """
-    if abs(xs.r22 - xs.r33) > 1e-9:
-        raise ValueError("closed form requires equal middle populations")
-    s_a = _entropy_of_values(xs.r11 + xs.r22, xs.r33 + xs.r44)
-    if xs.r44 <= CLOSED_FORM_BRANCH_R44:
-        mid = xs.r22 + xs.r33
-        ce_min = _xlog2_scalar(mid) - _xlog2_scalar(xs.r22) - _xlog2_scalar(xs.r33)
-    else:
-        theta = math.sqrt((xs.r11 - xs.r44) ** 2 + 4.0 * xs.r23 ** 2)
-        ce_min = 1.0 - 0.5 * (_xlog2_scalar(1.0 - theta) + _xlog2_scalar(1.0 + theta))
-    return s_a - ce_min
+    mats = _x_states(mats)
+    pops = mats.diagonal(axis1=1, axis2=2).real
+    r11, r22, r33, r44 = pops.T
+    r14, r23 = mats[:, 0, 3], mats[:, 1, 2]
+    refused = ((np.abs(r14) > XSTATE_PATTERN_TOL) | (np.abs(r23.imag) > XSTATE_PATTERN_TOL)
+               | (np.abs(r22 - r33) > 1e-9) | (np.abs(r11 + r22 + r33 + r44 - 1.0) > 1e-10)
+               | (pops < -1e-12).any(axis=1) | (r23.real ** 2 > r22 * r33 + 1e-12))
+    s_a = entropy_of_spectra(np.stack([r11 + r22, r33 + r44], axis=-1))
+    theta = np.sqrt((r11 - r44) ** 2 + 4.0 * r23.real ** 2)
+    # w log2 w of each term, 0 where w <= 0
+    w = np.array([r22 + r33, r22, r33, 1.0 - theta, 1.0 + theta])
+    kept = w > 0.0
+    mid, low, high, below, above = np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0)
+    ce_min = np.where(r44 <= CLOSED_FORM_BRANCH_R44, mid - low - high,
+                      1.0 - 0.5 * (below + above))
+    return np.where(refused, np.nan, s_a - ce_min)
+
+
+def classical_correlation_closed_form(rho: DensityMatrix) -> float:
+    """Closed-form classical correlation of one two-qubit X state.
+
+    The one-state case of ``classical_correlation_closed_form_stack``;
+    raises ValueError where the formula does not apply.
+    """
+    value = float(classical_correlation_closed_form_stack(_pair_matrix(rho)[None])[0])
+    if math.isnan(value):
+        raise ValueError("closed form does not apply: it takes positive real X states with "
+                         "zero corner coherence and equal middle populations")
+    return value
 
 
 def discord(rho: DensityMatrix) -> float:
@@ -514,27 +538,23 @@ class CorrelationReport:
 def correlation_reports(states: Sequence[DensityMatrix]) -> list[CorrelationReport]:
     """Every quantifier of each X state of ``states``, in order.
 
-    One ``concurrence_stack`` and one ``mutual_information_stack`` call
-    serve every state; the optimizer (called through its module name)
-    and ``classical_correlation_closed_form`` run per state, the latter
-    on the raw entries (None where it or ``xstate_from_entries`` refuses).
+    One call each of ``concurrence_stack``, ``mutual_information_stack``
+    and ``classical_correlation_closed_form_stack`` serves every state
+    (the closed form None where it does not apply); the optimizer (called
+    through its module name) runs per state.
     """
     mats = np.reshape([_pair_matrix(rho) for rho in states], (-1, 4, 4))
     reports = []
-    for rho, flat, conc, mi in zip(states, mats.reshape(-1, 16).tolist(),
-                                   concurrence_stack(mats).tolist(),
-                                   mutual_information_stack(mats).tolist()):
+    for rho, conc, mi, closed in zip(states, concurrence_stack(mats).tolist(),
+                                     mutual_information_stack(mats).tolist(),
+                                     classical_correlation_closed_form_stack(mats).tolist()):
         classical, basis = classical_correlation_optimized(rho)
-        try:
-            closed = classical_correlation_closed_form(xstate_from_entries(flat))
-        except ValueError:
-            closed = None
         reports.append(CorrelationReport(
             concurrence=conc,
             mutual_info=mi,
             classical=classical,
             discord=mi - classical,
-            classical_closed_form=closed,
+            classical_closed_form=None if math.isnan(closed) else closed,
             optimizer_basis=basis,
         ))
     return reports

@@ -23,6 +23,7 @@ so the words are compared as integers and never converted.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,6 +41,7 @@ from .qcore import (
     DensityMatrix,
     HilbertSpace,
     SpectralPropagator,
+    check_density_stack,
     density_matrices,
     fidelity,
     kron,
@@ -227,6 +229,7 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     """
     if not 0.0 <= p_excited <= 1.0:
         raise ValueError("probability out of range")
+    shots = operator.index(shots)
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     if shots > MAX_SHOTS:
@@ -292,6 +295,10 @@ class ReadoutModel:
 
     offset: float
     slope: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.offset) and np.isfinite(self.slope) and self.slope != 0.0):
+            raise ValueError("readout needs a finite offset and a finite nonzero slope")
 
     def probability(self, x: float) -> float:
         return self.offset + self.slope * x
@@ -439,7 +446,7 @@ def run_probe_cycles(
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
-    n = int(n_half_periods)
+    n = operator.index(n_half_periods)
     if n < 1 or n % 2 == 0:
         raise ValueError("no readout information at even multiples")
     if n > MAX_HALF_PERIODS:
@@ -689,7 +696,8 @@ def run_qnd_sequence(
     to QND_BATCH cycles are checked as one stack (one at a time if it
     fails, so the error raised is the first stage's) before any of those
     stages draws its shots, each from its own substream
-    ``derive_seed(seed, stage index)``.
+    ``derive_seed(seed, stage index)``; only the last batch's pairs are
+    made states, to keep the final one.
     """
     cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
@@ -699,6 +707,7 @@ def run_qnd_sequence(
             f"non-demolition sequence needs delta >= {MIN_DISPERSIVE_DELTA:g} g: "
             "the exchange model does not hold closer to resonance"
         )
+    n_cycles, shots_per_stage = operator.index(n_cycles), operator.index(shots_per_stage)
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
     if n_cycles > MAX_QND_CYCLES:
@@ -714,7 +723,7 @@ def run_qnd_sequence(
     state = one_param_density(x)
     vec = state.mat.ravel()
     stages: list[QndStageResult] = []
-    n_stages = 2 * int(n_cycles)
+    n_stages = 2 * n_cycles
     for first in range(0, n_stages, 2 * QND_BATCH):
         batch = range(first, min(first + 2 * QND_BATCH, n_stages))
         # a stage-by-stage run stops at the first pair it refuses; here the
@@ -731,7 +740,10 @@ def run_qnd_sequence(
         vec = vecs[-1]
         pairs = vecs[1:].reshape(-1, 4, 4)
         try:
-            state = density_matrices(pair_space, pairs)[-1]
+            if batch.stop < n_stages:
+                check_density_stack(pairs)
+            else:
+                state = density_matrices(pair_space, pairs)[-1]
         except ValueError:
             for pair in pairs:
                 DensityMatrix(pair_space, pair)

@@ -6,13 +6,13 @@ Basis conventions (fixed globally):
   * the probe qubit is appended as the LAST tensor factor with basis
     order (|e>, |g>), i.e. the first diagonal entry of a probe state is
     the excited-state population.
+
+Which states are X states is decided in ``measures`` alone, by its one guard.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +20,6 @@ from .qcore import Array, DensityMatrix, HilbertSpace, kron
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-#: largest entry modulus that extract_xstate and the X-state guard of
-#: ``measures`` take for an exact zero (rounding)
-XSTATE_PATTERN_TOL = 1e-8
-
-#: flat positions 4 i + j of the two-qubit entries an XState holds at
-#: zero: all but the diagonal and the |01>, |10> coherence pair
-_XSTATE_ZEROS = tuple(k for k in range(16) if k % 5 and k not in (6, 9))
-#: those entries of a flat list, in that order
-_xstate_zeros_of = operator.itemgetter(*_XSTATE_ZEROS)
 
 
 class ProbePrep(enum.Enum):
@@ -46,8 +36,8 @@ class ProbePrep(enum.Enum):
         return np.diag([0.0, 1.0]).astype(complex)
 
 
-def two_qubit_space(a: str = "A", b: str = "B") -> HilbertSpace:
-    return HilbertSpace((2, 2), (a, b))
+def two_qubit_space() -> HilbertSpace:
+    return HilbertSpace((2, 2), ("A", "B"))
 
 
 #: the family's matrix is _FAMILY_OFFSET + x _FAMILY_SLOPE; each entry is
@@ -114,59 +104,3 @@ def join_with_probe(rho_ab: DensityMatrix, prep: ProbePrep) -> DensityMatrix:
     """Attach a freshly prepared probe qubit as the last tensor factor."""
     return DensityMatrix(probe_space(rho_ab.space), kron(rho_ab.mat, prep.matrix))
 
-
-@dataclass(frozen=True)
-class XState:
-    """Real-entry X-state restricted to the pattern with zero corner coherence.
-
-    Parameters are the four populations and the single real coherence
-    between |01> and |10>.
-    """
-
-    r11: float
-    r22: float
-    r33: float
-    r44: float
-    r23: float
-
-    def __post_init__(self):
-        pops = (self.r11, self.r22, self.r33, self.r44)
-        if abs(sum(pops) - 1.0) > 1e-10:
-            raise ValueError("populations must sum to one")
-        if any(p < -1e-12 for p in pops):
-            raise ValueError("negative population")
-        if self.r23 ** 2 > self.r22 * self.r33 + 1e-12:
-            raise ValueError("coherence violates positivity")
-
-    def to_density(self) -> DensityMatrix:
-        mat = np.array(
-            [
-                [self.r11, 0.0, 0.0, 0.0],
-                [0.0, self.r22, self.r23, 0.0],
-                [0.0, self.r23, self.r33, 0.0],
-                [0.0, 0.0, 0.0, self.r44],
-            ],
-            dtype=complex,
-        )
-        return DensityMatrix(two_qubit_space(), mat)
-
-
-def extract_xstate(rho: DensityMatrix) -> XState:
-    """Read off the five real X-state parameters, validating the zero pattern."""
-    if rho.dim != 4:
-        raise ValueError("two-qubit state required")
-    return xstate_from_entries(rho.mat.ravel().tolist())
-
-
-def xstate_from_entries(flat: list) -> XState:
-    """``extract_xstate`` of the 4x4 matrix whose 16 entries ``flat`` lists in row order."""
-    if (max(map(abs, _xstate_zeros_of(flat))) > XSTATE_PATTERN_TOL
-            or abs(flat[6].imag) > XSTATE_PATTERN_TOL):
-        raise ValueError("not an X-state of the required form")
-    return XState(
-        r11=flat[0].real,
-        r22=flat[5].real,
-        r33=flat[10].real,
-        r44=flat[15].real,
-        r23=flat[6].real,
-    )

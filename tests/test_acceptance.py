@@ -38,7 +38,7 @@ from qprobe.protocols import (
     transfer_time_report,
 )
 from qprobe.qcore import SpectralPropagator, entropy_bits, partial_trace, trace_distance
-from qprobe.states import ProbePrep, corner_swap, extract_xstate, join_with_probe, one_param_density
+from qprobe.states import ProbePrep, corner_swap, join_with_probe, one_param_density
 
 QUBIT = ModelConfig(ModelVariant.RESONANT_QUBIT)
 EXCHANGE = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
@@ -146,12 +146,12 @@ def test_c06_corner_swap_invariance():
 def test_c07a_closed_form_dominance_as_stated():
     for x in np.linspace(0.5, 1.0, 26):
         rho = one_param_density(x)
-        xs = extract_xstate(rho)
-        s_a = entropy_bits(np.diag([xs.r11 + xs.r22, xs.r33 + xs.r44]))
+        (r11, r22, r33, r44), r23 = rho.mat.diagonal().real, rho.mat[1, 2].real
+        s_a = entropy_bits(np.diag([r11 + r22, r33 + r44]))
         value, _ = classical_correlation_optimized(rho)
         ce_min = s_a - value
-        branch1 = 2.0 * xs.r22
-        th = np.sqrt((xs.r11 - xs.r44) ** 2 + 4 * xs.r23 ** 2)
+        branch1 = 2.0 * r22
+        th = np.sqrt((r11 - r44) ** 2 + 4 * r23 ** 2)
         branch2 = 1.0 - 0.5 * (
             ((1 - th) * np.log2(1 - th) if th < 1 else 0.0)
             + (1 + th) * np.log2(1 + th)
@@ -174,7 +174,7 @@ def test_c07b_transverse_branch_agreement_at_half():
 def test_c07c_branch_divergence_at_pure_point():
     from qprobe.measures import classical_correlation_closed_form
 
-    closed = classical_correlation_closed_form(extract_xstate(one_param_density(1.0)))
+    closed = classical_correlation_closed_form(one_param_density(1.0))
     definitional, _ = classical_correlation_optimized(one_param_density(1.0))
     assert closed == pytest.approx(0.0, abs=1e-12)
     assert definitional == pytest.approx(1.0, abs=1e-6)

@@ -14,7 +14,9 @@ from qprobe.measures import (
     _conditional_entropy_angles,
     _conditional_entropy_batch,
     _min_conditional_entropy_polar,
+    XSTATE_PATTERN_TOL,
     classical_correlation_closed_form,
+    classical_correlation_closed_form_stack,
     classical_correlation_optimized,
     concurrence,
     concurrence_stack,
@@ -30,16 +32,7 @@ from qprobe.measures import (
 from qprobe.qcore import (
     DensityMatrix, HilbertSpace, entropy_bits, kron, partial_trace, psd_sqrt_mat,
     trace_distance_stack)
-from qprobe.states import (
-    SIGMA_Y,
-    XSTATE_PATTERN_TOL,
-    XState,
-    corner_swap,
-    extract_xstate,
-    join_with_probe,
-    one_param_density,
-    ProbePrep,
-)
+from qprobe.states import SIGMA_Y, ProbePrep, corner_swap, join_with_probe, one_param_density
 from qprobe.dynamics import ModelConfig, ModelVariant, NoiseConfig
 from qprobe.protocols import RESONANT_READOUT, estimate_exact
 
@@ -54,17 +47,24 @@ MI_DIAG_POINT = 0.2516291673878228     # log2(3) - 4/3
 CC_CLOSED_HALF = 0.21040208776627667   # H2(1/4) - COND_X_HALF
 
 
+def x_state(r11, r22, r33, r44, r23):
+    """The real X state with populations r11 .. r44 and |01><10| coherence r23."""
+    mat = np.diag([r11, r22, r33, r44]).astype(complex)
+    mat[1, 2] = mat[2, 1] = r23
+    return DensityMatrix(SPACE, mat)
+
+
 def random_xstate(rng):
     pops = rng.dirichlet(np.ones(4))
     c = rng.uniform(-0.95, 0.95) * np.sqrt(pops[1] * pops[2])
-    return XState(*pops, c)
+    return x_state(*pops, c)
 
 
 def random_symmetric_xstate(rng):
     pops = rng.dirichlet(np.ones(3))
     r22 = pops[1] / 2.0
     c = rng.uniform(-0.95, 0.95) * r22
-    return XState(pops[0], r22, r22, pops[2], c)
+    return x_state(pops[0], r22, r22, pops[2], c)
 
 
 def product_state(rng):
@@ -321,7 +321,7 @@ class TestClassicalCorrelationOptimized:
         thetas = np.linspace(0.0, np.pi, 181)
         phis = np.linspace(0.0, 2 * np.pi, 91, endpoint=False)
         for _ in range(4):
-            rho = random_xstate(rng).to_density()
+            rho = random_xstate(rng)
             s_a = entropy_bits(rho.mat.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3))
             brute = min(
                 conditional_entropy(rho, MeasurementBasis(t, p))
@@ -350,26 +350,145 @@ class TestClassicalCorrelationOptimized:
             assert va == pytest.approx(vb, abs=1e-6)
 
 
+def closed_form_reference(mat):
+    """Eq. 20 of one 4x4 matrix, per state in ``math``; None where it does not apply.
+
+    The rules and the arithmetic of the per-state formula the stack
+    kernel replaced: every entry off the X and the corner coherence at
+    most XSTATE_PATTERN_TOL, Im r23 too, unit trace within 1e-10,
+    populations >= -1e-12, r23^2 <= r22 r33 + 1e-12 and equal middle
+    populations within 1e-9.
+    """
+    flat = mat.ravel().tolist()
+    off = [flat[k] for k in range(16) if k % 5 and k not in (6, 9)]
+    if max(map(abs, off)) > XSTATE_PATTERN_TOL or abs(flat[6].imag) > XSTATE_PATTERN_TOL:
+        return None
+    pops = [flat[k].real for k in (0, 5, 10, 15)]
+    (r11, r22, r33, r44), r23 = pops, flat[6].real
+    if (abs(sum(pops) - 1.0) > 1e-10 or any(p < -1e-12 for p in pops)
+            or r23 ** 2 > r22 * r33 + 1e-12 or abs(r22 - r33) > 1e-9):
+        return None
+
+    def xlog2(w):
+        return w * math.log2(w) if w > 0.0 else 0.0
+
+    s_a = -sum(v * math.log2(v) for v in (r11 + r22, r33 + r44) if v > 1e-12)
+    if r44 <= 0.4716:
+        ce_min = xlog2(r22 + r33) - xlog2(r22) - xlog2(r33)
+    else:
+        theta = math.sqrt((r11 - r44) ** 2 + 4.0 * r23 ** 2)
+        ce_min = 1.0 - 0.5 * (xlog2(1.0 - theta) + xlog2(1.0 + theta))
+    return s_a - ce_min
+
+
+def closed_form_edge(rule, scale):
+    """x_state(0.2, 0.3, 0.3, 0.2, 0.1)'s matrix, taken to ``scale`` times one bound of eq. 20."""
+    mat = x_state(0.2, 0.3, 0.3, 0.2, 0.1).mat.copy()
+    if rule == "r14":
+        mat[0, 3] = mat[3, 0] = scale * XSTATE_PATTERN_TOL
+    elif rule == "im-r23":
+        im = 1j * scale * XSTATE_PATTERN_TOL
+        mat[1, 2], mat[2, 1] = 0.1 + im, 0.1 - im
+    elif rule == "middle":
+        mat[1, 1], mat[2, 2] = 0.3 + 0.5e-9 * scale, 0.3 - 0.5e-9 * scale
+    elif rule == "trace":
+        mat[3, 3] = 0.2 + 1e-10 * scale
+    elif rule == "population":
+        mat[0, 0], mat[3, 3] = -1e-12 * scale, 0.4 + 1e-12 * scale
+    else:  # the coherence past the positivity of the middle block
+        mat[1, 2] = mat[2, 1] = math.sqrt(0.09 + 1e-12 * scale)
+    return mat
+
+
 class TestClassicalCorrelationClosedForm:
+    def test_stack_matches_the_per_state_formula(self):
+        # seeded X states (complex coherences, so nearly all refused), the
+        # family on a 1001-point grid, real X states with equal middle
+        # populations and some with r44 on the branch threshold: refused
+        # alike, and within one ulp of 1 elsewhere
+        rng = np.random.default_rng(43)
+        edge = [x_state(0.5284 - 2.0 * r22, r22, r22, 0.4716, c * r22).mat
+                for r22, c in zip(rng.uniform(0.0, 0.25, 8), rng.uniform(-0.95, 0.95, 8))]
+        mats = np.array([rho.mat for rho in seeded_x_states(1, 3000)]
+                        + [one_param_density(x).mat for x in np.linspace(0.5, 1.0, 1001)]
+                        + [random_symmetric_xstate(rng).mat for _ in range(1000)] + edge)
+        got = classical_correlation_closed_form_stack(mats)
+        want = [closed_form_reference(mat) for mat in mats]
+        assert np.isnan(got).tolist() == [value is None for value in want]
+        assert np.count_nonzero(np.isfinite(got)) >= 2009
+        assert np.nanmax(np.abs(got - np.array(want, dtype=float))) <= 2.2e-16
+
+    @pytest.mark.parametrize("rule", ["r14", "im-r23", "middle", "trace", "population",
+                                      "coherence"])
+    def test_each_refusal_rule_at_its_bound(self, rule):
+        under, over = closed_form_edge(rule, 0.99), closed_form_edge(rule, 1.01)
+        values = classical_correlation_closed_form_stack(np.array([under, over]))
+        assert np.isfinite(values[0]) and np.isnan(values[1])
+        assert values[0] == closed_form_reference(under)
+        assert closed_form_reference(over) is None
+        assert classical_correlation_closed_form(DensityMatrix(SPACE, under)) == values[0]
+        if rule == "trace":  # no state lies that far from unit trace
+            with pytest.raises(ValueError, match="trace differs from one"):
+                DensityMatrix(SPACE, over)
+        else:
+            with pytest.raises(ValueError, match="^closed form does not apply"):
+                classical_correlation_closed_form(DensityMatrix(SPACE, over))
+
+    def test_every_entry_off_the_pattern_checked(self):
+        # beyond XSTATE_PATTERN_TOL an entry off the X raises through the
+        # guard, naming it, and the corner coherence is refused; up to it
+        # the value is that of the state without them
+        base = x_state(0.2, 0.3, 0.3, 0.2, 0.1).mat
+        value = classical_correlation_closed_form_stack(base[None])[0]
+        for i, j in zip(*np.triu_indices(4, 1)):
+            if (i, j) == (1, 2):
+                continue
+            for size in (2.0 * XSTATE_PATTERN_TOL, 0.5 * XSTATE_PATTERN_TOL):
+                mat = base.copy()
+                mat[i, j], mat[j, i] = 1j * size, -1j * size
+                if size < XSTATE_PATTERN_TOL:
+                    assert classical_correlation_closed_form_stack(mat[None])[0] == value
+                elif (i, j) == (0, 3):
+                    assert np.isnan(classical_correlation_closed_form_stack(mat[None])[0])
+                else:
+                    with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) of state 0, off"):
+                        classical_correlation_closed_form_stack(mat[None])
+
+    def test_reports_make_one_kernel_call(self, monkeypatch):
+        kernel, calls = measures.classical_correlation_closed_form_stack, []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return kernel(mats)
+
+        monkeypatch.setattr(measures, "classical_correlation_closed_form_stack", counted)
+        states = [one_param_density(x) for x in np.linspace(0.5, 1.0, 11)]
+        states.append(diagonal_product_state(np.random.default_rng(37)))
+        reports = correlation_reports(states)
+        assert calls == [12]
+        assert [rep.classical_closed_form for rep in reports] == [
+            closed_form_reference(rho.mat) for rho in states]
+        assert reports[-1].classical_closed_form is None
+
     def test_branch_one_arithmetic(self):
-        value = classical_correlation_closed_form(extract_xstate(one_param_density(2 / 3)))
+        value = classical_correlation_closed_form(one_param_density(2 / 3))
         assert value == pytest.approx(MI_DIAG_POINT, abs=1e-12)
 
     def test_branch_two_arithmetic(self):
-        value = classical_correlation_closed_form(extract_xstate(one_param_density(0.5)))
+        value = classical_correlation_closed_form(one_param_density(0.5))
         assert value == pytest.approx(CC_CLOSED_HALF, abs=1e-12)
 
     def test_branch_divergence_at_pure_point(self):
         # the closed form returns 0 where the definitional optimum is 1;
         # both values are reported side by side, nothing is "fixed"
-        closed = classical_correlation_closed_form(extract_xstate(one_param_density(1.0)))
+        closed = classical_correlation_closed_form(one_param_density(1.0))
         assert closed == pytest.approx(0.0, abs=1e-12)
         definitional, _ = classical_correlation_optimized(one_param_density(1.0))
         assert definitional == pytest.approx(1.0, abs=1e-6)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            classical_correlation_closed_form(XState(0.1, 0.3, 0.4, 0.2, 0.0))
+            classical_correlation_closed_form(x_state(0.1, 0.3, 0.4, 0.2, 0.0))
 
     def test_optimizer_dominance_over_transverse_branch(self):
         # branch 2 is the conditional entropy of an actual measurement
@@ -377,11 +496,11 @@ class TestClassicalCorrelationClosedForm:
         # exceed it anywhere on the family
         for x in np.linspace(0.5, 1.0, 26):
             rho = one_param_density(x)
-            xs = extract_xstate(rho)
-            s_a = entropy_bits(np.diag([xs.r11 + xs.r22, xs.r33 + xs.r44]))
+            (r11, r22, r33, r44), r23 = rho.mat.diagonal().real, rho.mat[1, 2].real
+            s_a = entropy_bits(np.diag([r11 + r22, r33 + r44]))
             value, _ = classical_correlation_optimized(rho)
             ce_min = s_a - value
-            th = np.sqrt((xs.r11 - xs.r44) ** 2 + 4 * xs.r23 ** 2)
+            th = np.sqrt((r11 - r44) ** 2 + 4 * r23 ** 2)
             branch2 = 1.0 - 0.5 * (
                 ((1 - th) * np.log2(1 - th) if th < 1 else 0.0)
                 + (1 + th) * np.log2(1 + th)
@@ -398,14 +517,14 @@ class TestClassicalCorrelationClosedForm:
         # absorbed; see README (closed form vs optimizer).
         for x in (0.55, 0.6, 0.65):
             rho = one_param_density(x)
-            xs = extract_xstate(rho)
-            assert xs.r44 <= 0.4716  # population branch selected
-            branch1 = 2.0 * xs.r22 * np.log2(2.0)  # = x in bits
-            s_a = entropy_bits(np.diag([xs.r11 + xs.r22, xs.r33 + xs.r44]))
+            r11, r22, r33, r44 = rho.mat.diagonal().real
+            assert r44 <= 0.4716  # population branch selected
+            branch1 = 2.0 * r22 * np.log2(2.0)  # = x in bits
+            s_a = entropy_bits(np.diag([r11 + r22, r33 + r44]))
             value, _ = classical_correlation_optimized(rho)
             ce_min = s_a - value
             assert branch1 < ce_min - 1e-3
-            closed = classical_correlation_closed_form(xs)
+            closed = classical_correlation_closed_form(rho)
             assert closed > value + 1e-3
 
 
@@ -426,7 +545,7 @@ class TestLocalUnitaryInvariance:
         # local z rotations keep the X form
         rng = np.random.default_rng(29)
         for _ in range(20):
-            rho = random_xstate(rng).to_density()
+            rho = random_xstate(rng)
             u = kron(*(_z_rotation(a) for a in rng.uniform(0.0, 2.0 * np.pi, 2)))
             rotated = DensityMatrix(rho.space, u @ rho.mat @ u.conj().T)
             rep_a = correlation_report(rho)
@@ -475,7 +594,7 @@ class TestMonotoneSandwich:
     def test_random_xstates(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            rep = correlation_report(random_xstate(rng).to_density())
+            rep = correlation_report(random_xstate(rng))
             assert -1e-9 <= rep.classical <= rep.mutual_info + 1e-9
             assert rep.discord >= -1e-9
 
@@ -667,8 +786,8 @@ class TestPolarSearchProperties:
     @example(rho=one_param_density(1.0))
     @example(rho=_pure_middle_state())
     # optima strictly inside (0, pi/2), below and above the nearest grid point
-    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.1012).to_density())
-    @example(rho=XState(0.0034, 0.0128, 0.9578, 0.0260, 0.0882).to_density())
+    @example(rho=x_state(0.0355, 0.9466, 0.0164, 0.0015, 0.1012))
+    @example(rho=x_state(0.0034, 0.0128, 0.9578, 0.0260, 0.0882))
     def test_matches_sphere_search(self, rho):
         value, basis = classical_correlation_optimized(rho)
         s_a = entropy_bits(partial_trace(rho, {0}).mat)
@@ -704,7 +823,7 @@ class TestPolarSearchProperties:
         # on phi; with this sign the minimum sits at phi = pi/2, which a
         # search restricted to phi = 0 cannot reach, and which the X-state
         # azimuth (arg r23 - arg r14) / 2 mod pi finds
-        mat = XState(0.2, 0.3, 0.3, 0.2, 0.25).to_density().mat.copy()
+        mat = x_state(0.2, 0.3, 0.3, 0.2, 0.25).mat.copy()
         mat[0, 3] = mat[3, 0] = -1e-6
         rho = DensityMatrix(SPACE, mat)
         thetas = np.linspace(0.0, np.pi, 47)
@@ -815,7 +934,7 @@ class TestPolarZoom:
     @given(rho=excitation_block_states())
     @example(rho=one_param_density(0.5))
     @example(rho=one_param_density(1.0))
-    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.1012).to_density())
+    @example(rho=x_state(0.0355, 0.9466, 0.0164, 0.0015, 0.1012))
     def test_never_worse_than_first_grid(self, rho):
         # the general kernel on the search's 65 angles at the aligned
         # azimuth; the search starts from the closed form on them, which
@@ -832,7 +951,7 @@ class TestPolarZoom:
     def test_interior_optimum_in_an_end_cell(self, coherence, end):
         # the first grid's best point is an end, and the minimum lies
         # inside the cell next to it, 1e-10 to 1e-9 below the end
-        mat = XState(0.0355, 0.9466, 0.0164, 0.0015, coherence).to_density().mat
+        mat = x_state(0.0355, 0.9466, 0.0164, 0.0015, coherence).mat
         thetas = np.linspace(0.0, np.pi / 2.0, GRID_THETA_POLAR)
         grid = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
         value, theta = _min_conditional_entropy_polar(mat)
@@ -852,7 +971,7 @@ class TestBatchOutcomeEntropy:
             r11, r22 = 10.0 ** rng.uniform(-13.0, -8.0, 2)
             r33 = rng.uniform(0.2, 0.8)
             r23 = rng.uniform(0.0, 1.0) * np.sqrt(r22 * r33)
-            mat = XState(r11, r22, r33, 1.0 - r11 - r22 - r33, r23).to_density().mat
+            mat = x_state(r11, r22, r33, 1.0 - r11 - r22 - r33, r23).mat
             pops = mat.diagonal().real.tolist()
             grid = _conditional_entropy_batch(mat, thetas, np.zeros(thetas.size))
             objective = measures._polar_objective(*pops, abs(mat[1, 2]))
@@ -968,8 +1087,8 @@ class TestBrentRefinement:
     @example(rho=one_param_density(0.75))
     @example(rho=one_param_density(1.0))
     @example(rho=_complex_x_state())
-    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.094675).to_density())
-    @example(rho=XState(0.0355, 0.9466, 0.0164, 0.0015, 0.107216).to_density())
+    @example(rho=x_state(0.0355, 0.9466, 0.0164, 0.0015, 0.094675))
+    @example(rho=x_state(0.0355, 0.9466, 0.0164, 0.0015, 0.107216))
     def test_never_above_golden_section(self, rho):
         phi = _aligned_phi(rho.mat)
         value, theta = _min_conditional_entropy_polar(rho.mat)
@@ -1057,13 +1176,13 @@ class TestScalarReport:
     @example(rho=one_param_density(2.0 / 3.0))
     @example(rho=one_param_density(1.0))
     @example(rho=_complex_x_state())
-    @example(rho=XState(0.1, 0.3, 0.3, 0.3, 0.2).to_density())
+    @example(rho=x_state(0.1, 0.3, 0.3, 0.3, 0.2))
     def test_matches_stack_kernels(self, rho):
         rep = correlation_report(rho)
         assert abs(rep.concurrence - concurrence_stack(rho.mat[None])[0]) <= 1e-14
         assert abs(rep.mutual_info - mutual_information_stack(rho.mat[None])[0]) <= 1e-14
         try:
-            closed = classical_correlation_closed_form(extract_xstate(rho))
+            closed = classical_correlation_closed_form(rho)
         except ValueError:
             closed = None
         assert rep.classical_closed_form == closed
@@ -1072,7 +1191,7 @@ class TestScalarReport:
         # X states outside the one-parameter family: every column is the
         # single measure's value, and no closed form
         rng = np.random.default_rng(41)
-        for rho in (diagonal_product_state(rng), random_xstate(rng).to_density()):
+        for rho in (diagonal_product_state(rng), random_xstate(rng)):
             rep = correlation_report(rho)
             assert rep.concurrence == concurrence(rho)
             assert rep.mutual_info == mutual_information(rho)

@@ -34,6 +34,7 @@ from qprobe.protocols import (
     QND_BATCH,
     RESONANT_READOUT,
     SHOT_BLOCK,
+    ReadoutModel,
     ShotRecord,
     _excited_cutoff,
     derive_seed,
@@ -116,6 +117,12 @@ class TestSampleShots:
     def test_shot_count_bounded(self):
         with pytest.raises(ValueError, match=str(MAX_SHOTS)):
             sample_shots(0.5, MAX_SHOTS + 1, 0)
+
+    def test_shot_count_is_an_integer(self):
+        # a numpy integer counts as its value; a float is refused, not truncated
+        assert sample_shots(0.5, np.int64(100), 0) == sample_shots(0.5, 100, 0)
+        with pytest.raises(TypeError):
+            sample_shots(0.5, 2.5, 0)
 
     def test_derive_seed_streams_differ(self):
         seeds = {derive_seed(42, k) for k in range(16)}
@@ -309,6 +316,14 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_from_counts([(RESONANT_READOUT, ShotRecord(0, 0, 0))])
 
+    @pytest.mark.parametrize("offset, slope", [(0.5, 0.0), (0.5, -0.0), (0.5, math.nan),
+                                               (0.5, -math.inf), (math.nan, 2.0),
+                                               (math.inf, 2.0)])
+    def test_readout_needs_a_finite_nonzero_slope(self, offset, slope):
+        # both estimators divide by the slope
+        with pytest.raises(ValueError, match="finite offset and a finite nonzero slope"):
+            ReadoutModel(offset, slope)
+
     def test_exact_mode_identity(self):
         for x in np.linspace(0.5, 1.0, 11):
             est = estimate_exact(
@@ -345,6 +360,12 @@ class TestProbeCycle:
         rep = run_probe_cycle(1.0, QUBIT, 1)
         assert rep.mean_sigma_z == pytest.approx(-1.0, abs=1e-12)
         assert rep.state_restored  # the singlet is its own corner swap
+
+    def test_half_period_count_is_an_integer(self):
+        # a numpy integer counts as its value; a float is refused, not truncated
+        assert run_probe_cycle(0.75, QUBIT, np.int64(3)).t_read == 3 * np.pi / 2
+        with pytest.raises(TypeError):
+            run_probe_cycle(0.75, QUBIT, 1.5)
 
     def test_even_multiple_rejected(self):
         with pytest.raises(ValueError, match="even multiples"):
@@ -737,6 +758,15 @@ class TestQndSequence:
             assert s.stage.outcome_p_excited == pytest.approx(2 * x - 1, abs=1e-9)
         for s in g_stages:
             assert s.stage.outcome_p_excited == pytest.approx(2 * (1 - x), abs=1e-9)
+
+    def test_counts_are_integers(self):
+        # numpy integers count as their values; floats are refused, not truncated
+        plain = run_qnd_sequence(0.75, None, 2, 100, seed=1)
+        numpy_ints = run_qnd_sequence(0.75, None, np.int64(2), np.int64(100), seed=1)
+        assert numpy_ints.stages == plain.stages and numpy_ints.estimate == plain.estimate
+        for n_cycles, shots in ((1.5, 0), (2, 100.0)):
+            with pytest.raises(TypeError):
+                run_qnd_sequence(0.75, None, n_cycles, shots)
 
     def test_excited_stage_is_corner_swap(self):
         # the excited-probe stage realizes the corner-swap map exactly

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from qprobe.qcore import DensityMatrix, HilbertSpace, entropy_bits, partial_trace
-from qprobe.states import (
-    XSTATE_PATTERN_TOL,
-    ProbePrep,
-    XState,
-    _XSTATE_ZEROS,
-    corner_swap,
-    extract_xstate,
-    join_with_probe,
-    one_param_density,
-)
+from qprobe.states import ProbePrep, corner_swap, join_with_probe, one_param_density
 
 KET_S = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
 KET_A = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -62,8 +53,9 @@ class TestCornerSwap:
         rng = np.random.default_rng(7)
         for _ in range(10):
             pops = rng.dirichlet(np.ones(4))
-            c = (rng.uniform(-1, 1)) * np.sqrt(pops[1] * pops[2])
-            rho = XState(*pops, c).to_density()
+            mat = np.diag(pops).astype(complex)
+            mat[1, 2] = mat[2, 1] = rng.uniform(-1, 1) * np.sqrt(pops[1] * pops[2])
+            rho = DensityMatrix(HilbertSpace((2, 2), ("A", "B")), mat)
             twice = corner_swap(corner_swap(rho))
             assert np.max(np.abs(twice.mat - rho.mat)) < 1e-14
 
@@ -122,63 +114,3 @@ class TestJoinWithProbe:
         twice = join_with_probe(joint, ProbePrep.GROUND)
         assert len(set(twice.space.labels)) == 4
 
-
-class TestXState:
-    def test_extract_lower_edge(self):
-        xs = extract_xstate(one_param_density(0.5))
-        assert (xs.r11, xs.r22, xs.r33, xs.r44, xs.r23) == pytest.approx(
-            (0.0, 0.25, 0.25, 0.5, 0.25)
-        )
-
-    def test_extract_diagonal_point(self):
-        xs = extract_xstate(one_param_density(2.0 / 3.0))
-        assert xs.r23 == pytest.approx(0.0)
-        assert xs.r22 == pytest.approx(1 / 3)
-
-    def test_corner_coherence_rejected(self):
-        phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-        rho = DensityMatrix(
-            HilbertSpace((2, 2), ("A", "B")), np.outer(phi, phi.conj())
-        )
-        with pytest.raises(ValueError, match="X-state"):
-            extract_xstate(rho)
-
-    def test_every_entry_off_the_pattern_checked(self):
-        base = XState(0.2, 0.3, 0.3, 0.2, 0.1).to_density()
-        pattern = np.ones((4, 4), dtype=bool)
-        pattern[np.diag_indices(4)] = pattern[1, 2] = pattern[2, 1] = False
-        assert _XSTATE_ZEROS == tuple(np.flatnonzero(pattern))
-        for k in _XSTATE_ZEROS:
-            i, j = divmod(k, 4)
-            for size, refused in ((2 * XSTATE_PATTERN_TOL, True),
-                                  (0.5 * XSTATE_PATTERN_TOL, False)):
-                mat = base.mat.copy()
-                mat[i, j], mat[j, i] = 1j * size, -1j * size
-                rho = DensityMatrix(base.space, mat)
-                if refused:
-                    with pytest.raises(ValueError, match="not an X-state of the required form"):
-                        extract_xstate(rho)
-                else:
-                    assert extract_xstate(rho) == extract_xstate(base)
-        mat = base.mat.copy()
-        mat[1, 2], mat[2, 1] = 0.1 + 2e-8j, 0.1 - 2e-8j
-        with pytest.raises(ValueError, match="not an X-state of the required form"):
-            extract_xstate(DensityMatrix(base.space, mat))
-
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            pops = rng.dirichlet(np.ones(4))
-            c = rng.uniform(-1, 1) * np.sqrt(pops[1] * pops[2])
-            xs = XState(*pops, c)
-            back = extract_xstate(xs.to_density())
-            for field in ("r11", "r22", "r33", "r44", "r23"):
-                assert abs(getattr(back, field) - getattr(xs, field)) < 1e-12
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            XState(0.5, 0.5, 0.5, 0.5, 0.0)  # trace 2
-        with pytest.raises(ValueError):
-            XState(0.25, 0.25, 0.25, 0.25, 0.4)  # coherence too large
-        with pytest.raises(ValueError):
-            XState(-0.1, 0.4, 0.4, 0.3, 0.0)  # negative population
