@@ -45,7 +45,7 @@ from .dynamics import (
 )
 from .protocols import (
     ProbeCycleReport,
-    QndStage,
+    QndRunResult,
     ShotRecord,
     XEstimate,
     estimate_from_counts,

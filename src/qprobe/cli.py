@@ -410,11 +410,12 @@ def cmd_qnd(opts: dict) -> int:
         print(f"candidate_time_dpig2 = {fmt(rep.candidate_time)}")
         print(f"candidate_fidelity = {fmt(rep.candidate_fidelity)}")
     if opts["out"]:
+        preps = (ProbePrep.EXCITED.value, ProbePrep.GROUND.value)
         _write_csv(opts["out"], ["cycle", "stage", "prep", "duration", "p_excited",
                                  "shots", "count_excited"],
-                   [(i // 2, i % 2, sr.stage.probe_prep.value, sr.stage.duration,
-                     sr.stage.outcome_p_excited, sr.shots.shots, sr.shots.count_excited)
-                    for i, sr in enumerate(result.stages)])
+                   [(i // 2, i % 2, preps[i % 2], result.duration, p, result.shots_per_stage, k)
+                    for i, (p, k) in enumerate(zip(result.p_excited.tolist(),
+                                                   result.count_excited.tolist()))])
     return 0
 
 

@@ -776,10 +776,10 @@ def integrate_master(
     sample, or a non-finite trace, fails the run.  That is how a
     generator too large to propagate in double precision fails: a decay
     rate, or a Hamiltonian term such as a large detuning.  A non-finite
-    t_end, one above MAX_T_END, sample times closer than MIN_SAMPLE_GAP
-    (a repeated one too; only a first sample at 0 may sit closer to 0)
-    and more than MAX_REACHABLE reachable entries are rejected before
-    any propagation.
+    t_end, one above MAX_T_END, an empty schedule, sample times closer
+    than MIN_SAMPLE_GAP (a repeated one too; only a first sample at 0
+    may sit closer to 0) and more than MAX_REACHABLE reachable entries
+    are rejected before any propagation.
 
     There is no step: ``dt`` accepts DEFAULT_DT only and raises on any
     other value.  It stays in the signature because the benchmark's
@@ -799,6 +799,8 @@ def integrate_master(
     times = np.array(sample_times, dtype=float)
     if times.ndim != 1:
         raise TypeError("sample times must be a sequence of numbers")
+    if times.size == 0:
+        raise ValueError("sample times must hold at least one time")
     times.sort()
     # NaN sorts last, so it fails too
     if not (0.0 <= times[0] and times[-1] <= t_end + 1e-12):

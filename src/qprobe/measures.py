@@ -524,15 +524,17 @@ class CorrelationReport:
     concurrence: float
     mutual_info: float
     classical: float
-    discord: float
     classical_closed_form: Optional[float]
     optimizer_basis: MeasurementBasis
 
     def __post_init__(self):
-        if abs(self.discord - (self.mutual_info - self.classical)) > 1e-9:
-            raise ValueError("discord inconsistent with its definition")
         if self.classical > self.mutual_info + 1e-9:
             raise ValueError("classical correlation exceeds mutual information")
+
+    @property
+    def discord(self) -> float:
+        """Quantum discord: mutual information minus classical correlation."""
+        return self.mutual_info - self.classical
 
 
 def correlation_reports(states: Sequence[DensityMatrix]) -> list[CorrelationReport]:
@@ -553,7 +555,6 @@ def correlation_reports(states: Sequence[DensityMatrix]) -> list[CorrelationRepo
             concurrence=conc,
             mutual_info=mi,
             classical=classical,
-            discord=mi - classical,
             classical_closed_form=None if math.isnan(closed) else closed,
             optimizer_basis=basis,
         ))

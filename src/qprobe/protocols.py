@@ -109,8 +109,8 @@ def _splitmix64(z: int) -> int:
 
 
 def derive_seed(seed: int, stream: int) -> int:
-    """Independent substream seed for (seed, stream index)."""
-    return _splitmix64(_splitmix64(seed & _MASK64) ^ ((stream + 1) & _MASK64))
+    """Independent substream seed for (seed, stream index); ``seed`` is any integer."""
+    return _splitmix64(_splitmix64(operator.index(seed) & _MASK64) ^ ((stream + 1) & _MASK64))
 
 
 def _excited_cutoff(p: float) -> int:
@@ -176,16 +176,16 @@ def _work_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Binomial measurement record of one stage."""
+    """Binomial measurement record; both counts are integers (``operator.index``)."""
 
     shots: int
     count_excited: int
-    seed: int
 
     def __post_init__(self):
-        if self.shots < 0:
+        shots, count = operator.index(self.shots), operator.index(self.count_excited)
+        if shots < 0:
             raise ValueError("shots must be nonnegative")
-        if not 0 <= self.count_excited <= max(self.shots, 0):
+        if not 0 <= count <= shots:
             raise ValueError("count out of range")
 
     @property
@@ -199,7 +199,8 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
     """Deterministic binomial draw: shot i is excited iff u_i < p.
 
     u_i = z_i / 2^64 for the SplitMix64 word z_i of counter (seed-derived
-    base + i), so the record depends only on (p, shots, seed).  The words
+    base + i), so the record depends only on (p, shots, seed), the seed
+    any integer (``operator.index``, also with no shots).  The words
     are compared with the integer cutoff of p instead of being converted:
     u_i < p exactly when z_i is below it.  Counters are hashed in place,
     in blocks of at most SHOT_BLOCK that never cross a multiple of
@@ -234,8 +235,9 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
         raise ValueError("shots must be nonnegative")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots exceed {MAX_SHOTS}")
+    seed = operator.index(seed)
     if shots == 0:
-        return ShotRecord(0, 0, seed)
+        return ShotRecord(0, 0)
     # every constant is a Python int, wrapped in np.uint64 only to pass it:
     # numpy scalar arithmetic would warn on the wrap, and NumPy 1.x and 2.x
     # promote mixed scalars differently
@@ -283,7 +285,7 @@ def sample_shots(p_excited: float, shots: int, seed: int) -> ShotRecord:
         counter = (counter + SHOT_BLOCK) & _MASK64
     if tail:
         count += partial(counter, tail)
-    return ShotRecord(shots, count, seed)
+    return ShotRecord(shots, count)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +393,13 @@ class ProbeCycleReport:
     mean_sigma_z: float
     post_state: DensityMatrix
     post_distance_to_initial: float
-    state_restored: bool
     measures_before: CorrelationReport
     measures_after: CorrelationReport
+
+    @property
+    def state_restored(self) -> bool:
+        """Whether the post state lies within RESTORED_TOL of the initial one."""
+        return self.post_distance_to_initial <= RESTORED_TOL
 
 
 def run_probe_cycle(
@@ -481,7 +487,6 @@ def run_probe_cycles(
             mean_sigma_z=sz,
             post_state=post,
             post_distance_to_initial=distance,
-            state_restored=distance <= RESTORED_TOL,
             measures_before=before,
             measures_after=after,
         )
@@ -640,35 +645,24 @@ def transfer_time_report(cfg: ModelConfig) -> TransferTimeReport:
 #: most cycles in one sequence; every stage is kept in the result
 MAX_QND_CYCLES = 10_000
 #: cycles whose pairs ``run_qnd_sequence`` checks as one stack; bounds
-#: what a long sequence holds besides its records
+#: what a long sequence holds besides its stage arrays
 QND_BATCH = 128
 
 
 @dataclass(frozen=True)
-class QndStage:
-    """One stage of the sequence: preparation, duration, exact outcome law."""
-
-    probe_prep: ProbePrep
-    duration: float
-    outcome_p_excited: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if not 0.0 <= self.outcome_p_excited <= 1.0:
-            raise ValueError("probability out of range")
-
-
-@dataclass(frozen=True)
-class QndStageResult:
-    stage: QndStage
-    shots: ShotRecord
-
-
-@dataclass(frozen=True)
 class QndRunResult:
+    """Final pair, stage duration, and stage i's exact law and excited count.
+
+    Stage i's probe is excited for even i and ground for odd i.  The two
+    arrays are read-only and hold one entry per stage; every count is 0
+    in exact mode (``shots_per_stage`` 0).
+    """
+
     final_state: DensityMatrix
-    stages: tuple[QndStageResult, ...]
+    duration: float
+    p_excited: np.ndarray
+    count_excited: np.ndarray
+    shots_per_stage: int
     estimate: XEstimate
 
 
@@ -682,22 +676,23 @@ def run_qnd_sequence(
     """Alternating excited/ground probe cycles under the exchange model.
 
     Each cycle runs an excited-probe stage (pair state -> corner swap)
-    followed by a ground-probe stage (pair state restored); the probe
-    is measured and discarded after every stage.  Outcomes are grouped
-    by preparation and pooled into the estimate.  ``shots_per_stage``
-    of zero selects exact-statistics mode, separating protocol
-    correctness from sampling noise.  The exchange model is the
-    dispersive limit of the cavity model, so detunings below
-    MIN_DISPERSIVE_DELTA are rejected.
+    followed by a ground-probe stage (pair state restored), so stage i
+    prepares an excited probe for even i and a ground probe for odd i;
+    the probe is measured and discarded after every stage.  Outcomes are
+    grouped by preparation and pooled into the estimate.
+    ``shots_per_stage`` of zero selects exact-statistics mode, which
+    neither draws nor hashes, separating protocol correctness from
+    sampling noise.  The exchange model is the dispersive limit of the
+    cavity model, so detunings below MIN_DISPERSIVE_DELTA are rejected.
 
     As the probe is discarded, a stage is one linear map of the pair,
     formed from the unitary at t* (``_pair_maps``): p_e = P . vec(pair),
     then pair <- S vec(pair); no joint state is formed.  The pairs of up
     to QND_BATCH cycles are checked as one stack (one at a time if it
-    fails, so the error raised is the first stage's) before any of those
-    stages draws its shots, each from its own substream
-    ``derive_seed(seed, stage index)``; only the last batch's pairs are
-    made states, to keep the final one.
+    fails, so the error raised is the first stage's); only the last
+    batch's pairs are made states, to keep the final one.  Once every
+    pair has passed, stage i draws from its substream ``derive_seed(seed,
+    i)``, whose first round is hashed once for all stages.
     """
     cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
@@ -707,7 +702,7 @@ def run_qnd_sequence(
             f"non-demolition sequence needs delta >= {MIN_DISPERSIVE_DELTA:g} g: "
             "the exchange model does not hold closer to resonance"
         )
-    n_cycles, shots_per_stage = operator.index(n_cycles), operator.index(shots_per_stage)
+    n_cycles, shots_per_stage, seed = map(operator.index, (n_cycles, shots_per_stage, seed))
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
     if n_cycles > MAX_QND_CYCLES:
@@ -716,27 +711,28 @@ def run_qnd_sequence(
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg)
     u = cfg.propagator.unitary(t_star)
-    preps = (ProbePrep.EXCITED, ProbePrep.GROUND)
-    (e_map, e_law), (g_map, g_law) = (_pair_maps(u, prep) for prep in preps)
+    (e_map, e_law), (g_map, g_law) = (_pair_maps(u, prep)
+                                      for prep in (ProbePrep.EXCITED, ProbePrep.GROUND))
     laws = np.stack([e_law, g_law])
     pair_space = cfg.space.subspace({0, 1})
     state = one_param_density(x)
     vec = state.mat.ravel()
-    stages: list[QndStageResult] = []
     n_stages = 2 * n_cycles
+    p_excited = np.empty(n_stages)
     for first in range(0, n_stages, 2 * QND_BATCH):
-        batch = range(first, min(first + 2 * QND_BATCH, n_stages))
+        batch = slice(first, min(first + 2 * QND_BATCH, n_stages))
         # a stage-by-stage run stops at the first pair it refuses; here the
         # batch's later stages are formed first and refused by the check,
         # so a unitary far from unitary overflows there without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             vecs = [vec]
-            for _ in range(len(batch) // 2):
+            for _ in range((batch.stop - first) // 2):
                 vecs.append(e_map @ vecs[-1])
                 vecs.append(g_map @ vecs[-1])
             vecs = np.array(vecs)
             # each cycle's two incoming pairs against the two functionals
-            p_es = np.einsum("cpk,pk->cp", vecs[:-1].reshape(-1, 2, 16), laws).real.ravel()
+            p_excited[batch] = np.einsum("cpk,pk->cp", vecs[:-1].reshape(-1, 2, 16),
+                                         laws).real.ravel()
         vec = vecs[-1]
         pairs = vecs[1:].reshape(-1, 4, 4)
         try:
@@ -748,24 +744,22 @@ def run_qnd_sequence(
             for pair in pairs:
                 DensityMatrix(pair_space, pair)
             raise
-        for i, p_e in zip(batch, p_es.tolist()):
-            p_e = min(1.0, max(0.0, p_e))
-            record = sample_shots(p_e, shots_per_stage, derive_seed(seed, i))
-            stages.append(QndStageResult(QndStage(preps[i % 2], t_star, p_e), record))
-
-    groups = {ProbePrep.EXCITED: EXCHANGE_E_READOUT, ProbePrep.GROUND: EXCHANGE_G_READOUT}
+    # min(1, max(0, p)) as Python takes it, so -0.0 becomes 0.0
+    p_excited = np.where(p_excited < 1.0, np.where(p_excited > 0.0, p_excited, 0.0), 1.0)
+    count_excited = np.zeros(n_stages, dtype=np.int64)
+    models = (EXCHANGE_E_READOUT, EXCHANGE_G_READOUT)
     if shots_per_stage == 0:
-        probs = [
-            (groups[s.stage.probe_prep], s.stage.outcome_p_excited) for s in stages
-        ]
-        estimate = estimate_exact(probs)
+        estimate = estimate_exact([(models[i % 2], p) for i, p in enumerate(p_excited.tolist())])
     else:
-        pooled: dict[ProbePrep, tuple[int, int]] = {}
-        for s in stages:
-            n, k = pooled.get(s.stage.probe_prep, (0, 0))
-            pooled[s.stage.probe_prep] = (n + s.shots.shots, k + s.shots.count_excited)
-        records = [
-            (groups[prep], ShotRecord(n, k, seed)) for prep, (n, k) in pooled.items()
+        # derive_seed(seed, i) with its first round shared by every stage
+        base = _splitmix64(seed & _MASK64)
+        count_excited[:] = [
+            sample_shots(p, shots_per_stage, _splitmix64(base ^ (i + 1))).count_excited
+            for i, p in enumerate(p_excited.tolist())
         ]
-        estimate = estimate_from_counts(records)
-    return QndRunResult(final_state=state, stages=tuple(stages), estimate=estimate)
+        shots = n_cycles * shots_per_stage
+        estimate = estimate_from_counts(
+            [(models[k], ShotRecord(shots, int(count_excited[k::2].sum()))) for k in (0, 1)])
+    p_excited.setflags(write=False)
+    count_excited.setflags(write=False)
+    return QndRunResult(state, t_star, p_excited, count_excited, shots_per_stage, estimate)

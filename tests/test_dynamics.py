@@ -345,6 +345,13 @@ class TestIntegrateMaster:
             integrate_master(initial_joint(0.75, QUBIT, ProbePrep.GROUND), QUBIT,
                              NoiseConfig(gamma=0.1), 1.0, sample_times=sample_times)
 
+    @pytest.mark.parametrize("sample_times", [[], (), np.empty(0)], ids=["list", "tuple", "array"])
+    def test_empty_schedule_rejected_before_any_plan(self, built_plans, sample_times):
+        with pytest.raises(ValueError, match="at least one time"):
+            integrate_master(initial_joint(0.75, QUBIT, ProbePrep.GROUND), QUBIT,
+                             NoiseConfig(gamma=0.1), 1.0, sample_times=sample_times)
+        assert built_plans == []
+
     @pytest.mark.parametrize("t_end, sample_times", [
         (1e-13, None),
         (1.0, [0.5, 0.5 + 5e-13, 1.0]),

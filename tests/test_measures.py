@@ -600,14 +600,28 @@ class TestMonotoneSandwich:
 
 
 class TestCorrelationReport:
-    def test_consistency_invariant_enforced(self):
+    def test_discord_is_derived(self):
+        # stored once: discord is mutual information minus classical
+        # correlation, and a report takes no discord of its own
         rep = correlation_report(one_param_density(0.75))
-        with pytest.raises(ValueError):
+        assert rep.discord == rep.mutual_info - rep.classical
+        with pytest.raises(TypeError):
             CorrelationReport(
                 concurrence=rep.concurrence,
                 mutual_info=rep.mutual_info,
                 classical=rep.classical,
-                discord=rep.discord + 1e-3,
+                discord=rep.discord,
+                classical_closed_form=rep.classical_closed_form,
+                optimizer_basis=rep.optimizer_basis,
+            )
+
+    def test_classical_above_mutual_information_refused(self):
+        rep = correlation_report(one_param_density(0.75))
+        with pytest.raises(ValueError, match="exceeds mutual information"):
+            CorrelationReport(
+                concurrence=rep.concurrence,
+                mutual_info=rep.mutual_info,
+                classical=rep.mutual_info + 1e-3,
                 classical_closed_form=rep.classical_closed_form,
                 optimizer_basis=rep.optimizer_basis,
             )

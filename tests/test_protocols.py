@@ -85,7 +85,7 @@ class TestSampleShots:
     def test_blocks_match_one_shot_draw(self, shots, p):
         for seed in (0, derive_seed(11, 2)):
             rec = sample_shots(p, shots, seed)
-            assert rec == ShotRecord(shots, one_shot_count(p, shots, seed), seed)
+            assert rec == ShotRecord(shots, one_shot_count(p, shots, seed))
 
     def test_degenerate_probabilities(self):
         assert sample_shots(0.0, 1000, 3).count_excited == 0
@@ -112,7 +112,7 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             sample_shots(0.5, -1, 0)
         with pytest.raises(ValueError):
-            ShotRecord(10, 11, 0)
+            ShotRecord(10, 11)
 
     def test_shot_count_bounded(self):
         with pytest.raises(ValueError, match=str(MAX_SHOTS)):
@@ -123,6 +123,25 @@ class TestSampleShots:
         assert sample_shots(0.5, np.int64(100), 0) == sample_shots(0.5, 100, 0)
         with pytest.raises(TypeError):
             sample_shots(0.5, 2.5, 0)
+
+    def test_seed_is_an_integer(self):
+        # numpy and negative integers count as their values; a float or None
+        # is refused before the hash, also when no shot is drawn
+        assert sample_shots(0.5, 100, np.int64(3)) == sample_shots(0.5, 100, 3)
+        assert sample_shots(0.5, 100, -5) == ShotRecord(100, one_shot_count(0.5, 100, -5))
+        for seed in (1.5, None):
+            for shots in (10, 0):
+                with pytest.raises(TypeError):
+                    sample_shots(0.3, shots, seed)
+            with pytest.raises(TypeError):
+                derive_seed(seed, 0)
+        assert derive_seed(np.int64(-5), 2) == derive_seed(-5, 2) == derive_seed(2 ** 64 - 5, 2)
+
+    def test_record_counts_are_integers(self):
+        assert ShotRecord(np.int64(5), np.int64(2)) == ShotRecord(5, 2)
+        for shots, count in ((5.5, 2), (5, 2.0), (None, 0)):
+            with pytest.raises(TypeError):
+                ShotRecord(shots, count)
 
     def test_derive_seed_streams_differ(self):
         seeds = {derive_seed(42, k) for k in range(16)}
@@ -293,18 +312,18 @@ def test_cutoff_is_the_exact_prefix(p):
 
 class TestEstimation:
     def test_resonant_group_midpoint(self):
-        rec = ShotRecord(10000, 5000, 0)
+        rec = ShotRecord(10000, 5000)
         est = estimate_from_counts([(RESONANT_READOUT, rec)])
         assert est.x_hat == pytest.approx(0.75, abs=1e-12)
         assert est.derived.concurrence == pytest.approx(0.25, abs=1e-9)
 
     def test_zero_frequency_clamps_to_one(self):
-        rec = ShotRecord(10000, 0, 0)
+        rec = ShotRecord(10000, 0)
         est = estimate_from_counts([(RESONANT_READOUT, rec)])
         assert est.x_hat == pytest.approx(1.0)
 
     def test_pooling_reduces_stderr(self):
-        rec = ShotRecord(10000, 5000, 0)
+        rec = ShotRecord(10000, 5000)
         single = estimate_from_counts([(EXCHANGE_E_READOUT, rec)])
         pooled = estimate_from_counts(
             [(EXCHANGE_E_READOUT, rec), (EXCHANGE_G_READOUT, rec)]
@@ -314,7 +333,7 @@ class TestEstimation:
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            estimate_from_counts([(RESONANT_READOUT, ShotRecord(0, 0, 0))])
+            estimate_from_counts([(RESONANT_READOUT, ShotRecord(0, 0))])
 
     @pytest.mark.parametrize("offset, slope", [(0.5, 0.0), (0.5, -0.0), (0.5, math.nan),
                                                (0.5, -math.inf), (math.nan, 2.0),
@@ -752,21 +771,53 @@ class TestQndSequence:
     def test_stage_maps_and_statistics(self):
         x = 0.75
         result = run_qnd_sequence(x, EXCHANGE, n_cycles=2)
-        e_stages = [s for s in result.stages if s.stage.probe_prep is ProbePrep.EXCITED]
-        g_stages = [s for s in result.stages if s.stage.probe_prep is ProbePrep.GROUND]
-        for s in e_stages:
-            assert s.stage.outcome_p_excited == pytest.approx(2 * x - 1, abs=1e-9)
-        for s in g_stages:
-            assert s.stage.outcome_p_excited == pytest.approx(2 * (1 - x), abs=1e-9)
+        # even stages prepare an excited probe, odd stages a ground one
+        np.testing.assert_allclose(result.p_excited[0::2], 2 * x - 1, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.p_excited[1::2], 2 * (1 - x), rtol=0, atol=1e-9)
 
     def test_counts_are_integers(self):
         # numpy integers count as their values; floats are refused, not truncated
         plain = run_qnd_sequence(0.75, None, 2, 100, seed=1)
-        numpy_ints = run_qnd_sequence(0.75, None, np.int64(2), np.int64(100), seed=1)
-        assert numpy_ints.stages == plain.stages and numpy_ints.estimate == plain.estimate
+        numpy_ints = run_qnd_sequence(0.75, None, np.int64(2), np.int64(100), seed=np.int64(1))
+        assert np.array_equal(numpy_ints.p_excited, plain.p_excited)
+        assert np.array_equal(numpy_ints.count_excited, plain.count_excited)
+        assert numpy_ints.estimate == plain.estimate
+        assert type(numpy_ints.shots_per_stage) is int
         for n_cycles, shots in ((1.5, 0), (2, 100.0)):
             with pytest.raises(TypeError):
                 run_qnd_sequence(0.75, None, n_cycles, shots)
+
+    def test_seed_is_an_integer(self):
+        # checked in exact mode too, where no seed is hashed
+        for shots in (0, 10):
+            with pytest.raises(TypeError):
+                run_qnd_sequence(0.7, None, 2, shots, 1.5)
+        # a negative seed stays valid: stage i draws from derive_seed(seed, i)
+        result = run_qnd_sequence(0.7, None, 2, 1000, -5)
+        assert result.count_excited.tolist() == [
+            sample_shots(p, 1000, derive_seed(-5, i)).count_excited
+            for i, p in enumerate(result.p_excited.tolist())]
+
+    def test_exact_mode_draws_and_hashes_nothing(self, monkeypatch):
+        draws, hashes = [], []
+        sample, splitmix = protocols.sample_shots, protocols._splitmix64
+        monkeypatch.setattr(protocols, "sample_shots",
+                            lambda *args: draws.append(args) or sample(*args))
+        monkeypatch.setattr(protocols, "_splitmix64", lambda z: hashes.append(z) or splitmix(z))
+        cfg = ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
+        result = run_qnd_sequence(0.75, cfg, 50, 0)
+        assert draws == [] and hashes == []
+        assert result.count_excited.tolist() == [0] * 100
+        for stages in (result.p_excited, result.count_excited):
+            assert stages.shape == (100,) and not stages.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stages[0] = 1
+        assert result.duration == find_transfer_time(cfg)
+        assert result.shots_per_stage == 0
+        # with shots: one draw per stage, and the seed's first round hashed
+        # once for all stages (then one hash per stage seed, one per draw)
+        run_qnd_sequence(0.75, cfg, 50, 1)
+        assert len(draws) == 100 and len(hashes) == 1 + 2 * 100
 
     def test_excited_stage_is_corner_swap(self):
         # the excited-probe stage realizes the corner-swap map exactly
@@ -790,20 +841,16 @@ class TestQndSequence:
 
     def test_singlet_statistics(self):
         result = run_qnd_sequence(1.0, EXCHANGE, n_cycles=1)
-        e_stage, g_stage = result.stages
-        assert e_stage.stage.outcome_p_excited == pytest.approx(1.0, abs=1e-12)
-        assert g_stage.stage.outcome_p_excited == pytest.approx(0.0, abs=1e-12)
+        e_law, g_law = result.p_excited
+        assert e_law == pytest.approx(1.0, abs=1e-12)
+        assert g_law == pytest.approx(0.0, abs=1e-12)
 
     def test_seeded_sampling_deterministic(self):
         a = run_qnd_sequence(0.75, EXCHANGE, 2, shots_per_stage=1000, seed=9)
         b = run_qnd_sequence(0.75, EXCHANGE, 2, shots_per_stage=1000, seed=9)
-        assert [s.shots.count_excited for s in a.stages] == [
-            s.shots.count_excited for s in b.stages
-        ]
+        assert a.count_excited.tolist() == b.count_excited.tolist()
         c = run_qnd_sequence(0.75, EXCHANGE, 2, shots_per_stage=1000, seed=10)
-        assert [s.shots.count_excited for s in a.stages] != [
-            s.shots.count_excited for s in c.stages
-        ]
+        assert a.count_excited.tolist() != c.count_excited.tolist()
 
     def test_sampled_estimate_near_truth(self):
         result = run_qnd_sequence(0.75, EXCHANGE, 1, shots_per_stage=10000, seed=7)
@@ -857,7 +904,7 @@ def stage_by_stage(x, cfg, n_cycles, shots_per_stage=0, seed=0):
         estimate = estimate_exact([(models[i % 2], p) for i, (p, _) in enumerate(outcomes)])
     else:
         pooled = [ShotRecord(n_cycles * shots_per_stage,
-                             sum(rec.count_excited for _, rec in outcomes[k::2]), seed)
+                             sum(rec.count_excited for _, rec in outcomes[k::2]))
                   for k in (0, 1)]
         estimate = estimate_from_counts(list(zip(models, pooled)))
     return tuple((p, rec.count_excited) for p, rec in outcomes), state, estimate
@@ -891,9 +938,8 @@ class TestQndStageChain:
     def test_twenty_stages_agree_with_stage_by_stage(self, x):
         result = run_qnd_sequence(x, EXCHANGE, 10)
         outcomes, state, _ = stage_by_stage(x, EXCHANGE, 10)
-        laws = [s.stage.outcome_p_excited for s in result.stages]
-        assert len(laws) == 20
-        np.testing.assert_allclose(laws, [p for p, _ in outcomes], rtol=0, atol=1e-13)
+        assert result.p_excited.shape == (20,)
+        np.testing.assert_allclose(result.p_excited, [p for p, _ in outcomes], rtol=0, atol=1e-13)
         np.testing.assert_allclose(result.final_state.mat, state.mat, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("x", [0.5, 2 / 3, 0.75, 1.0])
@@ -902,9 +948,8 @@ class TestQndStageChain:
     def test_seeded_runs_agree_with_stage_by_stage(self, x, n_cycles, shots):
         result = run_qnd_sequence(x, EXCHANGE, n_cycles, shots, seed=5)
         outcomes, state, estimate = stage_by_stage(x, EXCHANGE, n_cycles, shots, seed=5)
-        assert [s.shots.count_excited for s in result.stages] == [k for _, k in outcomes]
-        np.testing.assert_allclose([s.stage.outcome_p_excited for s in result.stages],
-                                   [p for p, _ in outcomes], rtol=0, atol=1e-13)
+        assert result.count_excited.tolist() == [k for _, k in outcomes]
+        np.testing.assert_allclose(result.p_excited, [p for p, _ in outcomes], rtol=0, atol=1e-13)
         np.testing.assert_allclose(result.final_state.mat, state.mat, rtol=0, atol=1e-13)
         assert result.final_state.space == state.space
         if shots:
@@ -915,7 +960,7 @@ class TestQndStageChain:
     def test_longest_exact_sequence_restores_the_pair(self):
         x = 0.75
         result = run_qnd_sequence(x, EXCHANGE, MAX_QND_CYCLES)
-        assert MAX_QND_CYCLES == 10 ** 4 and len(result.stages) == 2 * MAX_QND_CYCLES
+        assert MAX_QND_CYCLES == 10 ** 4 and result.p_excited.shape == (2 * MAX_QND_CYCLES,)
         assert abs(result.estimate.x_hat - x) <= 1e-12
         restoration = trace_distance_x_stack(result.final_state.mat[None],
                                              one_param_density(x).mat[None])[0]
@@ -948,7 +993,9 @@ class TestQndStageChain:
         monkeypatch.setattr(protocols, "QND_BATCH", 2)
         shapes = self.counted_checks(monkeypatch)
         batched = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
-        assert batched.stages == whole.stages and batched.estimate == whole.estimate
+        assert batched.p_excited.tobytes() == whole.p_excited.tobytes()
+        assert np.array_equal(batched.count_excited, whole.count_excited)
+        assert batched.estimate == whole.estimate
         assert batched.final_state.mat.tobytes() == whole.final_state.mat.tobytes()
         # ten stages in batches of four: one stack of pairs per batch
         stage_stacks = [n for n, d, _ in shapes if (n, d) != (1, 4)]
