@@ -38,7 +38,8 @@ set, formed by scaling and squaring and kept in an LRU cache of
 GAP_MAPS maps: memory stays bounded, and a gap that recurs soon after
 its last use is formed once.  A uniform schedule (``np.linspace``) is
 one run with one map, whose samples after the first BLOCK are
-propagated BLOCK at a time by one matrix product each.
+propagated BLOCK at a time by one matrix product each; any other
+schedule takes one step per gap, each with its own map.
 
 What depends on a ``ModelConfig`` alone is kept once per config value
 for the whole process, in two LRU tables: the Hamiltonian, the probe's
@@ -620,12 +621,12 @@ class _Expm:
 
 #: gap maps exp(G g) each propagation plan keeps, least recently used
 #: out first, and as many of their BLOCK-th powers.  A uniform schedule
-#: takes one map (see ``_uniform_runs``), an irregular one a map per
+#: takes one map (see ``integrate_master``), any other one a map per
 #: distinct gap; 8 leaves room for gaps that alternate and for the next
 #: call's gap (the readout time of the next sweep row), and holds at most
 #: 8 k^2 16 B per cache: 3.7 MB at the models' largest set (k = 170).
 GAP_MAPS = 8
-#: samples of a uniform run propagated by one product with M^BLOCK.  A
+#: samples of a uniform schedule propagated by one product with M^BLOCK.  A
 #: (BLOCK, k) @ (k, k) product runs on one thread as long as OpenBLAS
 #: keeps it below its threading threshold: at k = 35 (``secii-boson``)
 #: 16 and 32 rows ran single-threaded and 64 or 100 rows on both cores
@@ -634,11 +635,12 @@ GAP_MAPS = 8
 BLOCK = 16
 #: relative rounding of sample times that one arithmetic progression
 #: absorbs.  ``np.linspace`` rounds its step, the step's multiple and the
-#: sum, each to within half an ulp of the largest time, and the run's first
-#: time carries its own rounding; 8 ulps of max(t, 1) bound all of it
-#: with room to spare (times computed from values of order 1 round at
-#: that order, however small they are).  A run's times may then sit
-#: 2 * 8 ulps off its progression, a time error of the times' own order.
+#: sum, each to within half an ulp of the largest time, and the first
+#: sample time carries its own rounding; 8 ulps of max(t, 1) bound all of
+#: it with room to spare (times computed from values of order 1 round at
+#: that order, however small they are).  A uniform schedule's times may
+#: then sit 8 ulps off the progression of its first gap, a time error of
+#: the times' own order.
 SCHEDULE_ROUNDING = 8 * np.finfo(float).eps
 
 
@@ -699,42 +701,6 @@ def clear_model_store() -> None:
     _propagation_plan.cache_clear()
 
 
-def _uniform_runs(points: Array, tol: float):
-    """Split a time schedule into runs on arithmetic progressions.
-
-    Yields ``(first, m)``: the run takes the m times after ``points[first]``
-    (the time of a state already known), the most that all lie within
-    ``tol`` of the progression points[first] + j h, j = 1 .. m, whose
-    step h is the run's first gap; the run steps by that gap.  Each time
-    is measured against the run's first time, not against its
-    neighbour, so a schedule whose gaps drift slowly cannot pass as one
-    run.  The step is a raw gap of the schedule, so the gaps of an
-    irregular one recur bit for bit and keep their cached maps; an
-    ``np.linspace`` schedule from 0 is one run, whose first gap is its
-    mean gap bit for bit.  The gaps of a run lie
-    within 2 tol of its step, so where two neighbouring gaps differ by
-    more than 4 tol a run ends; those ends are found in one pass, and an
-    irregular schedule, a chain of runs of one time each, costs no
-    per-run array work.
-    """
-    ends = []
-    if len(points) > 2:  # one gap is one run
-        gaps = points[1:] - points[:-1]
-        ends = (np.nonzero(np.abs(gaps[1:] - gaps[:-1]) > 4 * tol)[0] + 1).tolist()
-    ends.append(len(points) - 1)
-    first = 0
-    for end in ends:
-        while first < end:
-            m = end - first
-            if m > 1:
-                d = points[first + 1:end + 1] - points[first]
-                missed = np.abs(d - d[0] * np.arange(1.0, m + 1)) > tol
-                # time 1 always fits, so argmax 0 means no time missed
-                m = int(np.argmax(missed)) or m
-            yield first, m
-            first += m
-
-
 def integrate_master(
     rho0: DensityMatrix,
     cfg: ModelConfig,
@@ -759,18 +725,20 @@ def integrate_master(
     forms once and keeps in its LRU cache of GAP_MAPS maps (see
     ``_PropagationPlan``); a later call with the same gap (the next row
     of a sweep, the next job) forms no exponential and gives
-    bit-identical states.  The schedule is split into runs whose times
-    lie on one arithmetic progression to within their rounding
-    (``_uniform_runs``, SCHEDULE_ROUNDING): an ``np.linspace`` schedule
-    is one run, an irregular one a chain of short runs.  Each run takes
-    one M, at its first gap; its first BLOCK samples take one mat-vec
-    each, and every later BLOCK samples one (BLOCK, k) @ (k, k) product
-    with M^BLOCK (``matrix_power``, kept beside M), written in place
-    into the (n, k) stack of samples.  The caches hold at most
+    bit-identical states.  One rule steps the points 0 (rho0) and the
+    sample times.  If every point lies within SCHEDULE_ROUNDING *
+    max(t_last, 1) of the progression of the first gap, as an
+    ``np.linspace`` schedule from 0 does, the schedule is uniform and
+    takes one M, at that gap: its first BLOCK samples take one mat-vec
+    each, every later BLOCK samples one (BLOCK, k) @ (k, k) product with
+    M^BLOCK (``matrix_power``, kept beside M).  Any other schedule takes
+    one step per gap, with the map of its raw gap, so recurring gaps
+    reuse their maps; a one-sample schedule is one step.  The samples
+    are written in place into the (n, k) stack.  The caches hold at most
     2 GAP_MAPS k^2 16 B for k entries, whatever the schedule's length.
-    The stack is re-Hermitized once propagation
-    ends, and the samples are returned as that stack (see
-    ``EvolutionResult``), never as d x d matrices.  The trace is then
+    The stack is re-Hermitized once propagation ends, and the samples
+    are returned as that stack (see ``EvolutionResult``), never as
+    d x d matrices.  The trace is then
     checked over every sample: trace drift beyond TRACE_DRIFT_LIMIT
     (``qcore.TRACE_TOL``, the bound of the samples' state check) at any
     sample, or a non-finite trace, fails the run.  That is how a
@@ -820,17 +788,21 @@ def integrate_master(
         points = np.concatenate(([0.0], times)) if lead else times
         stack = np.empty((points.size, codes.size), dtype=complex)
         stack[0] = np.asarray(rho0.mat, dtype=complex).ravel()[codes]
-        for first, m in _uniform_runs(points, SCHEDULE_ROUNDING * max(points[-1], 1.0)):
-            gap = points[first + 1] - points[first]
-            step = plan.gap_map(gap)
-            run = stack[first:first + m + 1]
-            for s in range(1, min(m, BLOCK) + 1):
-                np.matmul(step, run[s - 1], out=run[s])
-            if m > BLOCK:
-                jump = plan.block_map(gap).T
-                for s in range(BLOCK + 1, m + 1, BLOCK):
-                    end = min(s + BLOCK, m + 1)
-                    np.matmul(run[s - BLOCK:end - BLOCK], jump, out=run[s:end])
+        n = points.size - 1
+        # points[0] is 0, so the progression of the first gap is points[1] * j
+        if n > 1 and (np.abs(points - points[1] * np.arange(n + 1.0))
+                      <= SCHEDULE_ROUNDING * max(points[-1], 1.0)).all():
+            step = plan.gap_map(points[1])
+            for s in range(1, min(n, BLOCK) + 1):
+                np.matmul(step, stack[s - 1], out=stack[s])
+            if n > BLOCK:
+                jump = plan.block_map(points[1]).T
+                for s in range(BLOCK + 1, n + 1, BLOCK):
+                    end = min(s + BLOCK, n + 1)
+                    np.matmul(stack[s - BLOCK:end - BLOCK], jump, out=stack[s:end])
+        else:
+            for s in range(1, n + 1):
+                np.matmul(plan.gap_map(points[s] - points[s - 1]), stack[s - 1], out=stack[s])
         entries = stack[lead:]
         entries += entries.take(plan.adj, axis=1).conj()
         entries *= 0.5

@@ -679,11 +679,12 @@ def run_qnd_sequence(
     followed by a ground-probe stage (pair state restored), so stage i
     prepares an excited probe for even i and a ground probe for odd i;
     the probe is measured and discarded after every stage.  Outcomes are
-    grouped by preparation and pooled into the estimate.
-    ``shots_per_stage`` of zero selects exact-statistics mode, which
-    neither draws nor hashes, separating protocol correctness from
-    sampling noise.  The exchange model is the dispersive limit of the
-    cavity model, so detunings below MIN_DISPERSIVE_DELTA are rejected.
+    grouped by preparation and pooled into the estimate: counts summed,
+    or in exact mode (``shots_per_stage`` of zero) each group's mean
+    p_e.  Exact mode neither draws nor hashes, separating protocol
+    correctness from sampling noise.  The exchange model is the
+    dispersive limit of the cavity model, so detunings below
+    MIN_DISPERSIVE_DELTA are rejected.
 
     As the probe is discarded, a stage is one linear map of the pair,
     formed from the unitary at t* (``_pair_maps``): p_e = P . vec(pair),
@@ -749,7 +750,8 @@ def run_qnd_sequence(
     count_excited = np.zeros(n_stages, dtype=np.int64)
     models = (EXCHANGE_E_READOUT, EXCHANGE_G_READOUT)
     if shots_per_stage == 0:
-        estimate = estimate_exact([(models[i % 2], p) for i, p in enumerate(p_excited.tolist())])
+        # a group's stages share one readout law, so their mean stands for them
+        estimate = estimate_exact([(models[k], float(p_excited[k::2].mean())) for k in (0, 1)])
     else:
         # derive_seed(seed, i) with its first round shared by every stage
         base = _splitmix64(seed & _MASK64)

@@ -25,9 +25,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -94,7 +97,7 @@ def render_line_chart(
         )
     out.append(
         f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 12}" '
-        f'font-size="13" text-anchor="middle">{x_label}</text>'
+        f'font-size="13" text-anchor="middle">{_escape(x_label)}</text>'
     )
 
     for k, (name, ys) in enumerate(series):
@@ -110,7 +113,7 @@ def render_line_chart(
             f'stroke="{color}" stroke-width="2"/>'
         )
         out.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="12">{name}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="12">{_escape(name)}</text>'
         )
 
     out.append("</svg>")

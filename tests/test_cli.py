@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,16 @@ class TestPlotCommand:
         assert "discord" in text and "classical" in text
         assert text.startswith("<?xml")
 
+    def test_markup_in_the_header_is_escaped(self, tmp_path, capsys):
+        # such a header once gave an SVG that no XML parser accepts, and exit 0
+        csv = tmp_path / "c.csv"
+        csv.write_text("x&y,a<b,c>d\n0.5,1,2\n0.6,3,4\n")
+        svg = tmp_path / "p.svg"
+        assert run(["plot", "--csv", csv, "--columns", "a<b,c>d", "--out", svg]) == 0
+        texts = xml.dom.minidom.parse(str(svg)).getElementsByTagName("text")
+        labels = [t.firstChild.data for t in texts]
+        assert "x&y" in labels and "a<b" in labels and "c>d" in labels
+
     def test_byte_deterministic(self, tmp_path, capsys):
         csv = self._sweep(tmp_path)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -669,7 +680,7 @@ class TestInputValidation:
         assert "trace drift" in captured.err and "Warning" not in captured.err
         assert captured.out == ""
 
-    # evolve's 201 samples are one uniform run: block products, then the drift check
+    # evolve's 201 samples are a uniform schedule: block products, then the drift check
     @pytest.mark.parametrize("gamma", ["1e200", "1.7e308", "1e6"])
     def test_evolve_overflowing_rate_fails_drift_check(self, gamma, tmp_path, capsys):
         out = tmp_path / "e.csv"

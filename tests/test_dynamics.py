@@ -30,7 +30,6 @@ from qprobe.dynamics import (
     _propagation_plan,
     _embed,
     _restricted_generator,
-    _uniform_runs,
     boson_lower,
     build_hamiltonian,
     clear_model_store,
@@ -525,6 +524,14 @@ def largest_deviation(res, mats):
     return max(np.max(np.abs(j.mat - m)) for j, m in zip(res.joint_states, mats))
 
 
+@pytest.fixture
+def formed(monkeypatch, cold_store):
+    """The gap of every exponential ``_Expm`` forms from an empty model store on, in order."""
+    gaps, call = [], _Expm.__call__
+    monkeypatch.setattr(_Expm, "__call__", lambda self, t: gaps.append(t) or call(self, t))
+    return gaps
+
+
 class TestIntegratorOracle:
     @pytest.mark.parametrize("cfg, noise, t_end, sample_times, bound", [
         (QUBIT, NoiseConfig(gamma=0.1), np.pi / 2, None, 1e-13),
@@ -535,14 +542,14 @@ class TestIntegratorOracle:
         # uneven gaps, some of them far shorter than the rest
         (QUBIT, NoiseConfig(gamma=0.1), 1.3, [0.0, 0.0123, 0.5, 0.5004, 1.3], 1e-13),
         (FULL, NoiseConfig(gamma=0.1), 0.5, [0.0007, 0.25, 0.3333, 0.5], 1e-13),
-        # uniform runs of 1, 15, 16 (BLOCK mat-vecs) and 32 (one block product) gaps
+        # uniform schedules of 1, 15, 16 (BLOCK mat-vecs) and 32 (one block product) gaps
         (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 2), 1e-13),
         (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 16), 1e-13),
         (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 17), 1e-13),
         (QUBIT, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.0, 3.0, 33), 1e-13),
-        # a lead gap of 0.3, then a run of 34: BLOCK mat-vecs, a block, a part block
+        # a lead gap of 0.3, then 34 gaps of 2.7 / 34: stepped gap by gap
         (BOSON, NoiseConfig(gamma=0.1), 3.0, np.linspace(0.3, 3.0, 35), 1e-13),
-        # a uniform run of 20 gaps, then an irregular tail
+        # 20 equal gaps, then an irregular tail: stepped gap by gap
         (QUBIT, NoiseConfig(gamma=0.1), 2.0,
          [*np.linspace(0.0, 1.0, 21), 1.013, 1.5, 1.52, 2.0], 1e-13),
     ], ids=["secii-qubit", "secii-boson", "seciii-full", "secii-boson-evolve-schedule",
@@ -597,32 +604,25 @@ class TestIntegratorOracle:
         # three distinct gaps, two of them repeated out of order
         (1.25, [0.125, 0.375, 0.5, 0.75, 0.875, 1.25], None),
     ], ids=["linspace", "longest", "alternating"])
-    def test_one_map_per_distinct_gap(self, monkeypatch, cold_store, t_end, sample_times,
-                                      uniform_gap):
-        formed = []
-        call = _Expm.__call__
-        monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
+    def test_one_map_per_distinct_gap(self, formed, t_end, sample_times, uniform_gap):
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         rho0 = initial_joint(0.75, cfg, ProbePrep.GROUND)
         integrate_master(rho0, cfg, NoiseConfig(gamma=0.1), t_end, sample_times=sample_times)
         if uniform_gap is not None:
-            # one uniform run: one exponential, at its first gap
+            # a uniform schedule: one exponential, at its first gap
             assert formed == [uniform_gap]
         else:
             gaps = list(np.diff([0.0, *sample_times]))
             # one exponential per distinct gap, kept as a matrix for its later uses
             assert formed == [gap for gap in dict.fromkeys(gaps) if gap]
 
-    def test_irregular_schedule_keeps_its_raw_gaps(self, monkeypatch, cold_store):
-        # gaps of 0.1, 0.2 and 0.3 (over 3) in random order: a run of equal
-        # gaps steps by its first gap, which recurs bit for bit, so at most
-        # one map forms per distinct raw gap (34), not one per run (800)
+    def test_irregular_schedule_keeps_its_raw_gaps(self, formed):
+        # gaps of 0.1, 0.2 and 0.3 (over 3) in random order: each gap is a
+        # step by its raw value, and raw values recur bit for bit, so at most
+        # one map forms per distinct raw gap (34), not one per step (10000)
         times = np.cumsum(np.random.default_rng(0).choice([0.1, 0.2, 0.3], 10000)) / 3
         raw = set(np.diff(np.concatenate([[0.0], times])).tolist())
         assert len(raw) == 34
-        formed = []
-        call = _Expm.__call__
-        monkeypatch.setattr(_Expm, "__call__", lambda self, t: formed.append(t) or call(self, t))
         cfg = ModelConfig(ModelVariant.RESONANT_QUBIT)
         integrate_master(initial_joint(0.75, cfg, ProbePrep.GROUND), cfg, NoiseConfig(0.1),
                          times[-1], sample_times=times)
@@ -630,35 +630,31 @@ class TestIntegratorOracle:
 
     @pytest.mark.parametrize("t_end", [0.3, 1.0, 7.77, 10.0, 123.456, MAX_T_END])
     @pytest.mark.parametrize("samples", [2, 3, 201, 10001])
-    def test_linspace_steps_by_its_mean_gap(self, t_end, samples):
-        # evolve's schedule is one run, and its first gap, the step, is its
+    def test_linspace_steps_by_its_mean_gap(self, formed, t_end, samples):
+        # evolve's schedule is uniform, and its first gap, the step, is its
         # mean gap bit for bit, so every evolve output stays as it was
         points = np.linspace(0.0, t_end, samples)
         mean = (points[-1] - points[0]) / (samples - 1)
         assert points[1] - points[0] == mean
-        assert list(_uniform_runs(points, SCHEDULE_ROUNDING * max(t_end, 1.0))) == [
-            (0, samples - 1)]
+        integrate_master(initial_joint(0.75, QUBIT, ProbePrep.GROUND), QUBIT,
+                         NoiseConfig(gamma=0.1), t_end, sample_times=points)
+        assert formed == [mean]
 
-    def test_run_ends_where_a_time_leaves_its_first_gap(self):
-        tol = 1e-12
-        # time 3 strays 1.2 tol from the progression through the first gap,
-        # though all three lie within tol of the one through the mean gap
-        run = np.array([0.0, 1.0 - 0.4 * tol, 2.0, 3.0])
-        assert list(_uniform_runs(run[:3], tol)) == [(0, 2)]
-        assert list(_uniform_runs(run, tol)) == [(0, 2), (2, 1)]
-
-    def test_runs_measured_against_their_first_time(self):
+    def test_drifting_schedule_steps_gap_by_gap(self, formed):
         # each gap 0.4 tol longer than the last: neighbours agree within
-        # tol, but the times leave any one progression after a few gaps
-        tol = 1e-12
-        points = np.concatenate([[0.0], np.cumsum(0.05 + 0.4 * tol * np.arange(200))])
-        runs = list(_uniform_runs(points, tol))
-        starts = [first for first, _ in runs]
-        assert starts == [0, *np.cumsum([m for _, m in runs])[:-1]]
-        assert sum(m for _, m in runs) == 200 and len(runs) > 20
-        for first, m in runs:
-            line = points[first] + np.arange(m + 1) * (points[first + m] - points[first]) / m
-            assert np.max(np.abs(points[first:first + m + 1] - line)) <= 2 * tol
+        # tol, but the times leave the first gap's progression after a few
+        t_end = 10.5
+        tol = SCHEDULE_ROUNDING * t_end
+        times = np.cumsum(0.05 + 0.4 * tol * np.arange(200))
+        assert times[-1] <= t_end and abs(times[2] - 3 * times[0]) > tol
+        raw = np.diff(np.concatenate([[0.0], times])).tolist()
+        rho0 = initial_joint(0.75, QUBIT, ProbePrep.GROUND)
+        noise = NoiseConfig(gamma=0.1)
+        res = integrate_master(rho0, QUBIT, noise, t_end, sample_times=times)
+        # one map per distinct raw gap, in the order the gaps come
+        assert formed == list(dict.fromkeys(raw)) and len(formed) > 20
+        ref = expm_reference(rho0, QUBIT, noise, t_end, sample_times=times)
+        assert largest_deviation(res, ref) < 1e-12
 
     def test_no_dense_liouvillian(self):
         # a dense d^2 x d^2 generator at d = 72 would take 430 MB
