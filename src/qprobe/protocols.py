@@ -8,6 +8,8 @@ and ground probes under the exchange model, each stage one fixed 16 x 16
 map of the pair (the probe is discarded): the excited stage maps the
 family state onto its corner swap and the ground stage restores it
 exactly, so measurement statistics can be accumulated over many cycles.
+Each protocol stage is one pass over the whole stack: one readout of
+every cycle's row, one array and one check of every sequence pair.
 Every readout is an affine law P(excited) = offset + slope x
 (``ReadoutModel``), inverted here alone: by ``estimate_exact`` for exact
 probabilities and by ``estimate_from_counts`` for shot records.
@@ -442,13 +444,11 @@ def run_probe_cycles(
     ``trace_distance_x_stack`` and one ``sigma_z_stack``, and the reports
     before and after are one ``correlation_reports`` call.  The
     evolution runs once per cycle, and each result is checked as it is
-    built; the pairs and probes are then read out once per set of codes
-    (``_read_rows``).  Every x < 1 gives one set and x = 1 another: the
-    family's zero pattern also changes at x = 2/3, but the dynamics
-    reach the coherence that vanishes there.  The Hamiltonian, the
-    propagator and the propagation plans are those the process keeps
-    for ``cfg``'s value (``dynamics.ModelConfig``), so the rows share
-    them, and so does a later call with an equal config.
+    built; every row's pair and probe are then read out by one call
+    (``_read_rows``), whatever entries the row reaches.  The rows share
+    the Hamiltonian, propagator and propagation plans the process keeps
+    for ``cfg``'s value (``dynamics.ModelConfig``), as does a later call
+    with an equal config.
     """
     if cfg.variant not in (ModelVariant.RESONANT_QUBIT, ModelVariant.RESONANT_BOSON):
         raise ValueError("probe cycle runs on the resonant models")
@@ -498,29 +498,27 @@ def run_probe_cycles(
 def _read_rows(space: HilbertSpace, results: Sequence[EvolutionResult]) -> tuple[Array, Array]:
     """The (n, 4, 4) pair and (n, 2, 2) probe of the one-sample ``results``, in row order.
 
-    The rows of equal codes are stacked and read out by one
-    ``readout_entries`` call, each set of codes in the order of its
-    first row, so every row's values are those of its own ``readout``,
-    bit for bit.  The rows were checked when their results were built
-    and are not checked again; on bosonic modes each stack's pair is
-    checked as one.  If that check fails, the rows are read out again
-    one at a time in row order, so the error raised is that of the
-    first row a row-by-row readout would refuse.
+    Every row is placed on the union of the rows' codes, with zeros at
+    the codes it does not reach, and the stack is read out by one
+    ``readout_entries`` call; the added terms are exact zeros, so every
+    row's values are those of its own ``readout``, bit for bit.  The
+    rows were checked when their results were built and are not checked
+    again; on bosonic modes the stack's pair is checked as one.  If
+    that check fails, the rows are read out again one at a time in row
+    order, so the error raised is that of the first row a row-by-row
+    readout would refuse.
     """
-    groups: dict[bytes, list[int]] = {}
-    for i, result in enumerate(results):
-        groups.setdefault(result.codes.tobytes(), []).append(i)
-    pairs = np.empty((len(results), 4, 4), dtype=complex)
-    probes = np.empty((len(results), 2, 2), dtype=complex)
+    codes = np.flatnonzero(np.bincount(np.concatenate([np.empty(0, np.int64),
+                                                       *(r.codes for r in results)])))
+    entries = np.zeros((len(results), codes.size), dtype=complex)
+    for row, result in zip(entries, results):
+        row[np.searchsorted(codes, result.codes)] = result.entries[0]
     try:
-        for rows in groups.values():
-            entries = np.concatenate([results[i].entries for i in rows])
-            pairs[rows], probes[rows] = readout_entries(space, results[rows[0]].codes, entries)
+        return readout_entries(space, codes, entries)
     except ValueError:
         for result in results:
             result.readout()
         raise
-    return pairs, probes
 
 
 def boson_pair_to_qubits(reduced: DensityMatrix) -> DensityMatrix:
@@ -644,9 +642,6 @@ def transfer_time_report(cfg: ModelConfig) -> TransferTimeReport:
 
 #: most cycles in one sequence; every stage is kept in the result
 MAX_QND_CYCLES = 10_000
-#: cycles whose pairs ``run_qnd_sequence`` checks as one stack; bounds
-#: what a long sequence holds besides its stage arrays
-QND_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -688,12 +683,14 @@ def run_qnd_sequence(
 
     As the probe is discarded, a stage is one linear map of the pair,
     formed from the unitary at t* (``_pair_maps``): p_e = P . vec(pair),
-    then pair <- S vec(pair); no joint state is formed.  The pairs of up
-    to QND_BATCH cycles are checked as one stack (one at a time if it
-    fails, so the error raised is the first stage's); only the last
-    batch's pairs are made states, to keep the final one.  Once every
-    pair has passed, stage i draws from its substream ``derive_seed(seed,
-    i)``, whose first round is hashed once for all stages.
+    then pair <- S vec(pair); no joint state is formed.  Every pair
+    goes into one (2n + 1, 16) array (256 bytes a stage) and every p_e
+    is read off it by one ``einsum``.  Each pair is checked once: all
+    but the last as one stack, the last as the final state (one at a
+    time if either fails, so the error raised is the first stage's).
+    Once every pair has passed, stage i draws from its substream
+    ``derive_seed(seed, i)``, whose first round is hashed once for all
+    stages.
     """
     cfg = cfg or ModelConfig(ModelVariant.DISPERSIVE_EFFECTIVE, delta=10.0)
     if cfg.variant is not ModelVariant.DISPERSIVE_EFFECTIVE:
@@ -708,43 +705,35 @@ def run_qnd_sequence(
         raise ValueError("need at least one cycle")
     if n_cycles > MAX_QND_CYCLES:
         raise ValueError(f"cycles exceed {MAX_QND_CYCLES}")
+    if shots_per_stage < 0:
+        raise ValueError("shots must be nonnegative")
     if 2 * n_cycles * shots_per_stage > MAX_SHOTS:
         raise ValueError(f"total shots exceed {MAX_SHOTS}")
     t_star = find_transfer_time(cfg)
     u = cfg.propagator.unitary(t_star)
     (e_map, e_law), (g_map, g_law) = (_pair_maps(u, prep)
                                       for prep in (ProbePrep.EXCITED, ProbePrep.GROUND))
-    laws = np.stack([e_law, g_law])
     pair_space = cfg.space.subspace({0, 1})
-    state = one_param_density(x)
-    vec = state.mat.ravel()
     n_stages = 2 * n_cycles
-    p_excited = np.empty(n_stages)
-    for first in range(0, n_stages, 2 * QND_BATCH):
-        batch = slice(first, min(first + 2 * QND_BATCH, n_stages))
-        # a stage-by-stage run stops at the first pair it refuses; here the
-        # batch's later stages are formed first and refused by the check,
-        # so a unitary far from unitary overflows there without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            vecs = [vec]
-            for _ in range((batch.stop - first) // 2):
-                vecs.append(e_map @ vecs[-1])
-                vecs.append(g_map @ vecs[-1])
-            vecs = np.array(vecs)
-            # each cycle's two incoming pairs against the two functionals
-            p_excited[batch] = np.einsum("cpk,pk->cp", vecs[:-1].reshape(-1, 2, 16),
-                                         laws).real.ravel()
-        vec = vecs[-1]
-        pairs = vecs[1:].reshape(-1, 4, 4)
-        try:
-            if batch.stop < n_stages:
-                check_density_stack(pairs)
-            else:
-                state = density_matrices(pair_space, pairs)[-1]
-        except ValueError:
-            for pair in pairs:
-                DensityMatrix(pair_space, pair)
-            raise
+    # row i is the pair stage i receives, the last row the pair left behind
+    vecs = np.empty((n_stages + 1, 16), dtype=complex)
+    vecs[0] = one_param_density(x).mat.ravel()
+    # every stage is formed before any is checked, so a unitary far from
+    # unitary overflows here, without a warning, before the check refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_stages):
+            np.matmul((e_map, g_map)[i % 2], vecs[i], out=vecs[i + 1])
+        # each cycle's two incoming pairs against the two functionals
+        p_excited = np.einsum("cpk,pk->cp", vecs[:-1].reshape(-1, 2, 16),
+                              np.stack([e_law, g_law])).real.ravel()
+    pairs = vecs[1:].reshape(-1, 4, 4)
+    try:
+        check_density_stack(pairs[:-1])
+        state = DensityMatrix(pair_space, pairs[-1])
+    except ValueError:
+        for pair in pairs:
+            DensityMatrix(pair_space, pair)
+        raise
     # min(1, max(0, p)) as Python takes it, so -0.0 becomes 0.0
     p_excited = np.where(p_excited < 1.0, np.where(p_excited > 0.0, p_excited, 0.0), 1.0)
     count_excited = np.zeros(n_stages, dtype=np.int64)

@@ -48,10 +48,11 @@ def render_line_chart(
     ys_all = [float(v) for _, ys in series for v in ys]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    # from 2^53 up lo + 1.0 rounds back to lo; the next float up does not
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -518,6 +518,37 @@ class TestPlotCommand:
         assert "not finite" in capsys.readouterr().err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("rows", ["1e17,1\n1e17,2", "0.5,1e17\n0.6,1e17",
+                                      "0.5,-1e17\n0.6,-1e17"],
+                             ids=["x-constant", "y-constant", "y-negative"])
+    def test_constant_beyond_two_to_the_53_is_drawn(self, rows, tmp_path):
+        # 1e17 + 1.0 rounds back to 1e17: such an axis once had no span,
+        # and the chart raised ZeroDivisionError (a traceback and exit 1)
+        csv = tmp_path / "c.csv"
+        csv.write_text(f"x,y\n{rows}\n")
+        svg = tmp_path / "p.svg"
+        assert run(["plot", "--csv", csv, "--columns", "y", "--out", svg]) == 0
+        [line] = xml.dom.minidom.parse(str(svg)).getElementsByTagName("polyline")
+        coords = [float(v) for point in line.getAttribute("points").split()
+                  for v in point.split(",")]
+        assert len(coords) == 4 and all(map(math.isfinite, coords))
+
+    @pytest.mark.parametrize("rows, first, ticks", [
+        ("2,1\n2,3", 0, ["2", "2.2", "2.4", "2.6", "2.8", "3"]),
+        ("0.5,2\n0.6,2", 6, ["1.95", "2.17", "2.39", "2.61", "2.83", "3.05"]),
+    ], ids=["x-constant", "y-constant"])
+    def test_constant_below_two_to_the_53_spans_one(self, rows, first, ticks, tmp_path):
+        # the constant axis runs from the constant to one above it (the
+        # y axis padded by 5%), not over a span scaled by its magnitude
+        csv = tmp_path / "c.csv"
+        csv.write_text(f"x,y\n{rows}\n")
+        svg = tmp_path / "p.svg"
+        assert run(["plot", "--csv", csv, "--columns", "y", "--out", svg]) == 0
+        texts = xml.dom.minidom.parse(str(svg)).getElementsByTagName("text")
+        labels = [t.firstChild.data for t in texts]
+        # the six x tick labels come first, then the six y tick labels
+        assert labels[first:first + 6] == ticks
+
     def test_empty_csv_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("x,concurrence\n")

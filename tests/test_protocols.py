@@ -31,7 +31,6 @@ from qprobe.protocols import (
     MAX_HALF_PERIODS,
     MAX_QND_CYCLES,
     MAX_SHOTS,
-    QND_BATCH,
     RESONANT_READOUT,
     SHOT_BLOCK,
     ReadoutModel,
@@ -550,8 +549,8 @@ class TestProbeCycle:
 
 #: the runtime-only CI grid: starts on x = 2/3 and ends on x = 1, the two
 #: points where the family's zero pattern changes.  The dynamics reach the
-#: coherence that vanishes at x = 2/3, so its rows hold two sets of codes:
-#: those of x < 1 and those of x = 1
+#: coherence that vanishes at x = 2/3, so its rows reach two sets of
+#: entries: those of x < 1 and those of x = 1
 CI_GRID = [0.6666666666666666 + i * 0.0833333333333334 for i in range(4)] + [1.0]
 
 
@@ -599,8 +598,9 @@ class TestRowStack:
                                          ModelVariant.RESONANT_BOSON],
                              ids=["secii-qubit", "secii-boson"])
     def test_one_readout_per_set_of_codes(self, monkeypatch, variant, gamma):
-        # the CI grid's rows hold two sets of codes: a pair and a probe
-        # reduction each, and one evolution per row with noise
+        # the CI grid's rows reach two sets of entries, and all five rows
+        # take one pair and one probe reduction, and one evolution per row
+        # with noise
         reductions, evolutions = [], []
         reduce, evolve = dynamics.reduced_entry_stack, protocols.integrate_master
 
@@ -617,8 +617,7 @@ class TestRowStack:
         monkeypatch.setattr(protocols, "integrate_master", counted_evolve)
         cycles = run_probe_cycles(CI_GRID, ModelConfig(variant), 1, NoiseConfig(gamma))
         assert len(cycles) == 5
-        # rows of x = 2/3 .. 11/12, then the row of x = 1, each set read out once
-        assert reductions == [4, 4, 1, 1]
+        assert reductions == [5, 5]
         assert len(evolutions) == (5 if gamma else 0)
 
     def test_a_failing_conditional_raises_the_row_by_row_error(self, monkeypatch):
@@ -881,6 +880,19 @@ class TestQndSequence:
         with pytest.raises(ValueError, match=str(MAX_SHOTS)):
             run_qnd_sequence(0.75, EXCHANGE, 1, shots_per_stage=MAX_SHOTS // 2 + 1)
 
+    def test_negative_shots_refused_before_any_draw(self, monkeypatch):
+        # refused with the other arguments, not by the first stage's draw
+        drawn, sample = [], protocols.sample_shots
+
+        def counted_sample(p, shots, seed):
+            drawn.append(shots)
+            return sample(p, shots, seed)
+
+        monkeypatch.setattr(protocols, "sample_shots", counted_sample)
+        with pytest.raises(ValueError, match="^shots must be nonnegative$"):
+            run_qnd_sequence(0.75, EXCHANGE, 3, shots_per_stage=-1)
+        assert drawn == []
+
 
 def stage_by_stage(x, cfg, n_cycles, shots_per_stage=0, seed=0):
     """The sequence one state object per stage: ((p_excited, count), ...), final state, estimate.
@@ -943,7 +955,7 @@ class TestQndStageChain:
         np.testing.assert_allclose(result.final_state.mat, state.mat, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("x", [0.5, 2 / 3, 0.75, 1.0])
-    @pytest.mark.parametrize("n_cycles", [1, 3, QND_BATCH + 1])
+    @pytest.mark.parametrize("n_cycles", [1, 3, 129])
     @pytest.mark.parametrize("shots", [0, 1000])
     def test_seeded_runs_agree_with_stage_by_stage(self, x, n_cycles, shots):
         result = run_qnd_sequence(x, EXCHANGE, n_cycles, shots, seed=5)
@@ -985,35 +997,20 @@ class TestQndStageChain:
         find_transfer_time(EXCHANGE)  # its check is kept
         shapes = self.counted_checks(monkeypatch)
         run_qnd_sequence(0.75, EXCHANGE, 3)
-        # the family state, the six pairs, the estimate's family state
-        assert shapes == [(1, 4, 4), (6, 4, 4), (1, 4, 4)]
+        # the family state, the first five pairs, the final pair, the
+        # estimate's family state: each pair once
+        assert shapes == [(1, 4, 4), (5, 4, 4), (1, 4, 4), (1, 4, 4)]
 
-    def test_batches_bound_the_stacks(self, monkeypatch):
-        whole = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
-        monkeypatch.setattr(protocols, "QND_BATCH", 2)
-        shapes = self.counted_checks(monkeypatch)
-        batched = run_qnd_sequence(0.8, EXCHANGE, 5, 1000, seed=2)
-        assert batched.p_excited.tobytes() == whole.p_excited.tobytes()
-        assert np.array_equal(batched.count_excited, whole.count_excited)
-        assert batched.estimate == whole.estimate
-        assert batched.final_state.mat.tobytes() == whole.final_state.mat.tobytes()
-        # ten stages in batches of four: one stack of pairs per batch
-        stage_stacks = [n for n, d, _ in shapes if (n, d) != (1, 4)]
-        assert stage_stacks == [4, 4, 2]
-
-    @pytest.mark.parametrize("batch", [QND_BATCH, 1])
     @pytest.mark.parametrize("fault,n_cycles,message", [
         (lambda u: 1.001 * u, 5, "trace differs from one"),
         # the trace drifts past 1e-10 only after a few stages
         (lambda u: (1.0 + 1e-11) * u, 5, "trace differs from one"),
         (lambda u: np.where(np.eye(8, dtype=bool), np.nan, u), 5, "non-finite entries"),
-        # the trace grows 100-fold per stage and overflows within the batch:
+        # the trace grows 100-fold per stage and overflows within 128 cycles:
         # the pairs' stack holds inf, but the first refusal is a trace
-        (lambda u: 10.0 * u, QND_BATCH, "trace differs from one"),
+        (lambda u: 10.0 * u, 128, "trace differs from one"),
     ], ids=["scaled", "drifting", "nan", "overflowing"])
-    def test_corrupted_unitary_raises_as_stage_by_stage(self, monkeypatch, batch, fault,
-                                                        n_cycles, message):
-        monkeypatch.setattr(protocols, "QND_BATCH", batch)
+    def test_corrupted_unitary_raises_as_stage_by_stage(self, fault, n_cycles, message):
         cfg = with_propagator(corrupted(EXCHANGE.propagator, fault))
         with pytest.raises(ValueError) as per_stage:
             stage_by_stage(0.75, cfg, n_cycles)
