@@ -340,12 +340,15 @@ def cmd_evolve(opts: dict) -> int:
     # the columns go to the writer as lists, whose floats format faster
     # than numpy scalars
     ab, pc = res.readout()
+    # rounding leaves an empty excited population slightly below 0
+    # (-6.5e-17): clamp to [0, 1], with -0.0 to 0.0, as run_qnd_sequence does
+    p_excited = pc[:, 0, 0].real
     columns = (
         res.times,
         concurrence_stack(ab).tolist(),
         mutual_information_stack(ab).tolist(),
         sigma_z_stack(pc).tolist(),
-        pc[:, 0, 0].real.tolist(),
+        np.where(p_excited < 1.0, np.where(p_excited > 0.0, p_excited, 0.0), 1.0).tolist(),
         trace_distance_x_stack(ab, pair.mat[None]).tolist(),
     )
     _write_csv(opts["out"], ["t", "concurrence", "mutual_info", "sigma_z", "p_excited",

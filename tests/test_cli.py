@@ -4,7 +4,6 @@ import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -960,38 +959,16 @@ def test_every_report_takes_the_x_state_path(args, tmp_path, monkeypatch, capsys
     assert seen and max(seen) == 0.0
 
 
-def test_runtime_needs_no_scipy(tmp_path):
-    # scipy is test-only: with it blocked, a noisy sweep still runs, and
-    # the measures refuse a state off the X instead of searching it
+def test_runtime_needs_no_scipy():
+    # scipy is test-only: with it blocked, every golden CLI output still
+    # comes out, and the measures refuse a state off the X (test_golden)
     src = os.path.dirname(os.path.dirname(qprobe.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = """
-import sys
-sys.modules["scipy"] = None
-import numpy as np
-from qprobe.cli import main
-from qprobe.measures import classical_correlation_optimized, correlation_report
-from qprobe.qcore import DensityMatrix
-from qprobe.states import one_param_density
-family = one_param_density(0.75)
-mat = 0.9 * family.mat + 0.025 * np.eye(4)
-mat[0, 1] = mat[1, 0] = 0.01  # |00><01| joins excitation sectors
-rho = DensityMatrix(family.space, mat)
-for measure in (classical_correlation_optimized, correlation_report):
-    try:
-        measure(rho)
-    except ValueError as err:
-        assert "entry (0, 1)" in str(err), err
-    else:
-        raise AssertionError(f"{measure.__name__} took a state off the X")
-assert main(["sweep", "--gamma", "0.1", "--x-step", "0.25", "--out", "s.csv"]) == 0
-print("ok")
-"""
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "ok"
-    assert len((tmp_path / "s.csv").read_text().splitlines()) == 4
+    code = ("import sys; sys.modules['scipy'] = None; import pytest; "
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', 'tests/test_golden.py']))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          cwd=Path(__file__).resolve().parents[1], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("args", [["probe", "--x", "0.75"],
@@ -1011,17 +988,6 @@ assert "numpy.ma" not in sys.modules, "numpy.ma is loaded"
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
-    # every command of the README's CLI block, in order, in one directory
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```")[1]
-    lines = [ln for ln in block.splitlines() if ln.startswith("qprobe ")]
-    assert lines
-    monkeypatch.chdir(tmp_path)
-    for line in lines:
-        assert main(shlex.split(line)[1:]) == 0, line
 
 
 # ---------------------------------------------------------------------------

@@ -547,10 +547,10 @@ class TestProbeCycle:
                 )
 
 
-#: the runtime-only CI grid: starts on x = 2/3 and ends on x = 1, the two
-#: points where the family's zero pattern changes.  The dynamics reach the
-#: coherence that vanishes at x = 2/3, so its rows reach two sets of
-#: entries: those of x < 1 and those of x = 1
+#: the grid test_golden sweeps on both resonant models: starts on x = 2/3
+#: and ends on x = 1, the two points where the family's zero pattern
+#: changes.  The dynamics reach the coherence that vanishes at x = 2/3, so
+#: its rows reach two sets of entries: those of x < 1 and those of x = 1
 CI_GRID = [0.6666666666666666 + i * 0.0833333333333334 for i in range(4)] + [1.0]
 
 
